@@ -15,10 +15,6 @@ from fractions import Fraction as Q
 from .series import LinExpr, Series
 
 
-class LinalgError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Space:
     name: str
@@ -89,9 +85,6 @@ class SeriesVector:
 
     def scale(self, c):
         return SeriesVector(self.spaces, {k: s.scale(c) for k, s in self.entries.items()})
-
-    def mul_series(self, series):
-        return SeriesVector(self.spaces, {k: s * series for k, s in self.entries.items()})
 
     def transform(self, fn):
         """Apply fn to every Series entry (substitutions, var renames...)."""
@@ -167,6 +160,12 @@ class SeriesMap:
             self.domain, self.codomain, {k: v.transform(fn) for k, v in self.columns.items()}
         )
 
+    def at(self, var):
+        """The map with its series variable "x" renamed to var."""
+        if var == "x":
+            return self
+        return self.transform(lambda s: s.rename({"x": var}))
+
     def __add__(self, other):
         assert self.domain == other.domain and self.codomain == other.codomain
         out = dict(self.columns)
@@ -232,9 +231,6 @@ class SeriesMap:
         codomain = spaces[:lo] + self.codomain + spaces[legs[-1] + 1 :]
         return SeriesMap(spaces, codomain, cols)
 
-    def is_exact(self):
-        return all(v.exact() for v in self.columns.values())
-
     def __repr__(self):
         dom = "⊗".join(sp.name for sp in self.domain) or "Q"
         cod = "⊗".join(sp.name for sp in self.codomain) or "Q"
@@ -260,6 +256,36 @@ class Underdetermined:
 @dataclass
 class Inconsistent:
     witness: tuple  # (key, exponent) location of a contradictory equation
+
+
+def _row_reduce(rows, ncols, tags=None):
+    """Gauss-Jordan elimination in place on the first ncols columns of a
+    dense list-of-lists matrix over Q; returns the pivot columns.
+
+    Pivots are taken column by column, each from the first row at or below
+    the current one with a nonzero entry; rows (and their tags, if given)
+    are swapped into place.  Stops once every row holds a pivot.
+    """
+    m = len(rows)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        if tags is not None:
+            tags[r], tags[piv] = tags[piv], tags[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        if len(pivots) == m:
+            break
+    return pivots
 
 
 def solve_linear(pairs, unknowns):
@@ -288,26 +314,9 @@ def solve_linear(pairs, unknowns):
                 rows.append(row + [-e.const])
                 tags.append((key, expt))
 
-    m, n = len(rows), len(unknowns)
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        tags[r], tags[piv] = tags[piv], tags[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
+    n = len(unknowns)
+    pivots = _row_reduce(rows, n, tags)
+    for i in range(len(pivots), len(rows)):
         if not any(x != 0 for x in rows[i][:n]) and rows[i][n] != 0:
             return Inconsistent(tags[i])
 
@@ -324,23 +333,7 @@ def matrix_rank(rows):
     rows = [list(map(Q, r)) for r in rows]
     if not rows:
         return 0
-    m, n = len(rows), len(rows[0])
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(m):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return len(_row_reduce(rows, len(rows[0])))
 
 
 def matrix_inverse(rows):
@@ -348,29 +341,6 @@ def matrix_inverse(rows):
     n = len(rows)
     aug = [list(map(Q, r)) + [Q(1) if j == i else Q(0) for j in range(n)]
            for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    if len(_row_reduce(aug, n)) < n:
+        return None
     return [r[n:] for r in aug]
-
-
-def evaluate_map(mp, assignment):
-    """Replace LinExpr coefficients by their solved values."""
-
-    def ev(s):
-        out = {}
-        for expt, c in s.coeffs.items():
-            v = LinExpr.promote(c).evaluate(assignment) if isinstance(c, LinExpr) else c
-            if v != 0:
-                out[expt] = v
-        return Series(s.variables, out, s.window, s.exact)
-
-    return mp.transform(ev)

@@ -16,16 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .series import DEFAULT_RANGE, LinExpr, Series
+from .series import DEFAULT_RANGE, LinExpr, Series, Window
 from .linalg import (
     Inconsistent,
     SeriesMap,
     SeriesVector,
     Space,
-    Underdetermined,
     UniqueSolution,
     basis_tuples,
-    evaluate_map,
     matrix_rank,
     solve_linear,
 )
@@ -35,6 +33,7 @@ from .nva import (
     Nva,
     NvaModule,
     Outcome,
+    adjoint_module,
     check_D_bracket,
     check_vacuum,
     check_weak_associativity,
@@ -42,6 +41,7 @@ from .nva import (
     double_product,
     eq_outcome,
     exp_xD,
+    find_clearing_k,
     window_equal_vec,
     witness,
 )
@@ -75,10 +75,6 @@ class ProductNva:
 
     def pair(self, ul, vl):
         return pair_label(ul, vl)
-
-    def unpair(self, label):
-        i = basis_tuples((self.first.space, self.second.space))
-        return i[self.space.index(label)]
 
     def pairing(self):
         """SeriesMap (U, V) -> (P,) relabelling pure tensors."""
@@ -124,8 +120,7 @@ def build_twisted_tensor(first, second, twist, rng=DEFAULT_RANGE,
                 "twisting-operator axioms", rep.failures()[0].name)
     U, V = first.space, second.space
     assert twist.first.space == U and twist.second.space == V
-    r_neg = twist.at(None, subst=lambda s: s.negate_var("x")
-                     if "x" in s.variables else s)
+    r_neg = twist.table.transform(lambda s: s.negate_var("x"))
     yu, yv = first.y, second.y
     pspace = Space(
         f"{first.name}*{second.name}",
@@ -210,8 +205,9 @@ def check_product_properties(p, rng=DEFAULT_RANGE):
 
     vac_u, vac_v = p.first.vacuum, p.second.vacuum
     expd = exp_xD(P, "x", rng, dmap=dprod)
-    r_neg = p.twist.at(None, subst=lambda s: s.negate_var("x")
-                       if "x" in s.variables else s)
+    r_neg = p.twist.table.transform(lambda s: s.negate_var("x"))
+    y_neg = P.y.transform(lambda s: s.negate_var("x"))
+    embed = p.embed_first().tensor(p.embed_second())
     for u in p.first.space.basis:
         for v in p.second.space.basis:
             # regularity and the (-1)-product identity
@@ -230,14 +226,7 @@ def check_product_properties(p, rng=DEFAULT_RANGE):
             # skew symmetry: Y_R(1⊗v,x)(u⊗1)
             #   == e^{xD} Σ f_i(-x) Y_R(a_i⊗1,-x)(1⊗b_i)
             lhs = P.vertex(p.pair(vac_u, v), p.pair(u, vac_v))
-            rvu = r_neg.column((v, u))
-            rhs = SeriesVector.zero((P.space,))
-            for (a, b), f in rvu.entries.items():
-                term = P.vertex(p.pair(a, vac_v), p.pair(vac_u, b))
-                term = term.transform(
-                    lambda s: s.negate_var("x") if "x" in s.variables else s)
-                rhs = rhs + term.transform(lambda s, c=f: s * c)
-            rhs = expd.apply(rhs)
+            rhs = expd.apply(y_neg.apply(embed.apply(r_neg.column((v, u)))))
             res = window_equal_vec(lhs, rhs)
             rep.add(f"skew-symmetry ({v},{u})", eq_outcome(res), witness(res))
     return rep
@@ -250,108 +239,64 @@ def check_invertible_relations(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     P = p.nva
     vac_u, vac_v = p.first.vacuum, p.second.vacuum
     expd = exp_xD(P, "x", rng)
-    rinv = twist.inverse_at("x")
+    y_neg = P.y.transform(lambda s: s.negate_var("x"))
+    embed = p.embed_second().tensor(p.embed_first())
 
     # Y_R(u⊗1,x)(1⊗v) == e^{xD} Σ g_i(x) Y_R(1⊗b_i,-x)(a_i⊗1),
     # where R^{-1}(x)(u⊗v) = Σ b_i ⊗ a_i ⊗ g_i(x)
     for u in p.first.space.basis:
         for v in p.second.space.basis:
             lhs = P.vertex(p.pair(u, vac_v), p.pair(vac_u, v))
-            col = rinv.column((u, v))
-            rhs = SeriesVector.zero((P.space,))
-            for (b, a), g in col.entries.items():
-                term = P.vertex(p.pair(vac_u, b), p.pair(a, vac_v))
-                term = term.transform(
-                    lambda s: s.negate_var("x") if "x" in s.variables else s)
-                rhs = rhs + term.transform(lambda s, c=g: s * c)
-            rhs = expd.apply(rhs)
+            rhs = expd.apply(y_neg.apply(embed.apply(
+                twist.inverse.column((u, v)))))
             res = window_equal_vec(lhs, rhs)
             rep.add(f"inverse-skew ({u},{v})", eq_outcome(res), witness(res))
 
+    # the actions of U and V on P through u ↦ u⊗1 and v ↦ 1⊗v
+    adj = adjoint_module(P)
+    m_u = restricted_module(p, adj, "first", rng)
+    m_v = restricted_module(p, adj, "second", rng)
+
     # Y_R(u⊗1,x1) Y_R(1⊗v,x2) w
     #   == Y_R(x2)(1⊗Y_R(x1)) (R^{-1})^{12}(-x2+x1)(u⊗v⊗w)
-    y1, y2 = P.y_at("x1"), P.y_at("x2")
-    rinv_sub = twist.inverse_at(None, subst=lambda s: s.rename(
-        {"x": "x2"}).substitute_sum("x2", "x2", "x1", rng, -1, 1)
-        if "x" in s.variables else s)
-    for u in p.first.space.basis:
-        for v in p.second.space.basis:
-            pu, pv = p.pair(u, vac_v), p.pair(vac_u, v)
-            for w in P.space.basis:
-                lhs = double_product(y1, y2, pu, pv, w,
-                                     (P.space, P.space, P.space))
-                col = rinv_sub.column((u, v))
-                rhs = SeriesVector.zero((P.space,))
-                for (b, a), g in col.entries.items():
-                    inner = y1.column((p.pair(a, vac_v), w))
-                    outer = SeriesVector.zero((P.space,))
-                    for (lbl,), s in inner.entries.items():
-                        outer = outer + y2.column(
-                            (p.pair(vac_u, b), lbl)).transform(
-                                lambda t, c=s: t * c)
-                    rhs = rhs + outer.transform(lambda t, c=g: t * c)
-                res = window_equal_vec(lhs, rhs)
-                rep.add(f"commutation ({u},{v};{w})", eq_outcome(res),
-                        witness(res))
+    yu1, yv2 = m_u.yw.at("x1"), m_v.yw.at("x2")
+    rinv_sub = twist.inverse.at("x2").transform(
+        lambda s: s.substitute_sum("x2", "x2", "x1", rng, -1, 1))
+    spaces = (p.first.space, p.second.space, P.space)
+    for (u, v, w) in basis_tuples(spaces):
+        vec = SeriesVector.basis(spaces, (u, v, w))
+        lhs = yu1.apply(yv2.apply(vec, (1, 2)), (0, 1))
+        rhs = yv2.apply(yu1.apply(rinv_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
+        res = window_equal_vec(lhs, rhs)
+        rep.add(f"commutation ({u},{v};{w})", eq_outcome(res), witness(res))
 
     # k-witnessed:  (x1-x2)^k Y_R(1⊗v,x1) Y_R(u⊗1,x2) w
     #   == (x1-x2)^k Y_R(x2)(1⊗Y_R(x1)) R^{12}(x2-x1)(v⊗u⊗w)
-    rep.extend(commutation_with_twist(
-        lambda a, b, var: P.y_at(var).column((a, b)),
-        p, twist, rng, kmax,
-        outer_label=lambda a: p.pair(a, vac_v),
-        inner_label=lambda b: p.pair(vac_u, b),
-        wlabels=P.space.basis, title="k-witnessed commutation"))
+    rep.extend(commutation_with_twist(m_u, m_v, twist, rng, kmax,
+                                      "k-witnessed commutation"))
     return rep
 
 
-def commutation_with_twist(vertex, p, twist, rng, kmax,
-                           outer_label, inner_label, wlabels, title):
+def commutation_with_twist(m_first, m_second, twist, rng, kmax, title):
     """(x2-x1)^k Y(v,x1)Y(u,x2)w == (x2-x1)^k Y(x2)(1⊗Y(x1))
-    R^{12}(x2-x1)(v⊗u⊗w), k searched in 0..kmax.
-
-    vertex(label, label, var) -> SeriesVector; embedded labels are produced
-    by outer_label (U side, acting at x2) and inner_label (V side, x1).
-    """
+    R^{12}(x2-x1)(v⊗u⊗w), k searched in 0..kmax, for a module m_first over
+    the twist's first factor and m_second over its second, on one space."""
     rep = CheckReport(title)
-    r_sub = twist.at(None, subst=lambda s: s.rename(
-        {"x": "x2"}).substitute_sum("x2", "x2", "x1", rng, 1, -1)
-        if "x" in s.variables else s)
-    for v in twist.second.space.basis:
-        for u in twist.first.space.basis:
-            for w in wlabels:
-                # lhs0 = Y(1⊗v, x1) Y(u⊗1, x2) w
-                inner = vertex(outer_label(u), w, "x2")
-                lhs0 = SeriesVector.zero(inner.spaces)
-                for (lbl,), s in inner.entries.items():
-                    lhs0 = lhs0 + vertex(inner_label(v), lbl, "x1").transform(
-                        lambda t, c=s: t * c)
-                col = r_sub.column((v, u))
-                rhs0 = SeriesVector.zero(inner.spaces)
-                for (a, b), f in col.entries.items():
-                    inn = vertex(inner_label(b), w, "x1")
-                    acc = SeriesVector.zero(inner.spaces)
-                    for (lbl,), s in inn.entries.items():
-                        acc = acc + vertex(outer_label(a), lbl, "x2").transform(
-                            lambda t, c=s: t * c)
-                    rhs0 = rhs0 + acc.transform(lambda t, c=f: t * c)
-                found = None
-                for k in range(kmax + 1):
-                    factor = (Series.monomial("x2", 1, rng) -
-                              Series.monomial("x1", 1, rng)) ** k
-                    lhs = lhs0.transform(lambda s, f=factor: s * f)
-                    rhs = rhs0.transform(lambda s, f=factor: s * f)
-                    res = window_equal_vec(lhs, rhs)
-                    if res:
-                        found = (k, res)
-                        break
-                if found is None:
-                    rep.add(f"{title}({v},{u};{w})", Outcome.NO_K_FOUND,
-                            f"no k <= {kmax}")
-                else:
-                    k, res = found
-                    rep.add(f"{title}({v},{u};{w}) k={k}", eq_outcome(res),
-                            witness(res))
+    yu2, yv1 = m_first.yw.at("x2"), m_second.yw.at("x1")
+    r_sub = twist.table.at("x2").transform(
+        lambda s: s.substitute_sum("x2", "x2", "x1", rng, 1, -1))
+    spaces = (twist.second.space, twist.first.space, m_first.space)
+    for (v, u, w) in basis_tuples(spaces):
+        vec = SeriesVector.basis(spaces, (v, u, w))
+        lhs = yv1.apply(yu2.apply(vec, (1, 2)), (0, 1))
+        rhs = yu2.apply(yv1.apply(r_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
+        k, res = find_clearing_k([(lhs, rhs)], kmax, rng)
+        if k is None:
+            rep.add(f"{title}({v},{u};{w})", Outcome.NO_K_FOUND,
+                    f"no k <= {kmax}")
+        else:
+            rep.add(f"{title}({v},{u};{w}) k={k}", eq_outcome(res),
+                    witness(res))
     return rep
 
 
@@ -367,12 +312,7 @@ def check_homomorphism(src, dst, phi, rng=DEFAULT_RANGE):
     rep.add("vacuum", eq_outcome(res), witness(res))
     for (a, b) in basis_tuples((src.space, src.space)):
         lhs = phi.apply(src.vertex(a, b))
-        pa, pb = phi.column((a,)), phi.column((b,))
-        rhs = SeriesVector.zero((dst.space,))
-        for (la,), sa in pa.entries.items():
-            for (lb,), sb in pb.entries.items():
-                rhs = rhs + dst.vertex(la, lb).transform(
-                    lambda t, c=sa * sb: t * c)
+        rhs = dst.y.apply(phi.column((a,)).tensor(phi.column((b,))))
         res = window_equal_vec(lhs, rhs)
         rep.add(f"Y-hom at ({a},{b})", eq_outcome(res), witness(res))
     return rep
@@ -393,26 +333,14 @@ def universal_map(p, target, psi1, psi2, rng=DEFAULT_RANGE,
                                     hrep.failures()[0].name)
 
     expd = exp_xD(target, "x", rng)
-    r_neg = p.twist.at(None, subst=lambda s: s.negate_var("x")
-                       if "x" in s.variables else s)
-
-    def vertex_img(phi_a, a, phi_b, b, negx=False):
-        """Y(phi_a(a), x) phi_b(b) in target, optionally at -x."""
-        ca, cb = phi_a.column((a,)), phi_b.column((b,))
-        out = SeriesVector.zero((target.space,))
-        for (la,), sa in ca.entries.items():
-            for (lb,), sb in cb.entries.items():
-                t = target.vertex(la, lb)
-                if negx:
-                    t = t.transform(lambda s: s.negate_var("x")
-                                    if "x" in s.variables else s)
-                out = out + t.transform(lambda s, c=sa * sb: s * c)
-        return out
+    r_neg = p.twist.table.transform(lambda s: s.negate_var("x"))
+    y_neg = target.y.transform(lambda s: s.negate_var("x"))
+    psi12, psi21 = psi1.tensor(psi2), psi2.tensor(psi1)
 
     # hypothesis: Y(psi1 u, x) psi2 v regular
     for u in p.first.space.basis:
         for v in p.second.space.basis:
-            img = vertex_img(psi1, u, psi2, v)
+            img = target.y.apply(psi12.column((u, v)))
             if not all(s.is_polynomial() for s in img.entries.values()):
                 raise PreconditionError("regularity of Y(psi1 u,x) psi2 v",
                                         (u, v))
@@ -420,20 +348,15 @@ def universal_map(p, target, psi1, psi2, rng=DEFAULT_RANGE,
     # hypothesis: Y(psi2 v, x) psi1 u == e^{xD} Σ f_i(-x) Y(psi1 a_i,-x) psi2 b_i
     for v in p.second.space.basis:
         for u in p.first.space.basis:
-            lhs = vertex_img(psi2, v, psi1, u)
-            col = r_neg.column((v, u))
-            rhs = SeriesVector.zero((target.space,))
-            for (a, b), f in col.entries.items():
-                rhs = rhs + vertex_img(psi1, a, psi2, b, negx=True).transform(
-                    lambda s, c=f: s * c)
-            rhs = expd.apply(rhs)
+            lhs = target.y.apply(psi21.column((v, u)))
+            rhs = expd.apply(y_neg.apply(psi12.apply(r_neg.column((v, u)))))
             if not window_equal_vec(lhs, rhs):
                 raise PreconditionError("skew hypothesis", (v, u))
 
     cols = {}
     for u in p.first.space.basis:
         for v in p.second.space.basis:
-            img = vertex_img(psi1, u, psi2, v)
+            img = target.y.apply(psi12.column((u, v)))
             cols[(p.pair(u, v),)] = img.transform(lambda s: s.extract("x", 0))
     psi = SeriesMap((p.space,), (target.space,), cols)
     rep = check_homomorphism(p.nva, target, psi, rng)
@@ -543,25 +466,25 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
                     for e in range(elo, ehi + 1):
                         nsym[(v, u, a, b, e)] = f"r[{v},{u}][{a},{b}][{e}]"
 
+    hs = (host.space,) * 3
+    y1, y2 = host.y.at("x1"), host.y.at("x2")
+    step = Series.monomial("x1", 1, rng) - Series.monomial("x2", 1, rng)
+    powers = {j: step ** j for j in range(k + max(ehi, 0) + 1)}
+
     def equations(wlabels):
         pairs = []
-        hs = (host.space,) * 3
-        y1, y2 = host.y_at("x1"), host.y_at("x2")
         for v in v_labels:
             for u in u_labels:
                 for w in wlabels:
                     lhs = double_product(y1, y2, v, u, w, hs)
-                    factor = (Series.monomial("x1", 1, rng) -
-                              Series.monomial("x2", 1, rng)) ** k
-                    lhs = lhs.transform(lambda s, f=factor: s * f)
+                    lhs = lhs.transform(lambda s: s * powers[k])
                     rhs = SeriesVector.zero((host.space,))
                     for a in u_labels:
                         for b in v_labels:
                             base = double_product(y2, y1, a, b, w, hs)
                             for e in range(elo, ehi + 1):
                                 sign = Q(-1) ** (e % 2)
-                                poly = (Series.monomial("x1", 1, rng) -
-                                        Series.monomial("x2", 1, rng)) ** (k + e)
+                                poly = powers[k + e]
                                 coeff = LinExpr.sym(nsym[(v, u, a, b, e)]) * sign
                                 term = base.transform(
                                     lambda s, pl=poly, c=coeff:
@@ -572,19 +495,14 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
 
     unknowns = list(nsym.values())
     sol = solve_linear(equations([host.vacuum]), unknowns)
+    # the full system over every w: the solution when the vacuum system
+    # leaves R open, and otherwise the validation of the solved R
+    full = solve_linear(equations(list(host.space.basis)), unknowns)
     if not isinstance(sol, UniqueSolution):
-        sol = solve_linear(equations(list(host.space.basis)), unknowns)
-    if not isinstance(sol, UniqueSolution):
-        return ExtractionResult(None, sol, None, None,
+        sol = full
+    if not isinstance(sol, UniqueSolution) or isinstance(full, Inconsistent):
+        return ExtractionResult(None, full, None, None,
                                 check_Z2_injectivity(host, rng, z2_window))
-
-    # validate the solved R against every w
-    residual = solve_linear(equations(list(host.space.basis)), unknowns)
-    if isinstance(residual, Inconsistent):
-        return ExtractionResult(None, residual, None, None,
-                                check_Z2_injectivity(host, rng, z2_window))
-
-    from .series import Window
 
     window = Window.uniform(("x",), rng)
     dom = (valg.space, ualg.space)
@@ -644,7 +562,7 @@ def check_Z2_injectivity(host, rng=DEFAULT_RANGE, mono_window=(-1, 1)):
     artifact.  On Z2⊗Z2 every product u·v is ±1 times a basis vector,
     which gives columns 144, rank 36, kernel 108 at the 3×3 window."""
     rep = CheckReport(f"{host.name}: degree-two injectivity")
-    y1, y2 = host.y_at("x1"), host.y_at("x2")
+    y1, y2 = host.y.at("x1"), host.y.at("x2")
     hs = (host.space,) * 3
     lo, hi = mono_window
     monos = [(e1, e2) for e1 in range(lo, hi + 1) for e2 in range(lo, hi + 1)]
@@ -696,7 +614,7 @@ def build_product_module(p, m_first, m_second, rng=DEFAULT_RANGE,
 
     # regularity: Y^U(u,x1) Y^V(v,x2) w has no (x1-x2)-denominators; on
     # finite tables this is Laurent-polynomiality of the double product
-    yu1, yv2 = m_first.yw_at("x1"), m_second.yw_at("x2")
+    yu1, yv2 = m_first.yw.at("x1"), m_second.yw.at("x2")
     spaces = (p.first.space, p.second.space, W)
     for (u, v, w) in basis_tuples(spaces):
         vec = SeriesVector.basis(spaces, (u, v, w))
@@ -714,10 +632,9 @@ def build_product_module(p, m_first, m_second, rng=DEFAULT_RANGE,
     for (u, v) in basis_tuples((p.first.space, p.second.space)):
         for w in W.basis:
             vec = SeriesVector.basis(spaces, (u, v, w))
-            vec = m_second.yw_at("x").apply(vec, (1, 2))
-            vec = m_first.yw_at("x1").apply(vec, (0, 1))
-            vec = vec.transform(
-                lambda s: s.diagonal("x1", "x") if "x1" in s.variables else s)
+            vec = m_second.yw.apply(vec, (1, 2))
+            vec = yu1.apply(vec, (0, 1))
+            vec = vec.transform(lambda s: s.diagonal("x1", "x"))
             cols[(p.pair(u, v), w)] = vec
     yw = SeriesMap((p.space, W), (W,), cols)
     return NvaModule(f"{p.nva.name}-module({W.name})", p.nva, W, yw)
@@ -743,8 +660,8 @@ def check_module_extension(p, mod, m_first, m_second, rng=DEFAULT_RANGE):
     rep = CheckReport(f"{mod.name}: extension property")
     for (m, which) in ((m_first, "first"), (m_second, "second")):
         r = restricted_module(p, mod, which, rng)
-        for key, col in m.yw.columns.items():
-            res = window_equal_vec(col, r.yw.column(key))
+        for key in sorted(set(m.yw.columns) | set(r.yw.columns)):
+            res = window_equal_vec(m.yw.column(key), r.yw.column(key))
             rep.add(f"{which} restriction at {key}", eq_outcome(res),
                     witness(res))
     return rep
@@ -752,158 +669,23 @@ def check_module_extension(p, mod, m_first, m_second, rng=DEFAULT_RANGE):
 
 def module_hypotheses(p, m_first, m_second, twist, rng, kmax):
     """eYWuv-comm and the k-witnessed commutation for the two actions."""
-    W = m_first.space
     rep = CheckReport("product-module hypotheses")
-    rinv_sub = twist.inverse_at(None, subst=lambda s: s.rename(
-        {"x": "x2"}).substitute_sum("x2", "x2", "x1", rng, 1, -1)
-        if "x" in s.variables else s)
-    spaces = (p.first.space, p.second.space, W)
-    yu1, yu2 = m_first.yw_at("x1"), m_first.yw_at("x2")
-    yv1, yv2 = m_second.yw_at("x1"), m_second.yw_at("x2")
+    rinv_sub = twist.inverse.at("x2").transform(
+        lambda s: s.substitute_sum("x2", "x2", "x1", rng, 1, -1))
+    spaces = (p.first.space, p.second.space, m_first.space)
+    yu1, yv2 = m_first.yw.at("x1"), m_second.yw.at("x2")
 
     # Y^U(u,x1)Y^V(v,x2)w == Y^V(x2)(1⊗Y^U(x1))(R^{-1})^{12}(x2-x1)(u⊗v⊗w)
     for (u, v, w) in basis_tuples(spaces):
         vec = SeriesVector.basis(spaces, (u, v, w))
         lhs = yu1.apply(yv2.apply(vec, (1, 2)), (0, 1))
-        col = rinv_sub.column((u, v))
-        rhs = SeriesVector.zero((W,))
-        for (b, a), g in col.entries.items():
-            inn = yu1.column((a, w))
-            acc = SeriesVector.zero((W,))
-            for (lbl,), s in inn.entries.items():
-                acc = acc + yv2.column((b, lbl)).transform(
-                    lambda t, c=s: t * c)
-            rhs = rhs + acc.transform(lambda t, c=g: t * c)
+        rhs = yv2.apply(yu1.apply(rinv_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
         res = window_equal_vec(lhs, rhs)
         rep.add(f"inverse-commutation({u},{v};{w})", eq_outcome(res),
                 witness(res))
 
     # (x2-x1)^k Y^V(v,x1)Y^U(u,x2)w
     #   == (x2-x1)^k Y^U(x2)(1⊗Y^V(x1)) R^{12}(x2-x1)(v⊗u⊗w)
-    r_sub = twist.at(None, subst=lambda s: s.rename(
-        {"x": "x2"}).substitute_sum("x2", "x2", "x1", rng, 1, -1)
-        if "x" in s.variables else s)
-    for v in p.second.space.basis:
-        for u in p.first.space.basis:
-            for w in W.basis:
-                vec = SeriesVector.basis(
-                    (p.second.space, p.first.space, W), (v, u, w))
-                lhs0 = yv1.apply(yu2.apply(vec, (1, 2)), (0, 1))
-                col = r_sub.column((v, u))
-                rhs0 = SeriesVector.zero((W,))
-                for (a, b), f in col.entries.items():
-                    inn = yv1.column((b, w))
-                    acc = SeriesVector.zero((W,))
-                    for (lbl,), s in inn.entries.items():
-                        acc = acc + yu2.column((a, lbl)).transform(
-                            lambda t, c=s: t * c)
-                    rhs0 = rhs0 + acc.transform(lambda t, c=f: t * c)
-                found = None
-                for k in range(kmax + 1):
-                    factor = (Series.monomial("x2", 1, rng) -
-                              Series.monomial("x1", 1, rng)) ** k
-                    res = window_equal_vec(
-                        lhs0.transform(lambda s, f=factor: s * f),
-                        rhs0.transform(lambda s, f=factor: s * f))
-                    if res:
-                        found = (k, res)
-                        break
-                if found is None:
-                    rep.add(f"k-commutation({v},{u};{w})",
-                            Outcome.NO_K_FOUND, f"no k <= {kmax}")
-                else:
-                    rep.add(f"k-commutation({v},{u};{w}) k={found[0]}",
-                            eq_outcome(found[1]), witness(found[1]))
-    return rep
-
-
-def check_module_relations(p, mod, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
-    """Regularity, k-witnessed twisted commutation, and (invertible case)
-    the inverse-twist commutation, for a module over the product."""
-    twist = with_inverse(p.twist, rng)
-    rep = CheckReport(f"{mod.name}: product-module relations")
-    W = mod.space
-    emb_u, emb_v = p.embed_first(), p.embed_second()
-
-    def action(label_map, a):
-        col = label_map.column((a,))
-        (lbl,), = col.entries.keys()
-        return lbl
-
-    # regularity of Y_W(u⊗1,x1) Y_W(1⊗v,x2) w
-    y1, y2 = mod.yw_at("x1"), mod.yw_at("x2")
-    for u in p.first.space.basis:
-        for v in p.second.space.basis:
-            pu, pv = action(emb_u, u), action(emb_v, v)
-            for w in W.basis:
-                vec = SeriesVector.basis((p.space, p.space, W), (pu, pv, w))
-                out = y1.apply(y2.apply(vec, (1, 2)), (0, 1))
-                ok = out.exact()
-                rep.add(f"regularity({u},{v};{w})",
-                        Outcome.EXACT_PASS if ok else Outcome.FAIL)
-
-    # k-witnessed commutation with R, and exact commutation with R^{-1}
-    def vtx(a, b, var):
-        return mod.yw_at(var).column((a, b))
-
-    rinv_sub = twist.inverse_at(None, subst=lambda s: s.rename(
-        {"x": "x2"}).substitute_sum("x2", "x2", "x1", rng, 1, -1)
-        if "x" in s.variables else s)
-    r_sub = twist.at(None, subst=lambda s: s.rename(
-        {"x": "x2"}).substitute_sum("x2", "x2", "x1", rng, 1, -1)
-        if "x" in s.variables else s)
-    for v in p.second.space.basis:
-        for u in p.first.space.basis:
-            pu, pv = action(emb_u, u), action(emb_v, v)
-            for w in W.basis:
-                # (x2-x1)^k Y_W(1⊗v,x1)Y_W(u⊗1,x2)w == ... R^{12}(x2-x1)
-                inner = vtx(pu, w, "x2")
-                lhs0 = SeriesVector.zero((W,))
-                for (lbl,), s in inner.entries.items():
-                    lhs0 = lhs0 + vtx(pv, lbl, "x1").transform(
-                        lambda t, c=s: t * c)
-                col = r_sub.column((v, u))
-                rhs0 = SeriesVector.zero((W,))
-                for (a, b), f in col.entries.items():
-                    inn = vtx(action(emb_v, b), w, "x1")
-                    acc = SeriesVector.zero((W,))
-                    for (lbl,), s in inn.entries.items():
-                        acc = acc + vtx(action(emb_u, a), lbl, "x2").transform(
-                            lambda t, c=s: t * c)
-                    rhs0 = rhs0 + acc.transform(lambda t, c=f: t * c)
-                found = None
-                for k in range(kmax + 1):
-                    factor = (Series.monomial("x2", 1, rng) -
-                              Series.monomial("x1", 1, rng)) ** k
-                    res = window_equal_vec(
-                        lhs0.transform(lambda s, f=factor: s * f),
-                        rhs0.transform(lambda s, f=factor: s * f))
-                    if res:
-                        found = (k, res)
-                        break
-                if found is None:
-                    rep.add(f"k-commutation({v},{u};{w})", Outcome.NO_K_FOUND,
-                            f"no k <= {kmax}")
-                else:
-                    rep.add(f"k-commutation({v},{u};{w}) k={found[0]}",
-                            eq_outcome(found[1]), witness(found[1]))
-
-                # Y_W(u⊗1,x1)Y_W(1⊗v,x2)w == ... (R^{-1})^{12}(x2-x1)
-                inner = vtx(pv, w, "x2")
-                lhs1 = SeriesVector.zero((W,))
-                for (lbl,), s in inner.entries.items():
-                    lhs1 = lhs1 + vtx(pu, lbl, "x1").transform(
-                        lambda t, c=s: t * c)
-                col = rinv_sub.column((u, v))
-                rhs1 = SeriesVector.zero((W,))
-                for (b, a), g in col.entries.items():
-                    inn = vtx(action(emb_u, a), w, "x1")
-                    acc = SeriesVector.zero((W,))
-                    for (lbl,), s in inn.entries.items():
-                        acc = acc + vtx(action(emb_v, b), lbl, "x2").transform(
-                            lambda t, c=s: t * c)
-                    rhs1 = rhs1 + acc.transform(lambda t, c=g: t * c)
-                res = window_equal_vec(lhs1, rhs1)
-                rep.add(f"inverse-commutation({u},{v};{w})", eq_outcome(res),
-                        witness(res))
+    rep.extend(commutation_with_twist(m_first, m_second, twist, rng, kmax,
+                                      "k-commutation"))
     return rep

@@ -18,9 +18,9 @@ from .linalg import (
 )
 from .nva import (
     CheckReport, DEFAULT_KMAX, Outcome, compute_D, double_product, eq_outcome,
-    exp_xD, window_equal_vec, witness,
+    exp_xD, find_clearing_k, window_equal_vec, witness,
 )
-from .series import DEFAULT_RANGE, Eq, LinExpr, Q, Series, Window
+from .series import DEFAULT_RANGE, LinExpr, Q, Series, Window
 from .twist import TwistOp, with_inverse
 
 
@@ -37,25 +37,9 @@ class SMap:
         assert self.table.domain == (sp, sp)
         assert self.table.codomain == (sp, sp)
 
-    def at(self, var="x", subst=None):
-        """The table with its variable renamed or substituted."""
-        if subst is not None:
-            return self.table.transform(
-                lambda s: subst(s) if "x" in s.variables else s)
-        if var == "x":
-            return self.table
-        return self.table.transform(
-            lambda s: s.rename({"x": var}) if "x" in s.variables else s)
-
-    def braided(self):
-        """S21(x) = sigma S(x) sigma as a SeriesMap."""
-        sp = self.algebra.space
-        flip = SeriesMap.flip(sp, sp)
-        return flip.compose(self.table).compose(flip)
-
     def inverse_table(self):
         """S21(-x); equals the inverse exactly when S is unitary."""
-        neg = self.at(subst=lambda s: s.negate_var("x"))
+        neg = self.table.transform(lambda s: s.negate_var("x"))
         sp = self.algebra.space
         flip = SeriesMap.flip(sp, sp)
         return flip.compose(neg).compose(flip)
@@ -91,41 +75,22 @@ def check_S_locality(a, s, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     for every basis w."""
     rep = CheckReport(f"{a.name}/{s.name}: S-locality")
     sp = a.space
-    y1, y2 = a.y_at("x1"), a.y_at("x2")
-    s_sub = s.at(subst=lambda t: t.rename({"x": "x2"}).substitute_sum(
-        "x2", "x2", "x1", rng, 1, -1))
+    y1, y2 = a.y.at("x1"), a.y.at("x2")
+    s_sub = s.table.at("x2").transform(
+        lambda t: t.substitute_sum("x2", "x2", "x1", rng, 1, -1))
+    spaces = (sp, sp, sp)
     for (u, v) in basis_tuples((sp, sp)):
         sides = []
         for w in sp.basis:
-            lhs0 = double_product(y1, y2, u, v, w, (sp,) * 3)
-            col = s_sub.column((v, u))
-            rhs0 = SeriesVector.zero((sp,))
-            for (vi, ui), f in col.entries.items():
-                inner = y1.column((ui, w))
-                acc = SeriesVector.zero((sp,))
-                for (lbl,), t in inner.entries.items():
-                    acc = acc + y2.column((vi, lbl)).transform(
-                        lambda q, c=t: q * c)
-                rhs0 = rhs0 + acc.transform(lambda q, c=f: q * c)
-            sides.append((w, lhs0, rhs0))
-        found = None
-        for k in range(kmax + 1):
-            factor = (Series.monomial("x1", 1, rng) -
-                      Series.monomial("x2", 1, rng)) ** k
-            results = [window_equal_vec(
-                lhs.transform(lambda t, f=factor: t * f),
-                rhs.transform(lambda t, f=factor: t * f))
-                for (_, lhs, rhs) in sides]
-            if all(results):
-                worst = next((r for r in results if r.kind is Eq.WINDOW),
-                             results[0])
-                found = (k, worst)
-                break
-        if found is None:
+            lhs = double_product(y1, y2, u, v, w, spaces)
+            vec = SeriesVector.basis(spaces, (v, u, w))
+            rhs = y2.apply(y1.apply(s_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
+            sides.append((lhs, rhs))
+        k, res = find_clearing_k(sides, kmax, rng)
+        if k is None:
             rep.add(f"S-locality({u},{v})", Outcome.NO_K_FOUND,
                     f"no k <= {kmax}")
         else:
-            k, res = found
             rep.add(f"S-locality({u},{v}) k={k}", eq_outcome(res),
                     witness(res))
     return rep
@@ -137,16 +102,11 @@ def check_S_skew(a, s, rng=DEFAULT_RANGE):
     rep = CheckReport(f"{a.name}/{s.name}: S-skew-symmetry")
     sp = a.space
     expd = exp_xD(a, "x", rng)
-    s_neg = s.at(subst=lambda t: t.negate_var("x"))
+    s_neg = s.table.transform(lambda t: t.negate_var("x"))
+    y_neg = a.y.transform(lambda t: t.negate_var("x"))
     for (u, v) in basis_tuples((sp, sp)):
         lhs = a.vertex(u, v)
-        col = s_neg.column((v, u))
-        rhs = SeriesVector.zero((sp,))
-        for (vi, ui), f in col.entries.items():
-            term = a.vertex(vi, ui).transform(
-                lambda t: t.negate_var("x") if "x" in t.variables else t)
-            rhs = rhs + term.transform(lambda t, c=f: t * c)
-        rhs = expd.apply(rhs)
+        rhs = expd.apply(y_neg.apply(s_neg.column((v, u))))
         res = window_equal_vec(lhs, rhs)
         rep.add(f"S-skew({u},{v})", eq_outcome(res), witness(res))
     return rep
@@ -161,9 +121,9 @@ def check_qyb_unitarity(s, rng=DEFAULT_RANGE):
     S(x) S21(-x) == 1 == S21(-x) S(x)."""
     rep = CheckReport(f"{s.name}: quantum Yang-Baxter + unitarity")
     sp = s.algebra.space
-    s_x = s.at("x")
-    s_z = s.at("z")
-    s_sum = s.at(subst=lambda t: t.substitute_sum("x", "x", "z", rng))
+    s_x = s.table
+    s_z = s.table.at("z")
+    s_sum = s.table.transform(lambda t: t.substitute_sum("x", "x", "z", rng))
     spaces = (sp, sp, sp)
     for key in basis_tuples(spaces):
         vec = SeriesVector.basis(spaces, key)
@@ -234,12 +194,11 @@ def check_qva_axioms(a, s, rng=DEFAULT_RANGE):
     skew = check_S_skew(a, s, rng)
     rep.extend(skew)
 
-    y2 = a.y_at("x2")
-    s_x1 = s.at("x1")
-    s_sum = s.at(subst=lambda t: t.rename({"x": "x1"}).substitute_sum(
-        "x1", "x1", "x2", rng))
-    s_diff = s.at(subst=lambda t: t.rename({"x": "x1"}).substitute_sum(
-        "x1", "x1", "x2", rng, 1, -1))
+    y2 = a.y.at("x2")
+    s_x1 = s.table.at("x1")
+    s_sum = s_x1.transform(lambda t: t.substitute_sum("x1", "x1", "x2", rng))
+    s_diff = s_x1.transform(
+        lambda t: t.substitute_sum("x1", "x1", "x2", rng, 1, -1))
     spaces = (sp, sp, sp)
     ok6 = ok7 = True
     for key in basis_tuples(spaces):
@@ -278,16 +237,9 @@ def _d_bracket_items(rep, table, D, leg, sign, label):
     for key in basis_tuples(sp2):
         col = table.column(key)
         term1 = apply_legs(D, col, (leg,))
-        dv = D.apply(SeriesVector.basis((sp2[leg],), (key[leg],)))
-        term2 = SeriesVector.zero(table.codomain)
-        for (lbl,), c in dv.entries.items():
-            shifted = key[:leg] + (lbl,) + key[leg + 1:]
-            term2 = term2 + table.column(shifted).transform(
-                lambda t, q=c: t * q)
+        term2 = table.apply(D.apply(SeriesVector.basis(sp2, key), (leg,)))
         bracket = term1 - term2
-        want = col.transform(
-            lambda t: t.deriv("x").scale(sign) if "x" in t.variables
-            else t.scale(0))
+        want = col.transform(lambda t: t.deriv("x").scale(sign))
         res = window_equal_vec(bracket, want)
         ok = ok and bool(res)
         rep.add(f"{label} at {key}", eq_outcome(res), witness(res))
@@ -341,8 +293,7 @@ def extract_S(a, rng=DEFAULT_RANGE, exp_range=(-2, 2), z2_window=(-1, 1)):
         lhs = a.vertex(u, v)
         rhs = SeriesVector.zero((sp,))
         for (aa, bb) in basis_tuples((sp, sp)):
-            base = a.vertex(aa, bb).transform(
-                lambda t: t.negate_var("x") if "x" in t.variables else t)
+            base = a.vertex(aa, bb).transform(lambda t: t.negate_var("x"))
             for e in range(elo, ehi + 1):
                 # S(-x) turns the unknown monomial x^e into (-1)^e x^e
                 mono = Series.monomial(
@@ -390,9 +341,8 @@ def build_S_R(p, sU, sV, rng=DEFAULT_RANGE):
     assert sV.algebra.space == p.second.space
     twist = with_inverse(p.twist, rng)
     U, V = p.first.space, p.second.space
-    r_x = twist.at("x")
-    rinv_x = twist.inverse_at("x")
-    su_x, sv_x = sU.at("x"), sV.at("x")
+    r_x, rinv_x = twist.table, twist.inverse
+    su_x, sv_x = sU.table, sV.table
     P = p.nva.space
     cols = {}
     for (u, v, u2, v2) in basis_tuples((U, V, U, V)):
@@ -420,5 +370,5 @@ def smap_twist(s, rng=DEFAULT_RANGE):
     sp = s.algebra.space
     flip = SeriesMap.flip(sp, sp)
     table = s.table.compose(flip)
-    inverse = s.at(subst=lambda t: t.negate_var("x")).compose(flip)
+    inverse = s.table.transform(lambda t: t.negate_var("x")).compose(flip)
     return TwistOp(f"twist({s.name})", s.algebra, s.algebra, table, inverse)

@@ -236,14 +236,6 @@ class Series:
     def monomial(var, e, rng=DEFAULT_RANGE, coeff=1):
         return Series((var,), {(e,): coeff}, Window.uniform((var,), rng))
 
-    @staticmethod
-    def from_terms(var, terms, rng=DEFAULT_RANGE):
-        """terms: iterable of (exponent, coeff) in one variable."""
-        acc = {}
-        for e, c in terms:
-            acc[(e,)] = acc.get((e,), Q(0)) + Q(c)
-        return Series((var,), acc, Window.uniform((var,), rng))
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self):
@@ -370,6 +362,8 @@ class Series:
 
     def negate_var(self, var):
         """Substitute var -> -var."""
+        if var not in self.variables:
+            return self
         i = self.variables.index(var)
         out = {ex: (c if ex[i] % 2 == 0 else -c) for ex, c in self.coeffs.items()}
         return Series(self.variables, out, self.window, self.exact)
@@ -408,6 +402,8 @@ class Series:
 
     def diagonal(self, var_from, var_to):
         """Substitute var_from -> var_to (merging exponents)."""
+        if var_from not in self.variables:
+            return self
         i = self.variables.index(var_from)
         j = self.variables.index(var_to)
         rest = self.variables[:i] + self.variables[i + 1 :]

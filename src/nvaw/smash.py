@@ -41,11 +41,6 @@ class CoalgebraData:
         assert self.counit.codomain == ()
 
 
-# A vertex bialgebra is a CoalgebraData whose algebra and coalgebra halves
-# are compatible; check_vertex_bialgebra verifies the compatibility.
-VertexBialgebra = CoalgebraData
-
-
 @dataclass(frozen=True)
 class ModuleAlgebraData:
     """An algebra U with an H-action (H⊗U -> U, series in x) making it a
@@ -59,15 +54,6 @@ class ModuleAlgebraData:
         hs, us = self.bialgebra.algebra.space, self.module.space
         assert self.action.domain == (hs, us)
         assert self.action.codomain == (us,)
-
-    def action_at(self, var, subst=None):
-        if subst is not None:
-            return self.action.transform(
-                lambda s: subst(s) if "x" in s.variables else s)
-        if var == "x":
-            return self.action
-        return self.action.transform(
-            lambda s: s.rename({"x": var}) if "x" in s.variables else s)
 
 
 @dataclass(frozen=True)
@@ -154,7 +140,7 @@ def check_vertex_bialgebra(h, rng=DEFAULT_RANGE):
 
     p = build_ordinary_tensor(alg, alg, rng)
     pairing = p.pairing()
-    yp = p.nva.y_at("x")
+    yp = p.nva.y
     for (a, b) in basis_tuples((sp, sp)):
         yab = alg.vertex(a, b)
         lhs_eps = h.counit.apply(yab, (0,))
@@ -214,10 +200,10 @@ def check_module_algebra(m, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
                 "columns are finite sums of basis vectors times one series"
                 + ("" if poly else " (with finite pole order)"))
 
-    act_x = m.action_at("x")
-    act_xz = m.action_at(None, subst=lambda s: s.substitute_sum(
-        "x", "x", "z", rng, 1, -1))
-    yu_z = m.module.y_at("z")
+    act_x = m.action
+    act_xz = m.action.transform(
+        lambda s: s.substitute_sum("x", "x", "z", rng, 1, -1))
+    yu_z = m.module.y.at("z")
     for (hl, u, v) in basis_tuples((hs, us, us)):
         vec = SeriesVector.basis((hs, us, us), (hl, u, v))
         lhs = act_x.apply(yu_z.apply(vec, (1, 2)), (0, 1))
@@ -230,10 +216,9 @@ def check_module_algebra(m, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
         rep.add(f"Y({hl},x)Y({u},z){v} == Y(Y(h1,x-z){u},z)Y(h2,x){v}",
                 eq_outcome(res), witness(res))
 
-    act_z = m.action_at("z")
-    act_zx = m.action_at(None, subst=lambda s: s.rename(
-        {"x": "z"}).substitute_sum("z", "z", "x", rng))
-    yh_x = h.algebra.y_at("x")
+    act_z = m.action.at("z")
+    act_zx = act_z.transform(lambda s: s.substitute_sum("z", "z", "x", rng))
+    yh_x = h.algebra.y
     for (h1, h2, v) in basis_tuples((hs, hs, us)):
         vec = SeriesVector.basis((hs, hs, us), (h1, h2, v))
         lhs = act_zx.apply(act_z.apply(vec, (1, 2)), (0, 1))
@@ -271,7 +256,7 @@ def check_comodule_algebra(c, rng=DEFAULT_RANGE):
         res = window_equal_vec(cnt, want)
         rep.add(f"(ε⊗1)ρ({v}) == {v}", eq_outcome(res), witness(res))
 
-    yh, yv = h.algebra.y_at("x"), c.comodule.y_at("x")
+    yh, yv = h.algebra.y, c.comodule.y
     for (v, v2) in basis_tuples((vs, vs)):
         lhs = c.coaction.apply(c.comodule.vertex(v, v2), (0,))
         four = c.coaction.column((v,)).tensor(c.coaction.column((v2,)))
@@ -312,16 +297,12 @@ def smash_as_twist(u, v, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX,
     _require_matched(u, v, rng)
     U, V = u.module, v.comodule
     us, vs = U.space, V.space
-    act_neg = u.action_at(None, subst=lambda s: s.negate_var("x"))
+    act_neg = u.action.transform(lambda s: s.negate_var("x"))
     cols = {}
     for (vl, ul) in basis_tuples((vs, us)):
-        rho = v.coaction.column((vl,))
-        acc = SeriesVector.zero((us, vs))
-        for (hl, v2), c in rho.entries.items():
-            moved = act_neg.column((hl, ul)).tensor(
-                SeriesVector.basis((vs,), (v2,)))
-            acc = acc + moved.transform(lambda s, q=c: s * q)
-        cols[(vl, ul)] = acc
+        vec = SeriesVector.basis((vs, us), (vl, ul))
+        vec = v.coaction.apply(vec, (0,)).permute((0, 2, 1))  # (H,U,V)
+        cols[(vl, ul)] = act_neg.apply(vec, (0, 1))
     twist = TwistOp(f"smash({U.name},{V.name})", U, V,
                     SeriesMap((vs, us), (us, vs), cols))
     rep = CheckReport(f"{twist.name}: smash product as twisted tensor")
@@ -330,7 +311,7 @@ def smash_as_twist(u, v, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX,
         sharp = build_smash(u, v, rng, check_axioms=False)
         tw = build_twisted_tensor(U, V, twist, rng, check_axioms=False,
                                   provenance="twisted")
-        for key in sorted(sharp.nva.y.columns):
+        for key in sorted(set(sharp.nva.y.columns) | set(tw.nva.y.columns)):
             other = SeriesVector((sharp.nva.space,),
                                  tw.nva.y.column(key).entries)
             res = window_equal_vec(sharp.nva.y.column(key), other)
@@ -361,30 +342,21 @@ def build_smash(u, v, rng=DEFAULT_RANGE, check_axioms=True):
                                         rep.failures()[0].name)
     U, V = u.module, v.comodule
     us, vs = U.space, V.space
-    yu, yv = U.y_at("x"), V.y_at("x")
-    act = u.action_at("x")
     pspace = Space(
         f"{U.name}#{V.name}",
         tuple(pair_label(a, b) for (a, b) in basis_tuples((us, vs))),
     )
     cols = {}
-    for (ul, vl) in basis_tuples((us, vs)):
-        rho = v.coaction.column((vl,))
-        for (u2, v2) in basis_tuples((us, vs)):
-            acc = SeriesVector.zero((us, vs))
-            for (hl, vmid), c in rho.entries.items():
-                hit = act.column((hl, u2))           # Y(b1(v),x)u'
-                left = SeriesVector.zero((us,))
-                for (lbl,), s in hit.entries.items():
-                    left = left + yu.column((ul, lbl)).transform(
-                        lambda t, q=s: t * q)
-                right = yv.column((vmid, v2))        # Y(v2(v),x)v'
-                acc = acc + left.tensor(right).transform(
-                    lambda t, q=c: t * q)
-            entries = {(pair_label(a, b),): s
-                       for (a, b), s in acc.entries.items()}
-            cols[(pair_label(ul, vl), pair_label(u2, v2))] = SeriesVector(
-                (pspace,), entries)
+    for (ul, vl, u2, v2) in basis_tuples((us, vs, us, vs)):
+        vec = SeriesVector.basis((us, vs, us, vs), (ul, vl, u2, v2))
+        vec = v.coaction.apply(vec, (1,))        # ρ(v): (U,H,V,U,V)
+        vec = vec.permute((0, 1, 3, 2, 4))       # (U,H,U,V,V)
+        vec = u.action.apply(vec, (1, 2))        # Y(b1(v),x)u'
+        vec = U.y.apply(vec, (0, 1))             # Y(u,x)Y(b1(v),x)u'
+        vec = V.y.apply(vec, (1, 2))             # ⊗ Y(v2(v),x)v'
+        entries = {(pair_label(a, b),): s for (a, b), s in vec.entries.items()}
+        cols[(pair_label(ul, vl), pair_label(u2, v2))] = SeriesVector(
+            (pspace,), entries)
     twist, _ = smash_as_twist(u, v, rng, check=False)
     nva = Nva(pspace.name, pspace, pair_label(U.vacuum, V.vacuum),
               SeriesMap((pspace, pspace), (pspace,), cols))

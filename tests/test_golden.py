@@ -73,8 +73,7 @@ def run_sweep():
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(args + ["--json", str(report)])
             payload = report.read_bytes() if report.exists() else b"[]"
-            if report.exists():
-                report.unlink()
+            report.unlink(missing_ok=True)
             items = json.loads(payload)
             records.append({
                 "argv": " ".join(argv),

@@ -3,13 +3,14 @@ extraction, and product modules."""
 
 import pytest
 
-from nvaw.linalg import SeriesVector, UniqueSolution, Underdetermined
-from nvaw.nva import adjoint_module, check_module, window_equal_vec
+from nvaw.linalg import SeriesMap, SeriesVector, UniqueSolution, Underdetermined
+from nvaw.nva import NvaModule, adjoint_module, check_module, window_equal_vec
 from nvaw.products import (
     PreconditionError, build_ordinary_tensor, build_product_module,
     build_twisted_tensor, check_embeddings, check_invertible_relations,
     check_module_extension, check_product_nva, check_product_properties,
-    check_Z2_injectivity, extract_twisting, flip_iso, universal_map,
+    check_Z2_injectivity, extract_twisting, flip_iso, restricted_module,
+    universal_map,
 )
 from nvaw.registry import (
     REGISTRY_PRODUCTS, builtin_algebras, builtin_twists, make_e1, make_e2,
@@ -133,8 +134,6 @@ def test_z2_injectivity_reports_kernel():
 
 
 def test_product_module_from_restricted_adjoints():
-    from nvaw.products import restricted_module
-
     z2 = make_z2()
     p = build_twisted_tensor(z2, z2, sign_twist_z2())
     adj = adjoint_module(p.nva)
@@ -165,3 +164,40 @@ def test_sub_nva_not_closed_raises():
     e2 = make_e2()
     with pytest.raises(PreconditionError):
         sub_nva(e2, "bad", ("one", "s"), "one")  # Y(s,x)1 hits t
+
+
+def test_extraction_builds_and_solves_the_full_system_once(monkeypatch):
+    import nvaw.products as products
+
+    real = products.solve_linear
+    calls = []
+
+    def vacuum_solve_left_open(pairs, unknowns):
+        calls.append(len(calls))
+        if len(calls) == 1:  # the system at w = vacuum
+            return Underdetermined(0, list(unknowns), {})
+        return real(pairs, unknowns)
+
+    monkeypatch.setattr(products, "solve_linear", vacuum_solve_left_open)
+    z2 = make_z2()
+    p = build_twisted_tensor(z2, z2, sign_twist_z2())
+    u_labels = [p.pair("one", "one"), p.pair("g", "one")]
+    v_labels = [p.pair("one", "one"), p.pair("one", "g")]
+    res = extract_twisting(p.nva, u_labels, v_labels)
+    assert len(calls) == 2
+    assert isinstance(res.solve, UniqueSolution) and res.ok
+
+
+def test_module_extension_sees_a_column_missing_from_a_factor_action():
+    z2 = make_z2()
+    p = build_twisted_tensor(z2, z2, sign_twist_z2())
+    adj = adjoint_module(p.nva)
+    m1 = restricted_module(p, adj, "first")
+    m2 = restricted_module(p, adj, "second")
+    mod = build_product_module(p, m1, m2)
+    key = max(m1.yw.columns)
+    cols = {k: c for k, c in m1.yw.columns.items() if k != key}
+    short = NvaModule(m1.name, m1.algebra, m1.space,
+                      SeriesMap(m1.yw.domain, m1.yw.codomain, cols))
+    rep = check_module_extension(p, mod, short, m2)
+    assert [i.name for i in rep.failures()] == [f"first restriction at {key}"]

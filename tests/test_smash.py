@@ -1,10 +1,12 @@
 """Smash products: coalgebra/bialgebra axioms, module- and comodule-algebra
 structures, the induced twisting operator, and the product construction."""
 
+import dataclasses
+
 import pytest
 
-from nvaw.linalg import SeriesVector
-from nvaw.nva import window_equal_vec
+from nvaw.linalg import SeriesMap, SeriesVector
+from nvaw.nva import Nva, window_equal_vec
 from nvaw.products import (
     PreconditionError, build_ordinary_tensor, build_twisted_tensor,
 )
@@ -103,3 +105,26 @@ def test_module_and_comodule_suites_individually():
     assert rep.ok, rep.summary()
     rep = check_comodule_algebra(d.coaction)
     assert rep.ok, rep.summary()
+
+
+def test_table_agreement_sees_a_column_missing_from_the_smash_table(
+        monkeypatch):
+    import nvaw.smash as smash_mod
+
+    real = smash_mod.build_smash
+    dropped = []
+
+    def one_column_dropped(u, v, rng, check_axioms=True):
+        p = real(u, v, rng, check_axioms)
+        y = p.nva.y
+        dropped.append(max(y.columns))
+        cols = {k: c for k, c in y.columns.items() if k != dropped[-1]}
+        nva = Nva(p.nva.name, p.nva.space, p.nva.vacuum,
+                  SeriesMap(y.domain, y.codomain, cols))
+        return dataclasses.replace(p, nva=nva)
+
+    monkeypatch.setattr(smash_mod, "build_smash", one_column_dropped)
+    d = z2_smash_datum()
+    _, rep = smash_as_twist(d.action, d.coaction)
+    assert [i.name for i in rep.failures()] == [
+        f"table agreement {dropped[0]}"]

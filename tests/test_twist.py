@@ -83,3 +83,17 @@ def test_broken_vacuum_normalization_fails():
                   SeriesMap(t.table.domain, t.table.codomain, cols))
     rep = check_twisting_axioms(bad)
     assert not rep.ok
+
+
+def test_inverse_verification_sees_a_column_missing_from_the_inverse(
+        monkeypatch):
+    import nvaw.twist as twist_mod
+
+    real = twist_mod.matrix_inverse
+
+    def last_column_dropped(rows):
+        return [row[:-1] + [Q(0)] for row in real(rows)]
+
+    monkeypatch.setattr(twist_mod, "matrix_inverse", last_column_dropped)
+    with pytest.raises(NotInvertibleError):
+        invert_twisting(sign_twist_z2())
