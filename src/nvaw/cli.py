@@ -3,7 +3,7 @@
 Subcommands:
 
     nvaw list
-    nvaw check <input> --suite S [--window a..b] [--kmax K]
+    nvaw check <input> --suite S [--window=LO..HI] [--kmax K]
                        [--twist NAME] [--smap NAME] [--json PATH]
     nvaw product <U> <V> --twist NAME -o FILE
     nvaw smash <action-input> <coaction-input> -o FILE
@@ -11,6 +11,8 @@ Subcommands:
     nvaw extract-smap <input> [--json PATH]
 
 Inputs are registry names (see `nvaw list`) or paths to workbench files.
+The window bounds every exponent of every table, the registry's included;
+write it with `=`, since argparse reads `--window -3..3` as two options.
 Exit status: 0 all checks pass, 1 verdict or precondition failures,
 2 usage or parse errors.
 """
@@ -35,9 +37,12 @@ class UsageError(ValueError):
 def _parse_window(text):
     try:
         lo, hi = text.split("..")
-        return (int(lo), int(hi))
+        lo, hi = int(lo), int(hi)
     except ValueError:
-        raise UsageError(f"bad window {text!r}, expected 'a..b'")
+        raise UsageError(f"bad window {text!r}, expected 'LO..HI'")
+    if lo > hi:
+        raise UsageError(f"empty window {text!r}: {lo} > {hi}")
+    return (lo, hi)
 
 
 def _split_labels(text):
@@ -72,7 +77,7 @@ class Inputs:
 
     def algebra(self):
         if self.name is not None:
-            return registry.builtin_algebras()[self.name]
+            return registry.builtin_algebras(self.rng)[self.name]
         algs = self.file.algebras()
         if len(algs) != 1:
             raise UsageError(
@@ -82,7 +87,7 @@ class Inputs:
     def twist(self, name):
         if self.file is not None and ("twist", name) in self.file.blocks:
             return self.file.twist(name)
-        table = registry.builtin_twists()
+        table = registry.builtin_twists(self.rng)
         if name in table:
             return table[name]
         raise UsageError(f"unknown twist {name!r} "
@@ -93,7 +98,7 @@ class Inputs:
             return self.file.smap(name)
         if name == "identity" and algebra is not None:
             return registry.identity_smap(algebra)
-        table = registry.builtin_smaps()
+        table = registry.builtin_smaps(self.rng)
         if name in table:
             return table[name]
         raise UsageError(f"unknown S-map {name!r}")
@@ -117,19 +122,19 @@ class Inputs:
 
 def _suite_nva(alg, rng, kmax):
     rep = CheckReport(f"{alg.name}: nonlocal-vertex-algebra suite")
-    rep.extend(check_vacuum(alg, rng))
+    rep.extend(check_vacuum(alg))
     rep.extend(check_weak_associativity(alg, rng, kmax))
-    rep.extend(check_D_bracket(alg, rng))
+    rep.extend(check_D_bracket(alg))
     return rep
 
 
-def _suite_twist(inputs, alg, args, rng, kmax):
+def _suite_twist(inputs, args, rng):
     if not args.twist:
         raise UsageError("--suite twist requires --twist NAME")
     t = inputs.twist(args.twist)
     from .twist import check_twisting_axioms
 
-    return check_twisting_axioms(t, rng, kmax)
+    return check_twisting_axioms(t, rng)
 
 
 def _suite_qva(inputs, alg, args, rng, kmax):
@@ -148,7 +153,7 @@ def _suite_qva(inputs, alg, args, rng, kmax):
     return rep
 
 
-def _suite_product_props(inputs, alg, args, rng, kmax):
+def _suite_product_props(inputs, args, rng, kmax):
     from .products import (
         build_twisted_tensor, check_embeddings, check_invertible_relations,
         check_product_nva, check_product_properties,
@@ -161,7 +166,7 @@ def _suite_product_props(inputs, alg, args, rng, kmax):
     p = build_twisted_tensor(t.first, t.second, t, rng)
     rep = CheckReport(f"{p.nva.name}: product suite")
     rep.extend(check_product_nva(p, rng, kmax))
-    rep.extend(check_embeddings(p, rng))
+    rep.extend(check_embeddings(p))
     rep.extend(check_product_properties(p, rng))
     try:
         with_inverse(t, rng)
@@ -210,11 +215,11 @@ def cmd_check(args):
         if args.suite == "nva":
             rep = _suite_nva(alg, rng, kmax)
         elif args.suite == "twist":
-            rep = _suite_twist(inputs, alg, args, rng, kmax)
+            rep = _suite_twist(inputs, args, rng)
         elif args.suite == "qva":
             rep = _suite_qva(inputs, alg, args, rng, kmax)
         elif args.suite == "product-props":
-            rep = _suite_product_props(inputs, alg, args, rng, kmax)
+            rep = _suite_product_props(inputs, args, rng, kmax)
         elif args.suite == "module":
             rep = _suite_module(inputs, alg, rng, kmax)
         else:
@@ -282,7 +287,7 @@ def cmd_extract_twist(args):
     v_labels = _split_labels(args.v)
     u_vac = host.vacuum if host.vacuum in u_labels else u_labels[0]
     v_vac = host.vacuum if host.vacuum in v_labels else v_labels[0]
-    res = extract_twisting(host, u_labels, v_labels, rng, args.kmax,
+    res = extract_twisting(host, u_labels, v_labels, rng,
                            u_vacuum=u_vac, v_vacuum=v_vac)
     rep = CheckReport(f"{host.name}: twisting-operator extraction")
     from .nva import Outcome
@@ -359,9 +364,13 @@ def build_parser():
                     "tensor products, S-maps and smash products")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--window", default=f"{DEFAULT_RANGE[0]}..{DEFAULT_RANGE[1]}")
-        p.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
+    def common(p, kmax=True):
+        p.add_argument("--window", metavar="LO..HI",
+                       default=f"{DEFAULT_RANGE[0]}..{DEFAULT_RANGE[1]}",
+                       help="truncation window of every table, written "
+                            "--window=LO..HI (default %(default)s)")
+        if kmax:
+            p.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
         p.add_argument("--json", default=None)
 
     p = sub.add_parser("check", help="run a check suite on an input")
@@ -395,13 +404,13 @@ def build_parser():
     p.add_argument("--u", required=True, help="comma-joined factor labels")
     p.add_argument("--v", required=True, help="comma-joined factor labels")
     p.add_argument("-o", "--output", default=None)
-    common(p)
+    common(p, kmax=False)
     p.set_defaults(fn=cmd_extract_twist)
 
     p = sub.add_parser("extract-smap", help="solve for the S-map")
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
-    common(p)
+    common(p, kmax=False)
     p.set_defaults(fn=cmd_extract_smap)
 
     p = sub.add_parser("list", help="list registry instances")

@@ -427,7 +427,7 @@ def emit_coaction(c, name, coalg_name, out=None, emit_algebras=True):
     return "\n".join(lines) + "\n" if out is None else None
 
 
-def emit_workbench(wf, rng=DEFAULT_RANGE):
+def emit_workbench(wf):
     """Canonical text for a parsed WorkbenchFile (sorted declarations)."""
     lines = []
     for name in wf.spaces:

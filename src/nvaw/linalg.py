@@ -49,7 +49,8 @@ class SeriesVector:
         for key, s in entries.items():
             key = tuple(key)
             assert len(key) == len(self.spaces)
-            if not s.is_zero():
+            # a zero that lost coefficients to clipping still says so
+            if not s.is_zero() or not s.exact:
                 self.entries[key] = s
 
     @staticmethod

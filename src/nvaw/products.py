@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .series import DEFAULT_RANGE, LinExpr, Series, Window
+from .series import DEFAULT_RANGE, LinExpr, Series
 from .linalg import (
     Inconsistent,
     SeriesMap,
@@ -67,14 +67,12 @@ class ProductNva:
     first: Nva
     second: Nva
     twist: TwistOp
-    provenance: str  # "ordinary" | "twisted" | "smash"
+
+    pair = staticmethod(pair_label)
 
     @property
     def space(self):
         return self.nva.space
-
-    def pair(self, ul, vl):
-        return pair_label(ul, vl)
 
     def pairing(self):
         """SeriesMap (U, V) -> (P,) relabelling pure tensors."""
@@ -112,7 +110,7 @@ class ProductNva:
 
 
 def build_twisted_tensor(first, second, twist, rng=DEFAULT_RANGE,
-                         check_axioms=True, provenance="twisted"):
+                         check_axioms=True):
     if check_axioms:
         rep = check_twisting_axioms(twist, rng)
         if not rep.ok:
@@ -141,26 +139,25 @@ def build_twisted_tensor(first, second, twist, rng=DEFAULT_RANGE,
     nva = Nva(pspace.name, pspace,
               pair_label(first.vacuum, second.vacuum),
               SeriesMap((pspace, pspace), (pspace,), cols))
-    return ProductNva(nva, first, second, twist, provenance)
+    return ProductNva(nva, first, second, twist)
 
 
-def build_ordinary_tensor(first, second, rng=DEFAULT_RANGE):
-    p = build_twisted_tensor(first, second, flip_twist(first, second), rng,
-                             check_axioms=False, provenance="ordinary")
-    return p
+def build_ordinary_tensor(first, second):
+    return build_twisted_tensor(first, second, flip_twist(first, second),
+                                check_axioms=False)
 
 
 def check_product_nva(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     """The product carries a nonlocal-vertex-algebra structure."""
     rep = CheckReport(f"{p.nva.name}: product is a nonlocal vertex algebra")
-    rep.extend(check_vacuum(p.nva, rng))
+    rep.extend(check_vacuum(p.nva))
     rep.extend(check_weak_associativity(p.nva, rng, kmax))
-    rep.extend(check_D_bracket(p.nva, rng))
-    rep.extend(check_embeddings(p, rng))
+    rep.extend(check_D_bracket(p.nva))
+    rep.extend(check_embeddings(p))
     return rep
 
 
-def check_embeddings(p, rng=DEFAULT_RANGE):
+def check_embeddings(p):
     """u ↦ u⊗1 and v ↦ 1⊗v are vertex-algebra homomorphisms."""
     rep = CheckReport(f"{p.nva.name}: canonical embeddings")
     for (nva, emb, tag) in (
@@ -204,7 +201,7 @@ def check_product_properties(p, rng=DEFAULT_RANGE):
         rep.add(f"D-additivity at {key[0]}", eq_outcome(res), witness(res))
 
     vac_u, vac_v = p.first.vacuum, p.second.vacuum
-    expd = exp_xD(P, "x", rng, dmap=dprod)
+    expd = exp_xD(P, rng)
     r_neg = p.twist.table.transform(lambda s: s.negate_var("x"))
     y_neg = P.y.transform(lambda s: s.negate_var("x"))
     embed = p.embed_first().tensor(p.embed_second())
@@ -215,10 +212,9 @@ def check_product_properties(p, rng=DEFAULT_RANGE):
             poly = all(s.is_polynomial() for s in yuv.entries.values())
             limit = yuv.transform(lambda s: s.extract("x", 0))
             want = SeriesVector.basis((P.space,), (p.pair(u, v),))
-            if poly and not (limit - want).entries:
-                out = (Outcome.EXACT_PASS if yuv.exact()
-                       else Outcome.WINDOW_PASS)
-                rep.add(f"regularity+(-1)-product ({u},{v})", out)
+            res = window_equal_vec(limit, want)
+            if poly and res:
+                rep.add(f"regularity+(-1)-product ({u},{v})", eq_outcome(res))
             else:
                 rep.add(f"regularity+(-1)-product ({u},{v})", Outcome.FAIL,
                         "pole" if not poly else "wrong constant term")
@@ -238,7 +234,7 @@ def check_invertible_relations(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     rep = CheckReport(f"{p.nva.name}: invertible-twist identities")
     P = p.nva
     vac_u, vac_v = p.first.vacuum, p.second.vacuum
-    expd = exp_xD(P, "x", rng)
+    expd = exp_xD(P, rng)
     y_neg = P.y.transform(lambda s: s.negate_var("x"))
     embed = p.embed_second().tensor(p.embed_first())
 
@@ -254,8 +250,8 @@ def check_invertible_relations(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
 
     # the actions of U and V on P through u ↦ u⊗1 and v ↦ 1⊗v
     adj = adjoint_module(P)
-    m_u = restricted_module(p, adj, "first", rng)
-    m_v = restricted_module(p, adj, "second", rng)
+    m_u = restricted_module(p, adj, "first")
+    m_v = restricted_module(p, adj, "second")
 
     # Y_R(u⊗1,x1) Y_R(1⊗v,x2) w
     #   == Y_R(x2)(1⊗Y_R(x1)) (R^{-1})^{12}(-x2+x1)(u⊗v⊗w)
@@ -304,7 +300,7 @@ def commutation_with_twist(m_first, m_second, twist, rng, kmax, title):
 # the universal property
 
 
-def check_homomorphism(src, dst, phi, rng=DEFAULT_RANGE):
+def check_homomorphism(src, dst, phi):
     """phi: (src,) -> (dst,) x-free; verify vacuum and Y-intertwining."""
     rep = CheckReport(f"hom {src.name} -> {dst.name}")
     vac = phi.column((src.vacuum,))
@@ -318,8 +314,7 @@ def check_homomorphism(src, dst, phi, rng=DEFAULT_RANGE):
     return rep
 
 
-def universal_map(p, target, psi1, psi2, rng=DEFAULT_RANGE,
-                  kmax=DEFAULT_KMAX):
+def universal_map(p, target, psi1, psi2, rng=DEFAULT_RANGE):
     """The induced homomorphism ψ(u⊗v) = ψ1(u)_{-1} ψ2(v) from the twisted
     product to `target`, with all hypotheses checked first.
 
@@ -327,12 +322,12 @@ def universal_map(p, target, psi1, psi2, rng=DEFAULT_RANGE,
     hypothesis fails.
     """
     for (nva, phi, tag) in ((p.first, psi1, "psi1"), (p.second, psi2, "psi2")):
-        hrep = check_homomorphism(nva, target, phi, rng)
+        hrep = check_homomorphism(nva, target, phi)
         if not hrep.ok:
             raise PreconditionError(f"{tag} is a homomorphism",
                                     hrep.failures()[0].name)
 
-    expd = exp_xD(target, "x", rng)
+    expd = exp_xD(target, rng)
     r_neg = p.twist.table.transform(lambda s: s.negate_var("x"))
     y_neg = target.y.transform(lambda s: s.negate_var("x"))
     psi12, psi21 = psi1.tensor(psi2), psi2.tensor(psi1)
@@ -359,12 +354,12 @@ def universal_map(p, target, psi1, psi2, rng=DEFAULT_RANGE,
             img = target.y.apply(psi12.column((u, v)))
             cols[(p.pair(u, v),)] = img.transform(lambda s: s.extract("x", 0))
     psi = SeriesMap((p.space,), (target.space,), cols)
-    rep = check_homomorphism(p.nva, target, psi, rng)
+    rep = check_homomorphism(p.nva, target, psi)
     rep.title = f"universal map {p.nva.name} -> {target.name}"
     return psi, rep
 
 
-def flip_iso(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
+def flip_iso(p, rng=DEFAULT_RANGE):
     """The isomorphism V ⊗_{R^{-1}(-x)} U -> U ⊗_R V, ψ(v⊗u) = v_{-1}u.
 
     Requires R and R^{-1} pole-free.  Returns (reversed_product, psi, report).
@@ -378,9 +373,9 @@ def flip_iso(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
                 raise PreconditionError(f"{tag} pole-free", key)
 
     rev = build_twisted_tensor(p.second, p.first, reversed_twisting(twist, rng),
-                               rng, check_axioms=True, provenance="twisted")
+                               rng)
     psi, rep = universal_map(rev, p.nva, p.embed_second(), p.embed_first(),
-                             rng, kmax)
+                             rng)
     # bijectivity by exact rank
     rows = []
     for key in basis_tuples((rev.space,)):
@@ -429,7 +424,7 @@ def sub_nva(host, name, labels, vacuum):
 
 
 def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
-                     kmax=DEFAULT_KMAX, exp_range=(-2, 2),
+                     exp_range=(-2, 2),
                      u_vacuum=None, v_vacuum=None, z2_window=(-1, 1)):
     """Solve for the twisting operator R(x) of a host algebra generated by
     two subalgebras, from the commutation condition
@@ -504,7 +499,6 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
         return ExtractionResult(None, full, None, None,
                                 check_Z2_injectivity(host, rng, z2_window))
 
-    window = Window.uniform(("x",), rng)
     dom = (valg.space, ualg.space)
     cod = (ualg.space, valg.space)
     cols = {}
@@ -519,11 +513,11 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
                         if c != 0:
                             coeffs[(e,)] = c
                     if coeffs:
-                        entries[(a, b)] = Series(("x",), coeffs, window)
+                        entries[(a, b)] = Series(("x",), coeffs, rng)
             cols[(v, u)] = SeriesVector(cod, entries)
     twist = TwistOp(f"extracted({host.name})", ualg, valg,
                     SeriesMap(dom, cod, cols))
-    axioms = check_twisting_axioms(twist, rng, kmax)
+    axioms = check_twisting_axioms(twist, rng)
 
     # theta(u⊗v) = u_{-1}v bijectivity, exact rank over the host basis
     theta = CheckReport(f"{host.name}: theta bijectivity")
@@ -640,7 +634,7 @@ def build_product_module(p, m_first, m_second, rng=DEFAULT_RANGE,
     return NvaModule(f"{p.nva.name}-module({W.name})", p.nva, W, yw)
 
 
-def restricted_module(p, mod, which, rng=DEFAULT_RANGE):
+def restricted_module(p, mod, which):
     """A module over the product restricted to one factor along u ↦ u⊗1
     (which='first') or v ↦ 1⊗v (which='second')."""
     factor = p.first if which == "first" else p.second
@@ -654,12 +648,12 @@ def restricted_module(p, mod, which, rng=DEFAULT_RANGE):
     return NvaModule(f"{mod.name}|{factor.name}", factor, mod.space, yw)
 
 
-def check_module_extension(p, mod, m_first, m_second, rng=DEFAULT_RANGE):
+def check_module_extension(p, mod, m_first, m_second):
     """A product module built from (m_first, m_second) restricts back to
     them along the canonical embeddings."""
     rep = CheckReport(f"{mod.name}: extension property")
     for (m, which) in ((m_first, "first"), (m_second, "second")):
-        r = restricted_module(p, mod, which, rng)
+        r = restricted_module(p, mod, which)
         for key in sorted(set(m.yw.columns) | set(r.yw.columns)):
             res = window_equal_vec(m.yw.column(key), r.yw.column(key))
             rep.add(f"{which} restriction at {key}", eq_outcome(res),

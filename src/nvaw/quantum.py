@@ -20,7 +20,7 @@ from .nva import (
     CheckReport, DEFAULT_KMAX, Outcome, compute_D, double_product, eq_outcome,
     exp_xD, find_clearing_k, window_equal_vec, witness,
 )
-from .series import DEFAULT_RANGE, LinExpr, Q, Series, Window
+from .series import DEFAULT_RANGE, LinExpr, Q, Series
 from .twist import TwistOp, with_inverse
 
 
@@ -101,7 +101,7 @@ def check_S_skew(a, s, rng=DEFAULT_RANGE):
     with S(-x)(v⊗u) = sum_i v_i⊗u_i⊗f_i(-x)."""
     rep = CheckReport(f"{a.name}/{s.name}: S-skew-symmetry")
     sp = a.space
-    expd = exp_xD(a, "x", rng)
+    expd = exp_xD(a, rng)
     s_neg = s.table.transform(lambda t: t.negate_var("x"))
     y_neg = a.y.transform(lambda t: t.negate_var("x"))
     for (u, v) in basis_tuples((sp, sp)):
@@ -279,9 +279,8 @@ def extract_S(a, rng=DEFAULT_RANGE, exp_range=(-2, 2), z2_window=(-1, 1)):
 
     sp = a.space
     z2 = check_Z2_injectivity(a, rng, z2_window)
-    expd = exp_xD(a, "x", rng)
+    expd = exp_xD(a, rng)
     elo, ehi = exp_range
-    window = Window.uniform(("x",), rng)
 
     cols = {}
     combined = None
@@ -314,7 +313,7 @@ def extract_S(a, rng=DEFAULT_RANGE, exp_range=(-2, 2), z2_window=(-1, 1)):
                 if c != 0:
                     coeffs[(e,)] = c
             if coeffs:
-                entries[(aa, bb)] = Series(("x",), coeffs, window)
+                entries[(aa, bb)] = Series(("x",), coeffs, rng)
         cols[(v, u)] = SeriesVector((sp, sp), entries)
 
     if combined is not None:
@@ -364,7 +363,7 @@ def build_S_R(p, sU, sV, rng=DEFAULT_RANGE):
     return SMap(f"S_R({p.nva.name})", p.nva, SeriesMap((P, P), (P, P), cols))
 
 
-def smap_twist(s, rng=DEFAULT_RANGE):
+def smap_twist(s):
     """R(x) = S(x)σ as a twisting operator for the pair (V, V); its inverse
     is S(-x)σ, which is exact whenever S is unitary."""
     sp = s.algebra.space

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .series import DEFAULT_RANGE, Series, Window
+from .series import DEFAULT_RANGE, Series
 from .linalg import SeriesMap, SeriesVector, Space, basis_tuples
 from .nva import Nva
 
@@ -85,10 +85,9 @@ def make_z2():
 def make_e2(rng=DEFAULT_RANGE):
     """Y(a,x)b = (e^{xD} a) b with D(s) = t on Q{1,s,t}, s^2 = st = t^2 = 0."""
     sp = Space("E2", ("one", "s", "t"))
-    window = Window.uniform(("x",), rng)
 
     def mono(lbl, e=0, c=1):
-        return ((lbl,), Series(("x",), {(e,): Q(c)}, window))
+        return ((lbl,), Series(("x",), {(e,): Q(c)}, rng))
 
     prod = {  # multiplication table of the commutative algebra
         ("one", "one"): {"one": 1}, ("one", "s"): {"s": 1},
@@ -221,17 +220,17 @@ def trivial_smash_datum():
 # named lookup used by the command-line driver
 
 
-def builtin_algebras():
+def builtin_algebras(rng=DEFAULT_RANGE):
     return {
         "E1": make_e1(),
         "E1n": make_e1n(),
-        "E2": make_e2(),
+        "E2": make_e2(rng),
         "Z2": make_z2(),
     }
 
 
-def builtin_twists():
-    algs = builtin_algebras()
+def builtin_twists(rng=DEFAULT_RANGE):
+    algs = builtin_algebras(rng)
     out = {}
     for name, a in algs.items():
         from .twist import flip_twist
@@ -242,10 +241,10 @@ def builtin_twists():
     return out
 
 
-def builtin_smaps():
+def builtin_smaps(rng=DEFAULT_RANGE):
     return {
         "id:E1": identity_smap(make_e1()),
-        "id:E2": identity_smap(make_e2()),
+        "id:E2": identity_smap(make_e2(rng)),
         "id:Z2": identity_smap(make_z2()),
         "sign:E1": sign_smap_e1(),
     }

@@ -1,10 +1,11 @@
 """Exact arithmetic for sparse Laurent polynomials and truncated formal series.
 
 Everything is over the rationals.  A Series holds a finite sparse support in
-up to three formal variables together with a per-variable truncation window
-and an exactness flag: exact means the stored support represents the object
-with no error; the flag drops to False the first time a coefficient is
-clipped at a window boundary, and the taint propagates through arithmetic.
+up to three formal variables together with one truncation window, a range
+(lo, hi) that bounds every exponent, and an exactness flag: exact means the
+stored support represents the object with no error; the flag drops to False
+the first time a coefficient is clipped at a window boundary, and the taint
+propagates through arithmetic.
 """
 
 from __future__ import annotations
@@ -124,64 +125,16 @@ def _cmul(a, b):
 
 
 # ---------------------------------------------------------------------------
-# truncation windows
+# truncation windows: one (lo, hi) range bounds every exponent of a Series;
+# a variable-free Series has the window None, neutral under intersection
 
 
-@dataclass(frozen=True)
-class Window:
-    """Per-variable degree bounds; immutable, keyed by variable name."""
-
-    bounds: tuple  # ((var, (lo, hi)), ...) sorted by var
-
-    @staticmethod
-    def make(mapping):
-        items = []
-        for var, (lo, hi) in sorted(dict(mapping).items()):
-            if lo > hi:
-                raise EmptyWindow(f"empty window for {var}: [{lo},{hi}]")
-            items.append((var, (int(lo), int(hi))))
-        return Window(tuple(items))
-
-    @staticmethod
-    def uniform(variables, rng):
-        lo, hi = rng
-        return Window.make({v: (lo, hi) for v in variables})
-
-    def as_dict(self):
-        return dict(self.bounds)
-
-    def get(self, var):
-        for v, b in self.bounds:
-            if v == var:
-                return b
-        raise KeyError(var)
-
-    def merge(self, other):
-        """Intersect on shared variables, union of variable sets."""
-        a, b = self.as_dict(), other.as_dict()
-        out = {}
-        for v in set(a) | set(b):
-            if v in a and v in b:
-                lo = max(a[v][0], b[v][0])
-                hi = min(a[v][1], b[v][1])
-                if lo > hi:
-                    raise EmptyWindow(f"empty window intersection for {v}")
-                out[v] = (lo, hi)
-            else:
-                out[v] = a.get(v, b.get(v))
-        return Window.make(out)
-
-    def restrict(self, variables):
-        d = self.as_dict()
-        return Window.make({v: d[v] for v in variables})
-
-    def contains(self, variables, expt):
-        d = self.as_dict()
-        for v, e in zip(variables, expt):
-            lo, hi = d[v]
-            if not lo <= e <= hi:
-                return False
-        return True
+def _meet(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return (max(a[0], b[0]), min(a[1], b[1]))
 
 
 DEFAULT_RANGE = (-8, 8)
@@ -208,33 +161,40 @@ class Series:
             raise VariableMismatch(f"at most {MAX_VARS} variables, got {variables}")
         if list(variables) != sorted(variables):
             raise VariableMismatch(f"variables must be sorted: {variables}")
+        if variables:
+            lo, hi = window
+            if lo > hi:
+                raise EmptyWindow(f"empty window [{lo},{hi}]")
+            window = (lo, hi)
+        else:
+            window = None
         kept = {}
         clipped = False
         for expt, c in coeffs.items():
             if _czero(c):
                 continue
-            if window.contains(variables, expt):
+            if window is None or (lo <= min(expt) and max(expt) <= hi):
                 kept[tuple(expt)] = c
             else:
                 clipped = True
         self.variables = variables
         self.coeffs = kept
-        self.window = window.restrict(variables)
+        self.window = window
         self.exact = bool(exact) and not clipped
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(rng=DEFAULT_RANGE):
-        return Series((), {}, Window.make({}), True)
+    def zero():
+        return Series((), {}, None)
 
     @staticmethod
-    def const(c, rng=DEFAULT_RANGE):
-        return Series((), {(): c} if not _czero(c) else {}, Window.make({}), True)
+    def const(c):
+        return Series((), {(): c}, None)
 
     @staticmethod
     def monomial(var, e, rng=DEFAULT_RANGE, coeff=1):
-        return Series((var,), {(e,): coeff}, Window.uniform((var,), rng))
+        return Series((var,), {(e,): coeff}, rng)
 
     # -- basic queries -----------------------------------------------------
 
@@ -271,9 +231,12 @@ class Series:
     # -- variable alignment ------------------------------------------------
 
     def align(self, variables, window):
-        """Reindex onto a superset variable tuple (sorted)."""
-        if self.variables == tuple(variables):
-            return Series(self.variables, self.coeffs, window.merge(self.window), self.exact)
+        """Reindex onto a superset variable tuple (sorted), clipped to a
+        window inside self.window."""
+        if self.variables == variables:
+            if self.window == window:
+                return self
+            return Series(variables, self.coeffs, window, self.exact)
         pos = []
         for v in self.variables:
             if v not in variables:
@@ -285,12 +248,12 @@ class Series:
             for p, e in zip(pos, ex):
                 ne[p] = e
             out[tuple(ne)] = c
-        return Series(tuple(variables), out, window.merge(self.window), self.exact)
+        return Series(variables, out, window, self.exact)
 
     @staticmethod
     def _merged(a, b):
         variables = tuple(sorted(set(a.variables) | set(b.variables)))
-        window = a.window.merge(b.window)
+        window = _meet(a.window, b.window)
         return a.align(variables, window), b.align(variables, window), variables, window
 
     # -- arithmetic --------------------------------------------------------
@@ -355,10 +318,8 @@ class Series:
             raise VariableMismatch(f"rename collides: {variables}")
         order = sorted(range(len(variables)), key=lambda i: variables[i])
         new_vars = tuple(variables[i] for i in order)
-        wd = self.window.as_dict()
-        new_win = Window.make({mapping.get(v, v): wd[v] for v in self.variables})
         out = {tuple(ex[i] for i in order): c for ex, c in self.coeffs.items()}
-        return Series(new_vars, out, new_win, self.exact)
+        return Series(new_vars, out, self.window, self.exact)
 
     def negate_var(self, var):
         """Substitute var -> -var."""
@@ -389,13 +350,11 @@ class Series:
             return Series(self.variables, {}, self.window, self.exact)
         i = self.variables.index(var)
         rest = self.variables[:i] + self.variables[i + 1 :]
-        wd = self.window.as_dict()
-        win = Window.make({v: wd[v] for v in rest})
         out = {}
         for ex, c in self.coeffs.items():
             if ex[i] == k:
                 out[ex[:i] + ex[i + 1 :]] = c
-        return Series(rest, out, win, self.exact)
+        return Series(rest, out, self.window, self.exact)
 
     def set_zero(self, var):
         return self.extract(var, 0)
@@ -407,8 +366,6 @@ class Series:
         i = self.variables.index(var_from)
         j = self.variables.index(var_to)
         rest = self.variables[:i] + self.variables[i + 1 :]
-        wd = self.window.as_dict()
-        win = Window.make({v: wd[v] for v in rest})
         jj = j if j < i else j - 1
         out = {}
         for ex, c in self.coeffs.items():
@@ -416,7 +373,7 @@ class Series:
             ne[jj] += ex[i]
             ne = tuple(ne)
             out[ne] = out.get(ne, Q(0)) + c
-        return Series(rest, out, win, self.exact)
+        return Series(rest, out, self.window, self.exact)
 
     def substitute_sum(self, var, first, second, rng, sign_first=1, sign_second=1):
         """Substitute var -> sign_first*first + sign_second*second.
@@ -433,22 +390,14 @@ class Series:
         rest = self.variables[:i] + self.variables[i + 1 :]
         # first/second may coincide with a remaining variable; the monomial
         # products below merge exponents automatically.
-        wd = self.window.as_dict()
-        win = {v: wd[v] for v in rest}
-        for v in (first, second):
-            if v not in win:
-                win[v] = rng
-        window = Window.make(win)
+        window = _meet(self.window, rng)
         variables = tuple(sorted(set(rest) | {first, second}))
 
         total = Series(variables, {}, window, self.exact)
-        sec_hi = window.get(second)[1]
-        fst_lo = window.get(first)[0]
+        fst_lo, sec_hi = window
         for ex, c in self.coeffs.items():
             n = ex[i]
-            rest_mono = Series(
-                rest, {ex[:i] + ex[i + 1 :]: c}, Window.make({v: wd[v] for v in rest}), True
-            )
+            rest_mono = Series(rest, {ex[:i] + ex[i + 1 :]: c}, self.window)
             if n >= 0:
                 cap = n
                 tail_exact = True
@@ -487,7 +436,7 @@ class EqResult:
         return self.kind is not Eq.UNEQUAL
 
 
-def window_equal(a, b, rng=None):
+def window_equal(a, b):
     """Certified equality of two Series inside the common window."""
     diff = a - b
     if diff.coeffs:
@@ -510,10 +459,9 @@ _TERM_RE = re.compile(
 def parse_series(text, variables, rng=DEFAULT_RANGE):
     """Parse a series literal over the given (sorted) variable tuple."""
     variables = tuple(variables)
-    window = Window.uniform(variables, rng)
     text = text.strip()
     if text == "0":
-        return Series(variables, {}, window)
+        return Series(variables, {}, rng)
     coeffs = {}
     for part in text.split("+"):
         m = _TERM_RE.match(part)
@@ -529,7 +477,7 @@ def parse_series(text, variables, rng=DEFAULT_RANGE):
                 f"term {part.strip()!r} has arity {len(expt)}, expected {len(variables)}"
             )
         coeffs[expt] = coeffs.get(expt, Q(0)) + c
-    return Series(variables, coeffs, window)
+    return Series(variables, coeffs, rng)
 
 
 def format_series(s):

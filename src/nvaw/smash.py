@@ -81,7 +81,7 @@ class SmashDatum:
     coaction: ComoduleAlgebraData
 
 
-def same_bialgebra(a, b, rng=DEFAULT_RANGE):
+def same_bialgebra(a, b):
     """Structural equality of two bialgebra data."""
     if a is b:
         return True
@@ -100,7 +100,7 @@ def same_bialgebra(a, b, rng=DEFAULT_RANGE):
 # coalgebra and bialgebra axioms
 
 
-def check_coalgebra(c, rng=DEFAULT_RANGE):
+def check_coalgebra(c):
     """Coassociativity and the two counit laws, per basis vector."""
     rep = CheckReport(f"{c.algebra.name}: coalgebra axioms")
     sp = c.algebra.space
@@ -120,7 +120,7 @@ def check_coalgebra(c, rng=DEFAULT_RANGE):
     return rep
 
 
-def check_vertex_bialgebra(h, rng=DEFAULT_RANGE):
+def check_vertex_bialgebra(h):
     """Δ and ε are homomorphisms of nonlocal vertex algebras."""
     from .products import build_ordinary_tensor
 
@@ -138,7 +138,7 @@ def check_vertex_bialgebra(h, rng=DEFAULT_RANGE):
     res = window_equal_vec(got, want)
     rep.add("Δ(1) == 1⊗1", eq_outcome(res), witness(res))
 
-    p = build_ordinary_tensor(alg, alg, rng)
+    p = build_ordinary_tensor(alg, alg)
     pairing = p.pairing()
     yp = p.nva.y
     for (a, b) in basis_tuples((sp, sp)):
@@ -233,7 +233,7 @@ def check_module_algebra(m, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
 # comodule-algebras
 
 
-def check_comodule_algebra(c, rng=DEFAULT_RANGE):
+def check_comodule_algebra(c):
     """ρ is a counital comodule structure and an algebra homomorphism:
     ρ(Y(v,x)v') == (Y_H(x)⊗Y_V(x)) σ23 (ρ(v)⊗ρ(v'))."""
     rep = CheckReport(f"{c.comodule.name}: comodule-algebra axioms")
@@ -273,17 +273,16 @@ def check_comodule_algebra(c, rng=DEFAULT_RANGE):
 # the smash product and its twisting operator
 
 
-def _require_matched(u, v, rng):
+def _require_matched(u, v):
     from .products import PreconditionError
 
-    if not same_bialgebra(u.bialgebra, v.bialgebra, rng):
+    if not same_bialgebra(u.bialgebra, v.bialgebra):
         raise PreconditionError("action and coaction share one bialgebra",
                                 (u.bialgebra.algebra.name,
                                  v.bialgebra.algebra.name))
 
 
-def smash_as_twist(u, v, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX,
-                   check=True):
+def smash_as_twist(u, v, rng=DEFAULT_RANGE, check=True):
     """The canonical twisting operator R(x)(v⊗u') = Y(b1(v),-x)u' ⊗ v2
     read off the coaction ρ(v) = Σ b1(v)⊗v2 and the action of H on U.
 
@@ -294,7 +293,7 @@ def smash_as_twist(u, v, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX,
     from .products import build_twisted_tensor
     from .twist import check_twisting_axioms
 
-    _require_matched(u, v, rng)
+    _require_matched(u, v)
     U, V = u.module, v.comodule
     us, vs = U.space, V.space
     act_neg = u.action.transform(lambda s: s.negate_var("x"))
@@ -306,11 +305,10 @@ def smash_as_twist(u, v, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX,
     twist = TwistOp(f"smash({U.name},{V.name})", U, V,
                     SeriesMap((vs, us), (us, vs), cols))
     rep = CheckReport(f"{twist.name}: smash product as twisted tensor")
-    rep.extend(check_twisting_axioms(twist, rng, kmax))
+    rep.extend(check_twisting_axioms(twist, rng))
     if check:
         sharp = build_smash(u, v, rng, check_axioms=False)
-        tw = build_twisted_tensor(U, V, twist, rng, check_axioms=False,
-                                  provenance="twisted")
+        tw = build_twisted_tensor(U, V, twist, rng, check_axioms=False)
         for key in sorted(set(sharp.nva.y.columns) | set(tw.nva.y.columns)):
             other = SeriesVector((sharp.nva.space,),
                                  tw.nva.y.column(key).entries)
@@ -333,10 +331,10 @@ def build_smash(u, v, rng=DEFAULT_RANGE, check_axioms=True):
     from .linalg import Space
     from .nva import Nva
 
-    _require_matched(u, v, rng)
+    _require_matched(u, v)
     if check_axioms:
         for label, rep in (("module-algebra", check_module_algebra(u, rng)),
-                           ("comodule-algebra", check_comodule_algebra(v, rng))):
+                           ("comodule-algebra", check_comodule_algebra(v))):
             if not rep.ok:
                 raise PreconditionError(f"{label} axioms",
                                         rep.failures()[0].name)
@@ -360,7 +358,7 @@ def build_smash(u, v, rng=DEFAULT_RANGE, check_axioms=True):
     twist, _ = smash_as_twist(u, v, rng, check=False)
     nva = Nva(pspace.name, pspace, pair_label(U.vacuum, V.vacuum),
               SeriesMap((pspace, pspace), (pspace,), cols))
-    return ProductNva(nva, U, V, twist, "smash")
+    return ProductNva(nva, U, V, twist)
 
 
 def check_smash_datum(d, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
@@ -369,11 +367,11 @@ def check_smash_datum(d, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     from .products import check_product_nva
 
     rep = CheckReport(f"{d.name}: smash-product suite")
-    rep.extend(check_coalgebra(d.coalgebra, rng))
-    rep.extend(check_vertex_bialgebra(d.coalgebra, rng))
+    rep.extend(check_coalgebra(d.coalgebra))
+    rep.extend(check_vertex_bialgebra(d.coalgebra))
     rep.extend(check_module_algebra(d.action, rng, kmax))
-    rep.extend(check_comodule_algebra(d.coaction, rng))
-    _, twrep = smash_as_twist(d.action, d.coaction, rng, kmax)
+    rep.extend(check_comodule_algebra(d.coaction))
+    _, twrep = smash_as_twist(d.action, d.coaction, rng)
     rep.extend(twrep)
     p = build_smash(d.action, d.coaction, rng, check_axioms=False)
     rep.extend(check_product_nva(p, rng, kmax))

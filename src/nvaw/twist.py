@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .series import DEFAULT_RANGE, Series, Window
+from .series import DEFAULT_RANGE, Series
 from .linalg import SeriesMap, SeriesVector, basis_tuples, matrix_inverse
 from .nva import (
-    DEFAULT_KMAX,
     CheckReport,
     Outcome,
     eq_outcome,
@@ -63,7 +62,7 @@ def flip_twist(first, second):
 # axioms
 
 
-def check_twisting_axioms(t, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
+def check_twisting_axioms(t, rng=DEFAULT_RANGE):
     U, V = t.first, t.second
     rep = CheckReport(f"{t.name}: twisting-operator axioms")
 
@@ -169,7 +168,6 @@ def invert_twisting(t, rng=DEFAULT_RANGE):
             ns[e] = ne
 
     exact = maxdeg == 0
-    window = Window.uniform(("x",), rng)
     cols = {}
     for j, key in enumerate(cod):
         entries = {}
@@ -179,7 +177,7 @@ def invert_twisting(t, rng=DEFAULT_RANGE):
                 if ne[i][j] != 0:
                     coeffs[(e,)] = ne[i][j]
             if coeffs:
-                entries[ckey] = Series(("x",), coeffs, window, exact)
+                entries[ckey] = Series(("x",), coeffs, rng, exact)
         cols[key] = SeriesVector(t.table.domain, entries)
     inverse = SeriesMap(t.table.codomain, t.table.domain, cols)
 

@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from nvaw.cli import main
+from nvaw.cli import Inputs, main
 
 
 def run(*argv):
@@ -96,6 +96,24 @@ def test_usage_errors_exit_2():
     assert run("check", "Z2", "--suite", "twist") == 2        # missing --twist
     assert run("check", "nosuch", "--suite", "nva") == 2      # unknown input
     assert run("frobnicate") == 2                              # bad command
+    assert run("check", "Z2", "--suite", "nva", "--window", "5..2") == 2
+
+
+def test_window_reaches_the_registry(tmp_path):
+    inputs = Inputs("E2", (0, 0))
+    for table in (inputs.algebra().y, inputs.twist("flip:E2,E2").first.y,
+                  inputs.smap("id:E2").algebra.y):
+        windows = {s.window for col in table.columns.values()
+                   for s in col.entries.values() if s.variables}
+        assert windows == {(0, 0)}
+    # clipped table terms weaken verdicts to window-pass, never to fail
+    out = tmp_path / "report.json"
+    assert run("check", "E2", "--suite", "nva", "--window=0..0",
+               "--json", str(out)) == 0
+    verdicts = {r["identity"]: r["verdict"]
+                for r in json.loads(out.read_text())}
+    assert verdicts["assoc(one,s,one) k=0"] == "WINDOW_PASS"
+    assert "FAIL" not in verdicts.values()
 
 
 def test_parse_error_exits_2(tmp_path):

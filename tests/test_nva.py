@@ -8,7 +8,7 @@ from nvaw.nva import (
 )
 from nvaw.linalg import SeriesVector, Space
 from nvaw.registry import make_e1, make_e1n, make_e2, make_z2
-from nvaw.series import Eq, Series, Window, window_equal
+from nvaw.series import Eq, Series, window_equal
 
 ALL = [make_e1, make_e1n, make_e2, make_z2]
 
@@ -67,8 +67,8 @@ def test_window_equal_vec_sees_clipping_in_the_difference():
     # x^5 + 1 on the window -8..8 and 1 on -2..2 agree only on the common
     # window: the x^5 term is clipped out of the difference
     sp = Space("V", ("a", "b"))
-    wide = Series(("x",), {(5,): 1, (0,): 1}, Window.uniform(("x",), (-8, 8)))
-    narrow = Series(("x",), {(0,): 1}, Window.uniform(("x",), (-2, 2)))
+    wide = Series(("x",), {(5,): 1, (0,): 1}, (-8, 8))
+    narrow = Series(("x",), {(0,): 1}, (-2, 2))
     a = SeriesVector((sp,), {("a",): wide})
     b = SeriesVector((sp,), {("a",): narrow})
     assert window_equal(wide, narrow).kind is Eq.WINDOW
@@ -81,3 +81,10 @@ def test_window_equal_vec_sees_clipping_in_the_difference():
     res = window_equal_vec(a, c)
     assert res.kind is Eq.UNEQUAL and res.witness == (("b",), (0,))
     assert window_equal_vec(c, a).witness == (("b",), (0,))
+
+
+def test_a_series_clipped_to_zero_keeps_its_vector_inexact():
+    sp = Space("V", ("a",))
+    clipped = SeriesVector((sp,), {("a",): Series(("x",), {(1,): 1}, (0, 0))})
+    assert not clipped.exact()
+    assert window_equal_vec(clipped, SeriesVector.zero((sp,))).kind is Eq.WINDOW

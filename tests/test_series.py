@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvaw.series import (
-    DEFAULT_RANGE, Eq, LinExpr, NonlinearError, Q, Series, Window, binom,
+    DEFAULT_RANGE, EmptyWindow, Eq, LinExpr, NonlinearError, Q, Series, binom,
     format_series, parse_series, window_equal,
 )
 
@@ -42,10 +42,22 @@ def test_multiplication_merges_windows():
 
 
 def test_window_clipping_drops_exact_flag():
-    w = Window.uniform(("x",), (-2, 2))
+    w = (-2, 2)
     s = Series(("x",), {(5,): Q(1)}, w)
     assert not s.exact
     assert s.coeffs == {}
+
+
+def test_window_is_one_range_that_may_not_be_empty():
+    s = Series(("x1", "x2"), {(1, -1): Q(1), (3, 0): Q(1)}, (-2, 2))
+    assert s.window == (-2, 2) and s.coeffs == {(1, -1): 1} and not s.exact
+    assert Series.const(1).window is None
+    assert (s * Series.const(2)).window == (-2, 2)
+    assert (s + Series.monomial("x1", 0, (-1, 5))).window == (-1, 2)
+    with pytest.raises(EmptyWindow):
+        Series(("x",), {}, (3, 2))
+    with pytest.raises(EmptyWindow):
+        Series.monomial("x", 0, (-3, -1)) + Series.monomial("x", 0, (1, 3))
 
 
 def test_deriv():
@@ -126,7 +138,7 @@ exponents = st.integers(min_value=-3, max_value=3)
 def series_1v(draw):
     n = draw(st.integers(min_value=0, max_value=4))
     c = {(draw(exponents),): Fraction(draw(coeffs)) for _ in range(n)}
-    return Series(("x",), c, Window.uniform(("x",), RNG))
+    return Series(("x",), c, RNG)
 
 
 @settings(max_examples=400, deadline=None)
@@ -136,7 +148,7 @@ def test_ring_laws(a, b, c):
     assert window_equal(a + b, b + a).kind is Eq.EXACT
     assert window_equal(a * b, b * a).kind is Eq.EXACT
     assert window_equal(a * (b + c), a * b + a * c).kind is Eq.EXACT
-    assert window_equal(a - a, Series.zero(("x",))).kind is Eq.EXACT
+    assert window_equal(a - a, Series.zero()).kind is Eq.EXACT
     one = Series(("x",), {(0,): Q(1)}, a.window)
     assert window_equal(a * one, a).kind is Eq.EXACT
 
@@ -146,7 +158,7 @@ def poly_1v(draw):
     n = draw(st.integers(min_value=0, max_value=4))
     c = {(draw(st.integers(min_value=0, max_value=4)),): Fraction(draw(coeffs))
          for _ in range(n)}
-    return Series(("x",), c, Window.uniform(("x",), RNG))
+    return Series(("x",), c, RNG)
 
 
 @settings(max_examples=350, deadline=None)

@@ -7,7 +7,7 @@ from nvaw.nva import window_equal_vec
 from nvaw.registry import (
     builtin_twists, make_e1, make_e2, make_z2, sign_twist_z2,
 )
-from nvaw.series import Q, Series, DEFAULT_RANGE, Window
+from nvaw.series import Q, Series, DEFAULT_RANGE
 from nvaw.twist import (
     NotInvertibleError, TwistOp, check_twisting_axioms, flip_twist,
     invert_twisting, reversed_twisting, with_inverse,
@@ -40,7 +40,7 @@ def test_invert_with_x_dependence():
     # twisting operator, but inversion is purely linear-algebraic.
     z2 = make_z2()
     t = flip_twist(z2, z2)
-    window = Window.uniform(("x",), DEFAULT_RANGE)
+    window = DEFAULT_RANGE
     cols = dict(t.table.columns)
     bump = Series(("x",), {(1,): Q(1)}, window)
     cols[("g", "g")] = SeriesVector(
