@@ -13,6 +13,8 @@ Subcommands:
 Inputs are registry names (see `nvaw list`) or paths to workbench files.
 The window bounds every exponent of every table, the registry's included;
 write it with `=`, since argparse reads `--window -3..3` as two options.
+It must hold exponent 0 (LO <= 0 <= HI): a window without it clips the
+constant terms of every table, and the vacuum checks would fail.
 Exit status: 0 all checks pass, 1 verdict or precondition failures,
 2 usage or parse errors.
 """
@@ -42,6 +44,8 @@ def _parse_window(text):
         raise UsageError(f"bad window {text!r}, expected 'LO..HI'")
     if lo > hi:
         raise UsageError(f"empty window {text!r}: {lo} > {hi}")
+    if not lo <= 0 <= hi:
+        raise UsageError(f"window {text!r} does not hold exponent 0")
     return (lo, hi)
 
 
@@ -368,7 +372,8 @@ def build_parser():
         p.add_argument("--window", metavar="LO..HI",
                        default=f"{DEFAULT_RANGE[0]}..{DEFAULT_RANGE[1]}",
                        help="truncation window of every table, written "
-                            "--window=LO..HI (default %(default)s)")
+                            "--window=LO..HI with LO <= 0 <= HI "
+                            "(default %(default)s)")
         if kmax:
             p.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
         p.add_argument("--json", default=None)

@@ -256,37 +256,62 @@ class Underdetermined:
 
 @dataclass
 class Inconsistent:
-    witness: tuple  # (key, exponent) location of a contradictory equation
+    """The first equation, in input order, that contradicts the equations
+    before it; witness is its (key, exponent) location."""
+
+    witness: tuple
 
 
-def _row_reduce(rows, ncols, tags=None):
-    """Gauss-Jordan elimination in place on the first ncols columns of a
-    dense list-of-lists matrix over Q; returns the pivot columns.
+def _subtract(target, f, row, skip):
+    """target -= f * row in place on every column but skip (which the
+    caller clears), keeping only nonzero entries."""
+    for j, v in row.items():
+        if j != skip:
+            x = target.get(j, 0) - f * v
+            if x:
+                target[j] = x
+            else:
+                del target[j]
 
-    Pivots are taken column by column, each from the first row at or below
-    the current one with a nonzero entry; rows (and their tags, if given)
-    are swapped into place.  Stops once every row holds a pivot.
+
+def _row_reduce(rows, ncols):
+    """Sparse Gauss-Jordan elimination over Q of rows given as dicts
+    column -> nonzero Q; columns >= ncols are carried along (right-hand
+    sides) but never pivot.
+
+    Each row in turn is reduced against the pivot rows already held; its
+    lowest remaining column below ncols becomes its pivot, and the held rows
+    are cleared in that column, so they stay fully reduced.  Returns
+    (pivots, rest): pivots maps each pivot column to its row (1 at the
+    pivot, 0 at every other pivot column, leading entry at the pivot), and
+    rest lists (index, leftover) for every input row that reduced to zero
+    below ncols, the leftover holding its carried columns.
+
+    The result is the dense column-by-column Gauss-Jordan's.  A held row
+    keeps its leading entry at its pivot q: a new pivot p is cleared from
+    it only when p > q, by a row with no entry left of p.  So the held rows
+    are in reduced row echelon form, which is unique for their row space,
+    and a row set aside with an empty leftover lies in that space.  The
+    pivot columns and pivot rows therefore depend only on the span of the
+    input rows, not on their order or on how they were reduced.
     """
-    m = len(rows)
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
+    pivots = {}
+    rest = []
+    for i, row in enumerate(rows):
+        row = dict(row)
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row.pop(c), pivots[c], c)
+        lead = min((c for c in row if c < ncols), default=None)
+        if lead is None:
+            rest.append((i, row))
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        if tags is not None:
-            tags[r], tags[piv] = tags[piv], tags[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        if len(pivots) == m:
-            break
-    return pivots
+        inv = 1 / row[lead]
+        row = {j: v * inv for j, v in row.items()}
+        for held in pivots.values():
+            if lead in held:
+                _subtract(held, held.pop(lead), row, lead)
+        pivots[lead] = row
+    return pivots, rest
 
 
 def solve_linear(pairs, unknowns):
@@ -296,6 +321,7 @@ def solve_linear(pairs, unknowns):
     across basis keys and exponents yields one affine equation.
     """
     unknowns = list(unknowns)
+    n = len(unknowns)
     col = {u: i for i, u in enumerate(unknowns)}
     rows = []
     tags = []
@@ -305,23 +331,22 @@ def solve_linear(pairs, unknowns):
         for key, s in diff.entries.items():
             for expt, c in s.coeffs.items():
                 e = LinExpr.promote(c)
-                row = [Q(0)] * len(unknowns)
-                for sym, v in e.terms.items():
-                    row[col[sym]] = v
-                sig = (tuple(row), e.const)
+                row = {col[sym]: v for sym, v in e.terms.items()}
+                sig = (frozenset(row.items()), e.const)
                 if sig in seen:
                     continue
                 seen.add(sig)
-                rows.append(row + [-e.const])
+                if e.const:
+                    row[n] = -e.const
+                rows.append(row)
                 tags.append((key, expt))
 
-    n = len(unknowns)
-    pivots = _row_reduce(rows, n, tags)
-    for i in range(len(pivots), len(rows)):
-        if not any(x != 0 for x in rows[i][:n]) and rows[i][n] != 0:
+    pivots, rest = _row_reduce(rows, n)
+    for i, leftover in rest:
+        if leftover:
             return Inconsistent(tags[i])
 
-    assignment = {unknowns[c]: rows[i][n] for i, c in enumerate(pivots)}
+    assignment = {unknowns[c]: pivots[c].get(n, Q(0)) for c in sorted(pivots)}
     if len(pivots) == n:
         return UniqueSolution(assignment)
     free = [u for j, u in enumerate(unknowns) if j not in pivots]
@@ -329,19 +354,24 @@ def solve_linear(pairs, unknowns):
     return Underdetermined(len(pivots), free, particular)
 
 
+def _sparse(rows):
+    return [{j: Q(v) for j, v in enumerate(r) if v} for r in rows]
+
+
 def matrix_rank(rows):
     """Rank of a dense list-of-lists matrix over Q."""
-    rows = [list(map(Q, r)) for r in rows]
     if not rows:
         return 0
-    return len(_row_reduce(rows, len(rows[0])))
+    return len(_row_reduce(_sparse(rows), len(rows[0]))[0])
 
 
 def matrix_inverse(rows):
     """Inverse of a square matrix over Q, or None if singular."""
     n = len(rows)
-    aug = [list(map(Q, r)) + [Q(1) if j == i else Q(0) for j in range(n)]
-           for i, r in enumerate(rows)]
-    if len(_row_reduce(aug, n)) < n:
+    aug = _sparse(rows)
+    for i, row in enumerate(aug):
+        row[n + i] = Q(1)
+    pivots, _ = _row_reduce(aug, n)
+    if len(pivots) < n:
         return None
-    return [r[n:] for r in aug]
+    return [[pivots[i].get(n + j, Q(0)) for j in range(n)] for i in range(n)]

@@ -97,6 +97,8 @@ def test_usage_errors_exit_2():
     assert run("check", "nosuch", "--suite", "nva") == 2      # unknown input
     assert run("frobnicate") == 2                              # bad command
     assert run("check", "Z2", "--suite", "nva", "--window", "5..2") == 2
+    assert run("check", "E2", "--suite", "nva", "--window=2..4") == 2
+    assert run("check", "E2", "--suite", "nva", "--window=-4..-2") == 2
 
 
 def test_window_reaches_the_registry(tmp_path):

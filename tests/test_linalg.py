@@ -1,6 +1,10 @@
 """Exact linear algebra over series-valued vectors and maps."""
 
+from fractions import Fraction
+
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from nvaw.linalg import (
     Inconsistent, SeriesMap, SeriesVector, Space, UniqueSolution,
@@ -86,8 +90,119 @@ def test_solve_linear_underdetermined_and_inconsistent():
     assert isinstance(bad, Inconsistent)
 
 
+def equations(*rows):
+    """One SeriesVector pair per (key, {unknown: coeff}, rhs), in order."""
+    space = Space("C", tuple(key for key, _, _ in rows))
+    return [(SeriesVector((space,), {(key,): Series.const(1).scale(
+                LinExpr(0, terms))}),
+             SeriesVector((space,), {(key,): Series.const(c)}))
+            for key, terms, c in rows]
+
+
+def test_inconsistent_witness_is_the_first_contradicting_equation():
+    sol = solve_linear(equations(("c1", {"x": 1}, 1), ("c2", {"y": 1}, 2),
+                                 ("c3", {"x": 1, "y": 1}, 4)), ["x", "y"])
+    assert sol == Inconsistent((("c3",), ()))
+    # y=2 is the first to contradict the equations before it; y=1 only
+    # contradicts later ones, and y=3 comes after y=2
+    sol = solve_linear(equations(("c1", {"y": 1}, 1), ("c2", {"y": 1}, 2),
+                                 ("c3", {"x": 1}, 1), ("c4", {"y": 1}, 3)),
+                       ["x", "y"])
+    assert sol == Inconsistent((("c2",), ()))
+
+
 def test_matrix_rank_and_inverse():
     assert matrix_rank([[1, 2], [2, 4]]) == 1
     inv = matrix_inverse([[2, 0], [0, 4]])
     assert inv == [[Q(1, 2), 0], [0, Q(1, 4)]]
     assert matrix_inverse([[1, 1], [1, 1]]) is None
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle for elimination
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """Small rational matrices, mostly zeros, with some rows repeated and
+    some rows sums of multiples of earlier rows."""
+    nrows = draw(st.integers(min_value=1, max_value=8))
+    ncols = nrows if square else draw(st.integers(min_value=1, max_value=8))
+    zeros = draw(st.integers(min_value=1, max_value=3))
+    entry = st.one_of(*[st.just(Fraction(0))] * zeros, fractions)
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("fresh",) * 4 + ("copy", "combination")))
+        if kind == "copy" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(fractions), draw(fractions)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([draw(entry) for _ in range(ncols)])
+    return rows
+
+
+def _sym(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in r] for r in rows])
+
+
+def _q(r):
+    return Q(int(r.p), int(r.q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_matrix_rank_matches_sympy(rows):
+    assert matrix_rank(rows) == _sym(rows).rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(square=True), st.booleans())
+def test_matrix_inverse_matches_sympy(rows, shift):
+    if shift:  # a diagonal shift makes most of these matrices invertible
+        rows = [[x + 4 * (i == j) for j, x in enumerate(r)]
+                for i, r in enumerate(rows)]
+    m = _sym(rows)
+    inv = matrix_inverse(rows)
+    if m.rank() < len(rows):
+        assert inv is None
+    else:
+        assert inv == [[_q(x) for x in m.inv().row(i)] for i in range(m.rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_solve_linear_matches_sympy_rref(rows, data):
+    n = len(rows[0])
+    # right-hand sides of a drawn solution, consistent, or drawn freely
+    values = data.draw(st.lists(fractions, min_size=n, max_size=n))
+    rhs = [sum(a * v for a, v in zip(r, values)) for r in rows]
+    if data.draw(st.booleans()):
+        rhs = data.draw(st.lists(fractions, min_size=len(rows),
+                                 max_size=len(rows)))
+    unknowns = [f"u{j}" for j in range(n)]
+    sol = solve_linear(equations(*[(f"e{i}", dict(zip(unknowns, r)), c)
+                                   for i, (r, c) in enumerate(zip(rows, rhs))]),
+                       unknowns)
+
+    aug = _sym([r + [c] for r, c in zip(rows, rhs)])
+    reduced, pivots = aug.rref()
+    if n in pivots:
+        # the first equation that contradicts the ones before it
+        first = next(i for i in range(len(rows))
+                     if aug[:i + 1, :].rank() > aug[:i + 1, :n].rank())
+        assert sol == Inconsistent(((f"e{first}",), ()))
+        return
+    values = {unknowns[j]: _q(reduced[k, n]) for k, j in enumerate(pivots)}
+    if len(pivots) == n:
+        assert sol == UniqueSolution(values)
+    else:
+        assert sol == Underdetermined(
+            len(pivots), [u for j, u in enumerate(unknowns) if j not in pivots],
+            {u: values.get(u, Q(0)) for u in unknowns})

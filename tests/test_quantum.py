@@ -63,6 +63,16 @@ def test_locality_equivalent_to_skew_on_all_instances():
             f"{a.name}/{s.name}: locality {loc.ok} vs skew {skew.ok}")
 
 
+# rank, number of free unknowns and first free unknown of the first
+# column's solve, (v, u) = (one, one)
+EXTRACT_S_SHAPE = {
+    "E1": (10, 10, "s[one,one][eps,one][-2]"),
+    "E1n": (15, 30, "s[one,one][n,one][-2]"),
+    "E2": (16, 29, "s[one,one][s,one][-2]"),
+    "Z2": (10, 10, "s[one,one][g,one][-2]"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(builtin_algebras()))
 def test_extract_S_is_underdetermined_at_this_scale(name):
     # the defining relation Y(u,x)v = e^{xD} Y(-x) S(-x)(v⊗u) reads S only
@@ -71,6 +81,9 @@ def test_extract_S_is_underdetermined_at_this_scale(name):
     a = builtin_algebras()[name]
     ext = extract_S(a)
     assert isinstance(ext.solve, Underdetermined)
+    rank, nfree, first = EXTRACT_S_SHAPE[name]
+    assert (ext.solve.rank, len(ext.solve.free), ext.solve.free[0]) == \
+        (rank, nfree, first)
     assert ext.smap is None
     assert not ext.ok
 
