@@ -1,3 +1,3 @@
 """nvaw: exact workbench for finite-dimensional nonlocal vertex algebras."""
 
-from .series import Q, Series, LinExpr, window_equal, Eq, EqResult
+from .series import Q, Series, window_equal, Eq, EqResult

@@ -369,62 +369,35 @@ def emit_nva(nva, out=None):
     return "\n".join(lines) + "\n" if out is None else None
 
 
-def emit_twist(t, out=None, emit_algebras=True):
-    lines = [] if out is None else out
-    if emit_algebras:
-        emit_nva(t.first, lines)
-        if t.second.name != t.first.name:
-            emit_nva(t.second, lines)
+def emit_twist(t):
+    lines = []
+    emit_nva(t.first, lines)
+    if t.second.name != t.first.name:
+        emit_nva(t.second, lines)
     lines.append(f"twist {t.name} {t.second.name} {t.first.name}")
     for key in sorted(t.table.columns):
         lines.append(f"r {key[0]} {key[1]} -> {_emit_vec(t.table.column(key))}")
-    return "\n".join(lines) + "\n" if out is None else None
+    return "\n".join(lines) + "\n"
 
 
-def emit_smap(s, out=None, emit_algebras=True):
-    lines = [] if out is None else out
-    if emit_algebras:
-        emit_nva(s.algebra, lines)
+def emit_smap(s):
+    lines = []
+    emit_nva(s.algebra, lines)
     lines.append(f"smap {s.name} {s.algebra.name}")
     for key in sorted(s.table.columns):
         lines.append(f"s {key[0]} {key[1]} -> {_emit_vec(s.table.column(key))}")
-    return "\n".join(lines) + "\n" if out is None else None
+    return "\n".join(lines) + "\n"
 
 
-def emit_coalg(c, name, out=None, emit_algebras=True):
-    lines = [] if out is None else out
-    if emit_algebras:
-        emit_nva(c.algebra, lines)
+def emit_coalg(c, name):
+    lines = []
+    emit_nva(c.algebra, lines)
     lines.append(f"coalg {name} {c.algebra.name}")
     for lbl in c.algebra.space.basis:
         lines.append(f"delta {lbl} -> {_emit_vec(c.coproduct.column((lbl,)))}")
     for lbl in c.algebra.space.basis:
         lines.append(f"eps {lbl} -> {format_series(c.counit.column((lbl,)).get(()))}")
-    return "\n".join(lines) + "\n" if out is None else None
-
-
-def emit_action(a, name, coalg_name, out=None, emit_algebras=True):
-    lines = [] if out is None else out
-    if emit_algebras:
-        emit_coalg(a.bialgebra, coalg_name, lines)
-        if a.module.name != a.bialgebra.algebra.name:
-            emit_nva(a.module, lines)
-    lines.append(f"action {name} {coalg_name} {a.module.name}")
-    for key in sorted(a.action.columns):
-        lines.append(f"a {key[0]} {key[1]} -> {_emit_vec(a.action.column(key))}")
-    return "\n".join(lines) + "\n" if out is None else None
-
-
-def emit_coaction(c, name, coalg_name, out=None, emit_algebras=True):
-    lines = [] if out is None else out
-    if emit_algebras:
-        emit_coalg(c.bialgebra, coalg_name, lines)
-        if c.comodule.name != c.bialgebra.algebra.name:
-            emit_nva(c.comodule, lines)
-    lines.append(f"coaction {name} {coalg_name} {c.comodule.name}")
-    for lbl in c.comodule.space.basis:
-        lines.append(f"rho {lbl} -> {_emit_vec(c.coaction.column((lbl,)))}")
-    return "\n".join(lines) + "\n" if out is None else None
+    return "\n".join(lines) + "\n"
 
 
 def emit_workbench(wf):

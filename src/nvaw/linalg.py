@@ -1,8 +1,7 @@
 """Finite-dimensional spaces, series-valued vectors and maps, exact solving.
 
 A SeriesMap sends each basis tuple of its domain spaces to a SeriesVector
-over its codomain spaces; entries are Series over Q (or with LinExpr
-coefficients while unknowns are being solved for).  Maps are applied to
+over its codomain spaces; entries are Series over Q.  Maps are applied to
 selected tensor legs of a vector, which is how all the multi-variable
 identities are composed.
 """
@@ -11,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import reduce
 
-from .series import LinExpr, Series
+from .series import Series, _meet
 
 
 @dataclass(frozen=True)
@@ -305,7 +305,7 @@ def _row_reduce(rows, ncols):
         if lead is None:
             rest.append((i, row))
             continue
-        inv = 1 / row[lead]
+        inv = 1 / Q(row[lead])  # table coefficients may be ints
         row = {j: v * inv for j, v in row.items()}
         for held in pivots.values():
             if lead in held:
@@ -314,11 +314,15 @@ def _row_reduce(rows, ncols):
     return pivots, rest
 
 
-def solve_linear(pairs, unknowns):
-    """Solve lhs == rhs for LinExpr unknowns appearing in SeriesVector pairs.
+def solve_linear(blocks, unknowns):
+    """Solve for the unknowns from blocks (target, images): SeriesVectors
+    with target == sum(u * images[u]).
 
-    pairs: iterable of (SeriesVector, SeriesVector); every coefficient match
-    across basis keys and exponents yields one affine equation.
+    Each (basis key, exponent) of a block is one equation.  At a key every
+    side is aligned as their difference would be: onto the union of their
+    variables, clipped to the meet of their windows.  Equations enter in
+    order of first appearance, the target's before the images' in unknown
+    order, and a repeated equation enters once.
     """
     unknowns = list(unknowns)
     n = len(unknowns)
@@ -326,18 +330,24 @@ def solve_linear(pairs, unknowns):
     rows = []
     tags = []
     seen = set()
-    for lhs, rhs in pairs:
-        diff = lhs - rhs
-        for key, s in diff.entries.items():
-            for expt, c in s.coeffs.items():
-                e = LinExpr.promote(c)
-                row = {col[sym]: v for sym, v in e.terms.items()}
-                sig = (frozenset(row.items()), e.const)
+    for target, images in blocks:
+        # column n carries the right-hand side
+        at = {}
+        for j, vec in [(n, target)] + [(col[u], v) for u, v in images.items()]:
+            for key, s in vec.entries.items():
+                at.setdefault(key, []).append((j, s))
+        for key, sides in at.items():
+            variables = tuple(sorted({v for _, s in sides for v in s.variables}))
+            window = reduce(_meet, (s.window for _, s in sides))
+            eqs = {}
+            for j, s in sides:
+                for expt, c in s.align(variables, window).coeffs.items():
+                    eqs.setdefault(expt, {})[j] = c
+            for expt, row in eqs.items():
+                sig = frozenset(row.items())  # unknown part and right-hand side
                 if sig in seen:
                     continue
                 seen.add(sig)
-                if e.const:
-                    row[n] = -e.const
                 rows.append(row)
                 tags.append((key, expt))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .series import DEFAULT_RANGE, LinExpr, Series
+from .series import DEFAULT_RANGE, Series
 from .linalg import (
     Inconsistent,
     SeriesMap,
@@ -255,21 +255,31 @@ def check_invertible_relations(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
 
     # Y_R(u⊗1,x1) Y_R(1⊗v,x2) w
     #   == Y_R(x2)(1⊗Y_R(x1)) (R^{-1})^{12}(-x2+x1)(u⊗v⊗w)
-    yu1, yv2 = m_u.yw.at("x1"), m_v.yw.at("x2")
-    rinv_sub = twist.inverse.at("x2").transform(
-        lambda s: s.substitute_sum("x2", "x2", "x1", rng, -1, 1))
-    spaces = (p.first.space, p.second.space, P.space)
-    for (u, v, w) in basis_tuples(spaces):
-        vec = SeriesVector.basis(spaces, (u, v, w))
-        lhs = yu1.apply(yv2.apply(vec, (1, 2)), (0, 1))
-        rhs = yv2.apply(yu1.apply(rinv_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"commutation ({u},{v};{w})", eq_outcome(res), witness(res))
+    # items "commutation (u,v;w)": the golden report pins the names
+    rep.extend(inverse_commutation(m_u, m_v, twist, rng, "commutation "))
 
     # k-witnessed:  (x1-x2)^k Y_R(1⊗v,x1) Y_R(u⊗1,x2) w
     #   == (x1-x2)^k Y_R(x2)(1⊗Y_R(x1)) R^{12}(x2-x1)(v⊗u⊗w)
     rep.extend(commutation_with_twist(m_u, m_v, twist, rng, kmax,
                                       "k-witnessed commutation"))
+    return rep
+
+
+def inverse_commutation(m_first, m_second, twist, rng, title):
+    """Y(u,x1)Y(v,x2)w == Y(x2)(1⊗Y(x1)) (R^{-1})^{12}(-x2+x1)(u⊗v⊗w), for
+    a module m_first over the twist's first factor and m_second over its
+    second, on one space; twist carries its inverse."""
+    rep = CheckReport(title)
+    yu1, yv2 = m_first.yw.at("x1"), m_second.yw.at("x2")
+    rinv_sub = twist.inverse.at("x2").transform(
+        lambda s: s.substitute_sum("x2", "x2", "x1", rng, -1, 1))
+    spaces = (twist.first.space, twist.second.space, m_first.space)
+    for (u, v, w) in basis_tuples(spaces):
+        vec = SeriesVector.basis(spaces, (u, v, w))
+        lhs = yu1.apply(yv2.apply(vec, (1, 2)), (0, 1))
+        rhs = yv2.apply(yu1.apply(rinv_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
+        res = window_equal_vec(lhs, rhs)
+        rep.add(f"{title}({u},{v};{w})", eq_outcome(res), witness(res))
     return rep
 
 
@@ -465,28 +475,30 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
     y1, y2 = host.y.at("x1"), host.y.at("x2")
     step = Series.monomial("x1", 1, rng) - Series.monomial("x2", 1, rng)
     powers = {j: step ** j for j in range(k + max(ehi, 0) + 1)}
+    # the image (-1)^e (x1-x2)^{k+e} Y(a,x2)Y(b,x1)w of every unknown
+    # r[(v,u)->(a,b),e] does not depend on (v,u)
+    images = {}
+    for w in host.space.basis:
+        for a in u_labels:
+            for b in v_labels:
+                base = double_product(y2, y1, a, b, w, hs)
+                for e in range(elo, ehi + 1):
+                    poly = powers[k + e].scale(Q(-1) ** (e % 2))
+                    images[(a, b, e, w)] = base.transform(
+                        lambda s, pl=poly: s * pl)
 
     def equations(wlabels):
-        pairs = []
+        blocks = []
         for v in v_labels:
             for u in u_labels:
                 for w in wlabels:
                     lhs = double_product(y1, y2, v, u, w, hs)
                     lhs = lhs.transform(lambda s: s * powers[k])
-                    rhs = SeriesVector.zero((host.space,))
-                    for a in u_labels:
-                        for b in v_labels:
-                            base = double_product(y2, y1, a, b, w, hs)
-                            for e in range(elo, ehi + 1):
-                                sign = Q(-1) ** (e % 2)
-                                poly = powers[k + e]
-                                coeff = LinExpr.sym(nsym[(v, u, a, b, e)]) * sign
-                                term = base.transform(
-                                    lambda s, pl=poly, c=coeff:
-                                        s * pl.scale(c))
-                                rhs = rhs + term
-                    pairs.append((lhs, rhs))
-        return pairs
+                    blocks.append((lhs, {
+                        nsym[(v, u, a, b, e)]: images[(a, b, e, w)]
+                        for a in u_labels for b in v_labels
+                        for e in range(elo, ehi + 1)}))
+        return blocks
 
     unknowns = list(nsym.values())
     sol = solve_linear(equations([host.vacuum]), unknowns)
@@ -617,7 +629,7 @@ def build_product_module(p, m_first, m_second, rng=DEFAULT_RANGE,
         if not vec.exact():
             raise PreconditionError("two-variable regularity", (u, v, w))
 
-    rep = module_hypotheses(p, m_first, m_second, twist, rng, kmax)
+    rep = module_hypotheses(m_first, m_second, twist, rng, kmax)
     if not rep.ok:
         raise PreconditionError("module compatibility",
                                 rep.failures()[0].name)
@@ -661,22 +673,11 @@ def check_module_extension(p, mod, m_first, m_second):
     return rep
 
 
-def module_hypotheses(p, m_first, m_second, twist, rng, kmax):
+def module_hypotheses(m_first, m_second, twist, rng, kmax):
     """eYWuv-comm and the k-witnessed commutation for the two actions."""
     rep = CheckReport("product-module hypotheses")
-    rinv_sub = twist.inverse.at("x2").transform(
-        lambda s: s.substitute_sum("x2", "x2", "x1", rng, 1, -1))
-    spaces = (p.first.space, p.second.space, m_first.space)
-    yu1, yv2 = m_first.yw.at("x1"), m_second.yw.at("x2")
-
-    # Y^U(u,x1)Y^V(v,x2)w == Y^V(x2)(1⊗Y^U(x1))(R^{-1})^{12}(x2-x1)(u⊗v⊗w)
-    for (u, v, w) in basis_tuples(spaces):
-        vec = SeriesVector.basis(spaces, (u, v, w))
-        lhs = yu1.apply(yv2.apply(vec, (1, 2)), (0, 1))
-        rhs = yv2.apply(yu1.apply(rinv_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"inverse-commutation({u},{v};{w})", eq_outcome(res),
-                witness(res))
+    rep.extend(inverse_commutation(m_first, m_second, twist, rng,
+                                   "inverse-commutation"))
 
     # (x2-x1)^k Y^V(v,x1)Y^U(u,x2)w
     #   == (x2-x1)^k Y^U(x2)(1⊗Y^V(x1)) R^{12}(x2-x1)(v⊗u⊗w)

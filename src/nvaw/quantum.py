@@ -20,7 +20,7 @@ from .nva import (
     CheckReport, DEFAULT_KMAX, Outcome, compute_D, double_product, eq_outcome,
     exp_xD, find_clearing_k, window_equal_vec, witness,
 )
-from .series import DEFAULT_RANGE, LinExpr, Q, Series
+from .series import DEFAULT_RANGE, Q, Series
 from .twist import TwistOp, with_inverse
 
 
@@ -282,25 +282,24 @@ def extract_S(a, rng=DEFAULT_RANGE, exp_range=(-2, 2), z2_window=(-1, 1)):
     expd = exp_xD(a, rng)
     elo, ehi = exp_range
 
+    # the image e^{xD} Y(aa,-x)bb (-1)^e x^e of the unknown s[(v,u)->(aa,bb),e]
+    # does not depend on (v,u); S(-x) turns x^e into (-1)^e x^e
+    images = {}
+    for (aa, bb) in basis_tuples((sp, sp)):
+        base = a.vertex(aa, bb).transform(lambda t: t.negate_var("x"))
+        for e in range(elo, ehi + 1):
+            mono = Series.monomial("x", e, rng, coeff=Q(-1) ** (e % 2))
+            images[(aa, bb, e)] = expd.apply(
+                base.transform(lambda t, m=mono: t * m))
+
     cols = {}
     combined = None
     for (v, u) in basis_tuples((sp, sp)):
-        nsym = {}
-        for (aa, bb) in basis_tuples((sp, sp)):
-            for e in range(elo, ehi + 1):
-                nsym[(aa, bb, e)] = f"s[{v},{u}][{aa},{bb}][{e}]"
-        lhs = a.vertex(u, v)
-        rhs = SeriesVector.zero((sp,))
-        for (aa, bb) in basis_tuples((sp, sp)):
-            base = a.vertex(aa, bb).transform(lambda t: t.negate_var("x"))
-            for e in range(elo, ehi + 1):
-                # S(-x) turns the unknown monomial x^e into (-1)^e x^e
-                mono = Series.monomial(
-                    "x", e, rng, coeff=Q(-1) ** (e % 2)).scale(
-                    LinExpr.sym(nsym[(aa, bb, e)]))
-                rhs = rhs + base.transform(lambda t, m=mono: t * m)
-        rhs = expd.apply(rhs)
-        sol = solve_linear([(lhs, rhs)], list(nsym.values()))
+        nsym = {(aa, bb, e): f"s[{v},{u}][{aa},{bb}][{e}]"
+                for (aa, bb, e) in images}
+        sol = solve_linear(
+            [(a.vertex(u, v), {nsym[key]: img for key, img in images.items()})],
+            list(nsym.values()))
         if not isinstance(sol, UniqueSolution):
             if combined is None or isinstance(sol, Inconsistent):
                 combined = sol

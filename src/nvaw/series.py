@@ -33,97 +33,6 @@ class EmptyWindow(SeriesError):
     pass
 
 
-class NonlinearError(SeriesError):
-    """Raised when two symbolic coefficients would be multiplied."""
-
-
-# ---------------------------------------------------------------------------
-# linear expressions in named unknowns, used by the linear solver
-
-
-class LinExpr:
-    """Affine combination  const + sum(coeff * symbol)  over Q."""
-
-    __slots__ = ("const", "terms")
-
-    def __init__(self, const=0, terms=None):
-        self.const = Q(const)
-        self.terms = {s: Q(c) for s, c in (terms or {}).items() if c != 0}
-
-    @staticmethod
-    def sym(name):
-        return LinExpr(0, {name: 1})
-
-    @staticmethod
-    def promote(x):
-        return x if isinstance(x, LinExpr) else LinExpr(x)
-
-    def is_const(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms) or self.const != 0
-
-    def __eq__(self, other):
-        other = LinExpr.promote(other)
-        return self.const == other.const and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.const, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        other = LinExpr.promote(other)
-        terms = dict(self.terms)
-        for s, c in other.terms.items():
-            terms[s] = terms.get(s, Q(0)) + c
-        return LinExpr(self.const + other.const, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LinExpr(-self.const, {s: -c for s, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-LinExpr.promote(other))
-
-    def __rsub__(self, other):
-        return LinExpr.promote(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, LinExpr):
-            if other.is_const():
-                other = other.const
-            elif self.is_const():
-                self, other = other, self.const
-            else:
-                raise NonlinearError("product of two symbolic coefficients")
-        c = Q(other)
-        return LinExpr(self.const * c, {s: v * c for s, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def evaluate(self, assignment):
-        val = self.const
-        for s, c in self.terms.items():
-            val += c * assignment[s]
-        return val
-
-    def __repr__(self):
-        parts = [str(self.const)] if self.const or not self.terms else []
-        parts += [f"{c}*{s}" for s, c in sorted(self.terms.items())]
-        return " + ".join(parts)
-
-
-def _czero(c):
-    return not c if isinstance(c, LinExpr) else c == 0
-
-
-def _cmul(a, b):
-    if isinstance(a, LinExpr) or isinstance(b, LinExpr):
-        return LinExpr.promote(a) * b if isinstance(a, LinExpr) else LinExpr.promote(b) * a
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # truncation windows: one (lo, hi) range bounds every exponent of a Series;
 # a variable-free Series has the window None, neutral under intersection
@@ -171,7 +80,7 @@ class Series:
         kept = {}
         clipped = False
         for expt, c in coeffs.items():
-            if _czero(c):
+            if not c:
                 continue
             if window is None or (lo <= min(expt) and max(expt) <= hi):
                 kept[tuple(expt)] = c
@@ -200,9 +109,6 @@ class Series:
 
     def is_zero(self):
         return not self.coeffs
-
-    def support(self):
-        return sorted(self.coeffs)
 
     def coeff(self, expt):
         return self.coeffs.get(tuple(expt), Q(0))
@@ -288,19 +194,16 @@ class Series:
             for ex2, c2 in b.coeffs.items():
                 ex = tuple(e1 + e2 for e1, e2 in zip(ex1, ex2))
                 prev = out.get(ex)
-                out[ex] = _cmul(c1, c2) if prev is None else prev + _cmul(c1, c2)
+                out[ex] = c1 * c2 if prev is None else prev + c1 * c2
         return Series(variables, out, window, a.exact and b.exact)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        if _czero(c):
+        if not c:
             return Series(self.variables, {}, self.window, self.exact)
         return Series(
-            self.variables,
-            {ex: _cmul(v, c) for ex, v in self.coeffs.items()},
-            self.window,
-            self.exact,
+            self.variables, {ex: v * c for ex, v in self.coeffs.items()}, self.window, self.exact
         )
 
     def __pow__(self, k):
@@ -339,7 +242,7 @@ class Series:
                 continue
             ne = list(ex)
             ne[i] -= 1
-            out[tuple(ne)] = _cmul(c, Q(ex[i]))
+            out[tuple(ne)] = c * Q(ex[i])
         return Series(self.variables, out, self.window, self.exact)
 
     def extract(self, var, k):

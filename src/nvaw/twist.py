@@ -132,8 +132,11 @@ def _degree_matrices(table):
 def invert_twisting(t, rng=DEFAULT_RANGE):
     """Compute R(x)^{-1} degree by degree as a power series in x.
 
-    Requires the constant term M_0 to be invertible over Q; the inverse is
-    exact when R is x-independent, otherwise truncated at the window top.
+    Requires the constant term M_0 to be invertible over Q.  The inverse is
+    truncated at the window top, and exact when the recursion has ended
+    inside the window: N_e = -M_0^{-1} sum_{d=1..maxdeg} M_d N_{e-d} is
+    zero for all later e once maxdeg consecutive N_e are zero, that is,
+    when max(e: N_e != 0) + maxdeg <= top.
     """
     mats, dom, cod = _degree_matrices(t.table)
     if any(d < 0 for d in mats):
@@ -167,7 +170,7 @@ def invert_twisting(t, rng=DEFAULT_RANGE):
         if any(any(x != 0 for x in row) for row in ne):
             ns[e] = ne
 
-    exact = maxdeg == 0
+    exact = max(ns) + maxdeg <= hi
     cols = {}
     for j, key in enumerate(cod):
         entries = {}

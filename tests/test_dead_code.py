@@ -1,0 +1,43 @@
+"""Every function and method defined in the package is referenced.
+
+No linter ships with the project, so this walks the syntax trees: a
+function of src/nvaw whose name appears nowhere in src/, tests/ or bench/
+(as a name or an attribute) is code that nothing calls, and is deleted
+rather than kept.  Dunder methods are called by the language itself.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def defined_functions():
+    """[(module file, name)] of every function and method in src/nvaw."""
+    return [(path.name, node.name)
+            for path in sorted((ROOT / "src" / "nvaw").glob("*.py"))
+            for node in ast.walk(_parse(path))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def referenced_names():
+    names = set()
+    for d in ("src", "tests", "bench"):
+        for path in (ROOT / d).rglob("*.py"):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_function_is_referenced():
+    used = referenced_names()
+    assert [(f, name) for f, name in defined_functions()
+            if name not in used
+            and not (name.startswith("__") and name.endswith("__"))] == []

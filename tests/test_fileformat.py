@@ -100,7 +100,7 @@ def test_coalgebra_round_trip():
 def test_canonical_emission_is_a_fixed_point():
     z2 = make_z2()
     p = build_twisted_tensor(z2, z2, sign_twist_z2())
-    text = emit_nva(p.nva) + emit_twist(p.twist, emit_algebras=True)
+    text = emit_nva(p.nva) + emit_twist(p.twist)
     wf = parse_file(text)
     canon = emit_workbench(wf)
     assert emit_workbench(parse_file(canon)) == canon

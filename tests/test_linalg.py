@@ -10,7 +10,7 @@ from nvaw.linalg import (
     Inconsistent, SeriesMap, SeriesVector, Space, UniqueSolution,
     Underdetermined, basis_tuples, matrix_inverse, matrix_rank, solve_linear,
 )
-from nvaw.series import DEFAULT_RANGE, LinExpr, Q, Series
+from nvaw.series import DEFAULT_RANGE, Q, Series
 
 A = Space("A", ("a1", "a2"))
 B = Space("B", ("b1", "b2", "b3"))
@@ -64,38 +64,37 @@ def test_on_legs_extends_with_identity():
     assert out.get(("a2", "a1", "b1")).coeff(()) == 1
 
 
+def const(c, space=(A,), key=("a1",)):
+    return SeriesVector(space, {key: Series.const(c)})
+
+
 def test_solve_linear_unique():
     # x + y == 3, x - y == 1 encoded through series coefficients
-    sp = (A,)
-    x, y = LinExpr.sym("x"), LinExpr.sym("y")
-    lhs1 = SeriesVector(sp, {("a1",): Series.const(1).scale(x + y)})
-    rhs1 = SeriesVector(sp, {("a1",): Series.const(3)})
-    lhs2 = SeriesVector(sp, {("a1",): Series.const(1).scale(x - y)})
-    rhs2 = SeriesVector(sp, {("a1",): Series.const(1)})
-    sol = solve_linear([(lhs1, rhs1), (lhs2, rhs2)], ["x", "y"])
+    blocks = [(const(3), {"x": const(1), "y": const(1)}),
+              (const(1), {"x": const(1), "y": const(-1)})]
+    sol = solve_linear(blocks, ["x", "y"])
     assert isinstance(sol, UniqueSolution)
     assert sol.assignment == {"x": Q(2), "y": Q(1)}
+    # a variable-free target against an image in x: one equation at
+    # exponent (0,), not one at () and one at (0,)
+    image = SeriesVector((A,), {("a1",): Series.monomial("x", 0)})
+    assert solve_linear([(const(2), {"x": image})], ["x"]) == \
+        UniqueSolution({"x": Q(2)})
 
 
 def test_solve_linear_underdetermined_and_inconsistent():
-    sp = (A,)
-    x = LinExpr.sym("x")
-    lhs = SeriesVector(sp, {("a1",): Series.const(1).scale(x)})
-    rhs = SeriesVector(sp, {("a1",): Series.const(1)})
-    under = solve_linear([(lhs, rhs)], ["x", "y"])
+    under = solve_linear([(const(1), {"x": const(1)})], ["x", "y"])
     assert isinstance(under, Underdetermined)
     assert under.free == ["y"]
-    zero = SeriesVector(sp, {("a1",): Series.const(0).scale(x)})
-    bad = solve_linear([(zero, rhs)], ["x"])
+    bad = solve_linear([(const(1), {"x": const(0)})], ["x"])
     assert isinstance(bad, Inconsistent)
 
 
 def equations(*rows):
-    """One SeriesVector pair per (key, {unknown: coeff}, rhs), in order."""
-    space = Space("C", tuple(key for key, _, _ in rows))
-    return [(SeriesVector((space,), {(key,): Series.const(1).scale(
-                LinExpr(0, terms))}),
-             SeriesVector((space,), {(key,): Series.const(c)}))
+    """One block per (key, {unknown: coeff}, rhs), in order."""
+    space = (Space("C", tuple(key for key, _, _ in rows)),)
+    return [(const(c, space, (key,)),
+             {u: const(a, space, (key,)) for u, a in terms.items()})
             for key, terms, c in rows]
 
 
@@ -109,6 +108,14 @@ def test_inconsistent_witness_is_the_first_contradicting_equation():
                                  ("c3", {"x": 1}, 1), ("c4", {"y": 1}, 3)),
                        ["x", "y"])
     assert sol == Inconsistent((("c2",), ()))
+    # x^5 in the target contradicts x == 1 only where the image reaches it:
+    # outside the image's window it gives no equation
+    target = SeriesVector((A,), {("a1",): Series(("x",), {(0,): 1, (5,): 7},
+                                                 DEFAULT_RANGE)})
+    for window, want in (((-8, 8), Inconsistent((("a1",), (5,)))),
+                         ((-2, 2), UniqueSolution({"x": Q(1)}))):
+        image = SeriesVector((A,), {("a1",): Series.monomial("x", 0, window)})
+        assert solve_linear([(target, {"x": image})], ["x"]) == want
 
 
 def test_matrix_rank_and_inverse():

@@ -1,22 +1,28 @@
 """Twisted tensor products: construction, properties, universal map,
 extraction, and product modules."""
 
+import collections
+import hashlib
+
 import pytest
 
 from nvaw.linalg import SeriesMap, SeriesVector, UniqueSolution, Underdetermined
-from nvaw.nva import NvaModule, adjoint_module, check_module, window_equal_vec
+from nvaw.nva import (
+    DEFAULT_KMAX, NvaModule, adjoint_module, check_module, window_equal_vec,
+)
 from nvaw.products import (
     PreconditionError, build_ordinary_tensor, build_product_module,
     build_twisted_tensor, check_embeddings, check_invertible_relations,
     check_module_extension, check_product_nva, check_product_properties,
-    check_Z2_injectivity, extract_twisting, flip_iso, restricted_module,
-    universal_map,
+    check_Z2_injectivity, extract_twisting, flip_iso, module_hypotheses,
+    restricted_module, universal_map,
 )
 from nvaw.registry import (
     REGISTRY_PRODUCTS, builtin_algebras, builtin_twists, make_e1, make_e2,
     make_z2, sign_twist_z2,
 )
-from nvaw.twist import flip_twist
+from nvaw.series import DEFAULT_RANGE, Series
+from nvaw.twist import TwistOp, check_twisting_axioms, flip_twist, with_inverse
 
 
 def registry_products():
@@ -125,6 +131,30 @@ def test_extract_twisting_flip_round_trip():
             assert col.get((u, v)).coeff((0,)) == 1
 
 
+# SHA-256 of repr(sorted(assignment.items())), taken before the systems
+# were assembled from numeric images; the golden report pins verdicts only
+ASSIGNMENT_SHA256 = {
+    "flip:E1,E2":
+        "0d966ebc50b01a44bff061120616b517a7258a67b737b7ac326744dc0cdcb9dd",
+    "flip:E2,E2":
+        "46f60683f2c506ab6929d16a43e92caaec052441d3a4189b353d2c5ce4f6fd47",
+    "sign:Z2,Z2":
+        "649e58357c66fe0a8858c24362beebb10ae8373671ad91f7f219d65360d93fd7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSIGNMENT_SHA256))
+def test_extracted_assignment_is_unchanged(name):
+    t = builtin_twists()[name]
+    p = build_twisted_tensor(t.first, t.second, t)
+    u_labels = [p.pair(a, p.second.vacuum) for a in p.first.space.basis]
+    v_labels = [p.pair(p.first.vacuum, b) for b in p.second.space.basis]
+    res = extract_twisting(p.nva, u_labels, v_labels)
+    digest = hashlib.sha256(
+        repr(sorted(res.solve.assignment.items())).encode()).hexdigest()
+    assert digest == ASSIGNMENT_SHA256[name]
+
+
 def test_z2_injectivity_reports_kernel():
     z2 = make_z2()
     p = build_twisted_tensor(z2, z2, sign_twist_z2())
@@ -172,11 +202,11 @@ def test_extraction_builds_and_solves_the_full_system_once(monkeypatch):
     real = products.solve_linear
     calls = []
 
-    def vacuum_solve_left_open(pairs, unknowns):
+    def vacuum_solve_left_open(blocks, unknowns):
         calls.append(len(calls))
         if len(calls) == 1:  # the system at w = vacuum
             return Underdetermined(0, list(unknowns), {})
-        return real(pairs, unknowns)
+        return real(blocks, unknowns)
 
     monkeypatch.setattr(products, "solve_linear", vacuum_solve_left_open)
     z2 = make_z2()
@@ -201,3 +231,50 @@ def test_module_extension_sees_a_column_missing_from_a_factor_action():
                       SeriesMap(m1.yw.domain, m1.yw.codomain, cols))
     rep = check_module_extension(p, mod, short, m2)
     assert [i.name for i in rep.failures()] == [f"first restriction at {key}"]
+
+
+# ---------------------------------------------------------------------------
+# an x-dependent twist: R(x)(s⊗s) = s⊗s - s⊗t + t⊗s + x t⊗t on E2⊗E2, the
+# flip on every other column; its inverse is a polynomial of degree one
+
+
+def x_dependent_twist():
+    e2 = make_e2()
+    flip = flip_twist(e2, e2).table
+    cols = dict(flip.columns)
+    cols[("s", "s")] = SeriesVector(flip.codomain, {
+        (a, b): Series(("x",), {(e,): c}, DEFAULT_RANGE)
+        for (a, b, e, c) in (("s", "s", 0, 1), ("s", "t", 0, -1),
+                             ("t", "s", 0, 1), ("t", "t", 1, 1))})
+    return TwistOp("x-dependent(E2,E2)", e2, e2,
+                   SeriesMap(flip.domain, flip.codomain, cols))
+
+
+def outcomes(rep):
+    return dict(collections.Counter(item.outcome.name for item in rep.items))
+
+
+def test_x_dependent_twist_is_exact_and_so_is_its_inverse():
+    t = x_dependent_twist()
+    assert outcomes(check_twisting_axioms(t)) == {"EXACT_PASS": 60}
+    inverse = with_inverse(t).inverse
+    assert all(s.exact for col in inverse.columns.values()
+               for s in col.entries.values())
+    assert inverse.column(("s", "s")).get(("t", "t")).coeff((1,)) == -1
+
+
+def test_x_dependent_twist_invertible_relations_are_exact():
+    p = build_twisted_tensor(make_e2(), make_e2(), x_dependent_twist())
+    assert outcomes(check_invertible_relations(p)) == {"EXACT_PASS": 171}
+
+
+def test_module_hypotheses_commute_through_the_inverse_at_x1_minus_x2():
+    t = x_dependent_twist()
+    p = build_twisted_tensor(make_e2(), make_e2(), t)
+    adj = adjoint_module(p.nva)
+    m1 = restricted_module(p, adj, "first")
+    m2 = restricted_module(p, adj, "second")
+    rep = module_hypotheses(m1, m2, with_inverse(t), DEFAULT_RANGE,
+                            DEFAULT_KMAX)
+    # with R^{-1}(x2-x1), inverse-commutation(s,s;(one,one)) failed
+    assert outcomes(rep) == {"EXACT_PASS": 162}

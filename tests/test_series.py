@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvaw.series import (
-    DEFAULT_RANGE, EmptyWindow, Eq, LinExpr, NonlinearError, Q, Series, binom,
+    DEFAULT_RANGE, EmptyWindow, Eq, Q, Series, binom,
     format_series, parse_series, window_equal,
 )
 
@@ -102,12 +102,6 @@ def test_negate_var():
     s = mono("x", 3) + mono("x", 2)
     out = s.negate_var("x")
     assert out.coeff((3,)) == -1 and out.coeff((2,)) == 1
-
-
-def test_linexpr_symbolic_product_is_rejected():
-    a = LinExpr.sym("a")
-    with pytest.raises(NonlinearError):
-        a * a
 
 
 def test_parse_format_roundtrip():

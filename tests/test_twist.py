@@ -55,6 +55,27 @@ def test_invert_with_x_dependence():
         assert window_equal_vec(got, ident.column(key))
 
 
+def test_inverse_is_exact_once_the_recursion_ends_inside_the_window():
+    z2 = make_z2()
+    flip = flip_twist(z2, z2).table
+
+    def twist(gg):
+        cols = dict(flip.columns)
+        cols[("g", "g")] = SeriesVector(flip.codomain, gg)
+        return TwistOp("t", z2, z2, SeriesMap(flip.domain, flip.codomain, cols))
+
+    def exact(t, rng):
+        return all(s.exact for col in invert_twisting(t, rng).columns.values()
+                   for s in col.entries.values())
+
+    x = Series(("x",), {(1,): Q(1)}, DEFAULT_RANGE)
+    # N_1 != 0 and N_2 == 0: the window must reach x^2 to see the end
+    bumped = twist({("g", "g"): Series.const(1), ("one", "one"): x})
+    assert exact(bumped, (-2, 2)) and not exact(bumped, (-1, 1))
+    # 1/(1+x) never ends
+    assert not exact(twist({("g", "g"): x + 1}), DEFAULT_RANGE)
+
+
 def test_invert_singular_raises():
     z2 = make_z2()
     t = flip_twist(z2, z2)
