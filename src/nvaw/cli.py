@@ -58,12 +58,10 @@ def _split_labels(text):
 class Inputs:
     """Resolves names against a parsed file (if any) and the registry."""
 
-    def __init__(self, path_or_name=None, rng=DEFAULT_RANGE):
+    def __init__(self, path_or_name, rng=DEFAULT_RANGE):
         self.rng = rng
         self.file = None
         self.name = None
-        if path_or_name is None:
-            return
         if "/" in path_or_name or path_or_name.endswith(
                 (".nva", ".wb", ".txt")):
             with open(path_or_name, encoding="utf-8") as fh:

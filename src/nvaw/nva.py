@@ -49,6 +49,20 @@ class CheckReport:
     def add(self, name, outcome, detail=""):
         self.items.append(CheckItem(name, outcome, detail))
 
+    def verdict(self, name, res):
+        """Add the item for an EqResult: its outcome, and its witness as the
+        detail when it has one.  Returns res."""
+        outcome = {Eq.EXACT: Outcome.EXACT_PASS,
+                   Eq.WINDOW: Outcome.WINDOW_PASS}.get(res.kind, Outcome.FAIL)
+        self.add(name, outcome,
+                 f"witness {res.witness}" if res.witness is not None else "")
+        return res
+
+    def compare(self, name, lhs, rhs):
+        """Certified comparison of two SeriesVectors, added as one item.
+        Returns the EqResult."""
+        return self.verdict(name, window_equal_vec(lhs, rhs))
+
     def extend(self, other):
         self.items.extend(other.items)
 
@@ -71,14 +85,6 @@ class CheckReport:
             lines.append(f"  [{mark}] {item.name}: {item.outcome.value}"
                          + (f" ({item.detail})" if item.detail else ""))
         return "\n".join(lines)
-
-
-def eq_outcome(res):
-    if res.kind is Eq.EXACT:
-        return Outcome.EXACT_PASS
-    if res.kind is Eq.WINDOW:
-        return Outcome.WINDOW_PASS
-    return Outcome.FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +138,19 @@ def check_vacuum(nva):
     rep = CheckReport(f"{nva.name}: vacuum axioms")
     one = nva.vacuum
     for v in nva.space.basis:
-        got = nva.vertex(one, v)
-        want = SeriesVector.basis((nva.space,), (v,))
-        res = window_equal_vec(got, want)
-        rep.add(f"Y(1,x){v} == {v}", eq_outcome(res), witness(res))
+        rep.compare(f"Y(1,x){v} == {v}", nva.vertex(one, v),
+                    SeriesVector.basis((nva.space,), (v,)))
     for v in nva.space.basis:
         creation = nva.vertex(v, one)
         poly = all(s.is_polynomial() for s in creation.entries.values())
         limit = creation.transform(lambda s: s.extract("x", 0))
         want = SeriesVector.basis((nva.space,), (v,))
         res = window_equal_vec(limit, want)
+        name = f"Y({v},x)1 regular with limit {v}"
         if poly and res:
-            rep.add(f"Y({v},x)1 regular with limit {v}", eq_outcome(res))
+            rep.verdict(name, res)
         else:
-            rep.add(f"Y({v},x)1 regular with limit {v}", Outcome.FAIL,
+            rep.add(name, Outcome.FAIL,
                     "negative powers present" if not poly else "wrong limit")
     return rep
 
@@ -162,10 +167,6 @@ def window_equal_vec(a, b):
         if res.kind is Eq.WINDOW:
             worst = res
     return worst
-
-
-def witness(res):
-    return f"witness {res.witness}" if res.witness is not None else ""
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +222,22 @@ def check_weak_associativity(nva, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     """(x0+x2)^k Y(u,x0+x2) Y(v,x2) w == (x0+x2)^k Y(Y(u,x0)v,x2) w."""
     rep = CheckReport(f"{nva.name}: weak associativity")
     rep.extend(weak_associativity_items(
-        nva.y, nva.y, (nva.space,) * 3, rng, kmax))
+        nva.y, nva.y, (nva.space,) * 3, rng, kmax, "assoc"))
     return rep
 
 
-def weak_associativity_items(y, yw, spaces, rng, kmax):
+def weak_associativity_items(y, yw, spaces, rng, kmax, prefix):
     """Shared engine for algebra and module weak associativity: y is the
-    algebra's table on V, yw the table of its action on W."""
+    algebra's table on V, yw the table of its action on W.  Items are
+    named "{prefix}(u,v,w) k=K"; k is the pole order of Y(u,x1)Y(v,x2)w
+    in x1."""
     rep = CheckReport("weak associativity")
     yx1, yx2, yx0 = yw.at("x1"), yw.at("x2"), y.at("x0")
     for (u, v, w) in basis_tuples(spaces):
         lhs12 = double_product(yx1, yx2, u, v, w, spaces)
         k = clearing_exponent(lhs12, "x1", kmax)
         if k is None:
-            rep.add(f"assoc({u},{v},{w})", Outcome.NO_K_FOUND,
+            rep.add(f"{prefix}({u},{v},{w})", Outcome.NO_K_FOUND,
                     f"pole order exceeds kmax={kmax}")
             continue
         xk = Series.monomial("x1", k, rng)
@@ -247,8 +250,7 @@ def weak_associativity_items(y, yw, spaces, rng, kmax):
         inner = yx0.apply(inner, (0, 1))      # Y(u,x0)v ⊗ w
         rhs0 = yx2.apply(inner, (0, 1))       # Y(Y(u,x0)v,x2) w
         rhs = rhs0.transform(lambda s: s * sumk)
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"assoc({u},{v},{w}) k={k}", eq_outcome(res), witness(res))
+        rep.compare(f"{prefix}({u},{v},{w}) k={k}", lhs, rhs)
     return rep
 
 
@@ -316,10 +318,8 @@ def check_D_bracket(nva):
         bracket = term1 - term2
         ydv = nva.y.apply(D.apply(vu, (0,)))
         deriv = yvu.transform(lambda s: s.deriv("x"))
-        r1 = window_equal_vec(bracket, ydv)
-        r2 = window_equal_vec(ydv, deriv)
-        rep.add(f"[D,Y({v},x)]{u} == Y(D{v},x){u}", eq_outcome(r1), witness(r1))
-        rep.add(f"Y(D{v},x){u} == d/dx Y({v},x){u}", eq_outcome(r2), witness(r2))
+        rep.compare(f"[D,Y({v},x)]{u} == Y(D{v},x){u}", bracket, ydv)
+        rep.compare(f"Y(D{v},x){u} == d/dx Y({v},x){u}", ydv, deriv)
     return rep
 
 
@@ -327,53 +327,20 @@ def check_D_bracket(nva):
 # module axioms
 
 
-def check_module(mod, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX, form="substituted"):
-    """Module axioms for W over V.
+def check_module(mod, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
+    """Module axioms for W over V: Y_W(1,x) is the identity, and the weak
+    associativity of the algebra itself holds with the action on W,
 
-    form="original":   (x0+x2)^k Y_W(u,x0+x2) Y_W(v,x2) w
-                        == (x0+x2)^k Y_W(Y(u,x0)v, x2) w
-    form="substituted": A_k := (x1-x2)^k Y_W(u,x1) Y_W(v,x2) w, require the
-                        substitution x1 -> x2+x0 of A_k to be exact
-                        (regularity) and A_k|_{x1=x2+x0} == x0^k Y_W(Y(u,x0)v,x2) w.
-    """
+        (x0+x2)^k Y_W(u,x0+x2) Y_W(v,x2) w == (x0+x2)^k Y_W(Y(u,x0)v, x2) w,
+
+    k the pole order of Y_W(u,x1) Y_W(v,x2) w in x1, checked by the engine
+    that checks the algebra (items "module(u,v,w) k=K")."""
     nva = mod.algebra
-    rep = CheckReport(f"{mod.name}: module axioms ({form})")
-    one = nva.vacuum
+    rep = CheckReport(f"{mod.name}: module axioms")
     for w in mod.space.basis:
-        got = mod.yw.column((one, w))
-        want = SeriesVector.basis((mod.space,), (w,))
-        res = window_equal_vec(got, want)
-        rep.add(f"Y_W(1,x){w} == {w}", eq_outcome(res), witness(res))
-
-    spaces = (nva.space, nva.space, mod.space)
-    if form == "original":
-        rep.extend(weak_associativity_items(nva.y, mod.yw, spaces, rng, kmax))
-        return rep
-
-    assert form == "substituted"
-    yx1, yx2, yx0 = mod.yw.at("x1"), mod.yw.at("x2"), nva.y.at("x0")
-    for (u, v, w) in basis_tuples(spaces):
-        prod = double_product(yx1, yx2, u, v, w, spaces)
-        k = None
-        for kk in range(kmax + 1):
-            factor = Series.monomial("x1", 1, rng).substitute_sum(
-                "x1", "x1", "x2", rng, 1, -1) ** kk  # (x1-x2)^kk
-            ak = prod.transform(lambda s, f=factor: s * f)
-            sub = ak.transform(
-                lambda s: s.substitute_sum("x1", "x2", "x0", rng))
-            if sub.exact():
-                k = kk
-                break
-        if k is None:
-            rep.add(f"module({u},{v},{w})", Outcome.NO_K_FOUND,
-                    f"no regular k <= {kmax}")
-            continue
-        inner = SeriesVector.basis(spaces, (u, v, w))
-        inner = yx0.apply(inner, (0, 1))
-        rhs = yx2.apply(inner, (0, 1))
-        x0k = Series.monomial("x0", k, rng)
-        rhs = rhs.transform(lambda s: s * x0k)
-        res = window_equal_vec(sub, rhs)
-        rep.add(f"module({u},{v},{w}) k={k}", eq_outcome(res), witness(res))
+        rep.compare(f"Y_W(1,x){w} == {w}", mod.yw.column((nva.vacuum, w)),
+                    SeriesVector.basis((mod.space,), (w,)))
+    rep.extend(weak_associativity_items(
+        nva.y, mod.yw, (nva.space, nva.space, mod.space), rng, kmax,
+        "module"))
     return rep
-

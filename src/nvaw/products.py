@@ -39,13 +39,16 @@ from .nva import (
     check_weak_associativity,
     compute_D,
     double_product,
-    eq_outcome,
     exp_xD,
     find_clearing_k,
+    scalar_of,
     window_equal_vec,
-    witness,
 )
 from .twist import TwistOp, check_twisting_axioms, flip_twist, with_inverse
+
+
+# exponents of the unknown R(x) and S(x) monomials the extractions solve for
+EXP_RANGE = (-2, 2)
 
 
 class PreconditionError(ValueError):
@@ -169,9 +172,7 @@ def check_embeddings(p):
             ea = emb.column((a,)).entries
             eb = emb.column((b,)).entries
             (pa,), (pb,) = next(iter(ea)), next(iter(eb))
-            rhs = p.nva.vertex(pa, pb)
-            res = window_equal_vec(lhs, rhs)
-            rep.add(f"{tag} hom at ({a},{b})", eq_outcome(res), witness(res))
+            rep.compare(f"{tag} hom at ({a},{b})", lhs, p.nva.vertex(pa, pb))
     return rep
 
 
@@ -197,8 +198,8 @@ def check_product_properties(p, rng=DEFAULT_RANGE):
     dsum = product_D_sum(p)
     dprod = compute_D(P)
     for key in basis_tuples((P.space,)):
-        res = window_equal_vec(dprod.column(key), dsum.column(key))
-        rep.add(f"D-additivity at {key[0]}", eq_outcome(res), witness(res))
+        rep.compare(f"D-additivity at {key[0]}", dprod.column(key),
+                    dsum.column(key))
 
     vac_u, vac_v = p.first.vacuum, p.second.vacuum
     expd = exp_xD(P, rng)
@@ -213,18 +214,18 @@ def check_product_properties(p, rng=DEFAULT_RANGE):
             limit = yuv.transform(lambda s: s.extract("x", 0))
             want = SeriesVector.basis((P.space,), (p.pair(u, v),))
             res = window_equal_vec(limit, want)
+            name = f"regularity+(-1)-product ({u},{v})"
             if poly and res:
-                rep.add(f"regularity+(-1)-product ({u},{v})", eq_outcome(res))
+                rep.verdict(name, res)
             else:
-                rep.add(f"regularity+(-1)-product ({u},{v})", Outcome.FAIL,
+                rep.add(name, Outcome.FAIL,
                         "pole" if not poly else "wrong constant term")
 
             # skew symmetry: Y_R(1⊗v,x)(u⊗1)
             #   == e^{xD} Σ f_i(-x) Y_R(a_i⊗1,-x)(1⊗b_i)
             lhs = P.vertex(p.pair(vac_u, v), p.pair(u, vac_v))
             rhs = expd.apply(y_neg.apply(embed.apply(r_neg.column((v, u)))))
-            res = window_equal_vec(lhs, rhs)
-            rep.add(f"skew-symmetry ({v},{u})", eq_outcome(res), witness(res))
+            rep.compare(f"skew-symmetry ({v},{u})", lhs, rhs)
     return rep
 
 
@@ -245,8 +246,7 @@ def check_invertible_relations(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
             lhs = P.vertex(p.pair(u, vac_v), p.pair(vac_u, v))
             rhs = expd.apply(y_neg.apply(embed.apply(
                 twist.inverse.column((u, v)))))
-            res = window_equal_vec(lhs, rhs)
-            rep.add(f"inverse-skew ({u},{v})", eq_outcome(res), witness(res))
+            rep.compare(f"inverse-skew ({u},{v})", lhs, rhs)
 
     # the actions of U and V on P through u ↦ u⊗1 and v ↦ 1⊗v
     adj = adjoint_module(P)
@@ -278,8 +278,7 @@ def inverse_commutation(m_first, m_second, twist, rng, title):
         vec = SeriesVector.basis(spaces, (u, v, w))
         lhs = yu1.apply(yv2.apply(vec, (1, 2)), (0, 1))
         rhs = yv2.apply(yu1.apply(rinv_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"{title}({u},{v};{w})", eq_outcome(res), witness(res))
+        rep.compare(f"{title}({u},{v};{w})", lhs, rhs)
     return rep
 
 
@@ -301,8 +300,7 @@ def commutation_with_twist(m_first, m_second, twist, rng, kmax, title):
             rep.add(f"{title}({v},{u};{w})", Outcome.NO_K_FOUND,
                     f"no k <= {kmax}")
         else:
-            rep.add(f"{title}({v},{u};{w}) k={k}", eq_outcome(res),
-                    witness(res))
+            rep.verdict(f"{title}({v},{u};{w}) k={k}", res)
     return rep
 
 
@@ -313,14 +311,11 @@ def commutation_with_twist(m_first, m_second, twist, rng, kmax, title):
 def check_homomorphism(src, dst, phi):
     """phi: (src,) -> (dst,) x-free; verify vacuum and Y-intertwining."""
     rep = CheckReport(f"hom {src.name} -> {dst.name}")
-    vac = phi.column((src.vacuum,))
-    res = window_equal_vec(vac, dst.vacuum_vec())
-    rep.add("vacuum", eq_outcome(res), witness(res))
+    rep.compare("vacuum", phi.column((src.vacuum,)), dst.vacuum_vec())
     for (a, b) in basis_tuples((src.space, src.space)):
         lhs = phi.apply(src.vertex(a, b))
         rhs = dst.y.apply(phi.column((a,)).tensor(phi.column((b,))))
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"Y-hom at ({a},{b})", eq_outcome(res), witness(res))
+        rep.compare(f"Y-hom at ({a},{b})", lhs, rhs)
     return rep
 
 
@@ -389,10 +384,8 @@ def flip_iso(p, rng=DEFAULT_RANGE):
     # bijectivity by exact rank
     rows = []
     for key in basis_tuples((rev.space,)):
-        col = psi.column(key)
-        rows.append([col.get((lbl,)).coeff(()) if not col.get((lbl,)).variables
-                     else col.get((lbl,)).coeff((0,))
-                     for lbl in p.space.basis])
+        col = scalar_of(psi.column(key))
+        rows.append([col.get((lbl,), Q(0)) for lbl in p.space.basis])
     rank = matrix_rank(rows)
     rep.add("bijectivity", Outcome.EXACT_PASS if rank == len(p.space.basis)
             else Outcome.FAIL, f"rank {rank} of {len(p.space.basis)}")
@@ -434,7 +427,6 @@ def sub_nva(host, name, labels, vacuum):
 
 
 def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
-                     exp_range=(-2, 2),
                      u_vacuum=None, v_vacuum=None, z2_window=(-1, 1)):
     """Solve for the twisting operator R(x) of a host algebra generated by
     two subalgebras, from the commutation condition
@@ -461,7 +453,7 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
             if not all(s.is_polynomial() for s in col.entries.values()):
                 raise PreconditionError("Y(u,x)v regular", (u, v))
 
-    elo, ehi = exp_range
+    elo, ehi = EXP_RANGE
     k = max(0, -elo)
     nsym = {}
     for v in v_labels:
@@ -536,12 +528,9 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
     rows = []
     for u in u_labels:
         for v in v_labels:
-            col = host.vertex(u, v).transform(lambda s: s.extract("x", 0))
-            rows.append([col.get((lbl,)).coeff(())
-                         if not col.get((lbl,)).variables
-                         else col.get((lbl,)).coeff(
-                             (0,) * len(col.get((lbl,)).variables))
-                         for lbl in host.space.basis])
+            col = scalar_of(host.vertex(u, v).transform(
+                lambda s: s.extract("x", 0)))
+            rows.append([col.get((lbl,), Q(0)) for lbl in host.space.basis])
     rank = matrix_rank(rows)
     full = len(u_labels) * len(v_labels)
     theta.add("theta(u⊗v)=u_{-1}v bijective",
@@ -667,9 +656,8 @@ def check_module_extension(p, mod, m_first, m_second):
     for (m, which) in ((m_first, "first"), (m_second, "second")):
         r = restricted_module(p, mod, which)
         for key in sorted(set(m.yw.columns) | set(r.yw.columns)):
-            res = window_equal_vec(m.yw.column(key), r.yw.column(key))
-            rep.add(f"{which} restriction at {key}", eq_outcome(res),
-                    witness(res))
+            rep.compare(f"{which} restriction at {key}", m.yw.column(key),
+                        r.yw.column(key))
     return rep
 
 

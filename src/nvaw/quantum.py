@@ -13,12 +13,12 @@ product of two algebras that each carry one.
 from dataclasses import dataclass
 
 from .linalg import (
-    Inconsistent, SeriesMap, SeriesVector, UniqueSolution, Underdetermined,
-    basis_tuples, solve_linear,
+    Inconsistent, SeriesMap, SeriesVector, UniqueSolution, basis_tuples,
+    solve_linear,
 )
 from .nva import (
-    CheckReport, DEFAULT_KMAX, Outcome, compute_D, double_product, eq_outcome,
-    exp_xD, find_clearing_k, window_equal_vec, witness,
+    CheckReport, DEFAULT_KMAX, Outcome, compute_D, double_product, exp_xD,
+    find_clearing_k,
 )
 from .series import DEFAULT_RANGE, Q, Series
 from .twist import TwistOp, with_inverse
@@ -91,8 +91,7 @@ def check_S_locality(a, s, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
             rep.add(f"S-locality({u},{v})", Outcome.NO_K_FOUND,
                     f"no k <= {kmax}")
         else:
-            rep.add(f"S-locality({u},{v}) k={k}", eq_outcome(res),
-                    witness(res))
+            rep.verdict(f"S-locality({u},{v}) k={k}", res)
     return rep
 
 
@@ -107,8 +106,7 @@ def check_S_skew(a, s, rng=DEFAULT_RANGE):
     for (u, v) in basis_tuples((sp, sp)):
         lhs = a.vertex(u, v)
         rhs = expd.apply(y_neg.apply(s_neg.column((v, u))))
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"S-skew({u},{v})", eq_outcome(res), witness(res))
+        rep.compare(f"S-skew({u},{v})", lhs, rhs)
     return rep
 
 
@@ -133,19 +131,15 @@ def check_qyb_unitarity(s, rng=DEFAULT_RANGE):
         rhs = s_x.apply(vec, (0, 1))
         rhs = apply_legs(s_sum, rhs, (0, 2))
         rhs = s_z.apply(rhs, (1, 2))
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"QYB{key}", eq_outcome(res), witness(res))
+        rep.compare(f"QYB{key}", lhs, rhs)
 
     inv = s.inverse_table()
     ident = SeriesMap.identity((sp, sp))
     for key in basis_tuples((sp, sp)):
-        got = s.table.apply(inv.column(key))
-        res = window_equal_vec(got, ident.column(key))
-        rep.add(f"unitarity S(x)S21(-x){key}", eq_outcome(res), witness(res))
-        got2 = inv.apply(s.table.column(key))
-        res2 = window_equal_vec(got2, ident.column(key))
-        rep.add(f"unitarity S21(-x)S(x){key}", eq_outcome(res2),
-                witness(res2))
+        rep.compare(f"unitarity S(x)S21(-x){key}",
+                    s.table.apply(inv.column(key)), ident.column(key))
+        rep.compare(f"unitarity S21(-x)S(x){key}",
+                    inv.apply(s.table.column(key)), ident.column(key))
     return rep
 
 
@@ -173,17 +167,13 @@ def check_qva_axioms(a, s, rng=DEFAULT_RANGE):
 
     ok1 = ok2 = True
     for v in sp.basis:
-        got = s.table.column((vac, v))
-        want = SeriesVector.basis((sp, sp), (vac, v))
-        res = window_equal_vec(got, want)
+        res = rep.compare(f"S(x)(1⊗{v}) == 1⊗{v}", s.table.column((vac, v)),
+                          SeriesVector.basis((sp, sp), (vac, v)))
         ok1 = ok1 and bool(res)
-        rep.add(f"S(x)(1⊗{v}) == 1⊗{v}", eq_outcome(res), witness(res))
     for v in sp.basis:
-        got = s.table.column((v, vac))
-        want = SeriesVector.basis((sp, sp), (v, vac))
-        res = window_equal_vec(got, want)
+        res = rep.compare(f"S(x)({v}⊗1) == {v}⊗1", s.table.column((v, vac)),
+                          SeriesVector.basis((sp, sp), (v, vac)))
         ok2 = ok2 and bool(res)
-        rep.add(f"S(x)({v}⊗1) == {v}⊗1", eq_outcome(res), witness(res))
 
     D = compute_D(a)
     ok3 = _d_bracket_items(rep, s.table, D, leg=0, sign=-1,
@@ -207,18 +197,16 @@ def check_qva_axioms(a, s, rng=DEFAULT_RANGE):
         rhs = apply_legs(s_sum, vec, (0, 2))
         rhs = s_x1.apply(rhs, (1, 2))
         rhs = y2.apply(rhs, (0, 1))
-        res = window_equal_vec(lhs, rhs)
+        res = rep.compare(f"S(x1)(Y(x2)⊗1){key}", lhs, rhs)
         ok6 = ok6 and bool(res)
-        rep.add(f"S(x1)(Y(x2)⊗1){key}", eq_outcome(res), witness(res))
     for key in basis_tuples(spaces):
         vec = SeriesVector.basis(spaces, key)
         lhs = s_x1.apply(y2.apply(vec, (1, 2)), (0, 1))
         rhs = apply_legs(s_x1, vec, (0, 2))
         rhs = s_diff.apply(rhs, (0, 1))
         rhs = y2.apply(rhs, (1, 2))
-        res = window_equal_vec(lhs, rhs)
+        res = rep.compare(f"S(x1)(1⊗Y(x2)){key}", lhs, rhs)
         ok7 = ok7 and bool(res)
-        rep.add(f"S(x1)(1⊗Y(x2)){key}", eq_outcome(res), witness(res))
 
     for name, lvl, rvl in (("vacuum legs", ok1, ok2),
                            ("D-brackets", ok3, ok4),
@@ -240,9 +228,8 @@ def _d_bracket_items(rep, table, D, leg, sign, label):
         term2 = table.apply(D.apply(SeriesVector.basis(sp2, key), (leg,)))
         bracket = term1 - term2
         want = col.transform(lambda t: t.deriv("x").scale(sign))
-        res = window_equal_vec(bracket, want)
+        res = rep.compare(f"{label} at {key}", bracket, want)
         ok = ok and bool(res)
-        rep.add(f"{label} at {key}", eq_outcome(res), witness(res))
     return ok
 
 
@@ -265,7 +252,7 @@ class SMapExtraction:
                 and self.d_relation is not None and self.d_relation.ok)
 
 
-def extract_S(a, rng=DEFAULT_RANGE, exp_range=(-2, 2), z2_window=(-1, 1)):
+def extract_S(a, rng=DEFAULT_RANGE, z2_window=(-1, 1)):
     """Solve Y(u,x)v == e^{xD} Y(-x) S(-x)(v⊗u) columnwise for S.
 
     The unknowns are the coefficients of S(x)(v⊗u) = sum c[(a,b),e] x^e a⊗b
@@ -275,12 +262,12 @@ def extract_S(a, rng=DEFAULT_RANGE, exp_range=(-2, 2), z2_window=(-1, 1)):
     unique solution the full axiom suite and the extra derivation relation
     [1⊗D, S(x)] == d/dx S(x) are run and reported.
     """
-    from .products import check_Z2_injectivity
+    from .products import EXP_RANGE, check_Z2_injectivity
 
     sp = a.space
     z2 = check_Z2_injectivity(a, rng, z2_window)
     expd = exp_xD(a, rng)
-    elo, ehi = exp_range
+    elo, ehi = EXP_RANGE
 
     # the image e^{xD} Y(aa,-x)bb (-1)^e x^e of the unknown s[(v,u)->(aa,bb),e]
     # does not depend on (v,u); S(-x) turns x^e into (-1)^e x^e

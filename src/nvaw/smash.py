@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .linalg import SeriesMap, SeriesVector, basis_tuples
 from .nva import (
     CheckReport, DEFAULT_KMAX, NvaModule, Outcome, check_module,
-    eq_outcome, window_equal_vec, witness,
+    window_equal_vec,
 )
 from .series import DEFAULT_RANGE
 from .twist import TwistOp
@@ -108,15 +108,10 @@ def check_coalgebra(c):
         d = c.coproduct.column((b,))
         lhs = c.coproduct.apply(d, (0,))
         rhs = c.coproduct.apply(d, (1,))
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"(Δ⊗1)Δ({b}) == (1⊗Δ)Δ({b})", eq_outcome(res), witness(res))
-        left = c.counit.apply(d, (0,))
-        right = c.counit.apply(d, (1,))
+        rep.compare(f"(Δ⊗1)Δ({b}) == (1⊗Δ)Δ({b})", lhs, rhs)
         want = SeriesVector.basis((sp,), (b,))
-        r1 = window_equal_vec(left, want)
-        r2 = window_equal_vec(right, want)
-        rep.add(f"(ε⊗1)Δ({b}) == {b}", eq_outcome(r1), witness(r1))
-        rep.add(f"(1⊗ε)Δ({b}) == {b}", eq_outcome(r2), witness(r2))
+        rep.compare(f"(ε⊗1)Δ({b}) == {b}", c.counit.apply(d, (0,)), want)
+        rep.compare(f"(1⊗ε)Δ({b}) == {b}", c.counit.apply(d, (1,)), want)
     return rep
 
 
@@ -129,14 +124,10 @@ def check_vertex_bialgebra(h):
     sp = alg.space
     vac = alg.vacuum
 
-    got = h.counit.column((vac,))
-    want = SeriesVector.basis((), ())
-    res = window_equal_vec(got, want)
-    rep.add("ε(1) == 1", eq_outcome(res), witness(res))
-    got = h.coproduct.column((vac,))
-    want = SeriesVector.basis((sp, sp), (vac, vac))
-    res = window_equal_vec(got, want)
-    rep.add("Δ(1) == 1⊗1", eq_outcome(res), witness(res))
+    rep.compare("ε(1) == 1", h.counit.column((vac,)),
+                SeriesVector.basis((), ()))
+    rep.compare("Δ(1) == 1⊗1", h.coproduct.column((vac,)),
+                SeriesVector.basis((sp, sp), (vac, vac)))
 
     p = build_ordinary_tensor(alg, alg)
     pairing = p.pairing()
@@ -147,19 +138,15 @@ def check_vertex_bialgebra(h):
         ea = h.counit.column((a,)).get(()).coeff(())
         eb = h.counit.column((b,)).get(()).coeff(())
         want = SeriesVector.basis((), ()).transform(lambda s: s.scale(ea * eb))
-        res = window_equal_vec(lhs_eps, want)
-        rep.add(f"ε(Y({a},x){b}) == ε({a})ε({b})", eq_outcome(res),
-                witness(res))
+        rep.compare(f"ε(Y({a},x){b}) == ε({a})ε({b})", lhs_eps, want)
 
         lhs = pairing.apply(h.coproduct.apply(yab, (0,)))
         da = h.coproduct.column((a,))
         db = h.coproduct.column((b,))
         four = da.tensor(db)
         paired = pairing.apply(pairing.apply(four, (0, 1)), (1, 2))
-        rhs = yp.apply(paired)
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"Δ(Y({a},x){b}) == Y(Δ{a},x)Δ{b}", eq_outcome(res),
-                witness(res))
+        rep.compare(f"Δ(Y({a},x){b}) == Y(Δ{a},x)Δ{b}", lhs,
+                    yp.apply(paired))
     return rep
 
 
@@ -190,8 +177,7 @@ def check_module_algebra(m, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
         eh = h.counit.column((hl,)).get(()).coeff(())
         want = SeriesVector.basis((us,), (uvac,)).transform(
             lambda s: s.scale(eh))
-        res = window_equal_vec(col, want)
-        rep.add(f"Y({hl},x)1 == ε({hl})1", eq_outcome(res), witness(res))
+        rep.compare(f"Y({hl},x)1 == ε({hl})1", col, want)
         poly = all(s.is_polynomial() for s in col.entries.values()) and \
             all(s.is_polynomial()
                 for u in us.basis
@@ -212,9 +198,8 @@ def check_module_algebra(m, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
         rhs = act_xz.apply(rhs, (0, 1))                # (U,H,U)
         rhs = act_x.apply(rhs, (1, 2))                 # (U,U)
         rhs = yu_z.apply(rhs, (0, 1))
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"Y({hl},x)Y({u},z){v} == Y(Y(h1,x-z){u},z)Y(h2,x){v}",
-                eq_outcome(res), witness(res))
+        rep.compare(f"Y({hl},x)Y({u},z){v} == Y(Y(h1,x-z){u},z)Y(h2,x){v}",
+                    lhs, rhs)
 
     act_z = m.action.at("z")
     act_zx = act_z.transform(lambda s: s.substitute_sum("z", "z", "x", rng))
@@ -223,9 +208,8 @@ def check_module_algebra(m, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
         vec = SeriesVector.basis((hs, hs, us), (h1, h2, v))
         lhs = act_zx.apply(act_z.apply(vec, (1, 2)), (0, 1))
         rhs = act_z.apply(yh_x.apply(vec, (0, 1)), (0, 1))
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"Y({h1},z+x)Y({h2},z){v} == Y(Y({h1},x){h2},z){v}",
-                eq_outcome(res), witness(res))
+        rep.compare(f"Y({h1},z+x)Y({h2},z){v} == Y(Y({h1},x){h2},z){v}",
+                    lhs, rhs)
     return rep
 
 
@@ -240,21 +224,17 @@ def check_comodule_algebra(c):
     h = c.bialgebra
     hs, vs = h.algebra.space, c.comodule.space
 
-    got = c.coaction.column((c.comodule.vacuum,))
-    want = SeriesVector.basis((hs, vs), (h.algebra.vacuum, c.comodule.vacuum))
-    res = window_equal_vec(got, want)
-    rep.add("ρ(1) == 1⊗1", eq_outcome(res), witness(res))
+    rep.compare("ρ(1) == 1⊗1", c.coaction.column((c.comodule.vacuum,)),
+                SeriesVector.basis((hs, vs),
+                                   (h.algebra.vacuum, c.comodule.vacuum)))
 
     for v in vs.basis:
         rho = c.coaction.column((v,))
         lhs = h.coproduct.apply(rho, (0,))
         rhs = c.coaction.apply(rho, (1,))
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"(Δ⊗1)ρ({v}) == (1⊗ρ)ρ({v})", eq_outcome(res), witness(res))
-        cnt = h.counit.apply(rho, (0,))
-        want = SeriesVector.basis((vs,), (v,))
-        res = window_equal_vec(cnt, want)
-        rep.add(f"(ε⊗1)ρ({v}) == {v}", eq_outcome(res), witness(res))
+        rep.compare(f"(Δ⊗1)ρ({v}) == (1⊗ρ)ρ({v})", lhs, rhs)
+        rep.compare(f"(ε⊗1)ρ({v}) == {v}", h.counit.apply(rho, (0,)),
+                    SeriesVector.basis((vs,), (v,)))
 
     yh, yv = h.algebra.y, c.comodule.y
     for (v, v2) in basis_tuples((vs, vs)):
@@ -263,9 +243,7 @@ def check_comodule_algebra(c):
         four = four.permute((0, 2, 1, 3))        # σ23: (H,H,V,V)
         rhs = yv.apply(four, (2, 3))
         rhs = yh.apply(rhs, (0, 1))
-        res = window_equal_vec(lhs, rhs)
-        rep.add(f"ρ(Y({v},x){v2}) multiplicative", eq_outcome(res),
-                witness(res))
+        rep.compare(f"ρ(Y({v},x){v2}) multiplicative", lhs, rhs)
     return rep
 
 
@@ -312,8 +290,8 @@ def smash_as_twist(u, v, rng=DEFAULT_RANGE, check=True):
         for key in sorted(set(sharp.nva.y.columns) | set(tw.nva.y.columns)):
             other = SeriesVector((sharp.nva.space,),
                                  tw.nva.y.column(key).entries)
-            res = window_equal_vec(sharp.nva.y.column(key), other)
-            rep.add(f"table agreement {key}", eq_outcome(res), witness(res))
+            rep.compare(f"table agreement {key}", sharp.nva.y.column(key),
+                        other)
     return twist, rep
 
 

@@ -1,4 +1,5 @@
-"""Every function and method defined in the package is referenced.
+"""Every function and method defined in the package is referenced, and
+every name a package module imports is used in that module.
 
 No linter ships with the project, so this walks the syntax trees: a
 function of src/nvaw whose name appears nowhere in src/, tests/ or bench/
@@ -41,3 +42,25 @@ def test_every_function_is_referenced():
     assert [(f, name) for f, name in defined_functions()
             if name not in used
             and not (name.startswith("__") and name.endswith("__"))] == []
+
+
+def unused_imports(path):
+    """Names that a module imports (anywhere in it) and never reads."""
+    tree = _parse(path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    # __init__.py may import names only to re-export them
+    assert [(path.name, name)
+            for path in sorted((ROOT / "src" / "nvaw").glob("*.py"))
+            if path.name != "__init__.py"
+            for name in unused_imports(path)] == []
