@@ -49,6 +49,13 @@ def _parse_window(text):
     return (lo, hi)
 
 
+def _parse_kmax(text):
+    kmax = int(text)
+    if kmax < 0:
+        raise argparse.ArgumentTypeError(f"kmax {kmax} is below 0")
+    return kmax
+
+
 def _split_labels(text):
     from .fileformat import _split_top
 
@@ -130,13 +137,13 @@ def _suite_nva(alg, rng, kmax):
     return rep
 
 
-def _suite_twist(inputs, args, rng):
+def _suite_twist(inputs, args):
     if not args.twist:
         raise UsageError("--suite twist requires --twist NAME")
     t = inputs.twist(args.twist)
     from .twist import check_twisting_axioms
 
-    return check_twisting_axioms(t, rng)
+    return check_twisting_axioms(t)
 
 
 def _suite_qva(inputs, alg, args, rng, kmax):
@@ -148,7 +155,7 @@ def _suite_qva(inputs, alg, args, rng, kmax):
         raise UsageError("--suite qva requires --smap NAME")
     s = inputs.smap(args.smap, alg)
     rep = CheckReport(f"{alg.name}/{s.name}: quantum suite")
-    rep.extend(check_qyb_unitarity(s, rng))
+    rep.extend(check_qyb_unitarity(s))
     rep.extend(check_S_locality(alg, s, rng, kmax))
     rep.extend(check_S_skew(alg, s, rng))
     rep.extend(check_qva_axioms(alg, s, rng))
@@ -165,7 +172,7 @@ def _suite_product_props(inputs, args, rng, kmax):
     if not args.twist:
         raise UsageError("--suite product-props requires --twist NAME")
     t = inputs.twist(args.twist)
-    p = build_twisted_tensor(t.first, t.second, t, rng)
+    p = build_twisted_tensor(t.first, t.second, t)
     rep = CheckReport(f"{p.nva.name}: product suite")
     rep.extend(check_product_nva(p, rng, kmax))
     rep.extend(check_embeddings(p))
@@ -217,7 +224,7 @@ def cmd_check(args):
         if args.suite == "nva":
             rep = _suite_nva(alg, rng, kmax)
         elif args.suite == "twist":
-            rep = _suite_twist(inputs, args, rng)
+            rep = _suite_twist(inputs, args)
         elif args.suite == "qva":
             rep = _suite_qva(inputs, alg, args, rng, kmax)
         elif args.suite == "product-props":
@@ -245,7 +252,7 @@ def cmd_product(args):
         raise UsageError(
             f"twist {twist.name} is for ({twist.first.name},{twist.second.name})")
     try:
-        p = build_twisted_tensor(first, second, twist, rng)
+        p = build_twisted_tensor(first, second, twist)
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1
@@ -259,7 +266,7 @@ def cmd_product(args):
 
 def cmd_smash(args):
     from .products import PreconditionError, check_product_nva
-    from .smash import build_smash
+    from .smash import build_smash, check_comodule_algebra, check_module_algebra
 
     rng = _parse_window(args.window)
     act, _ = Inputs(args.action, rng).smash_halves()
@@ -267,7 +274,13 @@ def cmd_smash(args):
     if act is None or coact is None:
         raise UsageError("need one action block and one coaction block")
     try:
-        p = build_smash(act, coact, rng)
+        p = build_smash(act, coact)
+        for label, pre in (
+                ("module-algebra", check_module_algebra(act, rng, args.kmax)),
+                ("comodule-algebra", check_comodule_algebra(coact))):
+            if not pre.ok:
+                raise PreconditionError(f"{label} axioms",
+                                        pre.failures()[0].name)
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1
@@ -285,12 +298,8 @@ def cmd_extract_twist(args):
 
     rng = _parse_window(args.window)
     host = Inputs(args.input, rng).algebra()
-    u_labels = _split_labels(args.u)
-    v_labels = _split_labels(args.v)
-    u_vac = host.vacuum if host.vacuum in u_labels else u_labels[0]
-    v_vac = host.vacuum if host.vacuum in v_labels else v_labels[0]
-    res = extract_twisting(host, u_labels, v_labels, rng,
-                           u_vacuum=u_vac, v_vacuum=v_vac)
+    res = extract_twisting(host, _split_labels(args.u), _split_labels(args.v),
+                           rng)
     rep = CheckReport(f"{host.name}: twisting-operator extraction")
     from .nva import Outcome
 
@@ -373,7 +382,9 @@ def build_parser():
                             "--window=LO..HI with LO <= 0 <= HI "
                             "(default %(default)s)")
         if kmax:
-            p.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
+            p.add_argument("--kmax", type=_parse_kmax, default=DEFAULT_KMAX,
+                           help="largest clearing exponent k searched, "
+                                ">= 0 (default %(default)s)")
         p.add_argument("--json", default=None)
 
     p = sub.add_parser("check", help="run a check suite on an input")

@@ -85,7 +85,8 @@ class SeriesVector:
         return self + (-other)
 
     def scale(self, c):
-        return SeriesVector(self.spaces, {k: s.scale(c) for k, s in self.entries.items()})
+        """Every entry times c, a number or a Series."""
+        return SeriesVector(self.spaces, {k: s * c for k, s in self.entries.items()})
 
     def transform(self, fn):
         """Apply fn to every Series entry (substitutions, var renames...)."""
@@ -161,11 +162,16 @@ class SeriesMap:
             self.domain, self.codomain, {k: v.transform(fn) for k, v in self.columns.items()}
         )
 
-    def at(self, var):
-        """The map with its series variable "x" renamed to var."""
-        if var == "x":
+    def at(self, first, second=None):
+        """The map with its series variable x changed: at("x1") renames it,
+        at("-x") negates it, and at("x1", "-x2") substitutes x -> x1 - x2,
+        expanded in nonnegative powers of x2.  Each name may carry a sign;
+        the expansion is clipped at the window of each entry."""
+        if second is not None:
+            return self.transform(lambda s: s.substitute_sum("x", first, second))
+        if first == "x":
             return self
-        return self.transform(lambda s: s.rename({"x": var}))
+        return self.transform(lambda s: s.rename({"x": first}))
 
     def __add__(self, other):
         assert self.domain == other.domain and self.codomain == other.codomain
@@ -197,15 +203,19 @@ class SeriesMap:
         assert sel == self.domain, (sel, self.domain)
         lo, hi = legs[0], legs[-1] + 1
         out_spaces = vec.spaces[:lo] + self.codomain + vec.spaces[hi:]
-        acc = SeriesVector.zero(out_spaces)
+        out = {}
         for key, s in vec.entries.items():
             col = self.column(key[lo:hi])
             for ckey, cs in col.entries.items():
-                piece = SeriesVector(
-                    out_spaces, {key[:lo] + ckey + key[hi:]: s * cs}
-                )
-                acc = acc + piece
-        return acc
+                k = key[:lo] + ckey + key[hi:]
+                t = out[k] + s * cs if k in out else s * cs
+                # a sum that cancels exactly leaves the vector, as it would
+                # in SeriesVector addition
+                if t.is_zero() and t.exact:
+                    out.pop(k, None)
+                else:
+                    out[k] = t
+        return SeriesVector(out_spaces, out)
 
     def compose(self, inner):
         """self ∘ inner."""

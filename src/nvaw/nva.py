@@ -206,8 +206,7 @@ def find_clearing_k(sides, kmax, rng):
     for k in range(kmax + 1):
         worst = EqResult(Eq.EXACT)
         for lhs, rhs in sides:
-            res = window_equal_vec(lhs.transform(lambda s: s * factor),
-                                   rhs.transform(lambda s: s * factor))
+            res = window_equal_vec(lhs.scale(factor), rhs.scale(factor))
             if not res:
                 break
             if res.kind is Eq.WINDOW:
@@ -241,15 +240,13 @@ def weak_associativity_items(y, yw, spaces, rng, kmax, prefix):
                     f"pole order exceeds kmax={kmax}")
             continue
         xk = Series.monomial("x1", k, rng)
-        cleared = lhs12.transform(lambda s: s * xk)
-        lhs = cleared.transform(
-            lambda s: s.substitute_sum("x1", "x0", "x2", rng))
-        sumk = Series.monomial("x1", k, rng).substitute_sum(
-            "x1", "x0", "x2", rng)
+        lhs = lhs12.scale(xk).transform(
+            lambda s: s.substitute_sum("x1", "x0", "x2"))
+        sumk = xk.substitute_sum("x1", "x0", "x2")
         inner = SeriesVector.basis(spaces, (u, v, w))
         inner = yx0.apply(inner, (0, 1))      # Y(u,x0)v ⊗ w
         rhs0 = yx2.apply(inner, (0, 1))       # Y(Y(u,x0)v,x2) w
-        rhs = rhs0.transform(lambda s: s * sumk)
+        rhs = rhs0.scale(sumk)
         rep.compare(f"{prefix}({u},{v},{w}) k={k}", lhs, rhs)
     return rep
 
@@ -295,7 +292,7 @@ def exp_xD(nva, rng=DEFAULT_RANGE):
                 truncated = True
                 break
             mono = Series.monomial("x", k, rng, coeff=Q(1, math.factorial(k)))
-            acc = acc + term.transform(lambda s, m=mono: s * m)
+            acc = acc + term.scale(mono)
             term = D.apply(term)
             k += 1
         if truncated:

@@ -50,6 +50,10 @@ from .twist import TwistOp, check_twisting_axioms, flip_twist, with_inverse
 # exponents of the unknown R(x) and S(x) monomials the extractions solve for
 EXP_RANGE = (-2, 2)
 
+# exponents of the monomials f in x1 and in x2 of the degree-two
+# injectivity report
+Z2_WINDOW = (-1, 1)
+
 
 class PreconditionError(ValueError):
     def __init__(self, hypothesis, where):
@@ -112,16 +116,15 @@ class ProductNva:
         return SeriesMap((self.second.space,), (self.space,), cols)
 
 
-def build_twisted_tensor(first, second, twist, rng=DEFAULT_RANGE,
-                         check_axioms=True):
+def build_twisted_tensor(first, second, twist, check_axioms=True):
     if check_axioms:
-        rep = check_twisting_axioms(twist, rng)
+        rep = check_twisting_axioms(twist)
         if not rep.ok:
             raise PreconditionError(
                 "twisting-operator axioms", rep.failures()[0].name)
     U, V = first.space, second.space
     assert twist.first.space == U and twist.second.space == V
-    r_neg = twist.table.transform(lambda s: s.negate_var("x"))
+    r_neg = twist.table.at("-x")
     yu, yv = first.y, second.y
     pspace = Space(
         f"{first.name}*{second.name}",
@@ -203,8 +206,7 @@ def check_product_properties(p, rng=DEFAULT_RANGE):
 
     vac_u, vac_v = p.first.vacuum, p.second.vacuum
     expd = exp_xD(P, rng)
-    r_neg = p.twist.table.transform(lambda s: s.negate_var("x"))
-    y_neg = P.y.transform(lambda s: s.negate_var("x"))
+    r_neg, y_neg = p.twist.table.at("-x"), P.y.at("-x")
     embed = p.embed_first().tensor(p.embed_second())
     for u in p.first.space.basis:
         for v in p.second.space.basis:
@@ -236,7 +238,7 @@ def check_invertible_relations(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     P = p.nva
     vac_u, vac_v = p.first.vacuum, p.second.vacuum
     expd = exp_xD(P, rng)
-    y_neg = P.y.transform(lambda s: s.negate_var("x"))
+    y_neg = P.y.at("-x")
     embed = p.embed_second().tensor(p.embed_first())
 
     # Y_R(u⊗1,x)(1⊗v) == e^{xD} Σ g_i(x) Y_R(1⊗b_i,-x)(a_i⊗1),
@@ -256,7 +258,7 @@ def check_invertible_relations(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     # Y_R(u⊗1,x1) Y_R(1⊗v,x2) w
     #   == Y_R(x2)(1⊗Y_R(x1)) (R^{-1})^{12}(-x2+x1)(u⊗v⊗w)
     # items "commutation (u,v;w)": the golden report pins the names
-    rep.extend(inverse_commutation(m_u, m_v, twist, rng, "commutation "))
+    rep.extend(inverse_commutation(m_u, m_v, twist, "commutation "))
 
     # k-witnessed:  (x1-x2)^k Y_R(1⊗v,x1) Y_R(u⊗1,x2) w
     #   == (x1-x2)^k Y_R(x2)(1⊗Y_R(x1)) R^{12}(x2-x1)(v⊗u⊗w)
@@ -265,14 +267,13 @@ def check_invertible_relations(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     return rep
 
 
-def inverse_commutation(m_first, m_second, twist, rng, title):
+def inverse_commutation(m_first, m_second, twist, title):
     """Y(u,x1)Y(v,x2)w == Y(x2)(1⊗Y(x1)) (R^{-1})^{12}(-x2+x1)(u⊗v⊗w), for
     a module m_first over the twist's first factor and m_second over its
     second, on one space; twist carries its inverse."""
     rep = CheckReport(title)
     yu1, yv2 = m_first.yw.at("x1"), m_second.yw.at("x2")
-    rinv_sub = twist.inverse.at("x2").transform(
-        lambda s: s.substitute_sum("x2", "x2", "x1", rng, -1, 1))
+    rinv_sub = twist.inverse.at("-x2", "x1")
     spaces = (twist.first.space, twist.second.space, m_first.space)
     for (u, v, w) in basis_tuples(spaces):
         vec = SeriesVector.basis(spaces, (u, v, w))
@@ -288,8 +289,7 @@ def commutation_with_twist(m_first, m_second, twist, rng, kmax, title):
     the twist's first factor and m_second over its second, on one space."""
     rep = CheckReport(title)
     yu2, yv1 = m_first.yw.at("x2"), m_second.yw.at("x1")
-    r_sub = twist.table.at("x2").transform(
-        lambda s: s.substitute_sum("x2", "x2", "x1", rng, 1, -1))
+    r_sub = twist.table.at("x2", "-x1")
     spaces = (twist.second.space, twist.first.space, m_first.space)
     for (v, u, w) in basis_tuples(spaces):
         vec = SeriesVector.basis(spaces, (v, u, w))
@@ -333,8 +333,7 @@ def universal_map(p, target, psi1, psi2, rng=DEFAULT_RANGE):
                                     hrep.failures()[0].name)
 
     expd = exp_xD(target, rng)
-    r_neg = p.twist.table.transform(lambda s: s.negate_var("x"))
-    y_neg = target.y.transform(lambda s: s.negate_var("x"))
+    r_neg, y_neg = p.twist.table.at("-x"), target.y.at("-x")
     psi12, psi21 = psi1.tensor(psi2), psi2.tensor(psi1)
 
     # hypothesis: Y(psi1 u, x) psi2 v regular
@@ -377,8 +376,7 @@ def flip_iso(p, rng=DEFAULT_RANGE):
             if not all(s.is_polynomial() for s in col.entries.values()):
                 raise PreconditionError(f"{tag} pole-free", key)
 
-    rev = build_twisted_tensor(p.second, p.first, reversed_twisting(twist, rng),
-                               rng)
+    rev = build_twisted_tensor(p.second, p.first, reversed_twisting(twist, rng))
     psi, rep = universal_map(rev, p.nva, p.embed_second(), p.embed_first(),
                              rng)
     # bijectivity by exact rank
@@ -426,8 +424,7 @@ def sub_nva(host, name, labels, vacuum):
     return Nva(name, sp, vacuum, SeriesMap((sp, sp), (sp,), cols))
 
 
-def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
-                     u_vacuum=None, v_vacuum=None, z2_window=(-1, 1)):
+def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE):
     """Solve for the twisting operator R(x) of a host algebra generated by
     two subalgebras, from the commutation condition
 
@@ -439,12 +436,14 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
     R-monomial (x2-x1)^e contributes the polynomial (-1)^e (x1-x2)^{k+e}.
     Solves at w = vacuum first, then validates against all w; on a unique
     solution runs the twisting axioms, the theta-bijectivity test and the
-    degree-two injectivity report.
+    degree-two injectivity report.  The vacuum of each subalgebra is the
+    host's when its labels hold it, and otherwise its first label.
     """
-    u_vacuum = u_vacuum or host.vacuum
-    v_vacuum = v_vacuum or host.vacuum
-    ualg = sub_nva(host, f"{host.name}.U", u_labels, u_vacuum)
-    valg = sub_nva(host, f"{host.name}.V", v_labels, v_vacuum)
+    def vacuum(labels):
+        return host.vacuum if host.vacuum in labels else labels[0]
+
+    ualg = sub_nva(host, f"{host.name}.U", u_labels, vacuum(u_labels))
+    valg = sub_nva(host, f"{host.name}.V", v_labels, vacuum(v_labels))
 
     # hypothesis: Y(u,x)v regular in the host
     for u in u_labels:
@@ -476,16 +475,14 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
                 base = double_product(y2, y1, a, b, w, hs)
                 for e in range(elo, ehi + 1):
                     poly = powers[k + e].scale(Q(-1) ** (e % 2))
-                    images[(a, b, e, w)] = base.transform(
-                        lambda s, pl=poly: s * pl)
+                    images[(a, b, e, w)] = base.scale(poly)
 
     def equations(wlabels):
         blocks = []
         for v in v_labels:
             for u in u_labels:
                 for w in wlabels:
-                    lhs = double_product(y1, y2, v, u, w, hs)
-                    lhs = lhs.transform(lambda s: s * powers[k])
+                    lhs = double_product(y1, y2, v, u, w, hs).scale(powers[k])
                     blocks.append((lhs, {
                         nsym[(v, u, a, b, e)]: images[(a, b, e, w)]
                         for a in u_labels for b in v_labels
@@ -501,7 +498,7 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
         sol = full
     if not isinstance(sol, UniqueSolution) or isinstance(full, Inconsistent):
         return ExtractionResult(None, full, None, None,
-                                check_Z2_injectivity(host, rng, z2_window))
+                                check_Z2_injectivity(host, rng))
 
     dom = (valg.space, ualg.space)
     cod = (ualg.space, valg.space)
@@ -521,7 +518,7 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
             cols[(v, u)] = SeriesVector(cod, entries)
     twist = TwistOp(f"extracted({host.name})", ualg, valg,
                     SeriesMap(dom, cod, cols))
-    axioms = check_twisting_axioms(twist, rng)
+    axioms = check_twisting_axioms(twist)
 
     # theta(u⊗v) = u_{-1}v bijectivity, exact rank over the host basis
     theta = CheckReport(f"{host.name}: theta bijectivity")
@@ -538,7 +535,7 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
               else Outcome.FAIL,
               f"rank {rank}, dim U⊗V {full}, dim host {len(host.space.basis)}")
 
-    z2 = check_Z2_injectivity(host, rng, z2_window)
+    z2 = check_Z2_injectivity(host, rng)
     return ExtractionResult(twist, sol, axioms, theta, z2)
 
 
@@ -546,9 +543,10 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE,
 # degree-two injectivity (non-degeneracy surrogate at the window)
 
 
-def check_Z2_injectivity(host, rng=DEFAULT_RANGE, mono_window=(-1, 1)):
+def check_Z2_injectivity(host, rng=DEFAULT_RANGE):
     """Finite matrix of Z2(u⊗v⊗f) = f·Y(u,x1)Y(v,x2)1 over columns
-    (basis ⊗ basis ⊗ monomial in the window); reports the kernel rank.
+    (basis ⊗ basis ⊗ monomial x1^e1 x2^e2, e1 and e2 in Z2_WINDOW);
+    reports the kernel rank.
 
     On a Laurent polynomial table the map is linear over the Laurent
     polynomials f, so it sends the rank-n² module of u⊗v into the rank-n
@@ -559,7 +557,7 @@ def check_Z2_injectivity(host, rng=DEFAULT_RANGE, mono_window=(-1, 1)):
     rep = CheckReport(f"{host.name}: degree-two injectivity")
     y1, y2 = host.y.at("x1"), host.y.at("x2")
     hs = (host.space,) * 3
-    lo, hi = mono_window
+    lo, hi = Z2_WINDOW
     monos = [(e1, e2) for e1 in range(lo, hi + 1) for e2 in range(lo, hi + 1)]
     columns = []
     rowkeys = {}
@@ -569,7 +567,7 @@ def check_Z2_injectivity(host, rng=DEFAULT_RANGE, mono_window=(-1, 1)):
             for (e1, e2) in monos:
                 f = (Series.monomial("x1", e1, rng) *
                      Series.monomial("x2", e2, rng))
-                col = base.transform(lambda s, m=f: s * m)
+                col = base.scale(f)
                 entry = {}
                 for (lbl,), s in col.entries.items():
                     for expt, c in s.coeffs.items():
@@ -587,7 +585,7 @@ def check_Z2_injectivity(host, rng=DEFAULT_RANGE, mono_window=(-1, 1)):
     rep.add("Z2 kernel rank 0",
             Outcome.EXACT_PASS if kernel == 0 else Outcome.FAIL,
             f"columns {len(columns)}, rank {rank}, kernel {kernel}, "
-            f"monomial window {mono_window}")
+            f"monomial window {Z2_WINDOW}")
     return rep
 
 
@@ -598,7 +596,7 @@ def check_Z2_injectivity(host, rng=DEFAULT_RANGE, mono_window=(-1, 1)):
 def build_product_module(p, m_first, m_second, rng=DEFAULT_RANGE,
                          kmax=DEFAULT_KMAX):
     """Module over U ⊗_R V from compatible U- and V-module structures on W:
-    Y(u⊗v,x)w = (Y^U(u,x1) Y^V(v,x)w)|_{x1=x}.
+    Y(u⊗v,x)w = Y^U(u,x) Y^V(v,x) w.
 
     Hypotheses checked first: two-variable regularity, the inverse-twist
     commutation, and the k-witnessed direct commutation.
@@ -612,10 +610,7 @@ def build_product_module(p, m_first, m_second, rng=DEFAULT_RANGE,
     yu1, yv2 = m_first.yw.at("x1"), m_second.yw.at("x2")
     spaces = (p.first.space, p.second.space, W)
     for (u, v, w) in basis_tuples(spaces):
-        vec = SeriesVector.basis(spaces, (u, v, w))
-        vec = yv2.apply(vec, (1, 2))
-        vec = yu1.apply(vec, (0, 1))
-        if not vec.exact():
+        if not double_product(yu1, yv2, u, v, w, spaces).exact():
             raise PreconditionError("two-variable regularity", (u, v, w))
 
     rep = module_hypotheses(m_first, m_second, twist, rng, kmax)
@@ -624,13 +619,9 @@ def build_product_module(p, m_first, m_second, rng=DEFAULT_RANGE,
                                 rep.failures()[0].name)
 
     cols = {}
-    for (u, v) in basis_tuples((p.first.space, p.second.space)):
-        for w in W.basis:
-            vec = SeriesVector.basis(spaces, (u, v, w))
-            vec = m_second.yw.apply(vec, (1, 2))
-            vec = yu1.apply(vec, (0, 1))
-            vec = vec.transform(lambda s: s.diagonal("x1", "x"))
-            cols[(p.pair(u, v), w)] = vec
+    for (u, v, w) in basis_tuples(spaces):
+        cols[(p.pair(u, v), w)] = double_product(m_first.yw, m_second.yw,
+                                                 u, v, w, spaces)
     yw = SeriesMap((p.space, W), (W,), cols)
     return NvaModule(f"{p.nva.name}-module({W.name})", p.nva, W, yw)
 
@@ -664,7 +655,7 @@ def check_module_extension(p, mod, m_first, m_second):
 def module_hypotheses(m_first, m_second, twist, rng, kmax):
     """eYWuv-comm and the k-witnessed commutation for the two actions."""
     rep = CheckReport("product-module hypotheses")
-    rep.extend(inverse_commutation(m_first, m_second, twist, rng,
+    rep.extend(inverse_commutation(m_first, m_second, twist,
                                    "inverse-commutation"))
 
     # (x2-x1)^k Y^V(v,x1)Y^U(u,x2)w

@@ -216,21 +216,23 @@ class Series:
     # -- variable surgery ----------------------------------------------------
 
     def rename(self, mapping):
-        variables = tuple(mapping.get(v, v) for v in self.variables)
-        if len(set(variables)) != len(variables):
-            raise VariableMismatch(f"rename collides: {variables}")
-        order = sorted(range(len(variables)), key=lambda i: variables[i])
-        new_vars = tuple(variables[i] for i in order)
-        out = {tuple(ex[i] for i in order): c for ex, c in self.coeffs.items()}
-        return Series(new_vars, out, self.window, self.exact)
-
-    def negate_var(self, var):
-        """Substitute var -> -var."""
-        if var not in self.variables:
-            return self
-        i = self.variables.index(var)
-        out = {ex: (c if ex[i] % 2 == 0 else -c) for ex, c in self.coeffs.items()}
-        return Series(self.variables, out, self.window, self.exact)
+        """Substitute each variable v -> mapping.get(v, v).  A target may
+        carry a sign, "-y" for v -> -y, and variables sent to one name merge,
+        their exponents adding."""
+        targets = [_signed(mapping.get(v, v)) for v in self.variables]
+        variables = tuple(sorted({name for name, _ in targets}))
+        pos = [variables.index(name) for name, _ in targets]
+        neg = [i for i, (_, sign) in enumerate(targets) if sign < 0]
+        out = {}
+        for ex, c in self.coeffs.items():
+            ne = [0] * len(variables)
+            for p, e in zip(pos, ex):
+                ne[p] += e
+            if sum(ex[i] for i in neg) % 2:
+                c = -c
+            ne = tuple(ne)
+            out[ne] = out[ne] + c if ne in out else c
+        return Series(variables, out, self.window, self.exact)
 
     def deriv(self, var):
         if var not in self.variables:
@@ -259,65 +261,51 @@ class Series:
                 out[ex[:i] + ex[i + 1 :]] = c
         return Series(rest, out, self.window, self.exact)
 
-    def set_zero(self, var):
-        return self.extract(var, 0)
-
-    def diagonal(self, var_from, var_to):
-        """Substitute var_from -> var_to (merging exponents)."""
-        if var_from not in self.variables:
-            return self
-        i = self.variables.index(var_from)
-        j = self.variables.index(var_to)
-        rest = self.variables[:i] + self.variables[i + 1 :]
-        jj = j if j < i else j - 1
-        out = {}
-        for ex, c in self.coeffs.items():
-            ne = list(ex[:i] + ex[i + 1 :])
-            ne[jj] += ex[i]
-            ne = tuple(ne)
-            out[ne] = out.get(ne, Q(0)) + c
-        return Series(rest, out, self.window, self.exact)
-
-    def substitute_sum(self, var, first, second, rng, sign_first=1, sign_second=1):
-        """Substitute var -> sign_first*first + sign_second*second.
+    def substitute_sum(self, var, first, second):
+        """Substitute var -> first + second, each summand a variable name
+        with an optional sign ("x1", "-x2"); a summand may be var itself or
+        another variable of the series.
 
         Negative powers are expanded in nonnegative powers of the SECOND
-        summand (the iota convention); the expansion for negative exponents
-        is infinite and therefore clipped, dropping the exact flag.
+        summand (the iota convention).  That expansion is infinite, so it is
+        clipped at the series' window and the result is not exact.
         """
         if var not in self.variables:
             return self
-        if first == second:
+        (f, sf), (g, sg) = _signed(first), _signed(second)
+        if f == g:
             raise VariableMismatch("summands must be distinct variables")
         i = self.variables.index(var)
         rest = self.variables[:i] + self.variables[i + 1 :]
-        # first/second may coincide with a remaining variable; the monomial
-        # products below merge exponents automatically.
-        window = _meet(self.window, rng)
-        variables = tuple(sorted(set(rest) | {first, second}))
-
-        total = Series(variables, {}, window, self.exact)
-        fst_lo, sec_hi = window
+        variables = tuple(sorted(set(rest) | {f, g}))
+        pos = [variables.index(v) for v in rest]
+        pf, pg = variables.index(f), variables.index(g)
+        lo, hi = self.window
+        exact = self.exact
+        out = {}
         for ex, c in self.coeffs.items():
             n = ex[i]
-            rest_mono = Series(rest, {ex[:i] + ex[i + 1 :]: c}, self.window)
+            base = [0] * len(variables)
+            for p, e in zip(pos, ex[:i] + ex[i + 1 :]):
+                base[p] = e
             if n >= 0:
                 cap = n
-                tail_exact = True
             else:
-                cap = max(-1, min(sec_hi, n - fst_lo))
-                tail_exact = False
-            expansion = Series(variables, {}, window, tail_exact)
+                cap = max(-1, min(hi, n - lo))
+                exact = False
             for k in range(cap + 1):
-                coef = binom(n, k) * Q(sign_first) ** ((n - k) % 2) * Q(sign_second) ** (k % 2)
-                mono = {}
-                e_first, e_second = n - k, k
-                key = {first: e_first, second: e_second}
-                expt = tuple(key.get(v, 0) for v in variables)
-                mono[expt] = coef
-                expansion = expansion + Series(variables, mono, window, tail_exact)
-            total = total + expansion * rest_mono
-        return total
+                ne = list(base)
+                ne[pf] += n - k
+                ne[pg] += k
+                ne = tuple(ne)
+                term = c * binom(n, k) * sf ** ((n - k) % 2) * sg ** (k % 2)
+                out[ne] = out[ne] + term if ne in out else term
+        return Series(variables, out, self.window, exact)
+
+
+def _signed(name):
+    """(variable, sign) of a signed variable name such as "x" or "-x"."""
+    return (name[1:], -1) if name.startswith("-") else (name, 1)
 
 
 # ---------------------------------------------------------------------------

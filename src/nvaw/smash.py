@@ -137,7 +137,7 @@ def check_vertex_bialgebra(h):
         lhs_eps = h.counit.apply(yab, (0,))
         ea = h.counit.column((a,)).get(()).coeff(())
         eb = h.counit.column((b,)).get(()).coeff(())
-        want = SeriesVector.basis((), ()).transform(lambda s: s.scale(ea * eb))
+        want = SeriesVector.basis((), ()).scale(ea * eb)
         rep.compare(f"ε(Y({a},x){b}) == ε({a})ε({b})", lhs_eps, want)
 
         lhs = pairing.apply(h.coproduct.apply(yab, (0,)))
@@ -175,8 +175,7 @@ def check_module_algebra(m, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     for hl in hs.basis:
         col = m.action.column((hl, uvac))
         eh = h.counit.column((hl,)).get(()).coeff(())
-        want = SeriesVector.basis((us,), (uvac,)).transform(
-            lambda s: s.scale(eh))
+        want = SeriesVector.basis((us,), (uvac,)).scale(eh)
         rep.compare(f"Y({hl},x)1 == ε({hl})1", col, want)
         poly = all(s.is_polynomial() for s in col.entries.values()) and \
             all(s.is_polynomial()
@@ -187,8 +186,7 @@ def check_module_algebra(m, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
                 + ("" if poly else " (with finite pole order)"))
 
     act_x = m.action
-    act_xz = m.action.transform(
-        lambda s: s.substitute_sum("x", "x", "z", rng, 1, -1))
+    act_xz = m.action.at("x", "-z")
     yu_z = m.module.y.at("z")
     for (hl, u, v) in basis_tuples((hs, us, us)):
         vec = SeriesVector.basis((hs, us, us), (hl, u, v))
@@ -201,8 +199,7 @@ def check_module_algebra(m, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
         rep.compare(f"Y({hl},x)Y({u},z){v} == Y(Y(h1,x-z){u},z)Y(h2,x){v}",
                     lhs, rhs)
 
-    act_z = m.action.at("z")
-    act_zx = act_z.transform(lambda s: s.substitute_sum("z", "z", "x", rng))
+    act_z, act_zx = m.action.at("z"), m.action.at("z", "x")
     yh_x = h.algebra.y
     for (h1, h2, v) in basis_tuples((hs, hs, us)):
         vec = SeriesVector.basis((hs, hs, us), (h1, h2, v))
@@ -260,7 +257,7 @@ def _require_matched(u, v):
                                  v.bialgebra.algebra.name))
 
 
-def smash_as_twist(u, v, rng=DEFAULT_RANGE, check=True):
+def smash_as_twist(u, v, check=True):
     """The canonical twisting operator R(x)(v⊗u') = Y(b1(v),-x)u' ⊗ v2
     read off the coaction ρ(v) = Σ b1(v)⊗v2 and the action of H on U.
 
@@ -274,7 +271,7 @@ def smash_as_twist(u, v, rng=DEFAULT_RANGE, check=True):
     _require_matched(u, v)
     U, V = u.module, v.comodule
     us, vs = U.space, V.space
-    act_neg = u.action.transform(lambda s: s.negate_var("x"))
+    act_neg = u.action.at("-x")
     cols = {}
     for (vl, ul) in basis_tuples((vs, us)):
         vec = SeriesVector.basis((vs, us), (vl, ul))
@@ -283,10 +280,10 @@ def smash_as_twist(u, v, rng=DEFAULT_RANGE, check=True):
     twist = TwistOp(f"smash({U.name},{V.name})", U, V,
                     SeriesMap((vs, us), (us, vs), cols))
     rep = CheckReport(f"{twist.name}: smash product as twisted tensor")
-    rep.extend(check_twisting_axioms(twist, rng))
+    rep.extend(check_twisting_axioms(twist))
     if check:
-        sharp = build_smash(u, v, rng, check_axioms=False)
-        tw = build_twisted_tensor(U, V, twist, rng, check_axioms=False)
+        sharp = build_smash(u, v)
+        tw = build_twisted_tensor(U, V, twist, check_axioms=False)
         for key in sorted(set(sharp.nva.y.columns) | set(tw.nva.y.columns)):
             other = SeriesVector((sharp.nva.space,),
                                  tw.nva.y.column(key).entries)
@@ -295,27 +292,21 @@ def smash_as_twist(u, v, rng=DEFAULT_RANGE, check=True):
     return twist, rep
 
 
-def build_smash(u, v, rng=DEFAULT_RANGE, check_axioms=True):
+def build_smash(u, v):
     """The smash product U♯V with multiplication
 
         Y(u⊗v,x)(u'⊗v') = Y(u,x) Y(b1(v),x) u' ⊗ Y(v2,x) v'.
 
     Returns a ProductNva whose attached twisting operator is the canonical
-    one, so every product-level check applies verbatim.
+    one, so every product-level check applies verbatim.  Only the shared
+    bialgebra is required here; the module-algebra and comodule-algebra
+    axioms are the caller's to check.
     """
-    from .products import (
-        PreconditionError, ProductNva, build_twisted_tensor, pair_label,
-    )
+    from .products import ProductNva, pair_label
     from .linalg import Space
     from .nva import Nva
 
     _require_matched(u, v)
-    if check_axioms:
-        for label, rep in (("module-algebra", check_module_algebra(u, rng)),
-                           ("comodule-algebra", check_comodule_algebra(v))):
-            if not rep.ok:
-                raise PreconditionError(f"{label} axioms",
-                                        rep.failures()[0].name)
     U, V = u.module, v.comodule
     us, vs = U.space, V.space
     pspace = Space(
@@ -333,7 +324,7 @@ def build_smash(u, v, rng=DEFAULT_RANGE, check_axioms=True):
         entries = {(pair_label(a, b),): s for (a, b), s in vec.entries.items()}
         cols[(pair_label(ul, vl), pair_label(u2, v2))] = SeriesVector(
             (pspace,), entries)
-    twist, _ = smash_as_twist(u, v, rng, check=False)
+    twist, _ = smash_as_twist(u, v, check=False)
     nva = Nva(pspace.name, pspace, pair_label(U.vacuum, V.vacuum),
               SeriesMap((pspace, pspace), (pspace,), cols))
     return ProductNva(nva, U, V, twist)
@@ -349,8 +340,8 @@ def check_smash_datum(d, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     rep.extend(check_vertex_bialgebra(d.coalgebra))
     rep.extend(check_module_algebra(d.action, rng, kmax))
     rep.extend(check_comodule_algebra(d.coaction))
-    _, twrep = smash_as_twist(d.action, d.coaction, rng)
+    _, twrep = smash_as_twist(d.action, d.coaction)
     rep.extend(twrep)
-    p = build_smash(d.action, d.coaction, rng, check_axioms=False)
+    p = build_smash(d.action, d.coaction)
     rep.extend(check_product_nva(p, rng, kmax))
     return rep

@@ -56,7 +56,7 @@ def flip_twist(first, second):
 # axioms
 
 
-def check_twisting_axioms(t, rng=DEFAULT_RANGE):
+def check_twisting_axioms(t):
     U, V = t.first, t.second
     rep = CheckReport(f"{t.name}: twisting-operator axioms")
 
@@ -72,7 +72,7 @@ def check_twisting_axioms(t, rng=DEFAULT_RANGE):
 
     # hexagon against Y_U:  R(x1)(1⊗Y_U(x2)) == (Y_U(x2)⊗1) R23(x1) R12(x1+x2)
     r_x1 = t.table.at("x1")
-    r_sum = r_x1.transform(lambda s: s.substitute_sum("x1", "x1", "x2", rng))
+    r_sum = t.table.at("x1", "x2")
     yu_x2 = U.y.at("x2")
     spaces = (V.space, U.space, U.space)
     for key in basis_tuples(spaces):
@@ -84,8 +84,7 @@ def check_twisting_axioms(t, rng=DEFAULT_RANGE):
         rep.compare(f"hexagon-right{key}", lhs, rhs)
 
     # hexagon against Y_V:  R(x1)(Y_V(x2)⊗1) == (1⊗Y_V(x2)) R12(x1-x2) R23(x1)
-    r_diff = r_x1.transform(
-        lambda s: s.substitute_sum("x1", "x1", "x2", rng, 1, -1))
+    r_diff = t.table.at("x1", "-x2")
     yv_x2 = V.y.at("x2")
     spaces = (V.space, V.space, U.space)
     for key in basis_tuples(spaces):
@@ -197,6 +196,6 @@ def with_inverse(t, rng=DEFAULT_RANGE):
 def reversed_twisting(t, rng=DEFAULT_RANGE):
     """R^{-1}(-x) is a twisting operator for the swapped pair."""
     t = with_inverse(t, rng)
-    table = t.inverse.transform(lambda s: s.negate_var("x"))
-    inv = t.table.transform(lambda s: s.negate_var("x"))
+    table = t.inverse.at("-x")
+    inv = t.table.at("-x")
     return TwistOp(f"rev({t.name})", t.second, t.first, table, inv)

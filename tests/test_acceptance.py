@@ -21,7 +21,7 @@ from nvaw.nva import (
     Outcome, adjoint_module, check_module, compute_D, window_equal_vec,
 )
 from nvaw.products import (
-    PreconditionError, build_ordinary_tensor, build_product_module,
+    Z2_WINDOW, PreconditionError, build_ordinary_tensor, build_product_module,
     build_twisted_tensor, check_module_extension, check_product_nva,
     check_product_properties, extract_twisting, flip_iso, restricted_module,
     universal_map,
@@ -33,7 +33,7 @@ from nvaw.registry import (
     REGISTRY_PRODUCTS, builtin_algebras, builtin_smash, builtin_smaps,
     builtin_twists, identity_smap, make_e1n, make_e2, make_z2, sign_twist_z2,
 )
-from nvaw.series import DEFAULT_RANGE, Eq, Q, Series, binom, window_equal
+from nvaw.series import Eq, Q, Series, binom, window_equal
 from nvaw.smash import smash_as_twist
 from nvaw.twist import check_twisting_axioms, flip_twist, reversed_twisting
 
@@ -139,7 +139,7 @@ def test_criterion_06_extraction_round_trip_with_zero_kernel():
     # monomial of the m = 3×3 window) is hit by n columns: of the n²·m
     # columns, the rank is n·m.
     algs, tws = builtin_algebras(), builtin_twists()
-    window = (-1, 1)
+    window = Z2_WINDOW
     m = (window[1] - window[0] + 1) ** 2
     problems = []
     for tname in ("flip:Z2,Z2", "sign:Z2,Z2"):
@@ -147,7 +147,7 @@ def test_criterion_06_extraction_round_trip_with_zero_kernel():
         p = build_twisted_tensor(algs["Z2"], algs["Z2"], t)
         u_labels = [p.pair(a, p.second.vacuum) for a in p.first.space.basis]
         v_labels = [p.pair(p.first.vacuum, b) for b in p.second.space.basis]
-        res = extract_twisting(p.nva, u_labels, v_labels, z2_window=window)
+        res = extract_twisting(p.nva, u_labels, v_labels)
         if not res.ok:
             failed = [i.name for r in (res.axioms, res.theta) if r
                       for i in r.failures()]
@@ -264,8 +264,8 @@ def test_criterion_11_thousand_randomized_series_cases():
         cases += 1
     for _ in range(300):  # Taylor substitution consistency on polynomials
         a = _random_poly(rnd, lo=0)
-        sub = a.substitute_sum("x", "x0", "x2", DEFAULT_RANGE)
-        back = sub.set_zero("x0").rename({"x2": "x"})
+        sub = a.substitute_sum("x", "x0", "x2")
+        back = sub.extract("x0", 0).rename({"x2": "x"})
         ok = ok and window_equal(a, back).kind is Eq.EXACT
         cases += 1
     for _ in range(300):  # binomial identities

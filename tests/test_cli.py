@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from nvaw.cli import Inputs, main
+from nvaw.nva import DEFAULT_KMAX, CheckReport, Outcome
 
 
 def run(*argv):
@@ -58,6 +59,39 @@ def test_smash_then_check_round_trip(tmp_path):
     assert run("check", str(out), "--suite", "nva") == 0
 
 
+def test_smash_kmax_reaches_the_module_algebra_precondition(
+        tmp_path, monkeypatch, capsys):
+    import nvaw.smash as smash_mod
+
+    real = smash_mod.check_module_algebra
+    seen = []
+
+    def spy(m, rng, kmax=DEFAULT_KMAX):
+        seen.append(kmax)
+        return real(m, rng, kmax)
+
+    monkeypatch.setattr(smash_mod, "check_module_algebra", spy)
+    out = tmp_path / "smash.nvaw"
+    assert run("smash", "z2-sign", "z2-sign", "--kmax", "3",
+               "-o", str(out)) == 0
+    assert seen == [3]
+
+    # a failed precondition is reported, exits 1 and writes no product
+    def failing(m, rng, kmax=DEFAULT_KMAX):
+        rep = CheckReport("module-algebra axioms")
+        rep.add("module(one,g,one) k=0", Outcome.FAIL)
+        return rep
+
+    monkeypatch.setattr(smash_mod, "check_module_algebra", failing)
+    out.unlink()
+    capsys.readouterr()
+    assert run("smash", "z2-sign", "z2-sign", "-o", str(out)) == 1
+    assert capsys.readouterr().err.startswith(
+        "precondition failed: hypothesis 'module-algebra axioms' fails at "
+        "module(one,g,one) k=0")
+    assert not out.exists()
+
+
 def test_extract_twist_recovers_sign(tmp_path):
     prod = tmp_path / "prod.nvaw"
     assert run("product", "Z2", "Z2", "--twist", "sign:Z2,Z2",
@@ -99,6 +133,7 @@ def test_usage_errors_exit_2():
     assert run("check", "Z2", "--suite", "nva", "--window", "5..2") == 2
     assert run("check", "E2", "--suite", "nva", "--window=2..4") == 2
     assert run("check", "E2", "--suite", "nva", "--window=-4..-2") == 2
+    assert run("check", "E1", "--suite", "nva", "--kmax", "-1") == 2
 
 
 def test_window_reaches_the_registry(tmp_path):

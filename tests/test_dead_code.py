@@ -64,3 +64,19 @@ def test_every_import_is_used():
             for path in sorted((ROOT / "src" / "nvaw").glob("*.py"))
             if path.name != "__init__.py"
             for name in unused_imports(path)] == []
+
+
+# SeriesMap.at (linalg.py) is the one way to change a table's variable;
+# nva.py substitutes x1 -> x0 + x2 in a product of two tables once its
+# pole is cleared, which is not a table
+VARIABLE_CHANGERS = {"series.py", "linalg.py", "nva.py"}
+
+
+def test_variable_changes_go_through_seriesmap_at():
+    callers = sorted({path.name
+                      for path in (ROOT / "src" / "nvaw").glob("*.py")
+                      for node in ast.walk(_parse(path))
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("rename", "substitute_sum")})
+    assert set(callers) <= VARIABLE_CHANGERS, callers

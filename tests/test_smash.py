@@ -114,8 +114,8 @@ def test_table_agreement_sees_a_column_missing_from_the_smash_table(
     real = smash_mod.build_smash
     dropped = []
 
-    def one_column_dropped(u, v, rng, check_axioms=True):
-        p = real(u, v, rng, check_axioms)
+    def one_column_dropped(u, v):
+        p = real(u, v)
         y = p.nva.y
         dropped.append(max(y.columns))
         cols = {k: c for k, c in y.columns.items() if k != dropped[-1]}
