@@ -11,8 +11,10 @@ Subcommands:
     nvaw extract-smap <input> [--json PATH]
 
 Inputs are registry names (see `nvaw list`) or paths to workbench files.
-The window bounds every exponent of every table, the registry's included;
-write it with `=`, since argparse reads `--window -3..3` as two options.
+The window bounds every exponent of every table, the registry's included:
+it is set on the tables as they are built, and every check reads it from
+them.  Write it with `=`, since argparse reads `--window -3..3` as two
+options.
 It must hold exponent 0 (LO <= 0 <= HI): a window without it clips the
 constant terms of every table, and the vacuum checks would fail.
 Exit status: 0 all checks pass, 1 verdict or precondition failures,
@@ -41,11 +43,13 @@ def _parse_window(text):
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise UsageError(f"bad window {text!r}, expected 'LO..HI'")
+        raise argparse.ArgumentTypeError(
+            f"bad window {text!r}, expected 'LO..HI'")
     if lo > hi:
-        raise UsageError(f"empty window {text!r}: {lo} > {hi}")
+        raise argparse.ArgumentTypeError(f"empty window {text!r}: {lo} > {hi}")
     if not lo <= 0 <= hi:
-        raise UsageError(f"window {text!r} does not hold exponent 0")
+        raise argparse.ArgumentTypeError(
+            f"window {text!r} does not hold exponent 0")
     return (lo, hi)
 
 
@@ -65,7 +69,7 @@ def _split_labels(text):
 class Inputs:
     """Resolves names against a parsed file (if any) and the registry."""
 
-    def __init__(self, path_or_name, rng=DEFAULT_RANGE):
+    def __init__(self, path_or_name, rng):
         self.rng = rng
         self.file = None
         self.name = None
@@ -129,10 +133,10 @@ class Inputs:
 # suites
 
 
-def _suite_nva(alg, rng, kmax):
+def _suite_nva(alg, kmax):
     rep = CheckReport(f"{alg.name}: nonlocal-vertex-algebra suite")
     rep.extend(check_vacuum(alg))
-    rep.extend(check_weak_associativity(alg, rng, kmax))
+    rep.extend(check_weak_associativity(alg, kmax))
     rep.extend(check_D_bracket(alg))
     return rep
 
@@ -146,7 +150,7 @@ def _suite_twist(inputs, args):
     return check_twisting_axioms(t)
 
 
-def _suite_qva(inputs, alg, args, rng, kmax):
+def _suite_qva(inputs, alg, args, kmax):
     from .quantum import (
         check_S_locality, check_S_skew, check_qva_axioms, check_qyb_unitarity,
     )
@@ -156,13 +160,13 @@ def _suite_qva(inputs, alg, args, rng, kmax):
     s = inputs.smap(args.smap, alg)
     rep = CheckReport(f"{alg.name}/{s.name}: quantum suite")
     rep.extend(check_qyb_unitarity(s))
-    rep.extend(check_S_locality(alg, s, rng, kmax))
-    rep.extend(check_S_skew(alg, s, rng))
-    rep.extend(check_qva_axioms(alg, s, rng))
+    rep.extend(check_S_locality(alg, s, kmax))
+    rep.extend(check_S_skew(alg, s))
+    rep.extend(check_qva_axioms(alg, s))
     return rep
 
 
-def _suite_product_props(inputs, args, rng, kmax):
+def _suite_product_props(inputs, args, kmax):
     from .products import (
         build_twisted_tensor, check_embeddings, check_invertible_relations,
         check_product_nva, check_product_properties,
@@ -174,29 +178,29 @@ def _suite_product_props(inputs, args, rng, kmax):
     t = inputs.twist(args.twist)
     p = build_twisted_tensor(t.first, t.second, t)
     rep = CheckReport(f"{p.nva.name}: product suite")
-    rep.extend(check_product_nva(p, rng, kmax))
+    rep.extend(check_product_nva(p, kmax))
     rep.extend(check_embeddings(p))
-    rep.extend(check_product_properties(p, rng))
+    rep.extend(check_product_properties(p))
     try:
-        with_inverse(t, rng)
+        with_inverse(t)
     except NotInvertibleError:
         pass
     else:
-        rep.extend(check_invertible_relations(p, rng, kmax))
+        rep.extend(check_invertible_relations(p, kmax))
     return rep
 
 
-def _suite_smash(inputs, rng, kmax):
+def _suite_smash(inputs, kmax):
     from .smash import SmashDatum, check_smash_datum
 
     act, coact = inputs.smash_halves()
     if act is None or coact is None:
         raise UsageError("--suite smash needs an action and a coaction")
     datum = SmashDatum(inputs.name or "file", act.bialgebra, act, coact)
-    return check_smash_datum(datum, rng, kmax)
+    return check_smash_datum(datum, kmax)
 
 
-def _suite_module(inputs, alg, rng, kmax):
+def _suite_module(inputs, alg, kmax):
     rep = CheckReport(f"{alg.name}: module suite")
     mods = []
     if inputs.file is not None:
@@ -205,7 +209,7 @@ def _suite_module(inputs, alg, rng, kmax):
     if not mods:
         mods = [adjoint_module(alg)]
     for mod in mods:
-        rep.extend(check_module(mod, rng, kmax))
+        rep.extend(check_module(mod, kmax))
     return rep
 
 
@@ -214,39 +218,34 @@ def _suite_module(inputs, alg, rng, kmax):
 
 
 def cmd_check(args):
-    rng = _parse_window(args.window)
     kmax = args.kmax
-    inputs = Inputs(args.input, rng)
+    inputs = Inputs(args.input, args.window)
     if args.suite == "smash":
-        rep = _suite_smash(inputs, rng, kmax)
+        rep = _suite_smash(inputs, kmax)
     else:
         alg = inputs.algebra()
         if args.suite == "nva":
-            rep = _suite_nva(alg, rng, kmax)
+            rep = _suite_nva(alg, kmax)
         elif args.suite == "twist":
             rep = _suite_twist(inputs, args)
         elif args.suite == "qva":
-            rep = _suite_qva(inputs, alg, args, rng, kmax)
+            rep = _suite_qva(inputs, alg, args, kmax)
         elif args.suite == "product-props":
-            rep = _suite_product_props(inputs, args, rng, kmax)
+            rep = _suite_product_props(inputs, args, kmax)
         elif args.suite == "module":
-            rep = _suite_module(inputs, alg, rng, kmax)
+            rep = _suite_module(inputs, alg, kmax)
         else:
             raise UsageError(f"unknown suite {args.suite!r}")
-    _report(rep, args, rng, suite=args.suite)
+    _report(rep, args, args.window, suite=args.suite)
     return 0 if rep.ok else 1
 
 
 def cmd_product(args):
     from .products import PreconditionError, build_twisted_tensor, check_product_nva
 
-    rng = _parse_window(args.window)
-    inputs_u = Inputs(args.first, rng)
-    inputs_v = Inputs(args.second, rng)
-    twist = (inputs_u.twist(args.twist) if args.twist
-             else None)
-    if twist is None:
-        raise UsageError("product requires --twist NAME")
+    inputs_u = Inputs(args.first, args.window)
+    inputs_v = Inputs(args.second, args.window)
+    twist = inputs_u.twist(args.twist)
     first, second = inputs_u.algebra(), inputs_v.algebra()
     if twist.first.space != first.space or twist.second.space != second.space:
         raise UsageError(
@@ -256,8 +255,8 @@ def cmd_product(args):
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1
-    rep = check_product_nva(p, rng, args.kmax)
-    _report(rep, args, rng, suite="product")
+    rep = check_product_nva(p, args.kmax)
+    _report(rep, args, args.window, suite="product")
     if args.output and rep.ok:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(emit_nva(p.nva))
@@ -268,15 +267,14 @@ def cmd_smash(args):
     from .products import PreconditionError, check_product_nva
     from .smash import build_smash, check_comodule_algebra, check_module_algebra
 
-    rng = _parse_window(args.window)
-    act, _ = Inputs(args.action, rng).smash_halves()
-    _, coact = Inputs(args.coaction, rng).smash_halves()
+    act, _ = Inputs(args.action, args.window).smash_halves()
+    _, coact = Inputs(args.coaction, args.window).smash_halves()
     if act is None or coact is None:
         raise UsageError("need one action block and one coaction block")
     try:
         p = build_smash(act, coact)
         for label, pre in (
-                ("module-algebra", check_module_algebra(act, rng, args.kmax)),
+                ("module-algebra", check_module_algebra(act, args.kmax)),
                 ("comodule-algebra", check_comodule_algebra(coact))):
             if not pre.ok:
                 raise PreconditionError(f"{label} axioms",
@@ -284,8 +282,8 @@ def cmd_smash(args):
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1
-    rep = check_product_nva(p, rng, args.kmax)
-    _report(rep, args, rng, suite="smash")
+    rep = check_product_nva(p, args.kmax)
+    _report(rep, args, args.window, suite="smash")
     if args.output and rep.ok:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(emit_nva(p.nva))
@@ -296,10 +294,8 @@ def cmd_extract_twist(args):
     from .products import extract_twisting
     from .linalg import UniqueSolution
 
-    rng = _parse_window(args.window)
-    host = Inputs(args.input, rng).algebra()
-    res = extract_twisting(host, _split_labels(args.u), _split_labels(args.v),
-                           rng)
+    host = Inputs(args.input, args.window).algebra()
+    res = extract_twisting(host, _split_labels(args.u), _split_labels(args.v))
     rep = CheckReport(f"{host.name}: twisting-operator extraction")
     from .nva import Outcome
 
@@ -309,7 +305,7 @@ def cmd_extract_twist(args):
     for sub in (res.axioms, res.theta, res.z2):
         if sub is not None:
             rep.extend(sub)
-    _report(rep, args, rng, suite="extract-twist")
+    _report(rep, args, args.window, suite="extract-twist")
     if res.twist is not None and args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(emit_twist(res.twist))
@@ -321,9 +317,8 @@ def cmd_extract_smap(args):
     from .linalg import UniqueSolution
     from .nva import Outcome
 
-    rng = _parse_window(args.window)
-    alg = Inputs(args.input, rng).algebra()
-    res = extract_S(alg, rng)
+    alg = Inputs(args.input, args.window).algebra()
+    res = extract_S(alg)
     rep = CheckReport(f"{alg.name}: S-map extraction")
     rep.add("columnwise solve", Outcome.EXACT_PASS
             if isinstance(res.solve, UniqueSolution) else Outcome.FAIL,
@@ -331,7 +326,7 @@ def cmd_extract_smap(args):
     for sub in (res.axioms, res.d_relation, res.z2):
         if sub is not None:
             rep.extend(sub)
-    _report(rep, args, rng, suite="extract-smap")
+    _report(rep, args, args.window, suite="extract-smap")
     if res.smap is not None and args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(emit_smap(res.smap))
@@ -376,7 +371,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, kmax=True):
-        p.add_argument("--window", metavar="LO..HI",
+        p.add_argument("--window", type=_parse_window, metavar="LO..HI",
                        default=f"{DEFAULT_RANGE[0]}..{DEFAULT_RANGE[1]}",
                        help="truncation window of every table, written "
                             "--window=LO..HI with LO <= 0 <= HI "

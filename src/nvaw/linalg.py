@@ -162,6 +162,12 @@ class SeriesMap:
             self.domain, self.codomain, {k: v.transform(fn) for k, v in self.columns.items()}
         )
 
+    def window(self):
+        """The meet of the windows of the entries: None when no entry has
+        one, as for an x-free table."""
+        return reduce(_meet, (s.window for v in self.columns.values()
+                              for s in v.entries.values()), None)
+
     def at(self, first, second=None):
         """The map with its series variable x changed: at("x1") renames it,
         at("-x") negates it, and at("x1", "-x2") substitutes x -> x1 - x2,

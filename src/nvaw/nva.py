@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .series import DEFAULT_RANGE, Eq, EqResult, Q, Series, window_equal
+from .series import Eq, EqResult, Q, Series, window_equal
 from .linalg import SeriesMap, SeriesVector, Space, basis_tuples
 
 
@@ -195,13 +195,13 @@ def clearing_exponent(vec, var, kmax):
     return k if k <= kmax else None
 
 
-def find_clearing_k(sides, kmax, rng):
+def find_clearing_k(sides, kmax):
     """(k, verdict): the first k <= kmax at which (x1-x2)^k lhs and
     (x1-x2)^k rhs compare equal for every (lhs, rhs) pair in sides, with the
     worst verdict over the pairs; (None, None) when no such k exists.
     (x2-x1)^k differs only by the sign (-1)^k, which changes no verdict,
     so the search serves the identities stated with (x2-x1)^k as well."""
-    step = Series.monomial("x1", 1, rng) - Series.monomial("x2", 1, rng)
+    step = Series.monomial("x1", 1) - Series.monomial("x2", 1)
     factor = Series.const(1)
     for k in range(kmax + 1):
         worst = EqResult(Eq.EXACT)
@@ -217,15 +217,15 @@ def find_clearing_k(sides, kmax, rng):
     return None, None
 
 
-def check_weak_associativity(nva, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
+def check_weak_associativity(nva, kmax=DEFAULT_KMAX):
     """(x0+x2)^k Y(u,x0+x2) Y(v,x2) w == (x0+x2)^k Y(Y(u,x0)v,x2) w."""
     rep = CheckReport(f"{nva.name}: weak associativity")
     rep.extend(weak_associativity_items(
-        nva.y, nva.y, (nva.space,) * 3, rng, kmax, "assoc"))
+        nva.y, nva.y, (nva.space,) * 3, kmax, "assoc"))
     return rep
 
 
-def weak_associativity_items(y, yw, spaces, rng, kmax, prefix):
+def weak_associativity_items(y, yw, spaces, kmax, prefix):
     """Shared engine for algebra and module weak associativity: y is the
     algebra's table on V, yw the table of its action on W.  Items are
     named "{prefix}(u,v,w) k=K"; k is the pole order of Y(u,x1)Y(v,x2)w
@@ -239,7 +239,7 @@ def weak_associativity_items(y, yw, spaces, rng, kmax, prefix):
             rep.add(f"{prefix}({u},{v},{w})", Outcome.NO_K_FOUND,
                     f"pole order exceeds kmax={kmax}")
             continue
-        xk = Series.monomial("x1", k, rng)
+        xk = Series.monomial("x1", k)
         lhs = lhs12.scale(xk).transform(
             lambda s: s.substitute_sum("x1", "x0", "x2"))
         sumk = xk.substitute_sum("x1", "x0", "x2")
@@ -274,13 +274,18 @@ def scalar_of(vec):
     return out
 
 
-def exp_xD(nva, rng=DEFAULT_RANGE):
-    """e^{xD} as a SeriesMap (V,) -> (V,); exact when D is nilpotent."""
+def exp_xD(nva):
+    """e^{xD} as a SeriesMap (V,) -> (V,), summed up to the top of the
+    window of the algebra's table, or up to x^dim V when it has none (past
+    which D^k = 0 for a nilpotent D).  Exact when the sum has ended there;
+    otherwise it is cut, marked inexact, and takes the table's window, or
+    (0, dim V) when there is none."""
     import math
 
     sp = (nva.space,)
     D = compute_D(nva)
-    hi = rng[1]
+    window = nva.y.window()
+    hi = len(nva.space) if window is None else window[1]
     cols = {}
     for v in nva.space.basis:
         acc = SeriesVector.zero(sp)
@@ -291,13 +296,14 @@ def exp_xD(nva, rng=DEFAULT_RANGE):
             if k > hi:
                 truncated = True
                 break
-            mono = Series.monomial("x", k, rng, coeff=Q(1, math.factorial(k)))
+            mono = Series.monomial("x", k, coeff=Q(1, math.factorial(k)))
             acc = acc + term.scale(mono)
             term = D.apply(term)
             k += 1
         if truncated:
+            cut = window or (0, hi)
             acc = acc.transform(
-                lambda s: Series(s.variables, s.coeffs, s.window, False))
+                lambda s: Series(s.variables, s.coeffs, cut, False))
         cols[(v,)] = acc
     return SeriesMap(sp, sp, cols)
 
@@ -324,7 +330,7 @@ def check_D_bracket(nva):
 # module axioms
 
 
-def check_module(mod, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
+def check_module(mod, kmax=DEFAULT_KMAX):
     """Module axioms for W over V: Y_W(1,x) is the identity, and the weak
     associativity of the algebra itself holds with the action on W,
 
@@ -338,6 +344,5 @@ def check_module(mod, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
         rep.compare(f"Y_W(1,x){w} == {w}", mod.yw.column((nva.vacuum, w)),
                     SeriesVector.basis((mod.space,), (w,)))
     rep.extend(weak_associativity_items(
-        nva.y, mod.yw, (nva.space, nva.space, mod.space), rng, kmax,
-        "module"))
+        nva.y, mod.yw, (nva.space, nva.space, mod.space), kmax, "module"))
     return rep

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .series import DEFAULT_RANGE, Series
+from .series import Series
 from .linalg import (
     Inconsistent,
     SeriesMap,
@@ -153,11 +153,11 @@ def build_ordinary_tensor(first, second):
                                 check_axioms=False)
 
 
-def check_product_nva(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
+def check_product_nva(p, kmax=DEFAULT_KMAX):
     """The product carries a nonlocal-vertex-algebra structure."""
     rep = CheckReport(f"{p.nva.name}: product is a nonlocal vertex algebra")
     rep.extend(check_vacuum(p.nva))
-    rep.extend(check_weak_associativity(p.nva, rng, kmax))
+    rep.extend(check_weak_associativity(p.nva, kmax))
     rep.extend(check_D_bracket(p.nva))
     rep.extend(check_embeddings(p))
     return rep
@@ -192,7 +192,7 @@ def product_D_sum(p):
     return pairing.compose(both.compose(unpairing))
 
 
-def check_product_properties(p, rng=DEFAULT_RANGE):
+def check_product_properties(p):
     """D-additivity, regularity of Y_R(u⊗1,x)(1⊗v), the (-1)-product
     identity u⊗v = (u⊗1)_{-1}(1⊗v), and the embedded skew symmetry."""
     rep = CheckReport(f"{p.nva.name}: product structural identities")
@@ -205,7 +205,7 @@ def check_product_properties(p, rng=DEFAULT_RANGE):
                     dsum.column(key))
 
     vac_u, vac_v = p.first.vacuum, p.second.vacuum
-    expd = exp_xD(P, rng)
+    expd = exp_xD(P)
     r_neg, y_neg = p.twist.table.at("-x"), P.y.at("-x")
     embed = p.embed_first().tensor(p.embed_second())
     for u in p.first.space.basis:
@@ -231,13 +231,13 @@ def check_product_properties(p, rng=DEFAULT_RANGE):
     return rep
 
 
-def check_invertible_relations(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
+def check_invertible_relations(p, kmax=DEFAULT_KMAX):
     """Identities available when R(x) is invertible."""
-    twist = with_inverse(p.twist, rng)
+    twist = with_inverse(p.twist)
     rep = CheckReport(f"{p.nva.name}: invertible-twist identities")
     P = p.nva
     vac_u, vac_v = p.first.vacuum, p.second.vacuum
-    expd = exp_xD(P, rng)
+    expd = exp_xD(P)
     y_neg = P.y.at("-x")
     embed = p.embed_second().tensor(p.embed_first())
 
@@ -262,7 +262,7 @@ def check_invertible_relations(p, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
 
     # k-witnessed:  (x1-x2)^k Y_R(1⊗v,x1) Y_R(u⊗1,x2) w
     #   == (x1-x2)^k Y_R(x2)(1⊗Y_R(x1)) R^{12}(x2-x1)(v⊗u⊗w)
-    rep.extend(commutation_with_twist(m_u, m_v, twist, rng, kmax,
+    rep.extend(commutation_with_twist(m_u, m_v, twist, kmax,
                                       "k-witnessed commutation"))
     return rep
 
@@ -283,7 +283,7 @@ def inverse_commutation(m_first, m_second, twist, title):
     return rep
 
 
-def commutation_with_twist(m_first, m_second, twist, rng, kmax, title):
+def commutation_with_twist(m_first, m_second, twist, kmax, title):
     """(x2-x1)^k Y(v,x1)Y(u,x2)w == (x2-x1)^k Y(x2)(1⊗Y(x1))
     R^{12}(x2-x1)(v⊗u⊗w), k searched in 0..kmax, for a module m_first over
     the twist's first factor and m_second over its second, on one space."""
@@ -295,7 +295,7 @@ def commutation_with_twist(m_first, m_second, twist, rng, kmax, title):
         vec = SeriesVector.basis(spaces, (v, u, w))
         lhs = yv1.apply(yu2.apply(vec, (1, 2)), (0, 1))
         rhs = yu2.apply(yv1.apply(r_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
-        k, res = find_clearing_k([(lhs, rhs)], kmax, rng)
+        k, res = find_clearing_k([(lhs, rhs)], kmax)
         if k is None:
             rep.add(f"{title}({v},{u};{w})", Outcome.NO_K_FOUND,
                     f"no k <= {kmax}")
@@ -319,7 +319,7 @@ def check_homomorphism(src, dst, phi):
     return rep
 
 
-def universal_map(p, target, psi1, psi2, rng=DEFAULT_RANGE):
+def universal_map(p, target, psi1, psi2):
     """The induced homomorphism ψ(u⊗v) = ψ1(u)_{-1} ψ2(v) from the twisted
     product to `target`, with all hypotheses checked first.
 
@@ -332,7 +332,7 @@ def universal_map(p, target, psi1, psi2, rng=DEFAULT_RANGE):
             raise PreconditionError(f"{tag} is a homomorphism",
                                     hrep.failures()[0].name)
 
-    expd = exp_xD(target, rng)
+    expd = exp_xD(target)
     r_neg, y_neg = p.twist.table.at("-x"), target.y.at("-x")
     psi12, psi21 = psi1.tensor(psi2), psi2.tensor(psi1)
 
@@ -363,22 +363,21 @@ def universal_map(p, target, psi1, psi2, rng=DEFAULT_RANGE):
     return psi, rep
 
 
-def flip_iso(p, rng=DEFAULT_RANGE):
+def flip_iso(p):
     """The isomorphism V ⊗_{R^{-1}(-x)} U -> U ⊗_R V, ψ(v⊗u) = v_{-1}u.
 
     Requires R and R^{-1} pole-free.  Returns (reversed_product, psi, report).
     """
     from .twist import reversed_twisting
 
-    twist = with_inverse(p.twist, rng)
+    twist = with_inverse(p.twist)
     for (mp, tag) in ((twist.table, "R"), (twist.inverse, "R^{-1}")):
         for key, col in mp.columns.items():
             if not all(s.is_polynomial() for s in col.entries.values()):
                 raise PreconditionError(f"{tag} pole-free", key)
 
-    rev = build_twisted_tensor(p.second, p.first, reversed_twisting(twist, rng))
-    psi, rep = universal_map(rev, p.nva, p.embed_second(), p.embed_first(),
-                             rng)
+    rev = build_twisted_tensor(p.second, p.first, reversed_twisting(twist))
+    psi, rep = universal_map(rev, p.nva, p.embed_second(), p.embed_first())
     # bijectivity by exact rank
     rows = []
     for key in basis_tuples((rev.space,)):
@@ -424,7 +423,7 @@ def sub_nva(host, name, labels, vacuum):
     return Nva(name, sp, vacuum, SeriesMap((sp, sp), (sp,), cols))
 
 
-def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE):
+def extract_twisting(host, u_labels, v_labels):
     """Solve for the twisting operator R(x) of a host algebra generated by
     two subalgebras, from the commutation condition
 
@@ -437,7 +436,8 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE):
     Solves at w = vacuum first, then validates against all w; on a unique
     solution runs the twisting axioms, the theta-bijectivity test and the
     degree-two injectivity report.  The vacuum of each subalgebra is the
-    host's when its labels hold it, and otherwise its first label.
+    host's when its labels hold it, and otherwise its first label.  The
+    solved R takes the window of the host's table.
     """
     def vacuum(labels):
         return host.vacuum if host.vacuum in labels else labels[0]
@@ -464,7 +464,7 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE):
 
     hs = (host.space,) * 3
     y1, y2 = host.y.at("x1"), host.y.at("x2")
-    step = Series.monomial("x1", 1, rng) - Series.monomial("x2", 1, rng)
+    step = Series.monomial("x1", 1) - Series.monomial("x2", 1)
     powers = {j: step ** j for j in range(k + max(ehi, 0) + 1)}
     # the image (-1)^e (x1-x2)^{k+e} Y(a,x2)Y(b,x1)w of every unknown
     # r[(v,u)->(a,b),e] does not depend on (v,u)
@@ -498,10 +498,11 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE):
         sol = full
     if not isinstance(sol, UniqueSolution) or isinstance(full, Inconsistent):
         return ExtractionResult(None, full, None, None,
-                                check_Z2_injectivity(host, rng))
+                                check_Z2_injectivity(host))
 
     dom = (valg.space, ualg.space)
     cod = (ualg.space, valg.space)
+    window = host.y.window()
     cols = {}
     for v in v_labels:
         for u in u_labels:
@@ -514,7 +515,7 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE):
                         if c != 0:
                             coeffs[(e,)] = c
                     if coeffs:
-                        entries[(a, b)] = Series(("x",), coeffs, rng)
+                        entries[(a, b)] = Series(("x",), coeffs, window)
             cols[(v, u)] = SeriesVector(cod, entries)
     twist = TwistOp(f"extracted({host.name})", ualg, valg,
                     SeriesMap(dom, cod, cols))
@@ -535,7 +536,7 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE):
               else Outcome.FAIL,
               f"rank {rank}, dim U⊗V {full}, dim host {len(host.space.basis)}")
 
-    z2 = check_Z2_injectivity(host, rng)
+    z2 = check_Z2_injectivity(host)
     return ExtractionResult(twist, sol, axioms, theta, z2)
 
 
@@ -543,7 +544,7 @@ def extract_twisting(host, u_labels, v_labels, rng=DEFAULT_RANGE):
 # degree-two injectivity (non-degeneracy surrogate at the window)
 
 
-def check_Z2_injectivity(host, rng=DEFAULT_RANGE):
+def check_Z2_injectivity(host):
     """Finite matrix of Z2(u⊗v⊗f) = f·Y(u,x1)Y(v,x2)1 over columns
     (basis ⊗ basis ⊗ monomial x1^e1 x2^e2, e1 and e2 in Z2_WINDOW);
     reports the kernel rank.
@@ -565,8 +566,7 @@ def check_Z2_injectivity(host, rng=DEFAULT_RANGE):
         for v in host.space.basis:
             base = double_product(y1, y2, u, v, host.vacuum, hs)
             for (e1, e2) in monos:
-                f = (Series.monomial("x1", e1, rng) *
-                     Series.monomial("x2", e2, rng))
+                f = Series.monomial("x1", e1) * Series.monomial("x2", e2)
                 col = base.scale(f)
                 entry = {}
                 for (lbl,), s in col.entries.items():
@@ -593,8 +593,7 @@ def check_Z2_injectivity(host, rng=DEFAULT_RANGE):
 # modules over the product
 
 
-def build_product_module(p, m_first, m_second, rng=DEFAULT_RANGE,
-                         kmax=DEFAULT_KMAX):
+def build_product_module(p, m_first, m_second, kmax=DEFAULT_KMAX):
     """Module over U ⊗_R V from compatible U- and V-module structures on W:
     Y(u⊗v,x)w = Y^U(u,x) Y^V(v,x) w.
 
@@ -603,7 +602,7 @@ def build_product_module(p, m_first, m_second, rng=DEFAULT_RANGE,
     """
     assert m_first.space == m_second.space, "modules must share the space"
     W = m_first.space
-    twist = with_inverse(p.twist, rng)
+    twist = with_inverse(p.twist)
 
     # regularity: Y^U(u,x1) Y^V(v,x2) w has no (x1-x2)-denominators; on
     # finite tables this is Laurent-polynomiality of the double product
@@ -613,7 +612,7 @@ def build_product_module(p, m_first, m_second, rng=DEFAULT_RANGE,
         if not double_product(yu1, yv2, u, v, w, spaces).exact():
             raise PreconditionError("two-variable regularity", (u, v, w))
 
-    rep = module_hypotheses(m_first, m_second, twist, rng, kmax)
+    rep = module_hypotheses(m_first, m_second, twist, kmax)
     if not rep.ok:
         raise PreconditionError("module compatibility",
                                 rep.failures()[0].name)
@@ -652,7 +651,7 @@ def check_module_extension(p, mod, m_first, m_second):
     return rep
 
 
-def module_hypotheses(m_first, m_second, twist, rng, kmax):
+def module_hypotheses(m_first, m_second, twist, kmax):
     """eYWuv-comm and the k-witnessed commutation for the two actions."""
     rep = CheckReport("product-module hypotheses")
     rep.extend(inverse_commutation(m_first, m_second, twist,
@@ -660,6 +659,6 @@ def module_hypotheses(m_first, m_second, twist, rng, kmax):
 
     # (x2-x1)^k Y^V(v,x1)Y^U(u,x2)w
     #   == (x2-x1)^k Y^U(x2)(1⊗Y^V(x1)) R^{12}(x2-x1)(v⊗u⊗w)
-    rep.extend(commutation_with_twist(m_first, m_second, twist, rng, kmax,
+    rep.extend(commutation_with_twist(m_first, m_second, twist, kmax,
                                       "k-commutation"))
     return rep

@@ -20,7 +20,7 @@ from .nva import (
     CheckReport, DEFAULT_KMAX, Outcome, compute_D, double_product, exp_xD,
     find_clearing_k,
 )
-from .series import DEFAULT_RANGE, Q, Series
+from .series import Q, Series
 from .twist import TwistOp, with_inverse
 
 
@@ -67,7 +67,7 @@ def apply_legs(mp, vec, legs):
 # S-locality and S-skew-symmetry
 
 
-def check_S_locality(a, s, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
+def check_S_locality(a, s, kmax=DEFAULT_KMAX):
     """(x1-x2)^k Y(u,x1)Y(v,x2)w ==
        (x1-x2)^k sum_i f_i(x2-x1) Y(v_i,x2)Y(u_i,x1)w,
     with S(x2-x1)(v⊗u) = sum_i v_i⊗u_i⊗f_i, one k per pair (u,v) working
@@ -84,7 +84,7 @@ def check_S_locality(a, s, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
             vec = SeriesVector.basis(spaces, (v, u, w))
             rhs = y2.apply(y1.apply(s_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
             sides.append((lhs, rhs))
-        k, res = find_clearing_k(sides, kmax, rng)
+        k, res = find_clearing_k(sides, kmax)
         if k is None:
             rep.add(f"S-locality({u},{v})", Outcome.NO_K_FOUND,
                     f"no k <= {kmax}")
@@ -93,12 +93,12 @@ def check_S_locality(a, s, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     return rep
 
 
-def check_S_skew(a, s, rng=DEFAULT_RANGE):
+def check_S_skew(a, s):
     """Y(u,x)v == e^{xD} sum_i f_i(-x) Y(v_i,-x)u_i,
     with S(-x)(v⊗u) = sum_i v_i⊗u_i⊗f_i(-x)."""
     rep = CheckReport(f"{a.name}/{s.name}: S-skew-symmetry")
     sp = a.space
-    expd = exp_xD(a, rng)
+    expd = exp_xD(a)
     s_neg, y_neg = s.table.at("-x"), a.y.at("-x")
     for (u, v) in basis_tuples((sp, sp)):
         lhs = a.vertex(u, v)
@@ -144,7 +144,7 @@ def check_qyb_unitarity(s):
 # the full axiom list for a quantum vertex algebra
 
 
-def check_qva_axioms(a, s, rng=DEFAULT_RANGE):
+def check_qva_axioms(a, s):
     """The seven identities of a quantum vertex algebra:
 
       1. S(x)(1⊗v) == 1⊗v
@@ -178,7 +178,7 @@ def check_qva_axioms(a, s, rng=DEFAULT_RANGE):
     ok4 = _d_bracket_items(rep, s.inverse_table(), D, leg=1, sign=1,
                            label="[1⊗D,S^{-1}(x)] == d/dx S^{-1}(x)")
 
-    skew = check_S_skew(a, s, rng)
+    skew = check_S_skew(a, s)
     rep.extend(skew)
 
     y2 = a.y.at("x2")
@@ -248,7 +248,7 @@ class SMapExtraction:
                 and self.d_relation is not None and self.d_relation.ok)
 
 
-def extract_S(a, rng=DEFAULT_RANGE):
+def extract_S(a):
     """Solve Y(u,x)v == e^{xD} Y(-x) S(-x)(v⊗u) columnwise for S.
 
     The unknowns are the coefficients of S(x)(v⊗u) = sum c[(a,b),e] x^e a⊗b
@@ -256,13 +256,14 @@ def extract_S(a, rng=DEFAULT_RANGE):
     nonzero the defining relation cannot pin the table down and the solve
     comes back Underdetermined; that outcome is reported honestly.  On a
     unique solution the full axiom suite and the extra derivation relation
-    [1⊗D, S(x)] == d/dx S(x) are run and reported.
+    [1⊗D, S(x)] == d/dx S(x) are run and reported.  The solved S takes
+    the window of the algebra's table.
     """
     from .products import EXP_RANGE, check_Z2_injectivity
 
     sp = a.space
-    z2 = check_Z2_injectivity(a, rng)
-    expd = exp_xD(a, rng)
+    z2 = check_Z2_injectivity(a)
+    expd = exp_xD(a)
     elo, ehi = EXP_RANGE
 
     # the image e^{xD} Y(aa,-x)bb (-1)^e x^e of the unknown s[(v,u)->(aa,bb),e]
@@ -272,9 +273,10 @@ def extract_S(a, rng=DEFAULT_RANGE):
     for (aa, bb) in basis_tuples((sp, sp)):
         base = y_neg.column((aa, bb))
         for e in range(elo, ehi + 1):
-            mono = Series.monomial("x", e, rng, coeff=Q(-1) ** (e % 2))
+            mono = Series.monomial("x", e, coeff=Q(-1) ** (e % 2))
             images[(aa, bb, e)] = expd.apply(base.scale(mono))
 
+    window = a.y.window()
     cols = {}
     combined = None
     for (v, u) in basis_tuples((sp, sp)):
@@ -295,7 +297,7 @@ def extract_S(a, rng=DEFAULT_RANGE):
                 if c != 0:
                     coeffs[(e,)] = c
             if coeffs:
-                entries[(aa, bb)] = Series(("x",), coeffs, rng)
+                entries[(aa, bb)] = Series(("x",), coeffs, window)
         cols[(v, u)] = SeriesVector((sp, sp), entries)
 
     if combined is not None:
@@ -304,7 +306,7 @@ def extract_S(a, rng=DEFAULT_RANGE):
     smap = SMap(f"extracted({a.name})", a, SeriesMap((sp, sp), (sp, sp), cols))
     axioms = CheckReport(f"{a.name}: extracted S-map axioms")
     axioms.extend(check_qyb_unitarity(smap))
-    axioms.extend(check_qva_axioms(a, smap, rng))
+    axioms.extend(check_qva_axioms(a, smap))
     d_rel = CheckReport(f"{a.name}: [1⊗D,S(x)] == d/dx S(x)")
     _d_bracket_items(d_rel, smap.table, compute_D(a), leg=1, sign=1,
                      label="[1⊗D,S(x)] == d/dx S(x)")
@@ -315,12 +317,12 @@ def extract_S(a, rng=DEFAULT_RANGE):
 # the induced S-map on a twisted tensor product
 
 
-def build_S_R(p, sU, sV, rng=DEFAULT_RANGE):
+def build_S_R(p, sU, sV):
     """S_R(x) = (R^{-1})^{23}(x) S_U^{12}(x) σ12 S_V^{34}(x) σ34 R^{23}(x)
     σ13 σ24, wrapped into the pair basis of the product algebra."""
     assert sU.algebra.space == p.first.space
     assert sV.algebra.space == p.second.space
-    twist = with_inverse(p.twist, rng)
+    twist = with_inverse(p.twist)
     U, V = p.first.space, p.second.space
     r_x, rinv_x = twist.table, twist.inverse
     su_x, sv_x = sU.table, sV.table

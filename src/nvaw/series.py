@@ -1,11 +1,15 @@
 """Exact arithmetic for sparse Laurent polynomials and truncated formal series.
 
 Everything is over the rationals.  A Series holds a finite sparse support in
-up to three formal variables together with one truncation window, a range
-(lo, hi) that bounds every exponent, and an exactness flag: exact means the
-stored support represents the object with no error; the flag drops to False
-the first time a coefficient is clipped at a window boundary, and the taint
-propagates through arithmetic.
+up to three formal variables together with one truncation window and an
+exactness flag.  The window is a property of the data: either a range
+(lo, hi) that bounds every exponent, set where a table is built (the
+registry, a parsed file), or None for untruncated exact data (x-free
+tables, monomials, polynomials such as (x1-x2)^k), which clips nothing and
+is neutral when windows meet.  Exact means the stored support represents
+the object with no error; the flag drops to False the first time a
+coefficient is clipped at a window boundary, and the taint propagates
+through arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ class EmptyWindow(SeriesError):
 
 # ---------------------------------------------------------------------------
 # truncation windows: one (lo, hi) range bounds every exponent of a Series;
-# a variable-free Series has the window None, neutral under intersection
+# the window None (always so for a variable-free Series) clips nothing and
+# is neutral under intersection
 
 
 def _meet(a, b):
@@ -70,7 +75,7 @@ class Series:
             raise VariableMismatch(f"at most {MAX_VARS} variables, got {variables}")
         if list(variables) != sorted(variables):
             raise VariableMismatch(f"variables must be sorted: {variables}")
-        if variables:
+        if variables and window is not None:
             lo, hi = window
             if lo > hi:
                 raise EmptyWindow(f"empty window [{lo},{hi}]")
@@ -102,8 +107,8 @@ class Series:
         return Series((), {(): c}, None)
 
     @staticmethod
-    def monomial(var, e, rng=DEFAULT_RANGE, coeff=1):
-        return Series((var,), {(e,): coeff}, rng)
+    def monomial(var, e, coeff=1):
+        return Series((var,), {(e,): coeff}, None)
 
     # -- basic queries -----------------------------------------------------
 
@@ -268,7 +273,8 @@ class Series:
 
         Negative powers are expanded in nonnegative powers of the SECOND
         summand (the iota convention).  That expansion is infinite, so it is
-        clipped at the series' window and the result is not exact.
+        clipped at the series' window and the result is not exact; a series
+        without a window has nowhere to clip it and raises SeriesError.
         """
         if var not in self.variables:
             return self
@@ -280,7 +286,6 @@ class Series:
         variables = tuple(sorted(set(rest) | {f, g}))
         pos = [variables.index(v) for v in rest]
         pf, pg = variables.index(f), variables.index(g)
-        lo, hi = self.window
         exact = self.exact
         out = {}
         for ex, c in self.coeffs.items():
@@ -290,7 +295,11 @@ class Series:
                 base[p] = e
             if n >= 0:
                 cap = n
+            elif self.window is None:
+                raise SeriesError(f"{var}^{n} has an infinite expansion "
+                                  "and no window to clip it at")
             else:
+                lo, hi = self.window
                 cap = max(-1, min(hi, n - lo))
                 exact = False
             for k in range(cap + 1):

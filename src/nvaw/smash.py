@@ -16,7 +16,6 @@ from .nva import (
     CheckReport, DEFAULT_KMAX, NvaModule, Outcome, check_module,
     window_equal_vec,
 )
-from .series import DEFAULT_RANGE
 from .twist import TwistOp
 
 
@@ -154,7 +153,7 @@ def check_vertex_bialgebra(h):
 # module-algebras
 
 
-def check_module_algebra(m, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
+def check_module_algebra(m, kmax=DEFAULT_KMAX):
     """The H-action makes U a module, fixes the vacuum through ε, and is
     compatible with the multiplication of U:
 
@@ -170,7 +169,7 @@ def check_module_algebra(m, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
 
     mod = NvaModule(f"{m.module.name} over {h.algebra.name}",
                     h.algebra, m.module.space, m.action)
-    rep.extend(check_module(mod, rng, kmax))
+    rep.extend(check_module(mod, kmax))
 
     for hl in hs.basis:
         col = m.action.column((hl, uvac))
@@ -330,7 +329,7 @@ def build_smash(u, v):
     return ProductNva(nva, U, V, twist)
 
 
-def check_smash_datum(d, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
+def check_smash_datum(d, kmax=DEFAULT_KMAX):
     """Full suite for a smash datum: coalgebra, bialgebra, module-algebra,
     comodule-algebra, the product axioms, and the twisted-tensor agreement."""
     from .products import check_product_nva
@@ -338,10 +337,10 @@ def check_smash_datum(d, rng=DEFAULT_RANGE, kmax=DEFAULT_KMAX):
     rep = CheckReport(f"{d.name}: smash-product suite")
     rep.extend(check_coalgebra(d.coalgebra))
     rep.extend(check_vertex_bialgebra(d.coalgebra))
-    rep.extend(check_module_algebra(d.action, rng, kmax))
+    rep.extend(check_module_algebra(d.action, kmax))
     rep.extend(check_comodule_algebra(d.coaction))
     _, twrep = smash_as_twist(d.action, d.coaction)
     rep.extend(twrep)
     p = build_smash(d.action, d.coaction)
-    rep.extend(check_product_nva(p, rng, kmax))
+    rep.extend(check_product_nva(p, kmax))
     return rep

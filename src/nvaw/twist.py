@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .series import DEFAULT_RANGE, Series
+from .series import Series
 from .linalg import SeriesMap, SeriesVector, basis_tuples, matrix_inverse
 from .nva import CheckReport, window_equal_vec
 
@@ -118,14 +118,18 @@ def _degree_matrices(table):
     return mats, dom, cod
 
 
-def invert_twisting(t, rng=DEFAULT_RANGE):
+def invert_twisting(t):
     """Compute R(x)^{-1} degree by degree as a power series in x.
 
     Requires the constant term M_0 to be invertible over Q.  The inverse is
-    truncated at the window top, and exact when the recursion has ended
-    inside the window: N_e = -M_0^{-1} sum_{d=1..maxdeg} M_d N_{e-d} is
-    zero for all later e once maxdeg consecutive N_e are zero, that is,
-    when max(e: N_e != 0) + maxdeg <= top.
+    truncated at the top of the table's window, and exact when the
+    recursion has ended inside it: N_e = -M_0^{-1} sum_{d=1..maxdeg} M_d
+    N_{e-d} is zero for all later e once maxdeg consecutive N_e are zero,
+    that is, when max(e: N_e != 0) + maxdeg <= top.  A table without a
+    window is cut at top = n * maxdeg, n = dim U⊗V: a polynomial inverse
+    adj(R)/det(R) has degree at most (n-1) * maxdeg.  The inverse takes
+    the table's window; without one, an exact inverse has none either and
+    a cut one takes (0, top).
     """
     mats, dom, cod = _degree_matrices(t.table)
     if any(d < 0 for d in mats):
@@ -138,8 +142,9 @@ def invert_twisting(t, rng=DEFAULT_RANGE):
     inv0 = matrix_inverse(m0)
     if inv0 is None:
         raise NotInvertibleError(f"{t.name}: constant term is singular")
-    hi = rng[1]
+    window = t.table.window()
     maxdeg = max(mats)
+    hi = n * maxdeg if window is None else window[1]
     ns = {0: inv0}
     for e in range(1, hi + 1):
         acc = [[Q(0)] * n for _ in range(n)]
@@ -160,6 +165,8 @@ def invert_twisting(t, rng=DEFAULT_RANGE):
             ns[e] = ne
 
     exact = max(ns) + maxdeg <= hi
+    if window is None and not exact:
+        window = (0, hi)
     cols = {}
     for j, key in enumerate(cod):
         entries = {}
@@ -169,7 +176,7 @@ def invert_twisting(t, rng=DEFAULT_RANGE):
                 if ne[i][j] != 0:
                     coeffs[(e,)] = ne[i][j]
             if coeffs:
-                entries[ckey] = Series(("x",), coeffs, rng, exact)
+                entries[ckey] = Series(("x",), coeffs, window, exact)
         cols[key] = SeriesVector(t.table.domain, entries)
     inverse = SeriesMap(t.table.codomain, t.table.domain, cols)
 
@@ -187,15 +194,15 @@ def invert_twisting(t, rng=DEFAULT_RANGE):
     return inverse
 
 
-def with_inverse(t, rng=DEFAULT_RANGE):
+def with_inverse(t):
     if t.inverse is not None:
         return t
-    return TwistOp(t.name, t.first, t.second, t.table, invert_twisting(t, rng))
+    return TwistOp(t.name, t.first, t.second, t.table, invert_twisting(t))
 
 
-def reversed_twisting(t, rng=DEFAULT_RANGE):
+def reversed_twisting(t):
     """R^{-1}(-x) is a twisting operator for the swapped pair."""
-    t = with_inverse(t, rng)
+    t = with_inverse(t)
     table = t.inverse.at("-x")
     inv = t.table.at("-x")
     return TwistOp(f"rev({t.name})", t.second, t.first, table, inv)

@@ -66,9 +66,9 @@ def test_smash_kmax_reaches_the_module_algebra_precondition(
     real = smash_mod.check_module_algebra
     seen = []
 
-    def spy(m, rng, kmax=DEFAULT_KMAX):
+    def spy(m, kmax=DEFAULT_KMAX):
         seen.append(kmax)
-        return real(m, rng, kmax)
+        return real(m, kmax)
 
     monkeypatch.setattr(smash_mod, "check_module_algebra", spy)
     out = tmp_path / "smash.nvaw"
@@ -77,7 +77,7 @@ def test_smash_kmax_reaches_the_module_algebra_precondition(
     assert seen == [3]
 
     # a failed precondition is reported, exits 1 and writes no product
-    def failing(m, rng, kmax=DEFAULT_KMAX):
+    def failing(m, kmax=DEFAULT_KMAX):
         rep = CheckReport("module-algebra axioms")
         rep.add("module(one,g,one) k=0", Outcome.FAIL)
         return rep
@@ -108,6 +108,21 @@ def test_extract_smap_reports_underdetermined(capsys):
     # instance, so the solve fails honestly
     assert run("extract-smap", "E2") == 1
     assert "Underdetermined" in capsys.readouterr().out
+
+
+def test_z2_report_of_an_x_free_algebra_does_not_depend_on_the_window(
+        tmp_path):
+    # the monomials f of the report are exact data, so a narrow window on
+    # the tables does not clip them
+    out = tmp_path / "report.json"
+    for alg in ("E1", "Z2"):
+        for window in ("--window=0..0", "--window=-8..8"):
+            assert run("extract-smap", alg, window, "--json", str(out)) == 1
+            z2 = [r for r in json.loads(out.read_text())
+                  if r["identity"] == "Z2 kernel rank 0"]
+            assert [(r["verdict"], r["detail"]) for r in z2] == [(
+                "FAIL", "columns 36, rank 18, kernel 18, "
+                        "monomial window (-1, 1)")], (alg, window)
 
 
 def test_json_report(tmp_path):

@@ -114,7 +114,7 @@ def test_inconsistent_witness_is_the_first_contradicting_equation():
                                                  DEFAULT_RANGE)})
     for window, want in (((-8, 8), Inconsistent((("a1",), (5,)))),
                          ((-2, 2), UniqueSolution({"x": Q(1)}))):
-        image = SeriesVector((A,), {("a1",): Series.monomial("x", 0, window)})
+        image = SeriesVector((A,), {("a1",): Series(("x",), {(0,): 1}, window)})
         assert solve_linear([(target, {"x": image})], ["x"]) == want
 
 

@@ -274,7 +274,6 @@ def test_module_hypotheses_commute_through_the_inverse_at_x1_minus_x2():
     adj = adjoint_module(p.nva)
     m1 = restricted_module(p, adj, "first")
     m2 = restricted_module(p, adj, "second")
-    rep = module_hypotheses(m1, m2, with_inverse(t), DEFAULT_RANGE,
-                            DEFAULT_KMAX)
+    rep = module_hypotheses(m1, m2, with_inverse(t), DEFAULT_KMAX)
     # with R^{-1}(x2-x1), inverse-commutation(s,s;(one,one)) failed
     assert outcomes(rep) == {"EXACT_PASS": 162}

@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from nvaw.series import (
-    DEFAULT_RANGE, EmptyWindow, Eq, Q, Series, binom,
+    DEFAULT_RANGE, EmptyWindow, Eq, Q, Series, SeriesError, binom,
     format_series, parse_series, window_equal,
 )
 
@@ -20,7 +20,7 @@ RNG = DEFAULT_RANGE
 
 
 def mono(var, k, c=1):
-    return Series.monomial(var, k, RNG, coeff=Q(c))
+    return Series((var,), {(k,): Q(c)}, RNG)
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +54,11 @@ def test_window_is_one_range_that_may_not_be_empty():
     assert s.window == (-2, 2) and s.coeffs == {(1, -1): 1} and not s.exact
     assert Series.const(1).window is None
     assert (s * Series.const(2)).window == (-2, 2)
-    assert (s + Series.monomial("x1", 0, (-1, 5))).window == (-1, 2)
+    assert (s + Series(("x1",), {(0,): 1}, (-1, 5))).window == (-1, 2)
     with pytest.raises(EmptyWindow):
         Series(("x",), {}, (3, 2))
     with pytest.raises(EmptyWindow):
-        Series.monomial("x", 0, (-3, -1)) + Series.monomial("x", 0, (1, 3))
+        Series(("x",), {(0,): 1}, (-3, -1)) + Series(("x",), {(0,): 1}, (1, 3))
 
 
 def test_deriv():
@@ -262,6 +262,51 @@ def test_substitute_sum_matches_sympy_inside_the_window(s, first, second):
     assert out.variables == ("x1", "x2")
     assert out.coeffs == want
     assert out.exact == s.is_polynomial()
+
+
+def test_substitute_sum_without_a_window_has_nowhere_to_clip():
+    with pytest.raises(SeriesError):
+        Series.monomial("x", -1).substitute_sum("x", "x1", "x2")
+    out = Series.monomial("x", 2).substitute_sum("x", "x1", "x2")
+    assert out.exact and out.window is None
+    assert out.coeffs == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+
+
+windows = st.one_of(st.none(), st.tuples(st.integers(-3, 0),
+                                         st.integers(0, 3)))
+
+
+@st.composite
+def operand_pair(draw):
+    """Two Laurent polynomials in x1, x2 or both, each with its own window
+    (None or a small range) and its support inside the meet of the two."""
+    wa, wb = draw(windows), draw(windows)
+    meet = wa if wb is None else wb if wa is None else (
+        max(wa[0], wb[0]), min(wa[1], wb[1]))
+    lo, hi = meet or (-3, 3)
+    pair = []
+    for window in (wa, wb):
+        variables = draw(st.sampled_from([("x1",), ("x2",), ("x1", "x2")]))
+        pair.append(draw(laurent(variables, lo, hi, window)))
+    return pair[0], pair[1], meet
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pair(), st.sampled_from(["+", "*"]))
+def test_arithmetic_matches_sympy_inside_the_meet(pair, op):
+    """a + b and a * b agree with sympy on every exponent inside the meet of
+    the windows, and are exact exactly when sympy's result has no term
+    outside it; with both windows None, exact and equal everywhere."""
+    a, b, meet = pair
+    out = a + b if op == "+" else a * b
+    want = laurent_coeffs(to_sympy(a) + to_sympy(b) if op == "+"
+                          else to_sympy(a) * to_sympy(b), out.variables)
+    inside = {ex: c for ex, c in want.items()
+              if meet is None or meet[0] <= min(ex) and max(ex) <= meet[1]}
+    assert out.window == meet
+    assert out.variables == tuple(sorted(set(a.variables) | set(b.variables)))
+    assert out.coeffs == inside
+    assert out.exact == (inside == want)
 
 
 @settings(max_examples=60, deadline=None)

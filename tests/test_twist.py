@@ -33,6 +33,10 @@ def test_invert_flip_and_sign():
         for key in basis_tuples(t.table.codomain):
             got = t.table.apply(inv.column(key))
             assert window_equal_vec(got, ident.column(key))
+        # both tables are x-free: the inverse is exact data, with no window
+        assert all(s.exact and s.window is None
+                   for col in inv.columns.values()
+                   for s in col.entries.values())
 
 
 def test_invert_with_x_dependence():
@@ -64,16 +68,23 @@ def test_inverse_is_exact_once_the_recursion_ends_inside_the_window():
         cols[("g", "g")] = SeriesVector(flip.codomain, gg)
         return TwistOp("t", z2, z2, SeriesMap(flip.domain, flip.codomain, cols))
 
-    def exact(t, rng):
-        return all(s.exact for col in invert_twisting(t, rng).columns.values()
+    def exact(t):
+        return all(s.exact for col in invert_twisting(t).columns.values()
                    for s in col.entries.values())
 
-    x = Series(("x",), {(1,): Q(1)}, DEFAULT_RANGE)
-    # N_1 != 0 and N_2 == 0: the window must reach x^2 to see the end
-    bumped = twist({("g", "g"): Series.const(1), ("one", "one"): x})
-    assert exact(bumped, (-2, 2)) and not exact(bumped, (-1, 1))
+    def bumped(window):
+        x = Series(("x",), {(1,): Q(1)}, window)
+        return twist({("g", "g"): Series.const(1), ("one", "one"): x})
+
+    # N_1 != 0 and N_2 == 0: the table's window must reach x^2 to see the end
+    assert exact(bumped((-2, 2))) and not exact(bumped((-1, 1)))
     # 1/(1+x) never ends
-    assert not exact(twist({("g", "g"): x + 1}), DEFAULT_RANGE)
+    x = Series(("x",), {(1,): Q(1)}, DEFAULT_RANGE)
+    assert not exact(twist({("g", "g"): x + 1}))
+    # without a window the recursion runs until a polynomial inverse has
+    # surely ended
+    assert exact(bumped(None))
+    assert not exact(twist({("g", "g"): Series.monomial("x", 1) + 1}))
 
 
 def test_invert_singular_raises():

@@ -39,3 +39,31 @@ def test_every_parameter_is_read():
              for path in sorted(SRC.glob("*.py"))
              for fn, param in unread_parameters(path)]
     assert [f for f in found if f not in EXEMPT] == []
+
+
+# The window is set where tables are built (registry, files, cli.Inputs)
+# and every check reads it off its tables; a window parameter on a check
+# would be a second source that can disagree with the data.
+NO_WINDOW_PARAMETER = ("nva.py", "linalg.py", "twist.py", "products.py",
+                       "quantum.py", "smash.py")
+CLI_WINDOW_PARAMETER = {"__init__", "_report"}
+
+
+def rng_parameters(path):
+    """Names of the functions in a module with a parameter named rng."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            if "rng" in {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}:
+                out.append(node.name)
+    return out
+
+
+def test_checks_take_the_window_from_their_tables():
+    found = [(name, fn) for name in NO_WINDOW_PARAMETER
+             for fn in rng_parameters(SRC / name)]
+    found += [("cli.py", fn) for fn in rng_parameters(SRC / "cli.py")
+              if fn not in CLI_WINDOW_PARAMETER]
+    assert found == []
