@@ -211,7 +211,9 @@ class SeriesMap:
         out_spaces = vec.spaces[:lo] + self.codomain + vec.spaces[hi:]
         out = {}
         for key, s in vec.entries.items():
-            col = self.column(key[lo:hi])
+            col = self.columns.get(key[lo:hi])
+            if col is None:
+                continue
             for ckey, cs in col.entries.items():
                 k = key[:lo] + ckey + key[hi:]
                 t = out[k] + s * cs if k in out else s * cs
@@ -237,15 +239,26 @@ class SeriesMap:
         return SeriesMap(self.domain + other.domain, self.codomain + other.codomain, cols)
 
     def on_legs(self, spaces, legs):
-        """Extend to identity on the other legs of the given space list."""
+        """Extend to identity on the other legs of the given space list.
+
+        Only the tuples whose selected legs have a column get one: the
+        column there, with the labels of the other legs put around each of
+        its keys.  That is the map's apply to the tuple's basis vector,
+        whose coefficient 1 changes no entry."""
         spaces = tuple(spaces)
-        legs = tuple(legs)
+        lo, hi = legs[0], legs[-1] + 1
+        assert tuple(legs) == tuple(range(lo, hi)), f"legs not contiguous: {legs}"
+        assert spaces[lo:hi] == self.domain, (spaces[lo:hi], self.domain)
+        codomain = spaces[:lo] + self.codomain + spaces[hi:]
+        present = [k for k in basis_tuples(self.domain) if k in self.columns]
+        after = basis_tuples(spaces[hi:])
         cols = {}
-        for t in basis_tuples(spaces):
-            vec = SeriesVector.basis(spaces, t)
-            cols[t] = self.apply(vec, legs)
-        lo = legs[0]
-        codomain = spaces[:lo] + self.codomain + spaces[legs[-1] + 1 :]
+        for pre in basis_tuples(spaces[:lo]):
+            for key in present:
+                entries = self.columns[key].entries
+                for post in after:
+                    cols[pre + key + post] = SeriesVector(codomain, {
+                        pre + k + post: s for k, s in entries.items()})
         return SeriesMap(spaces, codomain, cols)
 
     def __repr__(self):

@@ -608,19 +608,20 @@ def build_product_module(p, m_first, m_second, kmax=DEFAULT_KMAX):
     # finite tables this is Laurent-polynomiality of the double product
     yu1, yv2 = m_first.yw.at("x1"), m_second.yw.at("x2")
     spaces = (p.first.space, p.second.space, W)
-    for (u, v, w) in basis_tuples(spaces):
-        if not double_product(yu1, yv2, u, v, w, spaces).exact():
-            raise PreconditionError("two-variable regularity", (u, v, w))
+    double = yu1.compose(yv2.on_legs(spaces, (1, 2)))
+    for t in basis_tuples(spaces):
+        # a triple without a column is an exact zero
+        if not double.column(t).exact():
+            raise PreconditionError("two-variable regularity", t)
 
     rep = module_hypotheses(m_first, m_second, twist, kmax)
     if not rep.ok:
         raise PreconditionError("module compatibility",
                                 rep.failures()[0].name)
 
-    cols = {}
-    for (u, v, w) in basis_tuples(spaces):
-        cols[(p.pair(u, v), w)] = double_product(m_first.yw, m_second.yw,
-                                                 u, v, w, spaces)
+    table = m_first.yw.compose(m_second.yw.on_legs(spaces, (1, 2)))
+    cols = {(p.pair(u, v), w): col
+            for (u, v, w), col in table.columns.items()}
     yw = SeriesMap((p.space, W), (W,), cols)
     return NvaModule(f"{p.nva.name}-module({W.name})", p.nva, W, yw)
 

@@ -17,7 +17,7 @@ from .linalg import (
     solve_linear,
 )
 from .nva import (
-    CheckReport, DEFAULT_KMAX, Outcome, compute_D, double_product, exp_xD,
+    CheckReport, DEFAULT_KMAX, Outcome, compute_D, exp_xD,
     find_clearing_k,
 )
 from .series import Q, Series
@@ -77,10 +77,11 @@ def check_S_locality(a, s, kmax=DEFAULT_KMAX):
     y1, y2 = a.y.at("x1"), a.y.at("x2")
     s_sub = s.table.at("x2", "-x1")
     spaces = (sp, sp, sp)
+    double = y1.compose(y2.on_legs(spaces, (1, 2)))
     for (u, v) in basis_tuples((sp, sp)):
         sides = []
         for w in sp.basis:
-            lhs = double_product(y1, y2, u, v, w, spaces)
+            lhs = double.column((u, v, w))
             vec = SeriesVector.basis(spaces, (v, u, w))
             rhs = y2.apply(y1.apply(s_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
             sides.append((lhs, rhs))

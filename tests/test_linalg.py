@@ -10,6 +10,9 @@ from nvaw.linalg import (
     Inconsistent, SeriesMap, SeriesVector, Space, UniqueSolution,
     Underdetermined, basis_tuples, matrix_inverse, matrix_rank, solve_linear,
 )
+from nvaw.registry import (
+    builtin_algebras, builtin_smaps, builtin_smash, builtin_twists, make_e2,
+)
 from nvaw.series import DEFAULT_RANGE, Q, Series
 
 A = Space("A", ("a1", "a2"))
@@ -56,12 +59,56 @@ def test_map_compose_identity():
         SeriesMap.identity((A, A)).columns.keys()
 
 
+def registry_tables():
+    """Every table the registry builds, and two from E2 at the window 0..0,
+    where the x·t term of Y(s,x)1 is clipped to an inexact zero: E2's own
+    table, and the table of its clipped entries alone."""
+    tables = [a.y for a in builtin_algebras().values()]
+    for t in builtin_twists().values():
+        tables += [t.table] + ([t.inverse] if t.inverse is not None else [])
+    tables += [s.table for s in builtin_smaps().values()]
+    for d in builtin_smash().values():
+        tables += [d.coalgebra.coproduct, d.coalgebra.counit,
+                   d.action.action, d.coaction.coaction]
+    e2 = make_e2((0, 0)).y
+    clipped = SeriesMap(e2.domain, e2.codomain, {
+        key: SeriesVector(e2.codomain, {
+            k: s for k, s in col.entries.items() if s.is_zero()})
+        for key, col in e2.columns.items()})
+    return tables + [e2, clipped]
+
+
+def entries(vec):
+    return [(key, s.variables, s.coeffs, s.window, s.exact)
+            for key, s in vec.entries.items()]
+
+
 def test_on_legs_extends_with_identity():
     m = SeriesMap.flip(A, A)
     ext = m.on_legs((A, A, B), (0, 1))
     vec = SeriesVector.basis((A, A, B), ("a1", "a2", "b1"))
     out = ext.apply(vec)
     assert out.get(("a2", "a1", "b1")).coeff(()) == 1
+    # column by column, the definition: the map applied on the legs of
+    # each basis vector, the other legs left as they are
+    inexact_only = 0
+    for m in [m] + registry_tables():
+        for before, after in (((), ()), ((B,), ()), ((), (A,)), ((A, B), (B,))):
+            spaces = before + m.domain + after
+            legs = tuple(range(len(before), len(before) + len(m.domain)))
+            ext = m.on_legs(spaces, legs)
+            assert ext.codomain == before + m.codomain + after
+            want = {t: m.apply(SeriesVector.basis(spaces, t), legs)
+                    for t in basis_tuples(spaces)}
+            assert list(ext.columns) == [t for t, v in want.items()
+                                         if not v.is_zero()]
+            for t, col in ext.columns.items():
+                assert entries(col) == entries(want[t])
+                if all(s.is_zero() for s in col.entries.values()):
+                    assert col.exact() is False
+                    inexact_only += 1
+    # the clipped table's one column, at (s, one), under each extension
+    assert inexact_only == 1 + len(B) + len(A) + len(A) * len(B) * len(B)
 
 
 def const(c, space=(A,), key=("a1",)):

@@ -6,9 +6,10 @@ from nvaw.nva import (
     adjoint_module, check_D_bracket, check_module, check_vacuum,
     check_weak_associativity, compute_D, exp_xD, scalar_of, window_equal_vec,
 )
-from nvaw.linalg import SeriesVector, Space
+from nvaw.linalg import SeriesMap, SeriesVector, Space, basis_tuples
+from nvaw.nva import Nva
 from nvaw.registry import make_e1, make_e1n, make_e2, make_z2
-from nvaw.series import Eq, Series, window_equal
+from nvaw.series import DEFAULT_RANGE, Eq, Series, window_equal
 
 ALL = [make_e1, make_e1n, make_e2, make_z2]
 
@@ -87,3 +88,55 @@ def test_a_series_clipped_to_zero_keeps_its_vector_inexact():
     clipped = SeriesVector((sp,), {("a",): Series(("x",), {(1,): 1}, (0, 0))})
     assert not clipped.exact()
     assert window_equal_vec(clipped, SeriesVector.zero((sp,))).kind is Eq.WINDOW
+
+
+def pole_algebra():
+    """A table on Q{one,a,b} with poles, which no registry algebra has:
+    Y(a,x)a = x^-2 b, Y(b,x)a = x^-1 b, the vacuum acting as the identity,
+    Y(a,x)one = a, Y(b,x)one = b, and every other column zero."""
+    sp = Space("P", ("one", "a", "b"))
+
+    def vec(lbl, e):
+        return SeriesVector((sp,), {
+            (lbl,): Series(("x",), {(e,): 1}, DEFAULT_RANGE)})
+
+    cols = {("one", v): vec(v, 0) for v in sp.basis}
+    cols.update({("a", "one"): vec("a", 0), ("b", "one"): vec("b", 0),
+                 ("a", "a"): vec("b", -2), ("b", "a"): vec("b", -1)})
+    return Nva("P", sp, "one", SeriesMap((sp, sp), (sp,), cols))
+
+
+def test_weak_associativity_past_kmax_and_at_zero_triples():
+    alg = pole_algebra()
+    spaces = (alg.space,) * 3
+    items = [(i.name, i.outcome.name, i.detail)
+             for i in check_weak_associativity(alg, kmax=1).items]
+    # Y(a,x1)Y(v,x2)w has pole order 2 in x1 where Y(v,x2)w = a, that is
+    # at (v,w) = (one,a) and (a,one); every other triple has order <= 1
+    assert [name for name, outcome, _ in items if outcome == "NO_K_FOUND"] \
+        == ["assoc(a,one,a)", "assoc(a,a,one)"]
+    # the item list as the per-triple comparison gave it: the items below,
+    # and "k=0", exact-pass, without detail on every other triple
+    other = [
+        ("assoc(a,one,a)", "NO_K_FOUND", "pole order exceeds kmax=1"),
+        ("assoc(a,a,one)", "NO_K_FOUND", "pole order exceeds kmax=1"),
+        ("assoc(a,a,a) k=0", "FAIL", "witness (('b',), (-2, -1))"),
+        ("assoc(b,one,a) k=1", "FAIL", "witness (('b',), (1, -1))"),
+        ("assoc(b,a,one) k=1", "FAIL", "witness (('b',), (-1, 1))"),
+        ("assoc(b,a,a) k=0", "FAIL", "witness (('b',), (-1, -1))"),
+    ]
+    by_triple = {name.split(" ")[0]: (name, outcome, detail)
+                 for name, outcome, detail in other}
+    names = ["assoc({},{},{})".format(*t) for t in basis_tuples(spaces)]
+    assert items == [by_triple.get(name, (f"{name} k=0", "EXACT_PASS", ""))
+                     for name in names]
+    # both sides zero by their definition: 0 == 0, exact at k=0
+    y1, y2, y0 = alg.y.at("x1"), alg.y.at("x2"), alg.y.at("x0")
+    zero = []
+    for t, item in zip(basis_tuples(spaces), items):
+        vec = SeriesVector.basis(spaces, t)
+        if (y1.apply(y2.apply(vec, (1, 2)), (0, 1)).is_zero()
+                and y2.apply(y0.apply(vec, (0, 1)), (0, 1)).is_zero()):
+            zero.append(t)
+            assert item == ("assoc({},{},{}) k=0".format(*t), "EXACT_PASS", "")
+    assert len(zero) == 12

@@ -155,6 +155,24 @@ def test_extracted_assignment_is_unchanged(name):
     assert digest == ASSIGNMENT_SHA256[name]
 
 
+# SHA-256 of repr([(name, outcome.name, detail)]) of check_product_nva on
+# (E2 ⊗ E2) ⊗ E2, taken while weak associativity still composed both sides
+# triple by triple; the golden report has no host of dimension 27
+TRIPLE_PRODUCT_NVA_SHA256 = (
+    "3fbdc4fc30c98721d3687637b6a2b6c14e45fafad6fbcf373c9c9d317ef2d787")
+
+
+def test_triple_product_report_is_unchanged():
+    a, b, c = make_e2(), make_e2(), make_e2()
+    ab = build_twisted_tensor(a, b, flip_twist(a, b))
+    p = build_twisted_tensor(ab.nva, c, flip_twist(ab.nva, c))
+    items = [(i.name, i.outcome.name, i.detail)
+             for i in check_product_nva(p).items]
+    assert len(items) == 21285
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == \
+        TRIPLE_PRODUCT_NVA_SHA256
+
+
 def test_z2_injectivity_reports_kernel():
     z2 = make_z2()
     p = build_twisted_tensor(z2, z2, sign_twist_z2())
