@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 
-from .fileformat import ParseError, emit_nva, emit_smap, emit_twist, parse_file
 from .nva import (
     CheckReport, DEFAULT_KMAX, adjoint_module, check_D_bracket, check_module,
     check_vacuum, check_weak_associativity,
@@ -75,18 +74,22 @@ class Inputs:
         self.name = None
         if "/" in path_or_name or path_or_name.endswith(
                 (".nva", ".wb", ".txt")):
-            with open(path_or_name, encoding="utf-8") as fh:
-                self.file = parse_file(fh.read(), rng)
+            self.file = self._read(path_or_name)
         elif path_or_name in registry.builtin_algebras() \
                 or path_or_name in registry.builtin_smash():
             self.name = path_or_name
         else:
             try:
-                with open(path_or_name, encoding="utf-8") as fh:
-                    self.file = parse_file(fh.read(), rng)
+                self.file = self._read(path_or_name)
             except FileNotFoundError:
                 raise UsageError(
                     f"{path_or_name!r} is neither a registry name nor a file")
+
+    def _read(self, path):
+        from .fileformat import parse_file
+
+        with open(path, encoding="utf-8") as fh:
+            return parse_file(fh.read(), self.rng)
 
     def algebra(self):
         if self.name is not None:
@@ -258,6 +261,8 @@ def cmd_product(args):
     rep = check_product_nva(p, args.kmax)
     _report(rep, args, args.window, suite="product")
     if args.output and rep.ok:
+        from .fileformat import emit_nva
+
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(emit_nva(p.nva))
     return 0 if rep.ok else 1
@@ -285,6 +290,8 @@ def cmd_smash(args):
     rep = check_product_nva(p, args.kmax)
     _report(rep, args, args.window, suite="smash")
     if args.output and rep.ok:
+        from .fileformat import emit_nva
+
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(emit_nva(p.nva))
     return 0 if rep.ok else 1
@@ -307,6 +314,8 @@ def cmd_extract_twist(args):
             rep.extend(sub)
     _report(rep, args, args.window, suite="extract-twist")
     if res.twist is not None and args.output:
+        from .fileformat import emit_twist
+
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(emit_twist(res.twist))
     return 0 if res.ok else 1
@@ -328,6 +337,8 @@ def cmd_extract_smap(args):
             rep.extend(sub)
     _report(rep, args, args.window, suite="extract-smap")
     if res.smap is not None and args.output:
+        from .fileformat import emit_smap
+
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(emit_smap(res.smap))
     return 0 if res.ok else 1
@@ -357,7 +368,7 @@ def _report(rep, args, rng, suite):
             for item in rep.items
         ]
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(json.dumps(payload, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +446,16 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ParseError) as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except ValueError as exc:
+        # fileformat, and with it ParseError, is imported only by the
+        # commands that read or write a file
+        from .fileformat import ParseError
+
+        if not isinstance(exc, ParseError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

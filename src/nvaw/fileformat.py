@@ -34,8 +34,6 @@ pair labels of product algebras do); commas split target tuples only at the
 top parenthesis level.
 """
 
-from dataclasses import dataclass, field
-
 from .linalg import SeriesMap, SeriesVector, Space, basis_tuples
 from .nva import Nva, NvaModule
 from .series import DEFAULT_RANGE, SeriesError, format_series, parse_series
@@ -49,23 +47,23 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {col}: expected {expected}")
 
 
-@dataclass
 class _Block:
-    kind: str
-    name: str
-    header: tuple
-    lines: list = field(default_factory=list)  # (key-tuple, seriesvec-text, lineno)
+    def __init__(self, kind, name, header):
+        self.kind = kind
+        self.name = name
+        self.header = header
+        self.lines = []  # (key-tuple, (seriesvec-text, lineno))
 
 
-@dataclass
 class WorkbenchFile:
     """Parsed declarations, resolvable into workbench domain objects."""
 
-    spaces: dict = field(default_factory=dict)
-    vacuums: dict = field(default_factory=dict)
-    ys: dict = field(default_factory=dict)       # space name -> {(l1,l2): vec text}
-    blocks: dict = field(default_factory=dict)   # (kind, name) -> _Block
-    rng: tuple = DEFAULT_RANGE
+    def __init__(self, rng):
+        self.spaces = {}
+        self.vacuums = {}
+        self.ys = {}      # space name -> {(l1,l2): vec text}
+        self.blocks = {}  # (kind, name) -> _Block
+        self.rng = rng
 
     # -- resolution into domain objects --------------------------------------
 

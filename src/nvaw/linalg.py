@@ -6,22 +6,33 @@ selected tensor legs of a vector, which is how all the multi-variable
 identities are composed.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import reduce
 
 from .series import Series, _meet
 
 
-@dataclass(frozen=True)
 class Space:
-    name: str
-    basis: tuple
+    """A named basis.  Spaces built apart (a parsed file, a registry table)
+    are equal when their names and basis orders are."""
 
-    def __post_init__(self):
+    __slots__ = ("name", "basis")
+
+    def __init__(self, name, basis):
+        self.name = name
+        self.basis = basis
         assert len(set(self.basis)) == len(self.basis), f"duplicate labels in {self.name}"
+
+    def __eq__(self, other):
+        if other.__class__ is not Space:
+            return NotImplemented
+        return self.name == other.name and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.name, self.basis))
+
+    def __repr__(self):
+        return f"Space(name={self.name!r}, basis={self.basis!r})"
 
     def __len__(self):
         return len(self.basis)
@@ -271,24 +282,39 @@ class SeriesMap:
 # exact linear solving over Q
 
 
-@dataclass
+# The three outcomes of solve_linear compare by value and never equal an
+# outcome of another kind.
+
+
 class UniqueSolution:
-    assignment: dict
+    def __init__(self, assignment):
+        self.assignment = assignment
+
+    def __eq__(self, other):
+        return type(other) is UniqueSolution and self.assignment == other.assignment
 
 
-@dataclass
 class Underdetermined:
-    rank: int
-    free: list
-    particular: dict
+    def __init__(self, rank, free, particular):
+        self.rank = rank
+        self.free = free
+        self.particular = particular
+
+    def __eq__(self, other):
+        return type(other) is Underdetermined and (
+            (self.rank, self.free, self.particular)
+            == (other.rank, other.free, other.particular))
 
 
-@dataclass
 class Inconsistent:
     """The first equation, in input order, that contradicts the equations
     before it; witness is its (key, exponent) location."""
 
-    witness: tuple
+    def __init__(self, witness):
+        self.witness = witness
+
+    def __eq__(self, other):
+        return type(other) is Inconsistent and self.witness == other.witness
 
 
 def _subtract(target, f, row, skip):

@@ -7,13 +7,10 @@ an identity can hold exactly, hold on the truncation window only, fail with
 a witness, or fail to admit a clearing exponent k below the cap.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .series import Eq, EqResult, Q, Series, window_equal
-from .linalg import SeriesMap, SeriesVector, Space, basis_tuples
+from .linalg import SeriesMap, SeriesVector, basis_tuples
 
 
 DEFAULT_KMAX = 10
@@ -30,21 +27,21 @@ class Outcome(Enum):
         return self in (Outcome.EXACT_PASS, Outcome.WINDOW_PASS)
 
 
-@dataclass
 class CheckItem:
-    name: str
-    outcome: Outcome
-    detail: str = ""
+    def __init__(self, name, outcome, detail):
+        self.name = name
+        self.outcome = outcome
+        self.detail = detail
 
     @property
     def ok(self):
         return self.outcome.ok
 
 
-@dataclass
 class CheckReport:
-    title: str
-    items: list = field(default_factory=list)
+    def __init__(self, title):
+        self.title = title
+        self.items = []
 
     def add(self, name, outcome, detail=""):
         self.items.append(CheckItem(name, outcome, detail))
@@ -90,16 +87,14 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Nva:
     """A finite-dimensional nonlocal vertex algebra (V, Y, 1)."""
 
-    name: str
-    space: Space
-    vacuum: str
-    y: SeriesMap  # (V, V) -> (V,), series in "x"
-
-    def __post_init__(self):
+    def __init__(self, name, space, vacuum, y):
+        self.name = name
+        self.space = space
+        self.vacuum = vacuum
+        self.y = y  # (V, V) -> (V,), series in "x"
         assert self.vacuum in self.space.basis
         assert self.y.domain == (self.space, self.space)
         assert self.y.codomain == (self.space,)
@@ -112,16 +107,14 @@ class Nva:
         return self.y.column((u, v))
 
 
-@dataclass(frozen=True)
 class NvaModule:
     """A module W over a nonlocal vertex algebra."""
 
-    name: str
-    algebra: Nva
-    space: Space
-    yw: SeriesMap  # (V, W) -> (W,), series in "x"
-
-    def __post_init__(self):
+    def __init__(self, name, algebra, space, yw):
+        self.name = name
+        self.algebra = algebra
+        self.space = space
+        self.yw = yw  # (V, W) -> (W,), series in "x"
         assert self.yw.domain == (self.algebra.space, self.space)
         assert self.yw.codomain == (self.space,)
 
@@ -319,20 +312,27 @@ def exp_xD(nva):
 
 
 def check_D_bracket(nva):
-    """[D, Y(v,x)] == Y(Dv,x) == d/dx Y(v,x) on every pair."""
+    """[D, Y(v,x)] == Y(Dv,x) == d/dx Y(v,x) on every pair.
+
+    The three sides are built once as maps on v⊗u.  A pair at which none
+    of them has a column gives 0 == 0 twice, exact."""
     rep = CheckReport(f"{nva.name}: D-bracket")
     D = compute_D(nva)
-    for (v, u) in basis_tuples((nva.space, nva.space)):
-        yvu = nva.vertex(v, u)
-        # [D, Y(v,x)]u = D(Y(v,x)u) - Y(v,x)(Du)
-        vu = SeriesVector.basis((nva.space, nva.space), (v, u))
-        term1 = D.apply(yvu)
-        term2 = nva.y.apply(D.apply(vu, (1,)))
-        bracket = term1 - term2
-        ydv = nva.y.apply(D.apply(vu, (0,)))
-        deriv = yvu.transform(lambda s: s.deriv("x"))
-        rep.compare(f"[D,Y({v},x)]{u} == Y(D{v},x){u}", bracket, ydv)
-        rep.compare(f"Y(D{v},x){u} == d/dx Y({v},x){u}", ydv, deriv)
+    pair = (nva.space, nva.space)
+    # [D, Y(v,x)]u = D(Y(v,x)u) - Y(v,x)(Du)
+    bracket = D.compose(nva.y) - nva.y.compose(D.on_legs(pair, (1,)))
+    ydv = nva.y.compose(D.on_legs(pair, (0,)))
+    deriv = nva.y.transform(lambda s: s.deriv("x"))
+    nonzero = bracket.columns.keys() | ydv.columns.keys() | deriv.columns.keys()
+    for (v, u) in basis_tuples(pair):
+        first = f"[D,Y({v},x)]{u} == Y(D{v},x){u}"
+        second = f"Y(D{v},x){u} == d/dx Y({v},x){u}"
+        if (v, u) not in nonzero:
+            rep.add(first, Outcome.EXACT_PASS)
+            rep.add(second, Outcome.EXACT_PASS)
+            continue
+        rep.compare(first, bracket.column((v, u)), ydv.column((v, u)))
+        rep.compare(second, ydv.column((v, u)), deriv.column((v, u)))
     return rep
 
 

@@ -11,9 +11,6 @@ the twisting operator from a host algebra, the degree-two injectivity
 surrogate for non-degeneracy, and modules over the product.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .series import Series
@@ -66,14 +63,14 @@ def pair_label(ul, vl):
     return f"({ul},{vl})"
 
 
-@dataclass(frozen=True)
 class ProductNva:
     """A tensor-product nonlocal vertex algebra with its factor data."""
 
-    nva: Nva
-    first: Nva
-    second: Nva
-    twist: TwistOp
+    def __init__(self, nva, first, second, twist):
+        self.nva = nva
+        self.first = first
+        self.second = second
+        self.twist = twist
 
     pair = staticmethod(pair_label)
 
@@ -393,13 +390,13 @@ def flip_iso(p):
 # extraction of the twisting operator from a host algebra
 
 
-@dataclass
 class ExtractionResult:
-    twist: TwistOp | None
-    solve: object  # UniqueSolution | Underdetermined | Inconsistent
-    axioms: CheckReport | None
-    theta: CheckReport | None
-    z2: CheckReport | None
+    def __init__(self, twist, solve, axioms, theta, z2):
+        self.twist = twist  # TwistOp, or None
+        self.solve = solve  # UniqueSolution | Underdetermined | Inconsistent
+        self.axioms = axioms  # CheckReport, or None
+        self.theta = theta  # CheckReport, or None
+        self.z2 = z2  # CheckReport, or None
 
     @property
     def ok(self):

@@ -10,8 +10,6 @@ enough to determine it), and assembles the induced S-map on a twisted tensor
 product of two algebras that each carry one.
 """
 
-from dataclasses import dataclass
-
 from .linalg import (
     Inconsistent, SeriesMap, SeriesVector, UniqueSolution, basis_tuples,
     solve_linear,
@@ -24,15 +22,13 @@ from .series import Q, Series
 from .twist import TwistOp, with_inverse
 
 
-@dataclass(frozen=True)
 class SMap:
     """S(x): V⊗V -> V⊗V, columns keyed by domain basis pairs, series in x."""
 
-    name: str
-    algebra: "Nva"
-    table: SeriesMap
-
-    def __post_init__(self):
+    def __init__(self, name, algebra, table):
+        self.name = name
+        self.algebra = algebra
+        self.table = table
         sp = self.algebra.space
         assert self.table.domain == (sp, sp)
         assert self.table.codomain == (sp, sp)
@@ -234,13 +230,13 @@ def _d_bracket_items(rep, table, D, leg, sign, label):
 # solving for the S-map from the multiplication
 
 
-@dataclass
 class SMapExtraction:
-    smap: "SMap | None"
-    solve: object  # UniqueSolution | Underdetermined | Inconsistent
-    axioms: CheckReport | None
-    d_relation: CheckReport | None
-    z2: CheckReport
+    def __init__(self, smap, solve, axioms, d_relation, z2):
+        self.smap = smap  # SMap, or None
+        self.solve = solve  # UniqueSolution | Underdetermined | Inconsistent
+        self.axioms = axioms  # CheckReport, or None
+        self.d_relation = d_relation  # CheckReport, or None
+        self.z2 = z2  # CheckReport
 
     @property
     def ok(self):

@@ -18,8 +18,6 @@ on Z2 (group-like coproduct, sign action, diagonal coaction) reproduces the
 sign twist.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction as Q
 
 from .series import DEFAULT_RANGE, Series

@@ -12,11 +12,8 @@ coefficient is clipped at a window boundary, and the taint propagates
 through arithmetic.
 """
 
-from __future__ import annotations
-
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -327,10 +324,10 @@ class Eq(Enum):
     UNEQUAL = "Unequal"
 
 
-@dataclass(frozen=True)
 class EqResult:
-    kind: Eq
-    witness: tuple | None = None
+    def __init__(self, kind, witness=None):
+        self.kind = kind
+        self.witness = witness
 
     def __bool__(self):
         return self.kind is not Eq.UNEQUAL

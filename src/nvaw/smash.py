@@ -9,8 +9,6 @@ smash product construction, and the canonical twisting operator that
 exhibits every smash product as a twisted tensor product.
 """
 
-from dataclasses import dataclass
-
 from .linalg import SeriesMap, SeriesVector, basis_tuples
 from .nva import (
     CheckReport, DEFAULT_KMAX, NvaModule, Outcome, check_module,
@@ -19,7 +17,6 @@ from .nva import (
 from .twist import TwistOp
 
 
-@dataclass(frozen=True)
 class CoalgebraData:
     """A nonlocal vertex algebra H together with a coproduct and counit.
 
@@ -28,11 +25,10 @@ class CoalgebraData:
     a nonlocal vertex bialgebra.
     """
 
-    algebra: "Nva"
-    coproduct: SeriesMap
-    counit: SeriesMap
-
-    def __post_init__(self):
+    def __init__(self, algebra, coproduct, counit):
+        self.algebra = algebra
+        self.coproduct = coproduct
+        self.counit = counit
         sp = self.algebra.space
         assert self.coproduct.domain == (sp,)
         assert self.coproduct.codomain == (sp, sp)
@@ -40,44 +36,40 @@ class CoalgebraData:
         assert self.counit.codomain == ()
 
 
-@dataclass(frozen=True)
 class ModuleAlgebraData:
     """An algebra U with an H-action (H⊗U -> U, series in x) making it a
     nonlocal vertex H-module-algebra."""
 
-    bialgebra: CoalgebraData
-    module: "Nva"
-    action: SeriesMap
-
-    def __post_init__(self):
+    def __init__(self, bialgebra, module, action):
+        self.bialgebra = bialgebra
+        self.module = module
+        self.action = action
         hs, us = self.bialgebra.algebra.space, self.module.space
         assert self.action.domain == (hs, us)
         assert self.action.codomain == (us,)
 
 
-@dataclass(frozen=True)
 class ComoduleAlgebraData:
     """An algebra V with an x-independent coaction ρ: V -> H⊗V making it a
     nonlocal vertex H-comodule-algebra."""
 
-    bialgebra: CoalgebraData
-    comodule: "Nva"
-    coaction: SeriesMap
-
-    def __post_init__(self):
+    def __init__(self, bialgebra, comodule, coaction):
+        self.bialgebra = bialgebra
+        self.comodule = comodule
+        self.coaction = coaction
         hs, vs = self.bialgebra.algebra.space, self.comodule.space
         assert self.coaction.domain == (vs,)
         assert self.coaction.codomain == (hs, vs)
 
 
-@dataclass(frozen=True)
 class SmashDatum:
     """A matched action/coaction pair over one bialgebra."""
 
-    name: str
-    coalgebra: CoalgebraData
-    action: ModuleAlgebraData
-    coaction: ComoduleAlgebraData
+    def __init__(self, name, coalgebra, action, coaction):
+        self.name = name
+        self.coalgebra = coalgebra
+        self.action = action
+        self.coaction = coaction
 
 
 def same_bialgebra(a, b):

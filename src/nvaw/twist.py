@@ -6,9 +6,6 @@ normalized on both vacua, satisfying the two hexagon compatibilities with
 the vertex operators of the two factors.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .series import Series
@@ -20,19 +17,17 @@ class NotInvertibleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class TwistOp:
     """Twisting operator for the ordered factor pair (first, second):
     R(x): second ⊗ first -> first ⊗ second.  The twisted tensor product
     built from it is first ⊗_R second."""
 
-    name: str
-    first: "Nva"
-    second: "Nva"
-    table: SeriesMap  # (S, F) -> (F, S), series in "x"
-    inverse: SeriesMap | None = None  # (F, S) -> (S, F)
-
-    def __post_init__(self):
+    def __init__(self, name, first, second, table, inverse=None):
+        self.name = name
+        self.first = first
+        self.second = second
+        self.table = table  # (S, F) -> (F, S), series in "x"
+        self.inverse = inverse  # (F, S) -> (S, F), or None
         assert self.table.domain == (self.second.space, self.first.space)
         assert self.table.codomain == (self.first.space, self.second.space)
 

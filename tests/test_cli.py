@@ -183,6 +183,20 @@ def test_parse_error_exits_2(tmp_path):
     assert run("check", str(bad), "--suite", "nva") == 2
 
 
+def test_a_command_imports_only_what_it_runs():
+    # a fresh process, since this one has imported every module already
+    script = (
+        "import sys\n"
+        "import nvaw.cli\n"
+        "lean = {'dataclasses', 'nvaw.fileformat', 'nvaw.products'}\n"
+        "assert not lean & set(sys.modules), sorted(lean & set(sys.modules))\n"
+        "assert nvaw.cli.main(['check', 'E1', '--suite', 'nva']) == 0\n"
+        "assert not lean & set(sys.modules), sorted(lean & set(sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "nvaw.cli", "list"],
                           capture_output=True, text=True)

@@ -66,6 +66,19 @@ def test_every_import_is_used():
             for name in unused_imports(path)] == []
 
 
+def test_no_module_imports_dataclasses():
+    # importing dataclasses loads inspect, ast and dis, and every decorated
+    # class compiles its generated methods with exec: a cost each command
+    # pays at start-up
+    importers = sorted({
+        path.name for path in (ROOT / "src" / "nvaw").glob("*.py")
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Import)
+        and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"})
+    assert importers == []
+
+
 # SeriesMap.at (linalg.py) is the one way to change a table's variable;
 # nva.py substitutes x1 -> x0 + x2 in a product of two tables once its
 # pole is cleared, which is not a table

@@ -24,6 +24,15 @@ def test_basis_tuples():
     assert basis_tuples((A,))[0] == ("a1",)
 
 
+def test_spaces_compare_by_name_and_basis_order():
+    same = Space("A", ("a1", "a2"))
+    assert same == A and hash(same) == hash(A)
+    assert Space("A2", A.basis) != A
+    assert Space("A", ("a2", "a1")) != A
+    with pytest.raises(AssertionError, match="duplicate labels in D"):
+        Space("D", ("d", "e", "d"))
+
+
 def test_vector_arithmetic():
     v = SeriesVector.basis((A,), ("a1",))
     w = SeriesVector.basis((A,), ("a2",))
@@ -149,6 +158,7 @@ def test_inconsistent_witness_is_the_first_contradicting_equation():
     sol = solve_linear(equations(("c1", {"x": 1}, 1), ("c2", {"y": 1}, 2),
                                  ("c3", {"x": 1, "y": 1}, 4)), ["x", "y"])
     assert sol == Inconsistent((("c3",), ()))
+    assert UniqueSolution(sol.witness) != sol
     # y=2 is the first to contradict the equations before it; y=1 only
     # contradicts later ones, and y=3 comes after y=2
     sol = solve_linear(equations(("c1", {"y": 1}, 1), ("c2", {"y": 1}, 2),

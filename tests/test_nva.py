@@ -106,6 +106,23 @@ def pole_algebra():
     return Nva("P", sp, "one", SeriesMap((sp, sp), (sp,), cols))
 
 
+def test_vacuum_must_be_a_basis_label():
+    alg = pole_algebra()
+    with pytest.raises(AssertionError):
+        Nva("P", alg.space, "c", alg.y)
+
+
+def test_D_bracket_fails_where_only_the_derivative_has_a_column():
+    # D = 0 here (no Y(v,x)1 has an x term), so [D,Y(v,x)]u and Y(Dv,x)u
+    # vanish on every pair while d/dx Y(v,x)u does not at (a,a) and (b,a)
+    items = [(i.name, i.outcome.name, i.detail)
+             for i in check_D_bracket(pole_algebra()).items]
+    assert len(items) == 18
+    assert [item for item in items if item[1] != "EXACT_PASS"] == [
+        ("Y(Da,x)a == d/dx Y(a,x)a", "FAIL", "witness (('b',), (-3,))"),
+        ("Y(Db,x)a == d/dx Y(b,x)a", "FAIL", "witness (('b',), (-2,))")]
+
+
 def test_weak_associativity_past_kmax_and_at_zero_triples():
     alg = pole_algebra()
     spaces = (alg.space,) * 3
