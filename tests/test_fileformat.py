@@ -41,7 +41,7 @@ def test_algebra_round_trip(name):
     text = emit_nva(a)
     b = parse_file(text).algebra(a.space.name)
     assert b.space.basis == a.space.basis
-    # a Space built apart from the registry's is equal to it, as a dict key
+    # the parsed Space equals the registry's, hash included
     assert b.space == a.space and hash(b.space) == hash(a.space)
     assert b.vacuum == a.vacuum
     for key, col in a.y.columns.items():
