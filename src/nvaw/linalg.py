@@ -16,8 +16,6 @@ class Space:
     """A named basis.  Spaces built apart (a parsed file, a registry table)
     are equal when their names and basis orders are."""
 
-    __slots__ = ("name", "basis")
-
     def __init__(self, name, basis):
         self.name = name
         self.basis = basis
