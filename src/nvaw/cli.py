@@ -75,8 +75,7 @@ class Inputs:
         if "/" in path_or_name or path_or_name.endswith(
                 (".nva", ".wb", ".txt")):
             self.file = self._read(path_or_name)
-        elif path_or_name in registry.builtin_algebras() \
-                or path_or_name in registry.builtin_smash():
+        elif path_or_name in registry.ALGEBRA_NAMES + registry.SMASH_NAMES:
             self.name = path_or_name
         else:
             try:
@@ -122,7 +121,7 @@ class Inputs:
     def smash_halves(self):
         """(ModuleAlgebraData, ComoduleAlgebraData) from a registry datum or
         a file holding one action and one coaction block."""
-        if self.name is not None and self.name in registry.builtin_smash():
+        if self.name in registry.SMASH_NAMES:
             d = registry.builtin_smash()[self.name]
             return d.action, d.coaction
         actions = [n for (k, n) in self.file.blocks if k == "action"]
@@ -223,18 +222,19 @@ def _suite_module(inputs, alg, kmax):
 def cmd_check(args):
     kmax = args.kmax
     inputs = Inputs(args.input, args.window)
+    # only the suites that read the input's algebra build it
     if args.suite == "smash":
         rep = _suite_smash(inputs, kmax)
+    elif args.suite == "twist":
+        rep = _suite_twist(inputs, args)
+    elif args.suite == "product-props":
+        rep = _suite_product_props(inputs, args, kmax)
     else:
         alg = inputs.algebra()
         if args.suite == "nva":
             rep = _suite_nva(alg, kmax)
-        elif args.suite == "twist":
-            rep = _suite_twist(inputs, args)
         elif args.suite == "qva":
             rep = _suite_qva(inputs, alg, args, kmax)
-        elif args.suite == "product-props":
-            rep = _suite_product_props(inputs, args, kmax)
         elif args.suite == "module":
             rep = _suite_module(inputs, alg, kmax)
         else:

@@ -235,9 +235,11 @@ class SeriesMap:
         return SeriesVector(out_spaces, out)
 
     def compose(self, inner):
-        """self ∘ inner."""
+        """self ∘ inner.  An inner column with no key among self's columns
+        composes to zero, so only the others are applied."""
         assert inner.codomain == self.domain
-        cols = {k: self.apply(v) for k, v in inner.columns.items()}
+        cols = {k: self.apply(v) for k, v in inner.columns.items()
+                if not self.columns.keys().isdisjoint(v.entries)}
         return SeriesMap(inner.domain, self.codomain, cols)
 
     def tensor(self, other):

@@ -232,25 +232,28 @@ def weak_associativity_items(y, yw, spaces, kmax, prefix):
     lhs_map = yx1.compose(yx2.on_legs(spaces, (1, 2)))
     rhs_map = yx2.compose(yx0.on_legs(spaces, (0, 1)))
     powers = {}  # k -> (x1^k, (x0+x2)^k)
-    zero = SeriesVector.zero(lhs_map.codomain)
-    for (u, v, w) in basis_tuples(spaces):
-        lhs12 = lhs_map.columns.get((u, v, w), zero)
-        rhs0 = rhs_map.columns.get((u, v, w), zero)
-        if lhs12 is zero and rhs0 is zero:
-            rep.add(f"{prefix}({u},{v},{w}) k=0", Outcome.EXACT_PASS)
-            continue
-        k = clearing_exponent(lhs12, "x1", kmax)
-        if k is None:
-            rep.add(f"{prefix}({u},{v},{w})", Outcome.NO_K_FOUND,
-                    f"pole order exceeds kmax={kmax}")
-            continue
-        if k not in powers:
-            xk = Series.monomial("x1", k)
-            powers[k] = (xk, xk.substitute_sum("x1", "x0", "x2"))
-        xk, sumk = powers[k]
-        lhs = lhs12.scale(xk).transform(
-            lambda s: s.substitute_sum("x1", "x0", "x2"))
-        rep.compare(f"{prefix}({u},{v},{w}) k={k}", lhs, rhs0.scale(sumk))
+    for (u, v) in basis_tuples(spaces[:2]):
+        at = f"{prefix}({u},{v},"
+        for w in spaces[2].basis:
+            key = (u, v, w)
+            if key not in lhs_map.columns and key not in rhs_map.columns:
+                rep.items.append(
+                    CheckItem(f"{at}{w}) k=0", Outcome.EXACT_PASS, ""))
+                continue
+            lhs12 = lhs_map.column(key)
+            k = clearing_exponent(lhs12, "x1", kmax)
+            if k is None:
+                rep.add(f"{at}{w})", Outcome.NO_K_FOUND,
+                        f"pole order exceeds kmax={kmax}")
+                continue
+            if k not in powers:
+                xk = Series.monomial("x1", k)
+                powers[k] = (xk, xk.substitute_sum("x1", "x0", "x2"))
+            xk, sumk = powers[k]
+            lhs = lhs12.scale(xk).transform(
+                lambda s: s.substitute_sum("x1", "x0", "x2"))
+            rep.compare(f"{at}{w}) k={k}", lhs,
+                        rhs_map.column(key).scale(sumk))
     return rep
 
 

@@ -121,24 +121,18 @@ def build_twisted_tensor(first, second, twist, check_axioms=True):
                 "twisting-operator axioms", rep.failures()[0].name)
     U, V = first.space, second.space
     assert twist.first.space == U and twist.second.space == V
-    r_neg = twist.table.at("-x")
-    yu, yv = first.y, second.y
     pspace = Space(
         f"{first.name}*{second.name}",
         tuple(pair_label(u, v) for (u, v) in basis_tuples((U, V))),
     )
-    cols = {}
-    for (u, v) in basis_tuples((U, V)):
-        for (u2, v2) in basis_tuples((U, V)):
-            vec = SeriesVector.basis((U, V, U, V), (u, v, u2, v2))
-            vec = r_neg.apply(vec, (1, 2))   # (U, U, V, V)
-            vec = yv.apply(vec, (2, 3))      # (U, U, V)
-            vec = yu.apply(vec, (0, 1))      # (U, V)
-            out = {}
-            for (a, b), s in vec.entries.items():
-                out[(pair_label(a, b),)] = s
-            cols[(pair_label(u, v), pair_label(u2, v2))] = SeriesVector(
-                (pspace,), out)
+    # (Y_U(x) ⊗ Y_V(x)) R23(-x) on U⊗V⊗U⊗V, nested from the right: its
+    # column at u⊗v⊗u2⊗v2 is R23(-x), then Y_V, then Y_U applied to it
+    table = first.y.on_legs((U, U, V), (0, 1)).compose(
+        second.y.on_legs((U, U, V, V), (2, 3)).compose(
+            twist.table.at("-x").on_legs((U, V, U, V), (1, 2))))
+    cols = {(pair_label(u, v), pair_label(u2, v2)): SeriesVector((pspace,), {
+                (pair_label(a, b),): s for (a, b), s in col.entries.items()})
+            for (u, v, u2, v2), col in table.columns.items()}
     nva = Nva(pspace.name, pspace,
               pair_label(first.vacuum, second.vacuum),
               SeriesMap((pspace, pspace), (pspace,), cols))

@@ -215,7 +215,11 @@ def trivial_smash_datum():
 
 
 # ---------------------------------------------------------------------------
-# named lookup used by the command-line driver
+# named lookup used by the command-line driver, whose names are known
+# without building the tables
+
+ALGEBRA_NAMES = ("E1", "E1n", "E2", "Z2")
+SMASH_NAMES = ("z2-sign", "z2-trivial")
 
 
 def builtin_algebras(rng=DEFAULT_RANGE):

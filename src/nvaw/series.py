@@ -141,39 +141,58 @@ class Series:
     def align(self, variables, window):
         """Reindex onto a superset variable tuple (sorted), clipped to a
         window inside self.window."""
+        if self.variables == variables and self.window == window:
+            return self
+        coeffs, exact = self._lifted(variables, window)
+        return Series(variables, coeffs, window, exact)
+
+    def _lifted(self, variables, window):
+        """(coeffs, exact) of align(variables, window) without building it:
+        self.coeffs itself when the variables and the window are its own."""
         if self.variables == variables:
-            if self.window == window:
-                return self
-            return Series(variables, self.coeffs, window, self.exact)
-        pos = []
-        for v in self.variables:
-            if v not in variables:
-                raise VariableMismatch(f"{v} not in target {variables}")
-            pos.append(variables.index(v))
+            if window in (None, self.window) or not variables:
+                return self.coeffs, self.exact
+            pos = None
+        else:
+            pos = []
+            for v in self.variables:
+                if v not in variables:
+                    raise VariableMismatch(f"{v} not in target {variables}")
+                pos.append(variables.index(v))
+        lo, hi = window or (-math.inf, math.inf)
         out = {}
         for ex, c in self.coeffs.items():
-            ne = [0] * len(variables)
-            for p, e in zip(pos, ex):
-                ne[p] = e
-            out[tuple(ne)] = c
-        return Series(variables, out, window, self.exact)
+            if pos is not None:
+                ne = [0] * len(variables)
+                for p, e in zip(pos, ex):
+                    ne[p] = e
+                ex = tuple(ne)
+            if lo <= min(ex) and max(ex) <= hi:
+                out[ex] = c
+        # reindexing is one-to-one: a coefficient is missing iff clipped
+        return out, self.exact and len(out) == len(self.coeffs)
 
     @staticmethod
     def _merged(a, b):
-        variables = tuple(sorted(set(a.variables) | set(b.variables)))
+        """(a's coeffs, b's coeffs, variables, window, exact): both lifted
+        onto their union of variables and clipped to their meet window."""
+        variables = (a.variables if a.variables == b.variables
+                     else tuple(sorted(set(a.variables) | set(b.variables))))
         window = _meet(a.window, b.window)
-        return a.align(variables, window), b.align(variables, window), variables, window
+        ca, ea = a._lifted(variables, window)
+        cb, eb = b._lifted(variables, window)
+        return ca, cb, variables, window, ea and eb
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Series):
             other = Series.const(other)
-        a, b, variables, window = Series._merged(self, other)
-        out = dict(a.coeffs)
-        for ex, c in b.coeffs.items():
+        a, b, variables, window, exact = Series._merged(self, other)
+        out = dict(a)
+        for ex, c in b.items():
             out[ex] = out.get(ex, Q(0)) + c
-        return Series(variables, out, window, a.exact and b.exact)
+        return Series(variables, out, window, exact)
 
     __radd__ = __add__
 
@@ -190,14 +209,14 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
-        a, b, variables, window = Series._merged(self, other)
+        a, b, variables, window, exact = Series._merged(self, other)
         out = {}
-        for ex1, c1 in a.coeffs.items():
-            for ex2, c2 in b.coeffs.items():
+        for ex1, c1 in a.items():
+            for ex2, c2 in b.items():
                 ex = tuple(e1 + e2 for e1, e2 in zip(ex1, ex2))
                 prev = out.get(ex)
                 out[ex] = c1 * c2 if prev is None else prev + c1 * c2
-        return Series(variables, out, window, a.exact and b.exact)
+        return Series(variables, out, window, exact)
 
     __rmul__ = __mul__
 

@@ -65,30 +65,30 @@ def check_twisting_axioms(t):
         want = SeriesVector.basis(t.table.codomain, (u, V.vacuum))
         rep.compare(f"R(x)(1⊗{u}) == {u}⊗1", got, want)
 
-    # hexagon against Y_U:  R(x1)(1⊗Y_U(x2)) == (Y_U(x2)⊗1) R23(x1) R12(x1+x2)
+    # Each hexagon side is one map, nested from the right: its column at a
+    # basis tuple applies the factors to that tuple's basis vector in turn.
+    us, vs = U.space, V.space
     r_x1 = t.table.at("x1")
-    r_sum = t.table.at("x1", "x2")
+
+    # hexagon against Y_U:  R(x1)(1⊗Y_U(x2)) == (Y_U(x2)⊗1) R23(x1) R12(x1+x2)
     yu_x2 = U.y.at("x2")
-    spaces = (V.space, U.space, U.space)
+    spaces = (vs, us, us)
+    lhs = r_x1.compose(yu_x2.on_legs(spaces, (1, 2)))
+    rhs = yu_x2.on_legs((us, us, vs), (0, 1)).compose(
+        r_x1.on_legs((us, vs, us), (1, 2)).compose(
+            t.table.at("x1", "x2").on_legs(spaces, (0, 1))))
     for key in basis_tuples(spaces):
-        vec = SeriesVector.basis(spaces, key)
-        lhs = r_x1.apply(yu_x2.apply(vec, (1, 2)), (0, 1))
-        rhs = r_sum.apply(vec, (0, 1))
-        rhs = r_x1.apply(rhs, (1, 2))
-        rhs = yu_x2.apply(rhs, (0, 1))
-        rep.compare(f"hexagon-right{key}", lhs, rhs)
+        rep.compare(f"hexagon-right{key}", lhs.column(key), rhs.column(key))
 
     # hexagon against Y_V:  R(x1)(Y_V(x2)⊗1) == (1⊗Y_V(x2)) R12(x1-x2) R23(x1)
-    r_diff = t.table.at("x1", "-x2")
     yv_x2 = V.y.at("x2")
-    spaces = (V.space, V.space, U.space)
+    spaces = (vs, vs, us)
+    lhs = r_x1.compose(yv_x2.on_legs(spaces, (0, 1)))
+    rhs = yv_x2.on_legs((us, vs, vs), (1, 2)).compose(
+        t.table.at("x1", "-x2").on_legs((vs, us, vs), (0, 1)).compose(
+            r_x1.on_legs(spaces, (1, 2))))
     for key in basis_tuples(spaces):
-        vec = SeriesVector.basis(spaces, key)
-        lhs = r_x1.apply(yv_x2.apply(vec, (0, 1)), (0, 1))
-        rhs = r_x1.apply(vec, (1, 2))
-        rhs = r_diff.apply(rhs, (0, 1))
-        rhs = yv_x2.apply(rhs, (1, 2))
-        rep.compare(f"hexagon-left{key}", lhs, rhs)
+        rep.compare(f"hexagon-left{key}", lhs.column(key), rhs.column(key))
     return rep
 
 

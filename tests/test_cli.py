@@ -202,3 +202,30 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "algebras:" in proc.stdout
+
+
+def test_a_command_builds_each_registry_table_once(monkeypatch):
+    from nvaw import registry
+
+    builds = {}
+    for name in ("builtin_algebras", "builtin_twists", "builtin_smaps",
+                 "builtin_smash"):
+        real = getattr(registry, name)
+
+        def counted(*args, _name=name, _real=real):
+            builds[_name] = builds.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(registry, name, counted)
+    for argv in (("check", "E2", "--suite", "nva", "--window=0..0"),
+                 ("check", "z2-sign", "--suite", "smash")):
+        builds.clear()
+        assert run(*argv) == 0
+        assert builds and max(builds.values()) == 1, (argv, builds)
+
+
+def test_registry_names_are_the_built_tables():
+    from nvaw import registry
+
+    assert set(registry.ALGEBRA_NAMES) == set(registry.builtin_algebras())
+    assert set(registry.SMASH_NAMES) == set(registry.builtin_smash())

@@ -270,3 +270,41 @@ def test_solve_linear_matches_sympy_rref(rows, data):
         assert sol == Underdetermined(
             len(pivots), [u for j, u in enumerate(unknowns) if j not in pivots],
             {u: values.get(u, Q(0)) for u in unknowns})
+
+
+def columnwise_compose(outer, inner):
+    """SeriesMap.compose as it was: outer applied to every inner column."""
+    return SeriesMap(inner.domain, outer.codomain,
+                     {k: outer.apply(v) for k, v in inner.columns.items()})
+
+
+def test_compose_over_the_support_equals_the_columnwise_apply():
+    # every registry table composed after every other whose codomain holds
+    # its domain as contiguous legs, extended by the identity there; with
+    # them the projection of E2 onto t, which acts on the second key of the
+    # column Y(s,x)1 = s + x·t but not on its first
+    e2 = make_e2().space
+    only_t = SeriesMap((e2,), (e2,), {("t",): SeriesVector.basis((e2,), ("t",))})
+    tables = registry_tables() + [only_t]
+    composed = skipped = inexact_only = 0
+    for inner in tables:
+        for outer in tables:
+            n, m = len(inner.codomain), len(outer.domain)
+            for lo in range(n - m + 1):
+                if inner.codomain[lo:lo + m] != outer.domain:
+                    continue
+                ext = outer.on_legs(inner.codomain, range(lo, lo + m))
+                got = ext.compose(inner)
+                want = columnwise_compose(ext, inner)
+                skipped += sum(ext.columns.keys().isdisjoint(v.entries)
+                               for v in inner.columns.values())
+                assert (got.domain, got.codomain) == (want.domain, want.codomain)
+                assert list(got.columns) == list(want.columns)
+                for key, col in got.columns.items():
+                    assert entries(col) == entries(want.columns[key])
+                    inexact_only += all(s.is_zero() for s in col.entries.values())
+                composed += 1
+    # columns outside the support are skipped, and compose to nothing
+    assert composed > 200 and skipped > 0
+    # E2 at the window 0..0 keeps columns of inexact zeros through composition
+    assert inexact_only > 0

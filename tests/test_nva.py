@@ -5,6 +5,7 @@ import pytest
 from nvaw.nva import (
     adjoint_module, check_D_bracket, check_module, check_vacuum,
     check_weak_associativity, compute_D, exp_xD, scalar_of, window_equal_vec,
+    weak_associativity_items,
 )
 from nvaw.linalg import SeriesMap, SeriesVector, Space, basis_tuples
 from nvaw.nva import Nva
@@ -157,3 +158,23 @@ def test_weak_associativity_past_kmax_and_at_zero_triples():
             zero.append(t)
             assert item == ("assoc({},{},{}) k=0".format(*t), "EXACT_PASS", "")
     assert len(zero) == 12
+
+
+def test_weak_associativity_applies_each_side_on_its_support(monkeypatch):
+    """On (E2⊗E2)⊗E2 each side's inner map has 3,375 columns, of which only
+    343 have a key the outer table acts on: those are the only applies."""
+    from nvaw.products import build_ordinary_tensor
+
+    a, b, c = make_e2(), make_e2(), make_e2()
+    p = build_ordinary_tensor(build_ordinary_tensor(a, b).nva, c).nva
+    calls = {}
+    real = SeriesMap.apply
+
+    def counted(self, vec, legs=None):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return real(self, vec, legs)
+
+    monkeypatch.setattr(SeriesMap, "apply", counted)
+    weak_associativity_items(p.y, p.y, (p.space,) * 3, 10, "assoc")
+    # one outer map per side: Y(·,x1) on the left, Y(·,x2) on the right
+    assert sorted(calls.values()) == [343, 343]

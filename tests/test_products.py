@@ -6,16 +6,19 @@ import hashlib
 
 import pytest
 
-from nvaw.linalg import SeriesMap, SeriesVector, UniqueSolution, Underdetermined
+from nvaw.linalg import (
+    SeriesMap, SeriesVector, UniqueSolution, Underdetermined, basis_tuples,
+)
 from nvaw.nva import (
-    DEFAULT_KMAX, NvaModule, adjoint_module, check_module, window_equal_vec,
+    DEFAULT_KMAX, Nva, NvaModule, adjoint_module, check_module,
+    check_weak_associativity, window_equal_vec,
 )
 from nvaw.products import (
     PreconditionError, build_ordinary_tensor, build_product_module,
     build_twisted_tensor, check_embeddings, check_invertible_relations,
     check_module_extension, check_product_nva, check_product_properties,
     check_Z2_injectivity, extract_twisting, flip_iso, module_hypotheses,
-    restricted_module, universal_map,
+    pair_label, restricted_module, universal_map,
 )
 from nvaw.registry import (
     REGISTRY_PRODUCTS, builtin_algebras, builtin_twists, make_e1, make_e2,
@@ -295,3 +298,48 @@ def test_module_hypotheses_commute_through_the_inverse_at_x1_minus_x2():
     rep = module_hypotheses(m1, m2, with_inverse(t), DEFAULT_KMAX)
     # with R^{-1}(x2-x1), inverse-commutation(s,s;(one,one)) failed
     assert outcomes(rep) == {"EXACT_PASS": 162}
+
+
+def apply_chain_table(first, second, twist):
+    """build_twisted_tensor's table as it was built: R23(-x), then Y_V, then
+    Y_U applied to each basis vector of U⊗V⊗U⊗V."""
+    spaces = (first.space, second.space) * 2
+    r_neg = twist.table.at("-x")
+    cols = {}
+    for key in basis_tuples(spaces):
+        vec = r_neg.apply(SeriesVector.basis(spaces, key), (1, 2))
+        vec = first.y.apply(second.y.apply(vec, (2, 3)), (0, 1))
+        cols[(pair_label(*key[:2]), pair_label(*key[2:]))] = vec
+    return cols
+
+
+@pytest.mark.parametrize("rng", [DEFAULT_RANGE, (0, 0), (-1, 1)])
+def test_composed_product_table_equals_the_apply_chains(rng):
+    for name, t in sorted(builtin_twists(rng).items()):
+        table = build_twisted_tensor(t.first, t.second, t).nva.y
+        want = apply_chain_table(t.first, t.second, t)
+        assert list(table.columns) == [k for k, v in want.items()
+                                       if not v.is_zero()], name
+        for key, col in table.columns.items():
+            assert [(k, s.variables, s.coeffs, s.window, s.exact)
+                    for k, s in col.entries.items()] == [
+                ((pair_label(a, b),), s.variables, s.coeffs, s.window, s.exact)
+                for (a, b), s in want[key].entries.items()], (name, key)
+
+
+def test_a_mutated_factor_makes_the_product_fail():
+    # Y(t,x)1 = 2t instead of t.  Weak associativity of E2 at (t, one, one)
+    # then compares Y(t,x0+x2)Y(one,x2)1 = 2t with Y(Y(t,x0)1,x2)1 = 4t.
+    # u ↦ u⊗1 carries that triple into the product, where it must fail as
+    # well: a side that lost its column would pass there as 0 == 0.
+    e2 = make_e2()
+    cols = dict(e2.y.columns)
+    cols[("t", "one")] = cols[("t", "one")].scale(2)
+    bad = Nva("E2bad", e2.space, e2.vacuum,
+              SeriesMap(e2.y.domain, e2.y.codomain, cols))
+    assert ("assoc(t,one,one) k=0", "witness (('t',), (0, 0))") in [
+        (i.name, i.detail) for i in check_weak_associativity(bad).failures()]
+    other = make_e2()
+    p = build_twisted_tensor(bad, other, flip_twist(bad, other))
+    failures = [i.name for i in check_product_nva(p).failures()]
+    assert "assoc((t,one),(one,one),(one,one)) k=0" in failures

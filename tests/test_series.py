@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from nvaw.series import (
-    DEFAULT_RANGE, EmptyWindow, Eq, Q, Series, SeriesError, binom,
+    DEFAULT_RANGE, EmptyWindow, Eq, Q, Series, SeriesError, _meet, binom,
     format_series, parse_series, window_equal,
 )
 
@@ -325,3 +325,80 @@ def test_merging_rename_matches_sympy(s, target):
     expr = to_sympy(s).subs(SYMBOLS["x2"], signed_symbol(target))
     assert out.variables == ("x1",) and out.exact
     assert out.coeffs == laurent_coeffs(expr, ("x1",))
+
+
+# ---------------------------------------------------------------------------
+# the product and sum lift their operands without building aligned copies;
+# the definitions they replace are kept here as the oracle
+
+
+def aligned_copy(s, variables, window):
+    """Series.align as it was: a new Series reindexed onto the variables
+    and clipped by its constructor."""
+    if s.variables == variables:
+        if s.window == window:
+            return s
+        return Series(variables, s.coeffs, window, s.exact)
+    pos = [variables.index(v) for v in s.variables]
+    out = {}
+    for ex, c in s.coeffs.items():
+        ne = [0] * len(variables)
+        for p, e in zip(pos, ex):
+            ne[p] = e
+        out[tuple(ne)] = c
+    return Series(variables, out, window, s.exact)
+
+
+def align_both_then(op, a, b):
+    """a + b or a * b as it was: both operands aligned first."""
+    variables = tuple(sorted(set(a.variables) | set(b.variables)))
+    window = _meet(a.window, b.window)
+    a, b = aligned_copy(a, variables, window), aligned_copy(b, variables, window)
+    out = {}
+    if op == "+":
+        out = dict(a.coeffs)
+        for ex, c in b.coeffs.items():
+            out[ex] = out.get(ex, Q(0)) + c
+    else:
+        for ex1, c1 in a.coeffs.items():
+            for ex2, c2 in b.coeffs.items():
+                ex = tuple(e1 + e2 for e1, e2 in zip(ex1, ex2))
+                out[ex] = out.get(ex, 0) + c1 * c2
+    return Series(variables, out, window, a.exact and b.exact)
+
+
+@st.composite
+def window_or_none(draw):
+    if draw(st.booleans()):
+        return None
+    lo = draw(st.integers(-3, 2))
+    return (lo, draw(st.integers(lo, 3)))
+
+
+@st.composite
+def clipped_operand(draw):
+    """Terms drawn from -4..4 in each variable, so often outside the
+    operand's own window (an inexact operand) or outside the other's."""
+    variables = draw(st.sampled_from([(), ("x1",), ("x2",), ("x1", "x2")]))
+    return draw(laurent(variables, -4, 4, draw(window_or_none())))
+
+
+def fields(s):
+    return s.variables, s.coeffs, s.window, s.exact
+
+
+@settings(max_examples=400, deadline=None)
+@given(clipped_operand(), clipped_operand(), st.sampled_from(["+", "*"]))
+def test_lifted_arithmetic_equals_align_both_then_combine(a, b, op):
+    try:
+        want = align_both_then(op, a, b)
+    except EmptyWindow:
+        with pytest.raises(EmptyWindow):
+            a + b if op == "+" else a * b
+        return
+    got = a + b if op == "+" else a * b
+    assert fields(got) == fields(want)
+    variables, window = want.variables, want.window
+    for s in (a, b):
+        assert fields(s.align(variables, window)) == \
+            fields(aligned_copy(s, variables, window))

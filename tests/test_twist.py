@@ -3,7 +3,7 @@
 import pytest
 
 from nvaw.linalg import SeriesMap, SeriesVector, basis_tuples
-from nvaw.nva import window_equal_vec
+from nvaw.nva import CheckReport, window_equal_vec
 from nvaw.registry import (
     builtin_twists, make_e1, make_e2, make_z2, sign_twist_z2,
 )
@@ -129,3 +129,84 @@ def test_inverse_verification_sees_a_column_missing_from_the_inverse(
     monkeypatch.setattr(twist_mod, "matrix_inverse", last_column_dropped)
     with pytest.raises(NotInvertibleError):
         invert_twisting(sign_twist_z2())
+
+
+def apply_chain_hexagons(t):
+    """Both hexagons' sides as check_twisting_axioms built them before
+    they were composed maps: per basis tuple, a chain of applies.  Yields
+    (name, lhs, rhs)."""
+    U, V = t.first, t.second
+    r_x1, yu_x2, yv_x2 = t.table.at("x1"), U.y.at("x2"), V.y.at("x2")
+    r_sum, r_diff = t.table.at("x1", "x2"), t.table.at("x1", "-x2")
+    spaces = (V.space, U.space, U.space)
+    for key in basis_tuples(spaces):
+        vec = SeriesVector.basis(spaces, key)
+        lhs = r_x1.apply(yu_x2.apply(vec, (1, 2)), (0, 1))
+        rhs = yu_x2.apply(r_x1.apply(r_sum.apply(vec, (0, 1)), (1, 2)), (0, 1))
+        yield f"hexagon-right{key}", lhs, rhs
+    spaces = (V.space, V.space, U.space)
+    for key in basis_tuples(spaces):
+        vec = SeriesVector.basis(spaces, key)
+        lhs = r_x1.apply(yv_x2.apply(vec, (0, 1)), (0, 1))
+        rhs = yv_x2.apply(r_diff.apply(r_x1.apply(vec, (1, 2)), (0, 1)), (1, 2))
+        yield f"hexagon-left{key}", lhs, rhs
+
+
+def entries(vec):
+    return [(k, s.variables, s.coeffs, s.window, s.exact)
+            for k, s in vec.entries.items()]
+
+
+@pytest.mark.parametrize("rng", [DEFAULT_RANGE, (0, 0), (-1, 1)])
+def test_composed_hexagon_sides_equal_the_apply_chains(rng, monkeypatch):
+    compared = []
+    real = CheckReport.compare
+
+    def recorded(self, name, lhs, rhs):
+        compared.append((name, lhs, rhs))
+        return real(self, name, lhs, rhs)
+
+    monkeypatch.setattr(CheckReport, "compare", recorded)
+    for name, t in sorted(builtin_twists(rng).items()):
+        compared.clear()
+        check_twisting_axioms(t)
+        hexagons = [c for c in compared if c[0].startswith("hexagon")]
+        want = list(apply_chain_hexagons(t))
+        assert [c[0] for c in hexagons] == [w[0] for w in want], name
+        for (item, lhs, rhs), (_, lhs0, rhs0) in zip(hexagons, want):
+            assert entries(lhs) == entries(lhs0), (name, item)
+            assert entries(rhs) == entries(rhs0), (name, item)
+
+
+def mutated(t, key, fn):
+    """t with the column at key replaced by fn(column)."""
+    cols = dict(t.table.columns)
+    cols[key] = fn(cols[key])
+    return TwistOp(f"mutated({t.name})", t.first, t.second,
+                   SeriesMap(t.table.domain, t.table.codomain, cols))
+
+
+def hexagon_failures(t):
+    rep = check_twisting_axioms(t)
+    return [(i.name, i.detail) for i in rep.failures()
+            if i.name.startswith("hexagon")]
+
+
+def test_a_mutated_twist_fails_a_hexagon_with_a_witness():
+    # R(s⊗s) = 2·s⊗s on flip:E2,E2.  At (s, s, one) the left side of
+    # hexagon-right is R(s ⊗ Y(s,x2)1) = R(s⊗s) + x2·R(s⊗t), the right side
+    # (Y(x2)⊗1) R23 R12 (s⊗s⊗1) = 2·Y(s,x2)1 ⊗ s = 2·s⊗s + 2x2·t⊗s: the
+    # s⊗s terms agree (both doubled), the x2·t⊗s terms (1 and 2) do not
+    flip = builtin_twists()["flip:E2,E2"]
+    bad = mutated(flip, ("s", "s"), lambda col: col.scale(Q(2)))
+    failures = hexagon_failures(bad)
+    assert ("hexagon-right('s', 's', 'one')",
+            "witness (('t', 's'), (1,))") in failures
+    # R(g⊗g) = -2·g⊗g instead of -g⊗g on sign:Z2,Z2.  At (g, g, g) the left
+    # side of hexagon-right is R(g ⊗ g·g) = R(g⊗1) = 1⊗g, the right side
+    # Y12 R23 R12 (g⊗g⊗g) = (-2)²·(g·g)⊗g = 4·1⊗g
+    sign = builtin_twists()["sign:Z2,Z2"]
+    bad = mutated(sign, ("g", "g"), lambda col: col.scale(Q(2)))
+    failures = hexagon_failures(bad)
+    assert [f for f in failures if f[0] == "hexagon-right('g', 'g', 'g')"] \
+        and all(detail.startswith("witness ") for _, detail in failures)
