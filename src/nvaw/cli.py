@@ -91,6 +91,9 @@ class Inputs:
             return parse_file(fh.read(), self.rng)
 
     def algebra(self):
+        if self.name in registry.SMASH_NAMES:
+            raise UsageError(f"{self.name!r} is a registry smash datum, "
+                             f"expected an algebra")
         if self.name is not None:
             return registry.builtin_algebras(self.rng)[self.name]
         algs = self.file.algebras()
@@ -121,7 +124,10 @@ class Inputs:
     def smash_halves(self):
         """(ModuleAlgebraData, ComoduleAlgebraData) from a registry datum or
         a file holding one action and one coaction block."""
-        if self.name in registry.SMASH_NAMES:
+        if self.name in registry.ALGEBRA_NAMES:
+            raise UsageError(f"{self.name!r} is a registry algebra, "
+                             f"expected a smash datum")
+        if self.name is not None:
             d = registry.builtin_smash()[self.name]
             return d.action, d.coaction
         actions = [n for (k, n) in self.file.blocks if k == "action"]

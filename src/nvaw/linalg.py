@@ -419,24 +419,17 @@ def solve_linear(blocks, unknowns):
     return Underdetermined(len(pivots), free, particular)
 
 
-def _sparse(rows):
-    return [{j: Q(v) for j, v in enumerate(r) if v} for r in rows]
-
-
-def matrix_rank(rows):
-    """Rank of a dense list-of-lists matrix over Q."""
-    if not rows:
-        return 0
-    return len(_row_reduce(_sparse(rows), len(rows[0]))[0])
+def matrix_rank(rows, ncols):
+    """Rank over Q of a matrix given by its rows, dicts column -> nonzero
+    value for the columns below ncols."""
+    return len(_row_reduce(rows, ncols)[0])
 
 
 def matrix_inverse(rows):
-    """Inverse of a square matrix over Q, or None if singular."""
+    """Inverse of the n×n matrix with the given n rows, dicts column ->
+    nonzero value, as a dense list of lists over Q; None if singular."""
     n = len(rows)
-    aug = _sparse(rows)
-    for i, row in enumerate(aug):
-        row[n + i] = Q(1)
-    pivots, _ = _row_reduce(aug, n)
+    pivots, _ = _row_reduce([{**row, n + i: 1} for i, row in enumerate(rows)], n)
     if len(pivots) < n:
         return None
     return [[pivots[i].get(n + j, Q(0)) for j in range(n)] for i in range(n)]

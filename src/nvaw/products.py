@@ -370,11 +370,10 @@ def flip_iso(p):
     rev = build_twisted_tensor(p.second, p.first, reversed_twisting(twist))
     psi, rep = universal_map(rev, p.nva, p.embed_second(), p.embed_first())
     # bijectivity by exact rank
-    rows = []
-    for key in basis_tuples((rev.space,)):
-        col = scalar_of(psi.column(key))
-        rows.append([col.get((lbl,), Q(0)) for lbl in p.space.basis])
-    rank = matrix_rank(rows)
+    idx = {(lbl,): i for i, lbl in enumerate(p.space.basis)}
+    rows = [{idx[key]: c for key, c in scalar_of(psi.column(t)).items() if c}
+            for t in basis_tuples((rev.space,))]
+    rank = matrix_rank(rows, len(idx))
     rep.add("bijectivity", Outcome.EXACT_PASS if rank == len(p.space.basis)
             else Outcome.FAIL, f"rank {rank} of {len(p.space.basis)}")
     return rev, psi, rep
@@ -456,7 +455,9 @@ def extract_twisting(host, u_labels, v_labels):
     hs = (host.space,) * 3
     y1, y2 = host.y.at("x1"), host.y.at("x2")
     step = Series.monomial("x1", 1) - Series.monomial("x2", 1)
-    powers = {j: step ** j for j in range(k + max(ehi, 0) + 1)}
+    # signed[0] is the premultiplier (x1-x2)^k
+    signed = {e: (step ** (k + e)).scale(Q(-1) ** (e % 2))
+              for e in range(elo, ehi + 1)}
     # the image (-1)^e (x1-x2)^{k+e} Y(a,x2)Y(b,x1)w of every unknown
     # r[(v,u)->(a,b),e] does not depend on (v,u)
     images = {}
@@ -464,8 +465,7 @@ def extract_twisting(host, u_labels, v_labels):
         for a in u_labels:
             for b in v_labels:
                 base = double_product(y2, y1, a, b, w, hs)
-                for e in range(elo, ehi + 1):
-                    poly = powers[k + e].scale(Q(-1) ** (e % 2))
+                for e, poly in signed.items():
                     images[(a, b, e, w)] = base.scale(poly)
 
     def equations(wlabels):
@@ -473,7 +473,7 @@ def extract_twisting(host, u_labels, v_labels):
         for v in v_labels:
             for u in u_labels:
                 for w in wlabels:
-                    lhs = double_product(y1, y2, v, u, w, hs).scale(powers[k])
+                    lhs = double_product(y1, y2, v, u, w, hs).scale(signed[0])
                     blocks.append((lhs, {
                         nsym[(v, u, a, b, e)]: images[(a, b, e, w)]
                         for a in u_labels for b in v_labels
@@ -514,13 +514,14 @@ def extract_twisting(host, u_labels, v_labels):
 
     # theta(u⊗v) = u_{-1}v bijectivity, exact rank over the host basis
     theta = CheckReport(f"{host.name}: theta bijectivity")
+    idx = {(lbl,): i for i, lbl in enumerate(host.space.basis)}
     rows = []
     for u in u_labels:
         for v in v_labels:
             col = scalar_of(host.vertex(u, v).transform(
                 lambda s: s.extract("x", 0)))
-            rows.append([col.get((lbl,), Q(0)) for lbl in host.space.basis])
-    rank = matrix_rank(rows)
+            rows.append({idx[key]: c for key, c in col.items() if c})
+    rank = matrix_rank(rows, len(idx))
     full = len(u_labels) * len(v_labels)
     theta.add("theta(u⊗v)=u_{-1}v bijective",
               Outcome.EXACT_PASS if rank == full == len(host.space.basis)
@@ -538,7 +539,9 @@ def extract_twisting(host, u_labels, v_labels):
 def check_Z2_injectivity(host):
     """Finite matrix of Z2(u⊗v⊗f) = f·Y(u,x1)Y(v,x2)1 over columns
     (basis ⊗ basis ⊗ monomial x1^e1 x2^e2, e1 and e2 in Z2_WINDOW);
-    reports the kernel rank.
+    reports the kernel rank.  Each column is held as a sparse row
+    {(label, e1, e2) row index: coefficient}, so the rank is taken on the
+    transpose, which has the same rank over Q.
 
     On a Laurent polynomial table the map is linear over the Laurent
     polynomials f, so it sends the rank-n² module of u⊗v into the rank-n
@@ -550,28 +553,19 @@ def check_Z2_injectivity(host):
     y1, y2 = host.y.at("x1"), host.y.at("x2")
     hs = (host.space,) * 3
     lo, hi = Z2_WINDOW
-    monos = [(e1, e2) for e1 in range(lo, hi + 1) for e2 in range(lo, hi + 1)]
+    monos = [Series.monomial("x1", e1) * Series.monomial("x2", e2)
+             for e1 in range(lo, hi + 1) for e2 in range(lo, hi + 1)]
     columns = []
     rowkeys = {}
     for u in host.space.basis:
         for v in host.space.basis:
             base = double_product(y1, y2, u, v, host.vacuum, hs)
-            for (e1, e2) in monos:
-                f = Series.monomial("x1", e1) * Series.monomial("x2", e2)
-                col = base.scale(f)
-                entry = {}
-                for (lbl,), s in col.entries.items():
-                    for expt, c in s.coeffs.items():
-                        key = (lbl,) + expt
-                        rowkeys.setdefault(key, len(rowkeys))
-                        entry[key] = c
-                columns.append(entry)
-    nrows = len(rowkeys)
-    dense = [[Q(0)] * len(columns) for _ in range(nrows)]
-    for j, entry in enumerate(columns):
-        for key, c in entry.items():
-            dense[rowkeys[key]][j] = c
-    rank = matrix_rank(dense)
+            for f in monos:
+                columns.append({
+                    rowkeys.setdefault((lbl,) + expt, len(rowkeys)): c
+                    for (lbl,), s in base.scale(f).entries.items()
+                    for expt, c in s.coeffs.items()})
+    rank = matrix_rank(columns, len(rowkeys))
     kernel = len(columns) - rank
     rep.add("Z2 kernel rank 0",
             Outcome.EXACT_PASS if kernel == 0 else Outcome.FAIL,

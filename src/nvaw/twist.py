@@ -132,9 +132,9 @@ def invert_twisting(t):
             f"{t.name}: negative powers of x; constant-term inversion "
             "does not apply")
     n = len(dom)
-    zero = [[Q(0)] * n for _ in range(n)]
-    m0 = mats.get(0, zero)
-    inv0 = matrix_inverse(m0)
+    # M_0 as rows of its nonzero entries; no constant term gives n empty rows
+    inv0 = matrix_inverse([{j: c for j, c in enumerate(row) if c}
+                           for row in mats.get(0, [[]] * n)])
     if inv0 is None:
         raise NotInvertibleError(f"{t.name}: constant term is singular")
     window = t.table.window()

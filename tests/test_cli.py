@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nvaw.cli import Inputs, main
 from nvaw.nva import DEFAULT_KMAX, CheckReport, Outcome
 
@@ -149,6 +151,22 @@ def test_usage_errors_exit_2():
     assert run("check", "E2", "--suite", "nva", "--window=2..4") == 2
     assert run("check", "E2", "--suite", "nva", "--window=-4..-2") == 2
     assert run("check", "E1", "--suite", "nva", "--kmax", "-1") == 2
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("check", "z2-sign", "--suite", "nva"), "expected an algebra"),
+    (("product", "z2-sign", "E2", "--twist", "flip:E2,E2"),
+     "expected an algebra"),
+    (("extract-smap", "z2-sign"), "expected an algebra"),
+    (("check", "E2", "--suite", "smash"), "expected a smash datum"),
+    (("smash", "E2", "z2-sign"), "expected a smash datum"),
+])
+def test_a_registry_name_of_the_wrong_kind_is_a_usage_error(
+        capsys, argv, expected):
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
+    assert "Traceback" not in err
 
 
 def test_window_reaches_the_registry(tmp_path):

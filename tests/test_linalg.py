@@ -176,10 +176,14 @@ def test_inconsistent_witness_is_the_first_contradicting_equation():
 
 
 def test_matrix_rank_and_inverse():
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    inv = matrix_inverse([[2, 0], [0, 4]])
+    assert matrix_rank([{0: 1, 1: 2}, {0: 2, 1: 4}], 2) == 1
+    inv = matrix_inverse([{0: 2}, {1: 4}])
     assert inv == [[Q(1, 2), 0], [0, Q(1, 4)]]
-    assert matrix_inverse([[1, 1], [1, 1]]) is None
+    assert matrix_inverse([{0: 1, 1: 1}, {0: 1, 1: 1}]) is None
+    # an empty row is a zero row
+    assert matrix_rank([{}, {1: 3}, {}], 2) == 1
+    assert matrix_rank([], 3) == 0
+    assert matrix_inverse([{0: 1}, {}]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +224,18 @@ def _q(r):
     return Q(int(r.p), int(r.q))
 
 
+def _dict_rows(rows):
+    """The nonzero entries of each dense row, as {column: value}."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices())
 def test_matrix_rank_matches_sympy(rows):
-    assert matrix_rank(rows) == _sym(rows).rank()
+    rank = _sym(rows).rank()
+    assert matrix_rank(_dict_rows(rows), len(rows[0])) == rank
+    # the rank of the transpose, which check_Z2_injectivity takes
+    assert matrix_rank(_dict_rows(zip(*rows)), len(rows)) == rank
 
 
 @settings(max_examples=100, deadline=None)
@@ -233,7 +245,7 @@ def test_matrix_inverse_matches_sympy(rows, shift):
         rows = [[x + 4 * (i == j) for j, x in enumerate(r)]
                 for i, r in enumerate(rows)]
     m = _sym(rows)
-    inv = matrix_inverse(rows)
+    inv = matrix_inverse(_dict_rows(rows))
     if m.rank() < len(rows):
         assert inv is None
     else:

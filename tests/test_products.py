@@ -3,22 +3,24 @@ extraction, and product modules."""
 
 import collections
 import hashlib
+import re
 
 import pytest
+import sympy
 
 from nvaw.linalg import (
     SeriesMap, SeriesVector, UniqueSolution, Underdetermined, basis_tuples,
 )
 from nvaw.nva import (
     DEFAULT_KMAX, Nva, NvaModule, adjoint_module, check_module,
-    check_weak_associativity, window_equal_vec,
+    check_weak_associativity, double_product, window_equal_vec,
 )
 from nvaw.products import (
     PreconditionError, build_ordinary_tensor, build_product_module,
     build_twisted_tensor, check_embeddings, check_invertible_relations,
     check_module_extension, check_product_nva, check_product_properties,
     check_Z2_injectivity, extract_twisting, flip_iso, module_hypotheses,
-    pair_label, restricted_module, universal_map,
+    Z2_WINDOW, pair_label, restricted_module, universal_map,
 )
 from nvaw.registry import (
     REGISTRY_PRODUCTS, builtin_algebras, builtin_twists, make_e1, make_e2,
@@ -165,10 +167,15 @@ TRIPLE_PRODUCT_NVA_SHA256 = (
     "3fbdc4fc30c98721d3687637b6a2b6c14e45fafad6fbcf373c9c9d317ef2d787")
 
 
-def test_triple_product_report_is_unchanged():
+def triple_product():
+    """The flip (E2 ⊗ E2) ⊗ E2, a host of dimension 27."""
     a, b, c = make_e2(), make_e2(), make_e2()
     ab = build_twisted_tensor(a, b, flip_twist(a, b))
-    p = build_twisted_tensor(ab.nva, c, flip_twist(ab.nva, c))
+    return build_twisted_tensor(ab.nva, c, flip_twist(ab.nva, c))
+
+
+def test_triple_product_report_is_unchanged():
+    p = triple_product()
     items = [(i.name, i.outcome.name, i.detail)
              for i in check_product_nva(p).items]
     assert len(items) == 21285
@@ -182,6 +189,60 @@ def test_z2_injectivity_reports_kernel():
     rep = check_Z2_injectivity(p.nva)
     assert len(rep.items) == 1
     assert "kernel" in rep.items[0].detail
+
+
+def z2_dense_matrix(host):
+    """The degree-two matrix as check_Z2_injectivity once built it: one row
+    per (label, e1, e2) and one column per (u, v, x1^e1 x2^e2), dense."""
+    y1, y2 = host.y.at("x1"), host.y.at("x2")
+    hs = (host.space,) * 3
+    lo, hi = Z2_WINDOW
+    columns = []
+    rowkeys = {}
+    for u in host.space.basis:
+        for v in host.space.basis:
+            base = double_product(y1, y2, u, v, host.vacuum, hs)
+            for e1 in range(lo, hi + 1):
+                for e2 in range(lo, hi + 1):
+                    f = Series.monomial("x1", e1) * Series.monomial("x2", e2)
+                    entry = {}
+                    for (lbl,), s in base.scale(f).entries.items():
+                        for expt, c in s.coeffs.items():
+                            key = (lbl,) + expt
+                            rowkeys.setdefault(key, len(rowkeys))
+                            entry[key] = c
+                    columns.append(entry)
+    dense = [[0] * len(columns) for _ in rowkeys]
+    for j, entry in enumerate(columns):
+        for key, c in entry.items():
+            dense[rowkeys[key]][j] = c
+    return dense
+
+
+def z2_counts(rep):
+    (item,) = rep.items
+    assert item.name == "Z2 kernel rank 0"
+    return dict((k, int(n)) for k, n in
+                re.findall(r"(columns|rank|kernel) (\d+)", item.detail))
+
+
+@pytest.mark.parametrize("name", ["sign:Z2,Z2", "flip:E1,E2", "flip:E2,E2"])
+def test_z2_rank_of_the_transpose_is_sympys_rank_of_the_dense_matrix(name):
+    t = builtin_twists()[name]
+    host = build_twisted_tensor(t.first, t.second, t).nva
+    dense = z2_dense_matrix(host)
+    counts = z2_counts(check_Z2_injectivity(host))
+    assert counts["columns"] == len(dense[0])
+    # sympy ranks the dense matrix itself, through its DomainMatrix
+    assert counts["rank"] == sympy.Matrix(dense).to_DM().rank()
+    assert counts["kernel"] == counts["columns"] - counts["rank"]
+
+
+def test_z2_report_on_the_triple_product_is_unchanged():
+    (item,) = check_Z2_injectivity(triple_product().nva).items
+    assert item.outcome.name == "FAIL"
+    assert item.detail == ("columns 6561, rank 378, kernel 6183, "
+                           "monomial window (-1, 1)")
 
 
 def test_product_module_from_restricted_adjoints():
