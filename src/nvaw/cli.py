@@ -68,8 +68,9 @@ def _split_labels(text):
 class Inputs:
     """Resolves names against a parsed file (if any) and the registry."""
 
-    def __init__(self, path_or_name, rng):
+    def __init__(self, path_or_name, rng, tables=None):
         self.rng = rng
+        self.tables = {} if tables is None else tables  # registry, by builder
         self.file = None
         self.name = None
         if "/" in path_or_name or path_or_name.endswith(
@@ -90,12 +91,18 @@ class Inputs:
         with open(path, encoding="utf-8") as fh:
             return parse_file(fh.read(), self.rng)
 
+    def _registry(self, builder, *args):
+        """registry.<builder>(*args), built once per shared tables."""
+        if builder not in self.tables:
+            self.tables[builder] = getattr(registry, builder)(*args)
+        return self.tables[builder]
+
     def algebra(self):
         if self.name in registry.SMASH_NAMES:
             raise UsageError(f"{self.name!r} is a registry smash datum, "
                              f"expected an algebra")
         if self.name is not None:
-            return registry.builtin_algebras(self.rng)[self.name]
+            return self._registry("builtin_algebras", self.rng)[self.name]
         algs = self.file.algebras()
         if len(algs) != 1:
             raise UsageError(
@@ -105,7 +112,8 @@ class Inputs:
     def twist(self, name):
         if self.file is not None and ("twist", name) in self.file.blocks:
             return self.file.twist(name)
-        table = registry.builtin_twists(self.rng)
+        table = self._registry("builtin_twists", self.rng,
+                               self._registry("builtin_algebras", self.rng))
         if name in table:
             return table[name]
         raise UsageError(f"unknown twist {name!r} "
@@ -116,7 +124,7 @@ class Inputs:
             return self.file.smap(name)
         if name == "identity" and algebra is not None:
             return registry.identity_smap(algebra)
-        table = registry.builtin_smaps(self.rng)
+        table = self._registry("builtin_smaps", self.rng)
         if name in table:
             return table[name]
         raise UsageError(f"unknown S-map {name!r}")
@@ -128,7 +136,7 @@ class Inputs:
             raise UsageError(f"{self.name!r} is a registry algebra, "
                              f"expected a smash datum")
         if self.name is not None:
-            d = registry.builtin_smash()[self.name]
+            d = self._registry("builtin_smash")[self.name]
             return d.action, d.coaction
         actions = [n for (k, n) in self.file.blocks if k == "action"]
         coactions = [n for (k, n) in self.file.blocks if k == "coaction"]
@@ -253,7 +261,7 @@ def cmd_product(args):
     from .products import PreconditionError, build_twisted_tensor, check_product_nva
 
     inputs_u = Inputs(args.first, args.window)
-    inputs_v = Inputs(args.second, args.window)
+    inputs_v = Inputs(args.second, args.window, inputs_u.tables)
     twist = inputs_u.twist(args.twist)
     first, second = inputs_u.algebra(), inputs_v.algebra()
     if twist.first.space != first.space or twist.second.space != second.space:
@@ -278,8 +286,9 @@ def cmd_smash(args):
     from .products import PreconditionError, check_product_nva
     from .smash import build_smash, check_comodule_algebra, check_module_algebra
 
-    act, _ = Inputs(args.action, args.window).smash_halves()
-    _, coact = Inputs(args.coaction, args.window).smash_halves()
+    action = Inputs(args.action, args.window)
+    act, _ = action.smash_halves()
+    _, coact = Inputs(args.coaction, args.window, action.tables).smash_halves()
     if act is None or coact is None:
         raise UsageError("need one action block and one coaction block")
     try:

@@ -47,6 +47,13 @@ def basis_tuples(spaces):
     return out
 
 
+def _span(legs, n):
+    """(first, last + 1) of contiguous legs, all n legs by default."""
+    legs = tuple(range(n) if legs is None else legs)
+    assert legs == tuple(range(legs[0], legs[-1] + 1)), f"legs not contiguous: {legs}"
+    return legs[0], legs[-1] + 1
+
+
 class SeriesVector:
     """Element of (tensor product of spaces) with Series coefficients."""
 
@@ -209,14 +216,8 @@ class SeriesMap:
         The map's domain must match the selected legs; its codomain splices
         in at the first selected position.
         """
-        n = len(vec.spaces)
-        if legs is None:
-            legs = tuple(range(n))
-        legs = tuple(legs)
-        assert legs == tuple(range(legs[0], legs[0] + len(legs))), f"legs not contiguous: {legs}"
-        sel = tuple(vec.spaces[i] for i in legs)
-        assert sel == self.domain, (sel, self.domain)
-        lo, hi = legs[0], legs[-1] + 1
+        lo, hi = _span(legs, len(vec.spaces))
+        assert vec.spaces[lo:hi] == self.domain, (vec.spaces[lo:hi], self.domain)
         out_spaces = vec.spaces[:lo] + self.codomain + vec.spaces[hi:]
         out = {}
         for key, s in vec.entries.items():
@@ -234,13 +235,25 @@ class SeriesMap:
                     out[k] = t
         return SeriesVector(out_spaces, out)
 
-    def compose(self, inner):
-        """self ∘ inner.  An inner column with no key among self's columns
-        composes to zero, so only the others are applied."""
-        assert inner.codomain == self.domain
-        cols = {k: self.apply(v) for k, v in inner.columns.items()
-                if not self.columns.keys().isdisjoint(v.entries)}
-        return SeriesMap(inner.domain, self.codomain, cols)
+    def compose(self, inner, legs=None):
+        """self ∘ inner, inner acting on the given contiguous legs of self's
+        domain (all by default) and the identity on the others.  That
+        extension is never built: an inner column, its keys put among the
+        other legs' labels, is applied only if one is among self's columns."""
+        lo, hi = _span(legs, len(self.domain))
+        assert inner.codomain == self.domain[lo:hi], (inner.codomain, self.domain)
+        whole = hi - lo == len(self.domain)
+        posts, mine, cols = basis_tuples(self.domain[hi:]), self.columns.keys(), {}
+        for pre in basis_tuples(self.domain[:lo]):
+            for key, v in inner.columns.items():
+                for post in posts:
+                    entries = v.entries if whole else {
+                        pre + k + post: s for k, s in v.entries.items()}
+                    if not mine.isdisjoint(entries):
+                        cols[pre + key + post] = self.apply(
+                            v if whole else SeriesVector(self.domain, entries))
+        return SeriesMap(self.domain[:lo] + inner.domain + self.domain[hi:],
+                         self.codomain, cols)
 
     def tensor(self, other):
         cols = {}
@@ -257,8 +270,7 @@ class SeriesMap:
         its keys.  That is the map's apply to the tuple's basis vector,
         whose coefficient 1 changes no entry."""
         spaces = tuple(spaces)
-        lo, hi = legs[0], legs[-1] + 1
-        assert tuple(legs) == tuple(range(lo, hi)), f"legs not contiguous: {legs}"
+        lo, hi = _span(legs, len(spaces))
         assert spaces[lo:hi] == self.domain, (spaces[lo:hi], self.domain)
         codomain = spaces[:lo] + self.codomain + spaces[hi:]
         present = [k for k in basis_tuples(self.domain) if k in self.columns]

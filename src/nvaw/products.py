@@ -129,7 +129,7 @@ def build_twisted_tensor(first, second, twist, check_axioms=True):
     # column at u⊗v⊗u2⊗v2 is R23(-x), then Y_V, then Y_U applied to it
     table = first.y.on_legs((U, U, V), (0, 1)).compose(
         second.y.on_legs((U, U, V, V), (2, 3)).compose(
-            twist.table.at("-x").on_legs((U, V, U, V), (1, 2))))
+            twist.table.at("-x"), (1, 2)))
     cols = {(pair_label(u, v), pair_label(u2, v2)): SeriesVector((pspace,), {
                 (pair_label(a, b),): s for (a, b), s in col.entries.items()})
             for (u, v, u2, v2), col in table.columns.items()}
@@ -593,7 +593,7 @@ def build_product_module(p, m_first, m_second, kmax=DEFAULT_KMAX):
     # finite tables this is Laurent-polynomiality of the double product
     yu1, yv2 = m_first.yw.at("x1"), m_second.yw.at("x2")
     spaces = (p.first.space, p.second.space, W)
-    double = yu1.compose(yv2.on_legs(spaces, (1, 2)))
+    double = yu1.compose(yv2, (1,))
     for t in basis_tuples(spaces):
         # a triple without a column is an exact zero
         if not double.column(t).exact():
@@ -604,7 +604,7 @@ def build_product_module(p, m_first, m_second, kmax=DEFAULT_KMAX):
         raise PreconditionError("module compatibility",
                                 rep.failures()[0].name)
 
-    table = m_first.yw.compose(m_second.yw.on_legs(spaces, (1, 2)))
+    table = m_first.yw.compose(m_second.yw, (1,))
     cols = {(p.pair(u, v), w): col
             for (u, v, w), col in table.columns.items()}
     yw = SeriesMap((p.space, W), (W,), cols)

@@ -73,7 +73,7 @@ def check_S_locality(a, s, kmax=DEFAULT_KMAX):
     y1, y2 = a.y.at("x1"), a.y.at("x2")
     s_sub = s.table.at("x2", "-x1")
     spaces = (sp, sp, sp)
-    double = y1.compose(y2.on_legs(spaces, (1, 2)))
+    double = y1.compose(y2, (1,))
     for (u, v) in basis_tuples((sp, sp)):
         sides = []
         for w in sp.basis:

@@ -231,8 +231,8 @@ def builtin_algebras(rng=DEFAULT_RANGE):
     }
 
 
-def builtin_twists(rng=DEFAULT_RANGE):
-    algs = builtin_algebras(rng)
+def builtin_twists(rng=DEFAULT_RANGE, algs=None):
+    algs = builtin_algebras(rng) if algs is None else algs
     out = {}
     for name, a in algs.items():
         from .twist import flip_twist

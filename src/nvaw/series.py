@@ -354,13 +354,14 @@ class EqResult:
 
 def window_equal(a, b):
     """Certified equality of two Series inside the common window."""
+    if a.variables == b.variables and a.coeffs == b.coeffs:
+        # each support lies in its own window, so in their meet: a - b
+        # would clip nothing and be zero
+        return EqResult(Eq.EXACT if a.exact and b.exact else Eq.WINDOW)
     diff = a - b
     if diff.coeffs:
-        witness = min(diff.coeffs)
-        return EqResult(Eq.UNEQUAL, witness)
-    if a.exact and b.exact and diff.exact:
-        return EqResult(Eq.EXACT)
-    return EqResult(Eq.WINDOW)
+        return EqResult(Eq.UNEQUAL, min(diff.coeffs))
+    return EqResult(Eq.EXACT if a.exact and b.exact and diff.exact else Eq.WINDOW)
 
 
 # ---------------------------------------------------------------------------

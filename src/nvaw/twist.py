@@ -73,20 +73,20 @@ def check_twisting_axioms(t):
     # hexagon against Y_U:  R(x1)(1⊗Y_U(x2)) == (Y_U(x2)⊗1) R23(x1) R12(x1+x2)
     yu_x2 = U.y.at("x2")
     spaces = (vs, us, us)
-    lhs = r_x1.compose(yu_x2.on_legs(spaces, (1, 2)))
+    lhs = r_x1.compose(yu_x2, (1,))
     rhs = yu_x2.on_legs((us, us, vs), (0, 1)).compose(
         r_x1.on_legs((us, vs, us), (1, 2)).compose(
-            t.table.at("x1", "x2").on_legs(spaces, (0, 1))))
+            t.table.at("x1", "x2"), (0, 1)))
     for key in basis_tuples(spaces):
         rep.compare(f"hexagon-right{key}", lhs.column(key), rhs.column(key))
 
     # hexagon against Y_V:  R(x1)(Y_V(x2)⊗1) == (1⊗Y_V(x2)) R12(x1-x2) R23(x1)
     yv_x2 = V.y.at("x2")
     spaces = (vs, vs, us)
-    lhs = r_x1.compose(yv_x2.on_legs(spaces, (0, 1)))
+    lhs = r_x1.compose(yv_x2, (0,))
     rhs = yv_x2.on_legs((us, vs, vs), (1, 2)).compose(
         t.table.at("x1", "-x2").on_legs((vs, us, vs), (0, 1)).compose(
-            r_x1.on_legs(spaces, (1, 2))))
+            r_x1, (1, 2)))
     for key in basis_tuples(spaces):
         rep.compare(f"hexagon-left{key}", lhs.column(key), rhs.column(key))
     return rep

@@ -236,7 +236,9 @@ def test_a_command_builds_each_registry_table_once(monkeypatch):
 
         monkeypatch.setattr(registry, name, counted)
     for argv in (("check", "E2", "--suite", "nva", "--window=0..0"),
-                 ("check", "z2-sign", "--suite", "smash")):
+                 ("check", "z2-sign", "--suite", "smash"),
+                 ("product", "E1", "E1", "--twist", "flip:E1,E1"),
+                 ("smash", "z2-sign", "z2-sign")):
         builds.clear()
         assert run(*argv) == 0
         assert builds and max(builds.values()) == 1, (argv, builds)

@@ -93,3 +93,19 @@ def test_variable_changes_go_through_seriesmap_at():
                       and isinstance(node.func, ast.Attribute)
                       and node.func.attr in ("rename", "substitute_sum")})
     assert set(callers) <= VARIABLE_CHANGERS, callers
+
+
+def test_no_compose_goes_through_an_identity_extension():
+    # compose(inner, legs) places the inner map on legs of the outer one's
+    # domain without building the extension; on_legs extends outer maps only
+    sites = sorted((path.name, node.lineno)
+                   for path in (ROOT / "src" / "nvaw").glob("*.py")
+                   for node in ast.walk(_parse(path))
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "compose"
+                   and any(isinstance(arg, ast.Call)
+                           and isinstance(arg.func, ast.Attribute)
+                           and arg.func.attr == "on_legs"
+                           for arg in node.args))
+    assert sites == []

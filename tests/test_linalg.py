@@ -68,14 +68,14 @@ def test_map_compose_identity():
         SeriesMap.identity((A, A)).columns.keys()
 
 
-def registry_tables():
-    """Every table the registry builds, and two from E2 at the window 0..0,
-    where the x·t term of Y(s,x)1 is clipped to an inexact zero: E2's own
-    table, and the table of its clipped entries alone."""
-    tables = [a.y for a in builtin_algebras().values()]
-    for t in builtin_twists().values():
+def registry_tables(rng=DEFAULT_RANGE):
+    """Every table the registry builds at the window rng, and two from E2 at
+    the window 0..0, where the x·t term of Y(s,x)1 is clipped to an inexact
+    zero: E2's own table, and the table of its clipped entries alone."""
+    tables = [a.y for a in builtin_algebras(rng).values()]
+    for t in builtin_twists(rng).values():
         tables += [t.table] + ([t.inverse] if t.inverse is not None else [])
-    tables += [s.table for s in builtin_smaps().values()]
+    tables += [s.table for s in builtin_smaps(rng).values()]
     for d in builtin_smash().values():
         tables += [d.coalgebra.coproduct, d.coalgebra.counit,
                    d.action.action, d.coaction.coaction]
@@ -319,4 +319,34 @@ def test_compose_over_the_support_equals_the_columnwise_apply():
     # columns outside the support are skipped, and compose to nothing
     assert composed > 200 and skipped > 0
     # E2 at the window 0..0 keeps columns of inexact zeros through composition
+    assert inexact_only > 0
+
+
+@pytest.mark.parametrize("rng", [(-8, 8), (0, 0), (-1, 1)])
+def test_compose_on_legs_equals_compose_with_the_identity_extension(rng):
+    # every registry table composed after every other whose codomain sits
+    # in its domain as contiguous legs; the oracle builds the identity
+    # extension of the inner map, which compose on those legs never does
+    tables = registry_tables(rng)
+    placed = inexact_only = 0
+    for outer in tables:
+        for inner in tables:
+            m = len(inner.codomain)
+            for lo in range(len(outer.domain) - m + 1 if m else 0):
+                if outer.domain[lo:lo + m] != inner.codomain:
+                    continue
+                spaces = outer.domain[:lo] + inner.domain + outer.domain[lo + m:]
+                ext = inner.on_legs(spaces, range(lo, lo + len(inner.domain)))
+                want = outer.compose(ext)
+                got = outer.compose(inner, tuple(range(lo, lo + m)))
+                assert (got.domain, got.codomain) == (want.domain, want.codomain)
+                # the columns come in the inner map's order, the extension's
+                # in basis order
+                assert got.columns.keys() == want.columns.keys()
+                for key, col in got.columns.items():
+                    assert entries(col) == entries(want.columns[key])
+                    inexact_only += all(s.is_zero() for s in col.entries.values())
+                placed += 1
+    assert placed > 200
+    # E2 at the window 0..0 composes to columns of inexact zeros
     assert inexact_only > 0

@@ -160,9 +160,39 @@ def test_weak_associativity_past_kmax_and_at_zero_triples():
     assert len(zero) == 12
 
 
+def test_weak_associativity_witnesses_an_x_free_table_on_x0_x2():
+    # E1n with n·p = 2·one, which breaks associativity; its table is x-free,
+    # so every item is at k=0, where neither side is scaled, and each
+    # failure is still witnessed on (x0, x2), as scaling by x1^0 and by
+    # (x0+x2)^0 would place it
+    alg = make_e1n()
+    cols = dict(alg.y.columns)
+    cols[("n", "p")] = SeriesVector((alg.space,), {("one",): Series.const(2)})
+    bad = Nva("E1n'", alg.space, "one", SeriesMap(alg.y.domain, alg.y.codomain, cols))
+    spaces = (bad.space,) * 3
+    y1, y2, y0 = bad.y.at("x1"), bad.y.at("x2"), bad.y.at("x0")
+    x1_0 = Series.monomial("x1", 0)
+    want = []
+    for t in basis_tuples(spaces):
+        vec = SeriesVector.basis(spaces, t)
+        lhs = y1.apply(y2.apply(vec, (1, 2)), (0, 1)).scale(x1_0).transform(
+            lambda s: s.substitute_sum("x1", "x0", "x2"))
+        rhs = y2.apply(y0.apply(vec, (0, 1)), (0, 1)).scale(
+            x1_0.substitute_sum("x1", "x0", "x2"))
+        res = window_equal_vec(lhs, rhs)
+        if not res:
+            want.append(("assoc({},{},{}) k=0".format(*t), f"witness {res.witness}"))
+    got = [(i.name, i.detail) for i in check_weak_associativity(bad).items
+           if not i.ok]
+    assert got == want
+    assert len(got) > 3 and all(d.endswith(", (0, 0))") for _, d in got)
+
+
 def test_weak_associativity_applies_each_side_on_its_support(monkeypatch):
-    """On (E2⊗E2)⊗E2 each side's inner map has 3,375 columns, of which only
-    343 have a key the outer table acts on: those are the only applies."""
+    """On (E2⊗E2)⊗E2 each side's inner table has 125 columns, placed under
+    the 27 labels of the other leg: 3,375 candidate columns, none of them
+    built as a map.  Only 343 have a key the outer table acts on: those are
+    the only applies."""
     from nvaw.products import build_ordinary_tensor
 
     a, b, c = make_e2(), make_e2(), make_e2()

@@ -276,6 +276,55 @@ windows = st.one_of(st.none(), st.tuples(st.integers(-3, 0),
                                          st.integers(0, 3)))
 
 
+def window_equal_by_subtraction(a, b):
+    """(kind, witness) of window_equal as the difference a - b decides it."""
+    diff = a - b
+    if diff.coeffs:
+        return Eq.UNEQUAL, min(diff.coeffs)
+    if a.exact and b.exact and diff.exact:
+        return Eq.EXACT, None
+    return Eq.WINDOW, None
+
+
+coeffs_nonzero = coeffs.filter(bool)
+
+
+@st.composite
+def compared_pair(draw):
+    """a and b, each with its own exact flag; b has a's variables, window
+    and coefficients half of the time, and otherwise differs from it in
+    its window, in one coefficient, in its variables alone, or in
+    everything."""
+    variables = draw(st.sampled_from([(), ("x1",), ("x1", "x2")]))
+    a = draw(laurent(variables, -3, 3, draw(windows)))
+    a = Series(variables, a.coeffs, a.window, a.exact and draw(st.booleans()))
+    how = draw(st.sampled_from(["same", "same", "same", "same", "window",
+                                "coefficient", "renamed", "other"]))
+    if how == "renamed":
+        renamed = {(): (), ("x1",): ("x2",), ("x1", "x2"): ("x0", "x2")}
+        b = Series(renamed[variables], a.coeffs, a.window)
+    elif how == "other":
+        other = draw(st.sampled_from([(), ("x1",), ("x2",), ("x1", "x2")]))
+        b = draw(laurent(other, -3, 3, draw(windows)))
+    else:
+        terms = dict(a.coeffs)
+        if how == "coefficient":
+            ex = (draw(st.integers(-3, 3)),) * len(variables)
+            terms[ex] = terms.get(ex, 0) + draw(coeffs_nonzero)
+        window = draw(windows) if how == "window" else a.window
+        b = Series(variables, terms, window)
+    return a, Series(b.variables, b.coeffs, b.window,
+                     b.exact and draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(compared_pair())
+def test_window_equal_matches_the_subtraction(pair):
+    a, b = pair
+    res = window_equal(a, b)
+    assert (res.kind, res.witness) == window_equal_by_subtraction(a, b)
+
+
 @st.composite
 def operand_pair(draw):
     """Two Laurent polynomials in x1, x2 or both, each with its own window
