@@ -258,7 +258,7 @@ def cmd_check(args):
 
 
 def cmd_product(args):
-    from .products import PreconditionError, build_twisted_tensor, check_product_nva
+    from .products import build_twisted_tensor, check_product_nva
 
     inputs_u = Inputs(args.first, args.window)
     inputs_v = Inputs(args.second, args.window, inputs_u.tables)
@@ -267,11 +267,7 @@ def cmd_product(args):
     if twist.first.space != first.space or twist.second.space != second.space:
         raise UsageError(
             f"twist {twist.name} is for ({twist.first.name},{twist.second.name})")
-    try:
-        p = build_twisted_tensor(first, second, twist)
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 1
+    p = build_twisted_tensor(first, second, twist)
     rep = check_product_nva(p, args.kmax)
     _report(rep, args, args.window, suite="product")
     if args.output and rep.ok:
@@ -291,17 +287,12 @@ def cmd_smash(args):
     _, coact = Inputs(args.coaction, args.window, action.tables).smash_halves()
     if act is None or coact is None:
         raise UsageError("need one action block and one coaction block")
-    try:
-        p = build_smash(act, coact)
-        for label, pre in (
-                ("module-algebra", check_module_algebra(act, args.kmax)),
-                ("comodule-algebra", check_comodule_algebra(coact))):
-            if not pre.ok:
-                raise PreconditionError(f"{label} axioms",
-                                        pre.failures()[0].name)
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 1
+    p = build_smash(act, coact)
+    for label, pre in (
+            ("module-algebra", check_module_algebra(act, args.kmax)),
+            ("comodule-algebra", check_comodule_algebra(coact))):
+        if not pre.ok:
+            raise PreconditionError(f"{label} axioms", pre.failures()[0].name)
     rep = check_product_nva(p, args.kmax)
     _report(rep, args, args.window, suite="smash")
     if args.output and rep.ok:
@@ -465,8 +456,14 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # fileformat, and with it ParseError, is imported only by the
-        # commands that read or write a file
+        # products and fileformat, with PreconditionError and ParseError,
+        # are imported only by the commands that build a product or read
+        # or write a file
+        from .products import PreconditionError
+
+        if isinstance(exc, PreconditionError):
+            print(f"precondition failed: {exc}", file=sys.stderr)
+            return 1
         from .fileformat import ParseError
 
         if not isinstance(exc, ParseError):

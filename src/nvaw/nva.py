@@ -7,8 +7,6 @@ an identity can hold exactly, hold on the truncation window only, fail with
 a witness, or fail to admit a clearing exponent k below the cap.
 """
 
-from enum import Enum
-
 from .series import Eq, EqResult, Q, Series, window_equal
 from .linalg import SeriesMap, SeriesVector, basis_tuples
 
@@ -16,18 +14,30 @@ from .linalg import SeriesMap, SeriesVector, basis_tuples
 DEFAULT_KMAX = 10
 
 
-class Outcome(Enum):
-    EXACT_PASS = "exact-pass"
-    WINDOW_PASS = "window-pass"
-    FAIL = "fail"
-    NO_K_FOUND = "no-k-found"
+class Outcome:
+    """The verdict of a check item: EXACT_PASS, WINDOW_PASS, FAIL or
+    NO_K_FOUND, compared by identity, with plain name, value and ok."""
 
-    @property
-    def ok(self):
-        return self in (Outcome.EXACT_PASS, Outcome.WINDOW_PASS)
+    __slots__ = ("name", "value", "ok")
+
+    def __init__(self, name, value, ok):
+        self.name = name
+        self.value = value
+        self.ok = ok
+
+    def __repr__(self):
+        return f"<Outcome.{self.name}: {self.value!r}>"
+
+
+Outcome.EXACT_PASS = Outcome("EXACT_PASS", "exact-pass", True)
+Outcome.WINDOW_PASS = Outcome("WINDOW_PASS", "window-pass", True)
+Outcome.FAIL = Outcome("FAIL", "fail", False)
+Outcome.NO_K_FOUND = Outcome("NO_K_FOUND", "no-k-found", False)
 
 
 class CheckItem:
+    __slots__ = ("name", "outcome", "detail")
+
     def __init__(self, name, outcome, detail):
         self.name = name
         self.outcome = outcome
@@ -49,8 +59,9 @@ class CheckReport:
     def verdict(self, name, res):
         """Add the item for an EqResult: its outcome, and its witness as the
         detail when it has one.  Returns res."""
-        outcome = {Eq.EXACT: Outcome.EXACT_PASS,
-                   Eq.WINDOW: Outcome.WINDOW_PASS}.get(res.kind, Outcome.FAIL)
+        kind = res.kind
+        outcome = (Outcome.EXACT_PASS if kind is Eq.EXACT else
+                   Outcome.WINDOW_PASS if kind is Eq.WINDOW else Outcome.FAIL)
         self.add(name, outcome,
                  f"witness {res.witness}" if res.witness is not None else "")
         return res
@@ -59,6 +70,17 @@ class CheckReport:
         """Certified comparison of two SeriesVectors, added as one item.
         Returns the EqResult."""
         return self.verdict(name, window_equal_vec(lhs, rhs))
+
+    def compare_maps(self, names, lhs, rhs):
+        """Certified comparison of two SeriesMaps, one item per (name, key)
+        of names.  At a key where neither map has a column, 0 == 0, the
+        exact-pass item is added with nothing built or compared."""
+        lcols, rcols = lhs.columns, rhs.columns
+        for name, key in names:
+            if key in lcols or key in rcols:
+                self.compare(name, lhs.column(key), rhs.column(key))
+            else:
+                self.items.append(CheckItem(name, Outcome.EXACT_PASS, ""))
 
     def extend(self, other):
         self.items.extend(other.items)
@@ -148,12 +170,16 @@ def check_vacuum(nva):
     return rep
 
 
+_EXACT = EqResult(Eq.EXACT)
+
+
 def window_equal_vec(a, b):
     """Certified equality of SeriesVectors: the worst verdict of
     series.window_equal over the keys of both sides, with the first unequal
-    key (in sorted order) and its exponent as the witness."""
-    worst = EqResult(Eq.EXACT)
-    for key in sorted(set(a.entries) | set(b.entries)):
+    key (in sorted order) and its exponent as the witness.  An all-exact
+    verdict is one shared EqResult."""
+    worst = _EXACT
+    for key in sorted(a.entries.keys() | b.entries.keys()):
         res = window_equal(a.get(key), b.get(key))
         if not res:
             return EqResult(Eq.UNEQUAL, (key, res.witness))
@@ -231,11 +257,12 @@ def weak_associativity_items(y, yw, spaces, kmax, prefix):
     yx1, yx2, yx0 = yw.at("x1"), yw.at("x2"), y.at("x0")
     lhs_map = yx1.compose(yx2, (1,))
     rhs_map = yx2.compose(yx0, (0,))
+    nonzero = lhs_map.columns.keys() | rhs_map.columns.keys()
     for (u, v) in basis_tuples(spaces[:2]):
         at = f"{prefix}({u},{v},"
         for w in spaces[2].basis:
             key = (u, v, w)
-            if key not in lhs_map.columns and key not in rhs_map.columns:
+            if key not in nonzero:
                 rep.items.append(
                     CheckItem(f"{at}{w}) k=0", Outcome.EXACT_PASS, ""))
                 continue
@@ -328,11 +355,12 @@ def check_D_bracket(nva):
     bracket = D.compose(nva.y) - nva.y.compose(D, (1,))
     ydv = nva.y.compose(D, (0,))
     deriv = nva.y.transform(lambda s: s.deriv("x"))
-    for (v, u) in basis_tuples(pair):
-        rep.compare(f"[D,Y({v},x)]{u} == Y(D{v},x){u}",
-                    bracket.column((v, u)), ydv.column((v, u)))
-        rep.compare(f"Y(D{v},x){u} == d/dx Y({v},x){u}",
-                    ydv.column((v, u)), deriv.column((v, u)))
+    for key in basis_tuples(pair):
+        v, u = key
+        rep.compare_maps(((f"[D,Y({v},x)]{u} == Y(D{v},x){u}", key),),
+                         bracket, ydv)
+        rep.compare_maps(((f"Y(D{v},x){u} == d/dx Y({v},x){u}", key),),
+                         ydv, deriv)
     return rep
 
 

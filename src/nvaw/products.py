@@ -191,9 +191,8 @@ def check_product_properties(p):
 
     dsum = product_D_sum(p)
     dprod = compute_D(P)
-    for key in basis_tuples((P.space,)):
-        rep.compare(f"D-additivity at {key[0]}", dprod.column(key),
-                    dsum.column(key))
+    rep.compare_maps(((f"D-additivity at {key[0]}", key)
+                      for key in basis_tuples((P.space,))), dprod, dsum)
 
     vac_u, vac_v = p.first.vacuum, p.second.vacuum
     expd = exp_xD(P)
@@ -631,9 +630,9 @@ def check_module_extension(p, mod, m_first, m_second):
     rep = CheckReport(f"{mod.name}: extension property")
     for (m, which) in ((m_first, "first"), (m_second, "second")):
         r = restricted_module(p, mod, which)
-        for key in sorted(set(m.yw.columns) | set(r.yw.columns)):
-            rep.compare(f"{which} restriction at {key}", m.yw.column(key),
-                        r.yw.column(key))
+        rep.compare_maps(((f"{which} restriction at {key}", key) for key
+                          in sorted(m.yw.columns.keys() | r.yw.columns.keys())),
+                         m.yw, r.yw)
     return rep
 
 

@@ -13,6 +13,7 @@ through arithmetic.
 """
 
 import math
+import operator
 import re
 from enum import Enum
 from fractions import Fraction
@@ -70,7 +71,7 @@ class Series:
         variables = tuple(variables)
         if len(variables) > MAX_VARS:
             raise VariableMismatch(f"at most {MAX_VARS} variables, got {variables}")
-        if list(variables) != sorted(variables):
+        if len(variables) > 1 and list(variables) != sorted(variables):
             raise VariableMismatch(f"variables must be sorted: {variables}")
         if variables and window is not None:
             lo, hi = window
@@ -213,7 +214,7 @@ class Series:
         out = {}
         for ex1, c1 in a.items():
             for ex2, c2 in b.items():
-                ex = tuple(e1 + e2 for e1, e2 in zip(ex1, ex2))
+                ex = tuple(map(operator.add, ex1, ex2))
                 prev = out.get(ex)
                 out[ex] = c1 * c2 if prev is None else prev + c1 * c2
         return Series(variables, out, window, exact)
@@ -239,11 +240,15 @@ class Series:
     def rename(self, mapping):
         """Substitute each variable v -> mapping.get(v, v).  A target may
         carry a sign, "-y" for v -> -y, and variables sent to one name merge,
-        their exponents adding."""
+        their exponents adding.  A one-to-one unsigned mapping that keeps the
+        variable order moves no exponent: the coefficients pass unchanged."""
         targets = [_signed(mapping.get(v, v)) for v in self.variables]
-        variables = tuple(sorted({name for name, _ in targets}))
-        pos = [variables.index(name) for name, _ in targets]
+        names = tuple(name for name, _ in targets)
+        variables = tuple(sorted(set(names)))
         neg = [i for i, (_, sign) in enumerate(targets) if sign < 0]
+        if names == variables and not neg:
+            return Series(variables, self.coeffs, self.window, self.exact)
+        pos = [variables.index(name) for name in names]
         out = {}
         for ex, c in self.coeffs.items():
             ne = [0] * len(variables)

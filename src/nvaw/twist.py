@@ -77,8 +77,8 @@ def check_twisting_axioms(t):
     rhs = yu_x2.on_legs((us, us, vs), (0, 1)).compose(
         r_x1.on_legs((us, vs, us), (1, 2)).compose(
             t.table.at("x1", "x2"), (0, 1)))
-    for key in basis_tuples(spaces):
-        rep.compare(f"hexagon-right{key}", lhs.column(key), rhs.column(key))
+    rep.compare_maps(((f"hexagon-right{key}", key)
+                      for key in basis_tuples(spaces)), lhs, rhs)
 
     # hexagon against Y_V:  R(x1)(Y_V(x2)⊗1) == (1⊗Y_V(x2)) R12(x1-x2) R23(x1)
     yv_x2 = V.y.at("x2")
@@ -87,8 +87,8 @@ def check_twisting_axioms(t):
     rhs = yv_x2.on_legs((us, vs, vs), (1, 2)).compose(
         t.table.at("x1", "-x2").on_legs((vs, us, vs), (0, 1)).compose(
             r_x1, (1, 2)))
-    for key in basis_tuples(spaces):
-        rep.compare(f"hexagon-left{key}", lhs.column(key), rhs.column(key))
+    rep.compare_maps(((f"hexagon-left{key}", key)
+                      for key in basis_tuples(spaces)), lhs, rhs)
     return rep
 
 

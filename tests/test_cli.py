@@ -169,6 +169,50 @@ def test_a_registry_name_of_the_wrong_kind_is_a_usage_error(
     assert "Traceback" not in err
 
 
+def write_failing_inputs(tmp_path):
+    """Files whose data fail a precondition: a flip E2⊗E2 twist with
+    R(s⊗s) = 2·s⊗s, which fails its hexagons, and an action and a
+    coaction over two bialgebras on Z2 that differ in their counit."""
+    from nvaw.fileformat import emit_coalg, emit_twist
+    from nvaw.registry import make_e2, z2_smash_datum
+    from nvaw.twist import flip_twist
+
+    twist = emit_twist(flip_twist(make_e2(), make_e2()))
+    assert "r s s -> (s,s):1\n" in twist
+    (tmp_path / "twist.nvaw").write_text(
+        twist.replace("r s s -> (s,s):1\n", "r s s -> (s,s):2\n"))
+    (tmp_path / "smash.nvaw").write_text(
+        emit_coalg(z2_smash_datum().coalgebra, "H") + "\n".join((
+            "coalg K Z2", "delta one -> (one,one):1", "delta g -> (g,g):1",
+            "eps one -> 2", "eps g -> 2",
+            "action act H Z2", "a one one -> (one):1", "a one g -> (g):1",
+            "a g one -> (one):1", "a g g -> (g):-1",
+            "coaction co K Z2", "rho one -> (one,one):1",
+            "rho g -> (g,g):1", "")))
+    assert run("product", "E2", "E2", "--twist", "flip:E2,E2",
+               "-o", str(tmp_path / "prod.nvaw")) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "twist.nvaw", "--suite", "product-props",
+     "--twist", "flip(E2,E2)"),
+    ("product", "twist.nvaw", "twist.nvaw", "--twist", "flip(E2,E2)"),
+    ("extract-twist", "prod.nvaw", "--u", "(one,one),(s,one)",
+     "--v", "(one,one),(one,s)"),
+    ("check", "smash.nvaw", "--suite", "smash"),
+    ("smash", "smash.nvaw", "smash.nvaw"),
+])
+def test_a_failed_precondition_exits_1_with_its_message(
+        tmp_path, monkeypatch, capsys, argv):
+    write_failing_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failed: hypothesis "), err
+    assert "Traceback" not in err
+
+
 def test_window_reaches_the_registry(tmp_path):
     inputs = Inputs("E2", (0, 0))
     for table in (inputs.algebra().y, inputs.twist("flip:E2,E2").first.y,
@@ -249,3 +293,27 @@ def test_registry_names_are_the_built_tables():
 
     assert set(registry.ALGEBRA_NAMES) == set(registry.builtin_algebras())
     assert set(registry.SMASH_NAMES) == set(registry.builtin_smash())
+
+
+def readme_command_lines():
+    """The `nvaw` lines of the sh block under "## Command line" in the
+    README, as argument lists."""
+    import re
+    import shlex
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("nvaw ")]
+
+
+def test_the_readme_command_lines_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_command_lines()
+    assert len(lines) == 11
+    # extract-smap E2 is the honest failure the README names
+    assert [(argv, run(*argv)) for argv in lines] == [
+        (argv, 1 if argv == ["extract-smap", "E2"] else 0) for argv in lines]

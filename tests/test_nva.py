@@ -3,14 +3,16 @@
 import pytest
 
 from nvaw.nva import (
-    adjoint_module, check_D_bracket, check_module, check_vacuum,
-    check_weak_associativity, compute_D, exp_xD, scalar_of, window_equal_vec,
-    weak_associativity_items,
+    CheckItem, CheckReport, Outcome, adjoint_module, check_D_bracket,
+    check_module, check_vacuum, check_weak_associativity, compute_D, exp_xD,
+    scalar_of, window_equal_vec, weak_associativity_items,
 )
 from nvaw.linalg import SeriesMap, SeriesVector, Space, basis_tuples
 from nvaw.nva import Nva
-from nvaw.registry import make_e1, make_e1n, make_e2, make_z2
-from nvaw.series import DEFAULT_RANGE, Eq, Series, window_equal
+from nvaw.registry import (
+    builtin_algebras, make_e1, make_e1n, make_e2, make_z2,
+)
+from nvaw.series import DEFAULT_RANGE, Eq, EqResult, Series, window_equal
 
 ALL = [make_e1, make_e1n, make_e2, make_z2]
 
@@ -208,3 +210,94 @@ def test_weak_associativity_applies_each_side_on_its_support(monkeypatch):
     weak_associativity_items(p.y, p.y, (p.space,) * 3, 10, "assoc")
     # one outer map per side: Y(·,x1) on the left, Y(·,x2) on the right
     assert sorted(calls.values()) == [343, 343]
+
+
+# ---------------------------------------------------------------------------
+# the D-bracket compares its maps with compare_maps; the per-pair loop it
+# replaces is kept here as the oracle
+
+
+def d_bracket_per_pair(nva):
+    """check_D_bracket as a compare on every pair, the two comparisons of
+    a pair in turn: its report, and (name, key, lhs, rhs) per item."""
+    rep = CheckReport("per-pair D-bracket")
+    D = compute_D(nva)
+    bracket = D.compose(nva.y) - nva.y.compose(D, (1,))
+    ydv = nva.y.compose(D, (0,))
+    deriv = nva.y.transform(lambda s: s.deriv("x"))
+    compared = []
+    for (v, u) in basis_tuples((nva.space, nva.space)):
+        for name, lhs, rhs in (
+                (f"[D,Y({v},x)]{u} == Y(D{v},x){u}",
+                 bracket.column((v, u)), ydv.column((v, u))),
+                (f"Y(D{v},x){u} == d/dx Y({v},x){u}",
+                 ydv.column((v, u)), deriv.column((v, u)))):
+            rep.compare(name, lhs, rhs)
+            compared.append((name, (v, u), lhs, rhs))
+    return rep, compared
+
+
+def with_x_term(nva):
+    """nva with x·b added to Y(b,x)b, b its last basis label: d/dx Y(b,x)b
+    gains b, which Y(Db,x)b does not."""
+    b = nva.space.basis[-1]
+    cols = dict(nva.y.columns)
+    cols[(b, b)] = nva.y.column((b, b)) + SeriesVector.basis(
+        (nva.space,), (b,), Series.monomial("x", 1))
+    return Nva(f"{nva.name}+x", nva.space, nva.vacuum,
+               SeriesMap(nva.y.domain, nva.y.codomain, cols))
+
+
+@pytest.mark.parametrize("rng", [DEFAULT_RANGE, (0, 0), (-1, 1)])
+def test_D_bracket_items_equal_the_per_pair_comparison(rng, map_comparisons):
+    zero = total = 0
+    for alg in builtin_algebras(rng).values():
+        for nva in (alg, with_x_term(alg)):
+            want, compared = d_bracket_per_pair(nva)
+            map_comparisons.clear()
+            items = check_D_bracket(nva).items
+            assert [(i.name, i.outcome, i.detail) for i in items] == [
+                (i.name, i.outcome, i.detail) for i in want.items], nva.name
+            zero += map_comparisons.match(items, compared)
+            total += len(items)
+            if nva is not alg:
+                failed = [i for i in items if not i.ok]
+                assert failed and all(i.outcome is Outcome.FAIL
+                                      and i.detail.startswith("witness ")
+                                      for i in failed), nva.name
+    assert 0 < zero < total
+
+
+# ---------------------------------------------------------------------------
+# outcomes and items are plain slotted objects
+
+
+def test_outcomes_are_four_plain_instances():
+    outcomes = (Outcome.EXACT_PASS, Outcome.WINDOW_PASS, Outcome.FAIL,
+                Outcome.NO_K_FOUND)
+    assert [(o.name, o.value, o.ok) for o in outcomes] == [
+        ("EXACT_PASS", "exact-pass", True), ("WINDOW_PASS", "window-pass", True),
+        ("FAIL", "fail", False), ("NO_K_FOUND", "no-k-found", False)]
+    assert all(getattr(Outcome, o.name) is o for o in outcomes)
+    assert len({id(o) for o in outcomes}) == 4
+    assert repr(Outcome.FAIL) == "<Outcome.FAIL: 'fail'>"
+    assert not hasattr(Outcome.FAIL, "__dict__")
+    rep = CheckReport("verdicts")
+    for kind in (Eq.EXACT, Eq.WINDOW, Eq.UNEQUAL):
+        rep.verdict(str(kind), EqResult(kind))
+    assert [i.outcome for i in rep.items] == list(outcomes[:3])
+
+
+def test_a_check_item_has_no_dict():
+    item = CheckItem("name", Outcome.EXACT_PASS, "")
+    assert not hasattr(item, "__dict__") and item.ok
+    with pytest.raises(AttributeError):
+        item.elapsed = 0.0
+
+
+def test_two_empty_vectors_share_one_exact_verdict():
+    sp = Space("V", ("a",))
+    first = window_equal_vec(SeriesVector.zero((sp,)), SeriesVector.zero((sp,)))
+    assert first.kind is Eq.EXACT and first.witness is None
+    assert window_equal_vec(SeriesVector.zero((sp,)),
+                            SeriesVector.zero((sp,))) is first

@@ -451,3 +451,63 @@ def test_lifted_arithmetic_equals_align_both_then_combine(a, b, op):
     for s in (a, b):
         assert fields(s.align(variables, window)) == \
             fields(aligned_copy(s, variables, window))
+
+
+# ---------------------------------------------------------------------------
+# rename keeps the exponents of a mapping that moves none; the general loop
+# it bypasses is kept here as the oracle
+
+
+def rename_by_loop(s, mapping):
+    """Series.rename as the general loop computes it for every mapping."""
+    targets = [(t[1:], -1) if t.startswith("-") else (t, 1)
+               for t in (mapping.get(v, v) for v in s.variables)]
+    variables = tuple(sorted({name for name, _ in targets}))
+    pos = [variables.index(name) for name, _ in targets]
+    neg = [i for i, (_, sign) in enumerate(targets) if sign < 0]
+    out = {}
+    for ex, c in s.coeffs.items():
+        ne = [0] * len(variables)
+        for p, e in zip(pos, ex):
+            ne[p] += e
+        if sum(ex[i] for i in neg) % 2:
+            c = -c
+        ne = tuple(ne)
+        out[ne] = out[ne] + c if ne in out else c
+    return Series(variables, out, s.window, s.exact)
+
+
+@st.composite
+def renamed_operand(draw):
+    """A series in up to three variables, windowed or not, exact or not,
+    and a mapping of some of its variables to signed names: one-to-one or
+    merging, keeping the variable order or changing it."""
+    variables = draw(st.sampled_from(
+        [(), ("x",), ("x1",), ("x1", "x2"), ("x0", "x2"), ("x0", "x1", "x2")]))
+    s = draw(laurent(variables, -4, 4, draw(window_or_none())))
+    s = Series(variables, s.coeffs, s.window, s.exact and draw(st.booleans()))
+    names = st.sampled_from(["x", "x0", "x1", "x2", "x3"])
+    mapping = {}
+    for v in variables:
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from(["", "", "-"]))
+            mapping[v] = sign + draw(names)
+    return s, mapping
+
+
+@settings(max_examples=400, deadline=None)
+@given(renamed_operand())
+def test_rename_matches_the_general_loop(case):
+    s, mapping = case
+    assert fields(s.rename(mapping)) == fields(rename_by_loop(s, mapping))
+
+
+def test_rename_keeps_the_exponents_it_does_not_move():
+    s = Series(("x1", "x2"), {(1, -2): Q(3), (9, 0): Q(1)}, (-2, 2))
+    assert not s.exact
+    for mapping in ({"x1": "x0"}, {"x2": "x3"}, {"x1": "x0", "x2": "x1"}):
+        out = s.rename(mapping)
+        assert out.coeffs == s.coeffs and not out.exact
+        assert out.window == s.window
+    assert s.rename({"x1": "x3"}).coeffs == {(-2, 1): 3}
+    assert s.rename({"x1": "-x0"}).coeffs == {(1, -2): -3}
