@@ -9,7 +9,7 @@ identities are composed.
 from fractions import Fraction as Q
 from functools import reduce
 
-from .series import Series, _meet
+from .series import EmptyWindow, Series, _meet
 
 
 class Space:
@@ -354,15 +354,24 @@ def _row_reduce(rows, ncols):
     rest lists (index, leftover) for every input row that reduced to zero
     below ncols, the leftover holding its carried columns.
 
+    The work follows the nonzeros: a new pivot is cleared only from the held
+    rows that may hold its column.  `holders` maps each non-pivot column to
+    the pivots whose rows got an entry there, when the row was stored or
+    when a subtraction reached that column; an entry may cancel later, so
+    membership is tested again before subtracting.  A row whose leading
+    entry is already 1 is stored as it is.
+
     The result is the dense column-by-column Gauss-Jordan's.  A held row
     keeps its leading entry at its pivot q: a new pivot p is cleared from
     it only when p > q, by a row with no entry left of p.  So the held rows
     are in reduced row echelon form, which is unique for their row space,
     and a row set aside with an empty leftover lies in that space.  The
-    pivot columns and pivot rows therefore depend only on the span of the
-    input rows, not on their order or on how they were reduced.
+    pivot columns, and the pivot rows below ncols, therefore depend only on
+    the span of the input rows, not on their order or on how they were
+    reduced; so do the carried columns when every leftover is empty.
     """
     pivots = {}
+    holders = {}
     rest = []
     for i, row in enumerate(rows):
         row = dict(row)
@@ -372,11 +381,18 @@ def _row_reduce(rows, ncols):
         if lead is None:
             rest.append((i, row))
             continue
-        inv = 1 / Q(row[lead])  # table coefficients may be ints
-        row = {j: v * inv for j, v in row.items()}
-        for held in pivots.values():
+        if row[lead] != 1:
+            inv = 1 / Q(row[lead])  # table coefficients may be ints
+            row = {j: v * inv for j, v in row.items()}
+        reach = [j for j in row if j < ncols and j != lead]
+        for p in holders.pop(lead, ()):
+            held = pivots[p]
             if lead in held:
                 _subtract(held, held.pop(lead), row, lead)
+                for j in reach:
+                    holders.setdefault(j, set()).add(p)
+        for j in reach:
+            holders.setdefault(j, set()).add(lead)
         pivots[lead] = row
     return pivots, rest
 
@@ -386,10 +402,13 @@ def solve_linear(blocks, unknowns):
     with target == sum(u * images[u]).
 
     Each (basis key, exponent) of a block is one equation.  At a key every
-    side is aligned as their difference would be: onto the union of their
-    variables, clipped to the meet of their windows.  Equations enter in
-    order of first appearance, the target's before the images' in unknown
-    order, and a repeated equation enters once.
+    side is read as their difference would be: lifted onto the union of
+    their variables, clipped to the meet of their windows (sides that share
+    variables and window are read as they are).  Equations enter in order
+    of first appearance, the target's before the images' in unknown order,
+    and a repeated equation enters once: equations are compared by the
+    numerator and denominator of each coefficient, so an int and an equal
+    Fraction are the same coefficient.
     """
     unknowns = list(unknowns)
     n = len(unknowns)
@@ -404,14 +423,22 @@ def solve_linear(blocks, unknowns):
             for key, s in vec.entries.items():
                 at.setdefault(key, []).append((j, s))
         for key, sides in at.items():
-            variables = tuple(sorted({v for _, s in sides for v in s.variables}))
-            window = reduce(_meet, (s.window for _, s in sides))
+            first = sides[0][1]
+            variables, window = first.variables, first.window
+            if any(s.variables != variables or s.window != window
+                   for _, s in sides):
+                variables = tuple(sorted({v for _, s in sides for v in s.variables}))
+                window = reduce(_meet, (s.window for _, s in sides))
+                if window is not None and window[0] > window[1]:
+                    raise EmptyWindow(f"empty window [{window[0]},{window[1]}]")
             eqs = {}
             for j, s in sides:
-                for expt, c in s.align(variables, window).coeffs.items():
+                for expt, c in s._lifted(variables, window)[0].items():
                     eqs.setdefault(expt, {})[j] = c
             for expt, row in eqs.items():
-                sig = frozenset(row.items())  # unknown part and right-hand side
+                # unknown part and right-hand side, by value
+                sig = frozenset([(j, c.numerator, c.denominator)
+                                 for j, c in row.items()])
                 if sig in seen:
                     continue
                 seen.add(sig)

@@ -11,6 +11,7 @@ the twisting operator from a host algebra, the degree-two injectivity
 surrogate for non-degeneracy, and modules over the product.
 """
 
+import math
 from fractions import Fraction as Q
 
 from .series import Series
@@ -467,23 +468,23 @@ def extract_twisting(host, u_labels, v_labels):
                 for e, poly in signed.items():
                     images[(a, b, e, w)] = base.scale(poly)
 
-    def equations(wlabels):
-        blocks = []
-        for v in v_labels:
-            for u in u_labels:
-                for w in wlabels:
-                    lhs = double_product(y1, y2, v, u, w, hs).scale(signed[0])
-                    blocks.append((lhs, {
-                        nsym[(v, u, a, b, e)]: images[(a, b, e, w)]
-                        for a in u_labels for b in v_labels
-                        for e in range(elo, ehi + 1)}))
-        return blocks
+    # the blocks of every w, in (v, u, w) order; those at w = vacuum are the
+    # vacuum system, in the same (v, u) order
+    blocks = []
+    for v in v_labels:
+        for u in u_labels:
+            for w in host.space.basis:
+                lhs = double_product(y1, y2, v, u, w, hs).scale(signed[0])
+                blocks.append((w, (lhs, {
+                    nsym[(v, u, a, b, e)]: images[(a, b, e, w)]
+                    for a in u_labels for b in v_labels
+                    for e in range(elo, ehi + 1)})))
 
     unknowns = list(nsym.values())
-    sol = solve_linear(equations([host.vacuum]), unknowns)
+    sol = solve_linear([b for w, b in blocks if w == host.vacuum], unknowns)
     # the full system over every w: the solution when the vacuum system
     # leaves R open, and otherwise the validation of the solved R
-    full = solve_linear(equations(list(host.space.basis)), unknowns)
+    full = solve_linear([b for _, b in blocks], unknowns)
     if not isinstance(sol, UniqueSolution):
         sol = full
     if not isinstance(sol, UniqueSolution) or isinstance(full, Inconsistent):
@@ -540,7 +541,10 @@ def check_Z2_injectivity(host):
     (basis ⊗ basis ⊗ monomial x1^e1 x2^e2, e1 and e2 in Z2_WINDOW);
     reports the kernel rank.  Each column is held as a sparse row
     {(label, e1, e2) row index: coefficient}, so the rank is taken on the
-    transpose, which has the same rank over Q.
+    transpose, which has the same rank over Q.  The column of x1^e1 x2^e2
+    is Y(u,x1)Y(v,x2)1 with every exponent shifted by (e1, e2), the terms
+    shifted out of their entry's window dropped: the product with the
+    monomial, which has no window and coefficient 1.
 
     On a Laurent polynomial table the map is linear over the Laurent
     polynomials f, so it sends the rank-n² module of u⊗v into the rank-n
@@ -552,18 +556,23 @@ def check_Z2_injectivity(host):
     y1, y2 = host.y.at("x1"), host.y.at("x2")
     hs = (host.space,) * 3
     lo, hi = Z2_WINDOW
-    monos = [Series.monomial("x1", e1) * Series.monomial("x2", e2)
-             for e1 in range(lo, hi + 1) for e2 in range(lo, hi + 1)]
+    shifts = [(e1, e2) for e1 in range(lo, hi + 1) for e2 in range(lo, hi + 1)]
     columns = []
     rowkeys = {}
     for u in host.space.basis:
         for v in host.space.basis:
             base = double_product(y1, y2, u, v, host.vacuum, hs)
-            for f in monos:
-                columns.append({
-                    rowkeys.setdefault((lbl,) + expt, len(rowkeys)): c
-                    for (lbl,), s in base.scale(f).entries.items()
-                    for expt, c in s.coeffs.items()})
+            terms = [(lbl, s.window or (-math.inf, math.inf),
+                      s._lifted(("x1", "x2"), s.window)[0])
+                     for (lbl,), s in base.entries.items()]
+            for e1, e2 in shifts:
+                column = {}
+                for lbl, (wlo, whi), coeffs in terms:
+                    for (a, b), c in coeffs.items():
+                        a, b = a + e1, b + e2
+                        if wlo <= a <= whi and wlo <= b <= whi:
+                            column[rowkeys.setdefault((lbl, a, b), len(rowkeys))] = c
+                columns.append(column)
     rank = matrix_rank(columns, len(rowkeys))
     kernel = len(columns) - rank
     rep.add("Z2 kernel rank 0",

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from nvaw.linalg import (
     Inconsistent, SeriesMap, SeriesVector, Space, UniqueSolution,
-    Underdetermined, basis_tuples, matrix_inverse, matrix_rank, solve_linear,
+    Underdetermined, _row_reduce, basis_tuples, matrix_inverse, matrix_rank,
+    solve_linear,
 )
 from nvaw.registry import (
     builtin_algebras, builtin_smaps, builtin_smash, builtin_twists, make_e2,
 )
-from nvaw.series import DEFAULT_RANGE, Q, Series
+from nvaw.series import DEFAULT_RANGE, EmptyWindow, Q, Series
 
 A = Space("A", ("a1", "a2"))
 B = Space("B", ("b1", "b2", "b3"))
@@ -173,6 +174,10 @@ def test_inconsistent_witness_is_the_first_contradicting_equation():
                          ((-2, 2), UniqueSolution({"x": Q(1)}))):
         image = SeriesVector((A,), {("a1",): Series(("x",), {(0,): 1}, window)})
         assert solve_linear([(target, {"x": image})], ["x"]) == want
+    # sides whose windows do not meet cannot be compared
+    image = SeriesVector((A,), {("a1",): Series(("x",), {(9,): 1}, (9, 10))})
+    with pytest.raises(EmptyWindow):
+        solve_linear([(target, {"x": image})], ["x"])
 
 
 def test_matrix_rank_and_inverse():
@@ -190,20 +195,30 @@ def test_matrix_rank_and_inverse():
 # sympy as an independent oracle for elimination
 
 
-fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# the values of st.fractions(-3, 3, max_denominator=3), drawn in a sixth
+# of its time
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3)).filter(
+    lambda f: abs(f) <= 3)
+integers = st.integers(min_value=-3, max_value=3)
+nonzeros = st.one_of(fractions, integers).filter(bool)
+row_kinds = st.sampled_from(("fresh",) * 4 + ("copy", "combination"))
 
 
 @st.composite
-def sparse_matrices(draw, square=False):
-    """Small rational matrices, mostly zeros, with some rows repeated and
-    some rows sums of multiples of earlier rows."""
-    nrows = draw(st.integers(min_value=1, max_value=8))
-    ncols = nrows if square else draw(st.integers(min_value=1, max_value=8))
-    zeros = draw(st.integers(min_value=1, max_value=3))
-    entry = st.one_of(*[st.just(Fraction(0))] * zeros, fractions)
+def sparse_matrices(draw, square=False, size=8):
+    """Rational matrices of at most size rows and columns, their entries
+    ints and Fractions, with some rows repeated and some rows sums of
+    multiples of earlier rows.  A fresh row holds a handful of nonzeros,
+    so the larger the size, the sparser the matrix."""
+    # half the draws from the upper half of the sizes, where elimination
+    # clears a new pivot from many held rows
+    dims = st.one_of(st.integers(1, size), st.integers(max(1, size // 2), size))
+    nrows = draw(dims)
+    ncols = nrows if square else draw(dims)
+    fresh = st.dictionaries(st.integers(0, ncols - 1), nonzeros, max_size=ncols)
     rows = []
     for _ in range(nrows):
-        kind = draw(st.sampled_from(("fresh",) * 4 + ("copy", "combination")))
+        kind = draw(row_kinds)
         if kind == "copy" and rows:
             rows.append(list(draw(st.sampled_from(rows))))
         elif kind == "combination" and rows:
@@ -211,7 +226,8 @@ def sparse_matrices(draw, square=False):
             s, t = draw(fractions), draw(fractions)
             rows.append([s * x + t * y for x, y in zip(a, b)])
         else:
-            rows.append([draw(entry) for _ in range(ncols)])
+            cells = draw(fresh)
+            rows.append([cells.get(j, 0) for j in range(ncols)])
     return rows
 
 
@@ -222,6 +238,12 @@ def _sym(rows):
 
 def _q(r):
     return Q(int(r.p), int(r.q))
+
+
+def _independent(m):
+    """The rows of a sympy matrix not in the span of the rows before them:
+    the pivot columns of its transpose."""
+    return set(m.T.rref()[1])
 
 
 def _dict_rows(rows):
@@ -252,6 +274,32 @@ def test_matrix_inverse_matches_sympy(rows, shift):
         assert inv == [[_q(x) for x in m.inv().row(i)] for i in range(m.rows)]
 
 
+def check_solve_linear(rows, rhs):
+    """solve_linear on the equations row . u == rhs, one per key, against
+    sympy's rref of the augmented matrix."""
+    n = len(rows[0])
+    unknowns = [f"u{j}" for j in range(n)]
+    sol = solve_linear(equations(*[(f"e{i}", dict(zip(unknowns, r)), c)
+                                   for i, (r, c) in enumerate(zip(rows, rhs))]),
+                       unknowns)
+
+    aug = _sym([r + [c] for r, c in zip(rows, rhs)])
+    reduced, pivots = aug.rref()
+    if n in pivots:
+        # the first equation that contradicts the ones before it: the first
+        # row independent of the rows before it only with its right-hand side
+        first = min(_independent(aug) - _independent(aug[:, :n]))
+        assert sol == Inconsistent(((f"e{first}",), ()))
+        return
+    values = {unknowns[j]: _q(reduced[k, n]) for k, j in enumerate(pivots)}
+    if len(pivots) == n:
+        assert sol == UniqueSolution(values)
+    else:
+        assert sol == Underdetermined(
+            len(pivots), [u for j, u in enumerate(unknowns) if j not in pivots],
+            {u: values.get(u, Q(0)) for u in unknowns})
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices(), st.data())
 def test_solve_linear_matches_sympy_rref(rows, data):
@@ -262,26 +310,67 @@ def test_solve_linear_matches_sympy_rref(rows, data):
     if data.draw(st.booleans()):
         rhs = data.draw(st.lists(fractions, min_size=len(rows),
                                  max_size=len(rows)))
-    unknowns = [f"u{j}" for j in range(n)]
-    sol = solve_linear(equations(*[(f"e{i}", dict(zip(unknowns, r)), c)
-                                   for i, (r, c) in enumerate(zip(rows, rhs))]),
-                       unknowns)
+    check_solve_linear(rows, rhs)
 
-    aug = _sym([r + [c] for r, c in zip(rows, rhs)])
-    reduced, pivots = aug.rref()
-    if n in pivots:
-        # the first equation that contradicts the ones before it
-        first = next(i for i in range(len(rows))
-                     if aug[:i + 1, :].rank() > aug[:i + 1, :n].rank())
-        assert sol == Inconsistent(((f"e{first}",), ()))
-        return
-    values = {unknowns[j]: _q(reduced[k, n]) for k, j in enumerate(pivots)}
-    if len(pivots) == n:
-        assert sol == UniqueSolution(values)
-    else:
-        assert sol == Underdetermined(
-            len(pivots), [u for j, u in enumerate(unknowns) if j not in pivots],
-            {u: values.get(u, Q(0)) for u in unknowns})
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_matrices(size=30), st.data())
+def test_row_reduce_of_larger_systems_matches_sympy_rref(rows, data):
+    # up to 30×30, where a new pivot is cleared from many held rows; two
+    # carried columns, a consistent right-hand side and a free one
+    n = len(rows[0])
+    values = data.draw(st.lists(integers, min_size=n, max_size=n))
+    free = data.draw(st.lists(st.one_of(st.just(0), fractions),
+                              min_size=len(rows), max_size=len(rows)))
+    consistent = [sum(a * v for a, v in zip(r, values)) for r in rows]
+    aug = [r + [c, f] for r, c, f in zip(rows, consistent, free)]
+    pivots, rest = _row_reduce(_dict_rows(aug), n)
+
+    reduced, sym_pivots = _sym(aug).rref()
+    assert sorted(pivots) == [j for j in sym_pivots if j < n]
+    # each pivot row, cleared in the pivot columns of the carried part
+    # (those of the free right-hand side's contradictions), is sympy's row
+    carried = [k for k, j in enumerate(sym_pivots) if j >= n]
+    for k, j in enumerate(sym_pivots[:len(pivots)]):
+        row = [pivots[j].get(c, Q(0)) for c in range(n + 2)]
+        for m in carried:
+            q = sym_pivots[m]
+            row = [x - row[q] * _q(y) for x, y in zip(row, reduced.row(m))]
+        assert row == [_q(x) for x in reduced.row(k)]
+    # a row is set aside exactly when it lies in the span of the rows
+    # before it, its leftovers spanning what the carried pivots span
+    kept = _independent(_sym(rows))
+    assert [i for i, _ in rest] == [i for i in range(len(rows)) if i not in kept]
+    leftovers = [[x.get(c, 0) for c in (n, n + 1)] for _, x in rest]
+    assert (_sym(leftovers).rank() if leftovers else 0) == len(carried)
+
+    assert matrix_rank(_dict_rows(rows), n) == len(pivots)
+    check_solve_linear(rows, consistent)
+    check_solve_linear(rows, free)
+
+
+def test_a_repeated_equation_enters_once_by_value(monkeypatch):
+    import nvaw.linalg as linalg
+
+    seen = []
+    real = linalg._row_reduce
+
+    def spy(rows, ncols):
+        seen.append([dict(r) for r in rows])
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_row_reduce", spy)
+    # x + 2y == 3 once in ints, then in equal Fractions at another key
+    sol = solve_linear(equations(("c1", {"x": 1, "y": 2}, 3),
+                                 ("c2", {"x": Q(1), "y": Q(4, 2)}, Q(3)),
+                                 ("c3", {"y": 1}, 1)), ["x", "y"])
+    assert sol == UniqueSolution({"x": Q(1), "y": Q(1)})
+    assert len(seen[-1]) == 2
+    # a contradicting equation given twice: the first is the witness
+    sol = solve_linear(equations(("c1", {"x": 1}, 1), ("c2", {"x": 1}, 2),
+                                 ("c3", {"x": Q(1)}, Q(2))), ["x"])
+    assert sol == Inconsistent((("c2",), ()))
+    assert len(seen[-1]) == 2
 
 
 def columnwise_compose(outer, inner):

@@ -9,7 +9,8 @@ import pytest
 import sympy
 
 from nvaw.linalg import (
-    SeriesMap, SeriesVector, UniqueSolution, Underdetermined, basis_tuples,
+    Inconsistent, SeriesMap, SeriesVector, UniqueSolution, Underdetermined,
+    basis_tuples, matrix_rank,
 )
 from nvaw.nva import (
     DEFAULT_KMAX, Nva, NvaModule, adjoint_module, check_module,
@@ -160,6 +161,27 @@ def test_extracted_assignment_is_unchanged(name):
     assert digest == ASSIGNMENT_SHA256[name]
 
 
+@pytest.mark.parametrize("name,witness", [
+    ("flip:E2,E2", (("(t,s)",), (1, 1))),
+    ("sign:Z2,Z2", (("(g,one)",), (2, 0))),
+])
+def test_a_mutated_host_gives_its_first_contradicting_equation(name, witness):
+    # Y(v,x)u doubled for the last v and u: no R fits, and the witness is
+    # the first equation, in block order, that contradicts those before it
+    t = builtin_twists()[name]
+    p = build_twisted_tensor(t.first, t.second, t)
+    u_labels = [p.pair(a, p.second.vacuum) for a in p.first.space.basis]
+    v_labels = [p.pair(p.first.vacuum, b) for b in p.second.space.basis]
+    cols = dict(p.nva.y.columns)
+    key = (v_labels[-1], u_labels[-1])
+    cols[key] = cols[key].scale(2)
+    bad = Nva(p.nva.name, p.nva.space, p.nva.vacuum,
+              SeriesMap(p.nva.y.domain, p.nva.y.codomain, cols))
+    res = extract_twisting(bad, u_labels, v_labels)
+    assert res.solve == Inconsistent(witness)
+    assert res.twist is None
+
+
 # SHA-256 of repr([(name, outcome.name, detail)]) of check_product_nva on
 # (E2 ⊗ E2) ⊗ E2, taken while weak associativity still composed both sides
 # triple by triple; the golden report has no host of dimension 27
@@ -191,27 +213,35 @@ def test_z2_injectivity_reports_kernel():
     assert "kernel" in rep.items[0].detail
 
 
-def z2_dense_matrix(host):
-    """The degree-two matrix as check_Z2_injectivity once built it: one row
-    per (label, e1, e2) and one column per (u, v, x1^e1 x2^e2), dense."""
+def z2_columns(host):
+    """The degree-two columns as check_Z2_injectivity once built them: one
+    per (u, v, x1^e1 x2^e2), the entries of f·Y(u,x1)Y(v,x2)1 for the
+    monomial Series f, keyed by (label, e1, e2)."""
     y1, y2 = host.y.at("x1"), host.y.at("x2")
     hs = (host.space,) * 3
     lo, hi = Z2_WINDOW
     columns = []
-    rowkeys = {}
     for u in host.space.basis:
         for v in host.space.basis:
             base = double_product(y1, y2, u, v, host.vacuum, hs)
             for e1 in range(lo, hi + 1):
                 for e2 in range(lo, hi + 1):
                     f = Series.monomial("x1", e1) * Series.monomial("x2", e2)
-                    entry = {}
-                    for (lbl,), s in base.scale(f).entries.items():
-                        for expt, c in s.coeffs.items():
-                            key = (lbl,) + expt
-                            rowkeys.setdefault(key, len(rowkeys))
-                            entry[key] = c
-                    columns.append(entry)
+                    columns.append({
+                        (lbl,) + expt: c
+                        for (lbl,), s in base.scale(f).entries.items()
+                        for expt, c in s.coeffs.items()})
+    return columns
+
+
+def z2_dense_matrix(host):
+    """The degree-two matrix, one row per (label, e1, e2) and one column per
+    (u, v, x1^e1 x2^e2), dense."""
+    columns = z2_columns(host)
+    rowkeys = {}
+    for entry in columns:
+        for key in entry:
+            rowkeys.setdefault(key, len(rowkeys))
     dense = [[0] * len(columns) for _ in rowkeys]
     for j, entry in enumerate(columns):
         for key, c in entry.items():
@@ -236,6 +266,30 @@ def test_z2_rank_of_the_transpose_is_sympys_rank_of_the_dense_matrix(name):
     # sympy ranks the dense matrix itself, through its DomainMatrix
     assert counts["rank"] == sympy.Matrix(dense).to_DM().rank()
     assert counts["kernel"] == counts["columns"] - counts["rank"]
+
+
+@pytest.mark.parametrize("rng", [(0, 0), (-1, 1), (-8, 8)])
+def test_z2_columns_as_shifts_equal_the_monomial_products(rng):
+    # every registry algebra and twisted product at the window rng; the
+    # oracle multiplies by the monomial Series and ranks with matrix_rank
+    hosts = dict(builtin_algebras(rng))
+    for name, t in builtin_twists(rng).items():
+        hosts[name] = build_twisted_tensor(t.first, t.second, t).nva
+    details = {}
+    for name, host in hosts.items():
+        columns = z2_columns(host)
+        rowkeys = {}
+        rows = [{rowkeys.setdefault(key, len(rowkeys)): c
+                 for key, c in entry.items()} for entry in columns]
+        rank = matrix_rank(rows, len(rowkeys))
+        (item,) = check_Z2_injectivity(host).items
+        assert item.detail == (
+            f"columns {len(columns)}, rank {rank}, kernel {len(columns) - rank}, "
+            f"monomial window {Z2_WINDOW}")
+        details[name] = item.detail
+    if rng == (0, 0):
+        # the shifts by x1^±1 and x2^±1 leave the window 0..0: clipped
+        assert details["flip:E2,E2"].startswith("columns 729, rank 9, kernel 720,")
 
 
 def test_z2_report_on_the_triple_product_is_unchanged():
