@@ -174,6 +174,8 @@ def _suite_qva(inputs, alg, args, kmax):
     if not args.smap:
         raise UsageError("--suite qva requires --smap NAME")
     s = inputs.smap(args.smap, alg)
+    if s.algebra.space != alg.space:
+        raise UsageError(f"S-map {s.name} is for {s.algebra.name}")
     rep = CheckReport(f"{alg.name}/{s.name}: quantum suite")
     rep.extend(check_qyb_unitarity(s))
     rep.extend(check_S_locality(alg, s, kmax))

@@ -11,6 +11,9 @@ from functools import reduce
 
 from .series import EmptyWindow, Series, _meet
 
+# the entry of every missing key: no Series is changed once built
+_ZERO = Series.zero()
+
 
 class Space:
     """A named basis.  Spaces built apart (a parsed file, a registry table)
@@ -61,13 +64,9 @@ class SeriesVector:
 
     def __init__(self, spaces, entries):
         self.spaces = tuple(spaces)
-        self.entries = {}
-        for key, s in entries.items():
-            key = tuple(key)
-            assert len(key) == len(self.spaces)
-            # a zero that lost coefficients to clipping still says so
-            if not s.is_zero() or not s.exact:
-                self.entries[key] = s
+        entries = {tuple(key): s for key, s in entries.items()}
+        assert all(len(key) == len(self.spaces) for key in entries)
+        self.entries = _kept(entries.items())
 
     @staticmethod
     def zero(spaces):
@@ -79,7 +78,7 @@ class SeriesVector:
         return SeriesVector(spaces, {tuple(labels): s})
 
     def get(self, key):
-        return self.entries.get(tuple(key), Series.zero())
+        return self.entries.get(tuple(key), _ZERO)
 
     def is_zero(self):
         return not self.entries
@@ -92,21 +91,21 @@ class SeriesVector:
         out = dict(self.entries)
         for key, s in other.entries.items():
             out[key] = out[key] + s if key in out else s
-        return SeriesVector(self.spaces, out)
+        return _vector(self.spaces, _kept(out.items()))
 
     def __neg__(self):
-        return SeriesVector(self.spaces, {k: -s for k, s in self.entries.items()})
+        return _vector(self.spaces, {k: -s for k, s in self.entries.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         """Every entry times c, a number or a Series."""
-        return SeriesVector(self.spaces, {k: s * c for k, s in self.entries.items()})
+        return _vector(self.spaces, _kept((k, s * c) for k, s in self.entries.items()))
 
     def transform(self, fn):
         """Apply fn to every Series entry (substitutions, var renames...)."""
-        return SeriesVector(self.spaces, {k: fn(s) for k, s in self.entries.items()})
+        return _vector(self.spaces, _kept((k, fn(s)) for k, s in self.entries.items()))
 
     def tensor(self, other):
         out = {}
@@ -129,6 +128,21 @@ class SeriesVector:
             f"{k}: {format_series(s)}" for k, s in sorted(self.entries.items())
         )
         return f"<{names} | {body or '0'}>"
+
+
+def _kept(pairs):
+    """The entries of (key, Series) pairs that a vector keeps: all but the
+    exact zeros.  A zero that lost coefficients to clipping still says so."""
+    return {k: s for k, s in pairs if s.coeffs or not s.exact}
+
+
+def _vector(spaces, entries):
+    """The SeriesVector of entries already kept, keyed by tuples over the
+    spaces, unchecked."""
+    vec = object.__new__(SeriesVector)
+    vec.spaces = spaces
+    vec.entries = entries
+    return vec
 
 
 class SeriesMap:
@@ -171,12 +185,16 @@ class SeriesMap:
         return SeriesMap.permutation((a, b), (1, 0))
 
     def column(self, key):
-        return self.columns.get(tuple(key), SeriesVector.zero(self.codomain))
+        col = self.columns.get(tuple(key))
+        return _vector(self.codomain, {}) if col is None else col
 
     def transform(self, fn):
-        return SeriesMap(
-            self.domain, self.codomain, {k: v.transform(fn) for k, v in self.columns.items()}
-        )
+        cols = {}
+        for k, v in self.columns.items():
+            v = v.transform(fn)
+            if v.entries:
+                cols[k] = v
+        return _map(self.domain, self.codomain, cols)
 
     def window(self):
         """The meet of the windows of the entries: None when no entry has
@@ -224,16 +242,17 @@ class SeriesMap:
             col = self.columns.get(key[lo:hi])
             if col is None:
                 continue
+            pre, post = key[:lo], key[hi:]
             for ckey, cs in col.entries.items():
-                k = key[:lo] + ckey + key[hi:]
+                k = pre + ckey + post
                 t = out[k] + s * cs if k in out else s * cs
                 # a sum that cancels exactly leaves the vector, as it would
                 # in SeriesVector addition
-                if t.is_zero() and t.exact:
+                if not t.coeffs and t.exact:
                     out.pop(k, None)
                 else:
                     out[k] = t
-        return SeriesVector(out_spaces, out)
+        return _vector(out_spaces, out)
 
     def compose(self, inner, legs=None):
         """self ∘ inner, inner acting on the given contiguous legs of self's
@@ -243,17 +262,24 @@ class SeriesMap:
         lo, hi = _span(legs, len(self.domain))
         assert inner.codomain == self.domain[lo:hi], (inner.codomain, self.domain)
         whole = hi - lo == len(self.domain)
-        posts, mine, cols = basis_tuples(self.domain[hi:]), self.columns.keys(), {}
+        # the inner legs' labels of self's columns, by the labels around them
+        read = {}
+        for k in self.columns:
+            read.setdefault((k[:lo], k[hi:]), set()).add(k[lo:hi])
+        posts, cols = basis_tuples(self.domain[hi:]), {}
         for pre in basis_tuples(self.domain[:lo]):
+            around = [(post, read.get((pre, post), ())) for post in posts]
             for key, v in inner.columns.items():
-                for post in posts:
-                    entries = v.entries if whole else {
-                        pre + k + post: s for k, s in v.entries.items()}
-                    if not mine.isdisjoint(entries):
-                        cols[pre + key + post] = self.apply(
-                            v if whole else SeriesVector(self.domain, entries))
-        return SeriesMap(self.domain[:lo] + inner.domain + self.domain[hi:],
-                         self.codomain, cols)
+                for post, labels in around:
+                    # an inner column is re-keyed only if self reads it
+                    if not labels or labels.isdisjoint(v.entries):
+                        continue
+                    col = self.apply(v if whole else _vector(self.domain, {
+                        pre + k + post: s for k, s in v.entries.items()}))
+                    if col.entries:
+                        cols[pre + key + post] = col
+        return _map(self.domain[:lo] + inner.domain + self.domain[hi:],
+                    self.codomain, cols)
 
     def tensor(self, other):
         cols = {}
@@ -288,6 +314,15 @@ class SeriesMap:
         dom = "⊗".join(sp.name for sp in self.domain) or "Q"
         cod = "⊗".join(sp.name for sp in self.codomain) or "Q"
         return f"SeriesMap({dom} -> {cod}, {len(self.columns)} columns)"
+
+
+def _map(domain, codomain, columns):
+    """The SeriesMap of nonzero columns over the codomain, unchecked."""
+    mp = object.__new__(SeriesMap)
+    mp.domain = domain
+    mp.codomain = codomain
+    mp.columns = columns
+    return mp
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,55 @@ DEFAULT_RANGE = (-8, 8)
 
 
 def binom(n, i):
-    """Binomial coefficient with integer (possibly negative) upper index."""
+    """Binomial coefficient with integer (possibly negative) upper index,
+    an int: n(n-1)...(n-i+1) is a multiple of i! for every integer n."""
     num = 1
     for j in range(i):
         num *= n - j
-    return Q(num, math.factorial(i))
+    return num // math.factorial(i)
+
+
+# ---------------------------------------------------------------------------
+# normal form: sorted variables, no zero coefficient, every exponent inside
+# the window, and the window None when there is no variable.  The public
+# constructor checks its input and then normalizes it; a kernel operation
+# builds its result once, normalizing only what it may have moved or
+# cancelled.
+
+
+def _clip(coeffs, window):
+    """(kept, clipped): the nonzero coefficients whose exponents lie inside
+    the window, and whether a nonzero one outside it was dropped."""
+    if window is None:
+        return {ex: c for ex, c in coeffs.items() if c}, False
+    lo, hi = window
+    kept = {}
+    clipped = False
+    for ex, c in coeffs.items():
+        if not c:
+            continue
+        if lo <= min(ex) and max(ex) <= hi:
+            kept[ex] = c
+        else:
+            clipped = True
+    return kept, clipped
+
+
+def _made(variables, coeffs, window, exact):
+    """The Series of data already in normal form, unchecked."""
+    s = object.__new__(Series)
+    s.variables = variables
+    s.coeffs = coeffs
+    s.window = window if variables else None
+    s.exact = exact
+    return s
+
+
+def _normalized(variables, coeffs, window, exact):
+    """The Series of coefficients that may hold zeros or exponents outside
+    the window: those are dropped, and a dropped term clears exactness."""
+    kept, clipped = _clip(coeffs, window)
+    return _made(variables, kept, window, exact and not clipped)
 
 
 class Series:
@@ -80,15 +124,7 @@ class Series:
             window = (lo, hi)
         else:
             window = None
-        kept = {}
-        clipped = False
-        for expt, c in coeffs.items():
-            if not c:
-                continue
-            if window is None or (lo <= min(expt) and max(expt) <= hi):
-                kept[tuple(expt)] = c
-            else:
-                clipped = True
+        kept, clipped = _clip(coeffs, window)
         self.variables = variables
         self.coeffs = kept
         self.window = window
@@ -145,7 +181,7 @@ class Series:
         if self.variables == variables and self.window == window:
             return self
         coeffs, exact = self._lifted(variables, window)
-        return Series(variables, coeffs, window, exact)
+        return _made(variables, coeffs, window, exact)
 
     def _lifted(self, variables, window):
         """(coeffs, exact) of align(variables, window) without building it:
@@ -180,6 +216,8 @@ class Series:
         variables = (a.variables if a.variables == b.variables
                      else tuple(sorted(set(a.variables) | set(b.variables))))
         window = _meet(a.window, b.window)
+        if window is not None and window[0] > window[1]:
+            raise EmptyWindow(f"empty window [{window[0]},{window[1]}]")
         ca, ea = a._lifted(variables, window)
         cb, eb = b._lifted(variables, window)
         return ca, cb, variables, window, ea and eb
@@ -193,14 +231,13 @@ class Series:
         out = dict(a)
         for ex, c in b.items():
             out[ex] = out.get(ex, Q(0)) + c
-        return Series(variables, out, window, exact)
+        return _normalized(variables, out, window, exact)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(
-            self.variables, {ex: -c for ex, c in self.coeffs.items()}, self.window, self.exact
-        )
+        return _made(self.variables, {ex: -c for ex, c in self.coeffs.items()},
+                     self.window, self.exact)
 
     def __sub__(self, other):
         if not isinstance(other, Series):
@@ -210,6 +247,23 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
+        a, b, window = self.coeffs, other.coeffs, self.window
+        if window == other.window and (window is None
+                                       or window[0] <= 0 <= window[1]):
+            # in disjoint variables, under one window that holds the 0 a
+            # lift puts in, each exponent of the product is the operands'
+            # two placed side by side: inside the window, and met by no
+            # other term, so none cancels
+            first, second = self.variables, other.variables
+            exact = self.exact and other.exact
+            if not first or not second or first[-1] < second[0]:
+                return _made(first + second, {
+                    ex1 + ex2: c1 * c2 for ex1, c1 in a.items()
+                    for ex2, c2 in b.items()}, window, exact)
+            if second[-1] < first[0]:
+                return _made(second + first, {
+                    ex2 + ex1: c1 * c2 for ex1, c1 in a.items()
+                    for ex2, c2 in b.items()}, window, exact)
         a, b, variables, window, exact = Series._merged(self, other)
         out = {}
         for ex1, c1 in a.items():
@@ -217,16 +271,15 @@ class Series:
                 ex = tuple(map(operator.add, ex1, ex2))
                 prev = out.get(ex)
                 out[ex] = c1 * c2 if prev is None else prev + c1 * c2
-        return Series(variables, out, window, exact)
+        return _normalized(variables, out, window, exact)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         if not c:
-            return Series(self.variables, {}, self.window, self.exact)
-        return Series(
-            self.variables, {ex: v * c for ex, v in self.coeffs.items()}, self.window, self.exact
-        )
+            return _made(self.variables, {}, self.window, self.exact)
+        return _made(self.variables, {ex: v * c for ex, v in self.coeffs.items()},
+                     self.window, self.exact)
 
     def __pow__(self, k):
         assert k >= 0
@@ -247,7 +300,7 @@ class Series:
         variables = tuple(sorted(set(names)))
         neg = [i for i, (_, sign) in enumerate(targets) if sign < 0]
         if names == variables and not neg:
-            return Series(variables, self.coeffs, self.window, self.exact)
+            return _made(variables, self.coeffs, self.window, self.exact)
         pos = [variables.index(name) for name in names]
         out = {}
         for ex, c in self.coeffs.items():
@@ -258,11 +311,15 @@ class Series:
                 c = -c
             ne = tuple(ne)
             out[ne] = out[ne] + c if ne in out else c
-        return Series(variables, out, self.window, self.exact)
+        if len(variables) < len(names):
+            # merged exponents add: they may leave the window or cancel
+            return _normalized(variables, out, self.window, self.exact)
+        # one-to-one: each exponent is a permutation of one inside the window
+        return _made(variables, out, self.window, self.exact)
 
     def deriv(self, var):
         if var not in self.variables:
-            return Series(self.variables, {}, self.window, self.exact)
+            return _made(self.variables, {}, self.window, self.exact)
         i = self.variables.index(var)
         out = {}
         for ex, c in self.coeffs.items():
@@ -271,21 +328,22 @@ class Series:
             ne = list(ex)
             ne[i] -= 1
             out[tuple(ne)] = c * Q(ex[i])
-        return Series(self.variables, out, self.window, self.exact)
+        # a term at the low edge of the window moves out of it
+        return _normalized(self.variables, out, self.window, self.exact)
 
     def extract(self, var, k):
         """Coefficient of var**k, a Series in the remaining variables."""
         if var not in self.variables:
             if k == 0:
                 return self
-            return Series(self.variables, {}, self.window, self.exact)
+            return _made(self.variables, {}, self.window, self.exact)
         i = self.variables.index(var)
         rest = self.variables[:i] + self.variables[i + 1 :]
         out = {}
         for ex, c in self.coeffs.items():
             if ex[i] == k:
                 out[ex[:i] + ex[i + 1 :]] = c
-        return Series(rest, out, self.window, self.exact)
+        return _made(rest, out, self.window, self.exact)
 
     def substitute_sum(self, var, first, second):
         """Substitute var -> first + second, each summand a variable name
@@ -308,29 +366,36 @@ class Series:
         pos = [variables.index(v) for v in rest]
         pf, pg = variables.index(f), variables.index(g)
         exact = self.exact
+        # the integer multipliers binom(n, k) sf^(n-k) sg^k of each power n
+        rows = {}
         out = {}
         for ex, c in self.coeffs.items():
             n = ex[i]
             base = [0] * len(variables)
             for p, e in zip(pos, ex[:i] + ex[i + 1 :]):
                 base[p] = e
-            if n >= 0:
-                cap = n
-            elif self.window is None:
-                raise SeriesError(f"{var}^{n} has an infinite expansion "
-                                  "and no window to clip it at")
-            else:
-                lo, hi = self.window
-                cap = max(-1, min(hi, n - lo))
+            row = rows.get(n)
+            if row is None:
+                if n >= 0:
+                    cap = n
+                elif self.window is None:
+                    raise SeriesError(f"{var}^{n} has an infinite expansion "
+                                      "and no window to clip it at")
+                else:
+                    lo, hi = self.window
+                    cap = max(-1, min(hi, n - lo))
+                row = rows[n] = [binom(n, k) * sf ** ((n - k) % 2) * sg ** (k % 2)
+                                 for k in range(cap + 1)]
+            if n < 0:
                 exact = False
-            for k in range(cap + 1):
+            for k, m in enumerate(row):
                 ne = list(base)
                 ne[pf] += n - k
                 ne[pg] += k
                 ne = tuple(ne)
-                term = c * binom(n, k) * sf ** ((n - k) % 2) * sg ** (k % 2)
+                term = c if m == 1 else c * m
                 out[ne] = out[ne] + term if ne in out else term
-        return Series(variables, out, self.window, exact)
+        return _normalized(variables, out, self.window, exact)
 
 
 def _signed(name):

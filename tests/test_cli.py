@@ -160,6 +160,7 @@ def test_usage_errors_exit_2():
     (("extract-smap", "z2-sign"), "expected an algebra"),
     (("check", "E2", "--suite", "smash"), "expected a smash datum"),
     (("smash", "E2", "z2-sign"), "expected a smash datum"),
+    (("check", "E2", "--suite", "qva", "--smap", "id:Z2"), "is for Z2"),
 ])
 def test_a_registry_name_of_the_wrong_kind_is_a_usage_error(
         capsys, argv, expected):

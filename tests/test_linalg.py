@@ -195,12 +195,14 @@ def test_matrix_rank_and_inverse():
 # sympy as an independent oracle for elimination
 
 
-# the values of st.fractions(-3, 3, max_denominator=3), drawn in a sixth
-# of its time
-fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3)).filter(
-    lambda f: abs(f) <= 3)
+# the values of st.fractions(-3, 3, max_denominator=3), sampled from their
+# finite set: a filtered draw rejects often enough to fail the health check
+FRACTIONS = sorted({Fraction(p, q) for p in range(-9, 10) for q in (1, 2, 3)
+                    if abs(Fraction(p, q)) <= 3})
+fractions = st.sampled_from(FRACTIONS)
 integers = st.integers(min_value=-3, max_value=3)
-nonzeros = st.one_of(fractions, integers).filter(bool)
+nonzeros = st.one_of(st.sampled_from([f for f in FRACTIONS if f]),
+                     st.sampled_from([i for i in range(-3, 4) if i]))
 row_kinds = st.sampled_from(("fresh",) * 4 + ("copy", "combination"))
 
 
@@ -439,3 +441,49 @@ def test_compose_on_legs_equals_compose_with_the_identity_extension(rng):
     assert placed > 200
     # E2 at the window 0..0 composes to columns of inexact zeros
     assert inexact_only > 0
+
+
+# ---------------------------------------------------------------------------
+# apply builds its vector once and keeps what the constructor keeps
+
+
+def test_apply_keeps_a_clipped_zero_and_drops_an_exact_cancellation():
+    w = (-2, 2)
+    x = lambda e, c=1: Series(("x",), {(e,): Q(c)}, w)
+    # Y(a1) = x^2·b1: on x·a1 every product lands on x^3, outside the window
+    mp = SeriesMap((A,), (B,), {("a1",): SeriesVector((B,), {("b1",): x(2)}),
+                                ("a2",): SeriesVector((B,), {("b1",): x(0, -1),
+                                                             ("b2",): x(0)})})
+    out = mp.apply(SeriesVector((A,), {("a1",): x(1)}))
+    product = x(1) * x(2)
+    assert product.is_zero() and not product.exact
+    assert entries(out) == entries(SeriesVector((B,), {("b1",): product}))
+    assert entries(out) == [(("b1",), ("x",), {}, w, False)]
+    assert not out.exact()
+    # b1 cancels exactly between the two columns and leaves the vector
+    out = mp.apply(SeriesVector((A,), {("a1",): x(0), ("a2",): x(2)}))
+    assert entries(out) == [(("b2",), ("x",), {(2,): 1}, w, True)]
+    assert entries(SeriesVector((B,), {("b1",): x(2) - x(2)})) == []
+    # a cancellation next to a clipped product is a zero that says so
+    out = mp.apply(SeriesVector((A,), {("a1",): x(1) + x(0), ("a2",): x(2)}))
+    assert entries(out) == [(("b1",), ("x",), {}, w, False),
+                            (("b2",), ("x",), {(2,): 1}, w, True)]
+
+
+def test_a_missing_entry_is_one_zero_that_no_kernel_operation_changes():
+    vec = SeriesVector.basis((A,), ("a1",))
+    zero = vec.get(("a2",))
+    assert SeriesVector.zero((B,)).get(("b3",)) is zero
+    s = Series(("x1", "x2"), {(1, -1): Q(2)}, (-2, 2))
+    for op in (lambda: zero + s, lambda: s - zero, lambda: -zero,
+               lambda: zero * s, lambda: s * zero, lambda: zero.scale(0),
+               lambda: zero.scale(3), lambda: zero.rename({"x": "-x1"}),
+               lambda: zero.deriv("x"), lambda: zero.extract("x", 0),
+               lambda: zero.substitute_sum("x", "x1", "x2"),
+               lambda: zero.align(("x1",), (-1, 1)),
+               lambda: SeriesVector((A,), {("a1",): zero}).scale(s),
+               lambda: vec + SeriesVector((A,), {("a1",): zero}),
+               lambda: vec.transform(lambda t: zero + t)):
+        op()
+        assert (zero.variables, zero.coeffs, zero.window, zero.exact) == \
+            ((), {}, None, True)

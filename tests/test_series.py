@@ -511,3 +511,132 @@ def test_rename_keeps_the_exponents_it_does_not_move():
         assert out.window == s.window
     assert s.rename({"x1": "x3"}).coeffs == {(-2, 1): 3}
     assert s.rename({"x1": "-x0"}).coeffs == {(1, -2): -3}
+
+
+# ---------------------------------------------------------------------------
+# kernel results are built once, in normal form: sorted variables, no zero
+# coefficient, every exponent inside the window, no window without a
+# variable.  Each is a fixed point of the public constructor.
+
+
+def assert_normal(r):
+    assert fields(r) == fields(Series(r.variables, dict(r.coeffs), r.window,
+                                      r.exact))
+
+
+NAMES = ("x0", "x1", "x2")
+subsets = st.sampled_from([(), ("x0",), ("x1",), ("x2",), ("x0", "x1"),
+                           ("x0", "x2"), ("x1", "x2"), ("x0", "x1", "x2")])
+
+
+@st.composite
+def kernel_pair(draw):
+    """Two operands in disjoint, interleaved or shared variables, with the
+    same window half of the time, terms often outside either window."""
+    wa = draw(window_or_none())
+    wb = wa if draw(st.booleans()) else draw(window_or_none())
+    a = draw(laurent(draw(subsets), -4, 4, wa))
+    b = draw(laurent(draw(subsets), -4, 4, wb))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_pair(), st.sampled_from(["+", "-", "*"]))
+def test_arithmetic_results_are_in_normal_form(pair, op):
+    a, b = pair
+    try:
+        r = a + b if op == "+" else a - b if op == "-" else a * b
+    except EmptyWindow:
+        assert _meet(a.window, b.window)[0] > _meet(a.window, b.window)[1]
+        return
+    assert_normal(r)
+    assert_normal(-a)
+    if op != "-":
+        assert fields(r) == fields(align_both_then(op, a, b))
+
+
+@st.composite
+def disjoint_pair(draw):
+    """Operands with one window in variables that all sort apart: those of
+    the first before those of the second, or after them."""
+    window = draw(window_or_none())
+    cut = draw(st.integers(0, 3))
+    lower, upper = NAMES[:cut], NAMES[cut:]
+    a = draw(laurent(draw(st.sampled_from([lower, lower[:1], lower[1:]])),
+                     -4, 4, window))
+    b = draw(laurent(draw(st.sampled_from([upper, upper[:1], upper[1:]])),
+                     -4, 4, window))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(disjoint_pair())
+def test_a_product_in_disjoint_variables_is_a_placement(pair):
+    a, b = pair
+    r = a * b
+    assert_normal(r)
+    assert fields(r) == fields(align_both_then("*", a, b))
+    window = _meet(a.window, b.window)
+    if window is None or window[0] <= 0 <= window[1]:
+        # a window without 0 clips an operand lifted onto the other's
+        # variables, and with it every term of the product
+        assert len(r.coeffs) == len(a.coeffs) * len(b.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clipped_operand(), st.sampled_from([0, Q(0), 1, -2, Q(3, 2)]))
+def test_scaling_is_in_normal_form(s, c):
+    r = s.scale(c)
+    assert_normal(r)
+    assert r.exact == s.exact and r.window == s.window
+    assert (r.coeffs == {}) == (not c or not s.coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(renamed_operand())
+def test_renaming_is_in_normal_form(case):
+    s, mapping = case
+    assert_normal(s.rename(mapping))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clipped_operand(), st.sampled_from(NAMES + ("x3",)),
+       st.integers(-4, 4))
+def test_derivative_and_extraction_are_in_normal_form(s, var, k):
+    assert_normal(s.deriv(var))
+    assert_normal(s.extract(var, k))
+
+
+def test_a_derivative_at_the_low_edge_of_the_window_is_clipped():
+    s = Series(("x",), {(-2,): Q(3), (1,): Q(1)}, (-2, 2))
+    d = s.deriv("x")
+    assert d.coeffs == {(0,): 1} and not d.exact
+    assert_normal(d)
+    e = s.extract("x", 1)
+    assert fields(e) == ((), {(): 1}, None, True)
+    assert_normal(e)
+
+
+summand_pairs = st.sampled_from([("x0", "x2"), ("x0", "-x2"), ("-x0", "x1"),
+                                 ("x1", "x2"), ("x2", "x1"), ("-x1", "-x0")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([("x1",), ("x0", "x1"), ("x1", "x2"),
+                        ("x0", "x1", "x2")]),
+       st.tuples(st.integers(-3, 0), st.integers(0, 3)), summand_pairs,
+       st.data())
+def test_substitution_is_in_normal_form(variables, window, summands, data):
+    s = data.draw(laurent(variables, -4, 4, window))
+    r = s.substitute_sum("x1", *summands)
+    assert_normal(r)
+    if any(ex[variables.index("x1")] < 0 for ex in s.coeffs):
+        assert not r.exact
+
+
+@pytest.mark.parametrize("n", range(-8, 9))
+def test_binomials_are_integers(n):
+    for k in range(9):
+        b = binom(n, k)
+        assert type(b) is int
+        assert b == sympy.ff(n, k) / sympy.factorial(k)
