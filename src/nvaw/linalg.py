@@ -108,9 +108,12 @@ class SeriesVector:
         return _vector(self.spaces, _kept((k, fn(s)) for k, s in self.entries.items()))
 
     def tensor(self, other):
+        """self ⊗ other, its entries listed with other's key outermost: the
+        order in which applying other's map and then self's map on the
+        legs before it would list them."""
         out = {}
-        for k1, s1 in self.entries.items():
-            for k2, s2 in other.entries.items():
+        for k2, s2 in other.entries.items():
+            for k1, s1 in self.entries.items():
                 out[k1 + k2] = s1 * s2
         return SeriesVector(self.spaces + other.spaces, out)
 
@@ -169,20 +172,11 @@ class SeriesMap:
         return SeriesMap(spaces, spaces, cols)
 
     @staticmethod
-    def permutation(spaces, perm):
-        """Map sending leg i to output slot perm.index(i); columns are the
-        permuted basis vectors (output leg j carries input leg perm[j])."""
-        spaces = tuple(spaces)
-        codomain = tuple(spaces[p] for p in perm)
-        cols = {
-            t: SeriesVector.basis(codomain, tuple(t[p] for p in perm))
-            for t in basis_tuples(spaces)
-        }
-        return SeriesMap(spaces, codomain, cols)
-
-    @staticmethod
     def flip(a, b):
-        return SeriesMap.permutation((a, b), (1, 0))
+        """a ⊗ b -> b ⊗ a."""
+        return SeriesMap((a, b), (b, a), {
+            (x, y): SeriesVector.basis((b, a), (y, x))
+            for (x, y) in basis_tuples((a, b))})
 
     def column(self, key):
         col = self.columns.get(tuple(key))
@@ -287,28 +281,6 @@ class SeriesMap:
             for k2, v2 in other.columns.items():
                 cols[k1 + k2] = v1.tensor(v2)
         return SeriesMap(self.domain + other.domain, self.codomain + other.codomain, cols)
-
-    def on_legs(self, spaces, legs):
-        """Extend to identity on the other legs of the given space list.
-
-        Only the tuples whose selected legs have a column get one: the
-        column there, with the labels of the other legs put around each of
-        its keys.  That is the map's apply to the tuple's basis vector,
-        whose coefficient 1 changes no entry."""
-        spaces = tuple(spaces)
-        lo, hi = _span(legs, len(spaces))
-        assert spaces[lo:hi] == self.domain, (spaces[lo:hi], self.domain)
-        codomain = spaces[:lo] + self.codomain + spaces[hi:]
-        present = [k for k in basis_tuples(self.domain) if k in self.columns]
-        after = basis_tuples(spaces[hi:])
-        cols = {}
-        for pre in basis_tuples(spaces[:lo]):
-            for key in present:
-                entries = self.columns[key].entries
-                for post in after:
-                    cols[pre + key + post] = SeriesVector(codomain, {
-                        pre + k + post: s for k, s in entries.items()})
-        return SeriesMap(spaces, codomain, cols)
 
     def __repr__(self):
         dom = "⊗".join(sp.name for sp in self.domain) or "Q"

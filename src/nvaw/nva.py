@@ -192,14 +192,6 @@ def window_equal_vec(a, b):
 # weak associativity
 
 
-def double_product(yw_outer, yw_inner, u, v, w, spaces):
-    """Y(u,·) Y(v,·) w as a SeriesVector over the last codomain, in the
-    variables the two tables carry."""
-    vec = SeriesVector.basis(spaces, (u, v, w))
-    vec = yw_inner.apply(vec, (1, 2))
-    return yw_outer.apply(vec, (0, 1))
-
-
 def pole_order(vec, var):
     """Smallest k >= 0 with var^k * vec polynomial in var."""
     k = 0

@@ -36,7 +36,6 @@ from .nva import (
     check_vacuum,
     check_weak_associativity,
     compute_D,
-    double_product,
     exp_xD,
     find_clearing_k,
     scalar_of,
@@ -126,11 +125,8 @@ def build_twisted_tensor(first, second, twist, check_axioms=True):
         f"{first.name}*{second.name}",
         tuple(pair_label(u, v) for (u, v) in basis_tuples((U, V))),
     )
-    # (Y_U(x) ⊗ Y_V(x)) R23(-x) on U⊗V⊗U⊗V, nested from the right: its
-    # column at u⊗v⊗u2⊗v2 is R23(-x), then Y_V, then Y_U applied to it
-    table = first.y.on_legs((U, U, V), (0, 1)).compose(
-        second.y.on_legs((U, U, V, V), (2, 3)).compose(
-            twist.table.at("-x"), (1, 2)))
+    # (Y_U(x) ⊗ Y_V(x)) R23(-x) on U⊗V⊗U⊗V
+    table = first.y.tensor(second.y).compose(twist.table.at("-x"), (1, 2))
     cols = {(pair_label(u, v), pair_label(u2, v2)): SeriesVector((pspace,), {
                 (pair_label(a, b),): s for (a, b), s in col.entries.items()})
             for (u, v, u2, v2), col in table.columns.items()}
@@ -177,11 +173,10 @@ def check_embeddings(p):
 
 def product_D_sum(p):
     """D_U ⊗ 1 + 1 ⊗ D_V transported to pair labels."""
-    du = compute_D(p.first).on_legs((p.first.space, p.second.space), (0,))
-    dv = compute_D(p.second).on_legs((p.first.space, p.second.space), (1,))
-    both = du + dv
-    pairing, unpairing = p.pairing(), p.unpairing()
-    return pairing.compose(both.compose(unpairing))
+    pairing = p.pairing()
+    both = (pairing.compose(compute_D(p.first), (0,))
+            + pairing.compose(compute_D(p.second), (1,)))
+    return both.compose(p.unpairing())
 
 
 def check_product_properties(p):
@@ -452,8 +447,9 @@ def extract_twisting(host, u_labels, v_labels):
                     for e in range(elo, ehi + 1):
                         nsym[(v, u, a, b, e)] = f"r[{v},{u}][{a},{b}][{e}]"
 
-    hs = (host.space,) * 3
+    # Y(a,x1)Y(b,x2)w and Y(a,x2)Y(b,x1)w at column (a, b, w)
     y1, y2 = host.y.at("x1"), host.y.at("x2")
+    y12, y21 = y1.compose(y2, (1,)), y2.compose(y1, (1,))
     step = Series.monomial("x1", 1) - Series.monomial("x2", 1)
     # signed[0] is the premultiplier (x1-x2)^k
     signed = {e: (step ** (k + e)).scale(Q(-1) ** (e % 2))
@@ -464,7 +460,7 @@ def extract_twisting(host, u_labels, v_labels):
     for w in host.space.basis:
         for a in u_labels:
             for b in v_labels:
-                base = double_product(y2, y1, a, b, w, hs)
+                base = y21.column((a, b, w))
                 for e, poly in signed.items():
                     images[(a, b, e, w)] = base.scale(poly)
 
@@ -474,7 +470,7 @@ def extract_twisting(host, u_labels, v_labels):
     for v in v_labels:
         for u in u_labels:
             for w in host.space.basis:
-                lhs = double_product(y1, y2, v, u, w, hs).scale(signed[0])
+                lhs = y12.column((v, u, w)).scale(signed[0])
                 blocks.append((w, (lhs, {
                     nsym[(v, u, a, b, e)]: images[(a, b, e, w)]
                     for a in u_labels for b in v_labels
@@ -553,15 +549,14 @@ def check_Z2_injectivity(host):
     artifact.  On Z2⊗Z2 every product u·v is ±1 times a basis vector,
     which gives columns 144, rank 36, kernel 108 at the 3×3 window."""
     rep = CheckReport(f"{host.name}: degree-two injectivity")
-    y1, y2 = host.y.at("x1"), host.y.at("x2")
-    hs = (host.space,) * 3
+    y12 = host.y.at("x1").compose(host.y.at("x2"), (1,))
     lo, hi = Z2_WINDOW
     shifts = [(e1, e2) for e1 in range(lo, hi + 1) for e2 in range(lo, hi + 1)]
     columns = []
     rowkeys = {}
     for u in host.space.basis:
         for v in host.space.basis:
-            base = double_product(y1, y2, u, v, host.vacuum, hs)
+            base = y12.column((u, v, host.vacuum))
             terms = [(lbl, s.window or (-math.inf, math.inf),
                       s._lifted(("x1", "x2"), s.window)[0])
                      for (lbl,), s in base.entries.items()]

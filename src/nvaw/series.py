@@ -210,28 +210,28 @@ class Series:
         return out, self.exact and len(out) == len(self.coeffs)
 
     @staticmethod
-    def _merged(a, b):
-        """(a's coeffs, b's coeffs, variables, window, exact): both lifted
-        onto their union of variables and clipped to their meet window."""
+    def _union(a, b):
+        """(variables, window) of a combination of a and b: the union of
+        their variables and the meet of their windows."""
         variables = (a.variables if a.variables == b.variables
                      else tuple(sorted(set(a.variables) | set(b.variables))))
         window = _meet(a.window, b.window)
         if window is not None and window[0] > window[1]:
             raise EmptyWindow(f"empty window [{window[0]},{window[1]}]")
-        ca, ea = a._lifted(variables, window)
-        cb, eb = b._lifted(variables, window)
-        return ca, cb, variables, window, ea and eb
+        return variables, window
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Series):
             other = Series.const(other)
-        a, b, variables, window, exact = Series._merged(self, other)
+        variables, window = Series._union(self, other)
+        a, ea = self._lifted(variables, window)
+        b, eb = other._lifted(variables, window)
         out = dict(a)
         for ex, c in b.items():
             out[ex] = out.get(ex, Q(0)) + c
-        return _normalized(variables, out, window, exact)
+        return _normalized(variables, out, window, ea and eb)
 
     __radd__ = __add__
 
@@ -248,14 +248,12 @@ class Series:
         if not isinstance(other, Series):
             return self.scale(other)
         a, b, window = self.coeffs, other.coeffs, self.window
-        if window == other.window and (window is None
-                                       or window[0] <= 0 <= window[1]):
-            # in disjoint variables, under one window that holds the 0 a
-            # lift puts in, each exponent of the product is the operands'
-            # two placed side by side: inside the window, and met by no
-            # other term, so none cancels
+        exact = self.exact and other.exact
+        if window == other.window:
+            # in disjoint variables under one window, each exponent of the
+            # product is the operands' two placed side by side: inside the
+            # window, and met by no other term, so none cancels
             first, second = self.variables, other.variables
-            exact = self.exact and other.exact
             if not first or not second or first[-1] < second[0]:
                 return _made(first + second, {
                     ex1 + ex2: c1 * c2 for ex1, c1 in a.items()
@@ -264,7 +262,12 @@ class Series:
                 return _made(second + first, {
                     ex2 + ex1: c1 * c2 for ex1, c1 in a.items()
                     for ex2, c2 in b.items()}, window, exact)
-        a, b, variables, window, exact = Series._merged(self, other)
+        # the operands are lifted unclipped: the 0 a lift puts in for a
+        # missing variable may lie outside the window, and only the
+        # product's exponents are clipped
+        variables, window = Series._union(self, other)
+        a = self._lifted(variables, None)[0]
+        b = other._lifted(variables, None)[0]
         out = {}
         for ex1, c1 in a.items():
             for ex2, c2 in b.items():

@@ -74,9 +74,8 @@ def check_twisting_axioms(t):
     yu_x2 = U.y.at("x2")
     spaces = (vs, us, us)
     lhs = r_x1.compose(yu_x2, (1,))
-    rhs = yu_x2.on_legs((us, us, vs), (0, 1)).compose(
-        r_x1.on_legs((us, vs, us), (1, 2)).compose(
-            t.table.at("x1", "x2"), (0, 1)))
+    rhs = (yu_x2.tensor(SeriesMap.identity((vs,))).compose(r_x1, (1, 2))
+           .compose(t.table.at("x1", "x2"), (0, 1)))
     rep.compare_maps(((f"hexagon-right{key}", key)
                       for key in basis_tuples(spaces)), lhs, rhs)
 
@@ -84,9 +83,8 @@ def check_twisting_axioms(t):
     yv_x2 = V.y.at("x2")
     spaces = (vs, vs, us)
     lhs = r_x1.compose(yv_x2, (0,))
-    rhs = yv_x2.on_legs((us, vs, vs), (1, 2)).compose(
-        t.table.at("x1", "-x2").on_legs((vs, us, vs), (0, 1)).compose(
-            r_x1, (1, 2)))
+    rhs = (SeriesMap.identity((us,)).tensor(yv_x2)
+           .compose(t.table.at("x1", "-x2"), (0, 1)).compose(r_x1, (1, 2)))
     rep.compare_maps(((f"hexagon-left{key}", key)
                       for key in basis_tuples(spaces)), lhs, rhs)
     return rep

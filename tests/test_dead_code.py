@@ -95,17 +95,8 @@ def test_variable_changes_go_through_seriesmap_at():
     assert set(callers) <= VARIABLE_CHANGERS, callers
 
 
-def test_no_compose_goes_through_an_identity_extension():
-    # compose(inner, legs) places the inner map on legs of the outer one's
-    # domain without building the extension; on_legs extends outer maps only
-    sites = sorted((path.name, node.lineno)
-                   for path in (ROOT / "src" / "nvaw").glob("*.py")
-                   for node in ast.walk(_parse(path))
-                   if isinstance(node, ast.Call)
-                   and isinstance(node.func, ast.Attribute)
-                   and node.func.attr == "compose"
-                   and any(isinstance(arg, ast.Call)
-                           and isinstance(arg.func, ast.Attribute)
-                           and arg.func.attr == "on_legs"
-                           for arg in node.args))
-    assert sites == []
+def test_one_way_to_put_a_map_on_legs():
+    # apply and compose(inner, legs) put a map on legs, a tensor with an
+    # identity extends one, and permute braids legs: nothing else does
+    gone = {"on_legs", "apply_legs", "double_product", "permutation"}
+    assert [f for f in defined_functions() if f[1] in gone] == []

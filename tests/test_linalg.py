@@ -93,30 +93,56 @@ def entries(vec):
             for key, s in vec.entries.items()]
 
 
-def test_on_legs_extends_with_identity():
+def extension(m, spaces, legs):
+    """The identity extension of m to the given contiguous legs of spaces,
+    by its definition: m applied on those legs of every basis vector."""
+    spaces = tuple(spaces)
+    cols = {t: m.apply(SeriesVector.basis(spaces, t), legs)
+            for t in basis_tuples(spaces)}
+    lo, hi = min(legs), max(legs) + 1
+    return SeriesMap(spaces, spaces[:lo] + m.codomain + spaces[hi:], cols)
+
+
+def table_under_a_window_without_0():
+    """A table whose window (1, 3) does not hold the exponent 0 that lifting
+    a constant onto its variable puts in."""
+    def s(coeffs):
+        return Series(("x",), coeffs, (1, 3))
+    return SeriesMap((A,), (A, B), {
+        ("a1",): SeriesVector((A, B), {("a1", "b2"): s({(1,): 2, (3,): -1}),
+                                       ("a2", "b1"): s({(2,): Q(1, 2)})}),
+        ("a2",): SeriesVector((A, B), {("a2", "b3"): s({(1,): 1})})})
+
+
+@pytest.mark.parametrize("rng", [(-8, 8), (0, 0), (-1, 1)])
+def test_identity_tensor_extension_follows_the_definition(rng):
     m = SeriesMap.flip(A, A)
-    ext = m.on_legs((A, A, B), (0, 1))
+    ext = m.tensor(SeriesMap.identity((B,)))
     vec = SeriesVector.basis((A, A, B), ("a1", "a2", "b1"))
     out = ext.apply(vec)
     assert out.get(("a2", "a1", "b1")).coeff(()) == 1
-    # column by column, the definition: the map applied on the legs of
-    # each basis vector, the other legs left as they are
+    # identity ⊗ m ⊗ identity, column by column: the definition, and m's
+    # column with the labels of the other legs put around each of its keys,
+    # the coefficient 1 changing no entry
+    tables = registry_tables(rng)
+    clipped = tables[-1]
     inexact_only = 0
-    for m in [m] + registry_tables():
+    for m in [m] + tables + [table_under_a_window_without_0()]:
         for before, after in (((), ()), ((B,), ()), ((), (A,)), ((A, B), (B,))):
-            spaces = before + m.domain + after
-            legs = tuple(range(len(before), len(before) + len(m.domain)))
-            ext = m.on_legs(spaces, legs)
-            assert ext.codomain == before + m.codomain + after
-            want = {t: m.apply(SeriesVector.basis(spaces, t), legs)
-                    for t in basis_tuples(spaces)}
-            assert list(ext.columns) == [t for t, v in want.items()
-                                         if not v.is_zero()]
+            lo, hi = len(before), len(before) + len(m.domain)
+            ext = SeriesMap.identity(before).tensor(m).tensor(
+                SeriesMap.identity(after))
+            want = extension(m, before + m.domain + after, range(lo, hi))
+            assert (ext.domain, ext.codomain) == (want.domain, want.codomain)
+            assert ext.columns.keys() == want.columns.keys()
             for t, col in ext.columns.items():
-                assert entries(col) == entries(want[t])
+                assert entries(col) == entries(want.columns[t])
+                assert entries(col) == [
+                    (t[:lo] + key + t[hi:], *rest)
+                    for key, *rest in entries(m.column(t[lo:hi]))]
                 if all(s.is_zero() for s in col.entries.values()):
                     assert col.exact() is False
-                    inexact_only += 1
+                    inexact_only += m is clipped
     # the clipped table's one column, at (s, one), under each extension
     assert inexact_only == 1 + len(B) + len(A) + len(A) * len(B) * len(B)
 
@@ -396,7 +422,7 @@ def test_compose_over_the_support_equals_the_columnwise_apply():
             for lo in range(n - m + 1):
                 if inner.codomain[lo:lo + m] != outer.domain:
                     continue
-                ext = outer.on_legs(inner.codomain, range(lo, lo + m))
+                ext = extension(outer, inner.codomain, range(lo, lo + m))
                 got = ext.compose(inner)
                 want = columnwise_compose(ext, inner)
                 skipped += sum(ext.columns.keys().isdisjoint(v.entries)
@@ -427,7 +453,7 @@ def test_compose_on_legs_equals_compose_with_the_identity_extension(rng):
                 if outer.domain[lo:lo + m] != inner.codomain:
                     continue
                 spaces = outer.domain[:lo] + inner.domain + outer.domain[lo + m:]
-                ext = inner.on_legs(spaces, range(lo, lo + len(inner.domain)))
+                ext = extension(inner, spaces, range(lo, lo + len(inner.domain)))
                 want = outer.compose(ext)
                 got = outer.compose(inner, tuple(range(lo, lo + m)))
                 assert (got.domain, got.codomain) == (want.domain, want.codomain)

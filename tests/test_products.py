@@ -14,7 +14,7 @@ from nvaw.linalg import (
 )
 from nvaw.nva import (
     DEFAULT_KMAX, Nva, NvaModule, adjoint_module, check_module,
-    check_weak_associativity, double_product, window_equal_vec,
+    check_weak_associativity, window_equal_vec,
 )
 from nvaw.products import (
     PreconditionError, build_ordinary_tensor, build_product_module,
@@ -223,7 +223,8 @@ def z2_columns(host):
     columns = []
     for u in host.space.basis:
         for v in host.space.basis:
-            base = double_product(y1, y2, u, v, host.vacuum, hs)
+            vec = SeriesVector.basis(hs, (u, v, host.vacuum))
+            base = y1.apply(y2.apply(vec, (1, 2)), (0, 1))
             for e1 in range(lo, hi + 1):
                 for e2 in range(lo, hi + 1):
                     f = Series.monomial("x1", e1) * Series.monomial("x2", e2)

@@ -399,10 +399,12 @@ def aligned_copy(s, variables, window):
 
 
 def align_both_then(op, a, b):
-    """a + b or a * b as it was: both operands aligned first."""
+    """a + b with both operands aligned first; a * b with both lifted
+    unclipped, the product clipped once."""
     variables = tuple(sorted(set(a.variables) | set(b.variables)))
     window = _meet(a.window, b.window)
-    a, b = aligned_copy(a, variables, window), aligned_copy(b, variables, window)
+    lift = window if op == "+" else None
+    a, b = aligned_copy(a, variables, lift), aligned_copy(b, variables, lift)
     out = {}
     if op == "+":
         out = dict(a.coeffs)
@@ -576,11 +578,24 @@ def test_a_product_in_disjoint_variables_is_a_placement(pair):
     r = a * b
     assert_normal(r)
     assert fields(r) == fields(align_both_then("*", a, b))
-    window = _meet(a.window, b.window)
-    if window is None or window[0] <= 0 <= window[1]:
-        # a window without 0 clips an operand lifted onto the other's
-        # variables, and with it every term of the product
-        assert len(r.coeffs) == len(a.coeffs) * len(b.coeffs)
+    # every term of the product is kept, under a window without 0 as well
+    assert len(r.coeffs) == len(a.coeffs) * len(b.coeffs)
+
+
+def test_a_product_keeps_its_terms_under_a_window_without_0():
+    # lifting x1 onto (x1, x2) puts in x2^0, outside the window (1, 3);
+    # only the product's exponents are clipped
+    x1 = Series(("x1",), {(1,): 1}, (1, 3))
+    x2 = Series(("x2",), {(1,): 1}, (1, 3))
+    r = x1 * x2
+    assert fields(r) == (("x1", "x2"), {(1, 1): 1}, (1, 3), True)
+    assert fields(x1 * Series.const(1)) == fields(x1)
+    assert fields(Series.const(1) * x1) == fields(x1)
+    # under unequal windows too, where the operands are lifted in general
+    y = Series(("x2",), {(2,): 3}, (2, 4))
+    assert fields(x1 * y) == (("x1", "x2"), {}, (2, 3), False)
+    assert fields(Series(("x1",), {(2,): 1}, (1, 3)) * y) == \
+        (("x1", "x2"), {(2, 2): 3}, (2, 3), True)
 
 
 @settings(max_examples=200, deadline=None)
