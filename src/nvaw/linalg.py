@@ -384,7 +384,10 @@ def _row_reduce(rows, ncols):
         row = dict(row)
         for c in [c for c in row if c in pivots]:
             _subtract(row, row.pop(c), pivots[c], c)
-        lead = min((c for c in row if c < ncols), default=None)
+        lead = None
+        for c in row:
+            if c < ncols and (lead is None or c < lead):
+                lead = c
         if lead is None:
             rest.append((i, row))
             continue
@@ -410,12 +413,12 @@ def solve_linear(blocks, unknowns):
 
     Each (basis key, exponent) of a block is one equation.  At a key every
     side is read as their difference would be: lifted onto the union of
-    their variables, clipped to the meet of their windows (sides that share
-    variables and window are read as they are).  Equations enter in order
-    of first appearance, the target's before the images' in unknown order,
-    and a repeated equation enters once: equations are compared by the
-    numerator and denominator of each coefficient, so an int and an equal
-    Fraction are the same coefficient.
+    their variables, clipped to the meet of their windows (a lone side, or
+    sides that share variables and window, are read as they are).
+    Equations enter in order of first appearance, the target's before the
+    images' in unknown order, and a repeated equation enters once:
+    equations are compared by the numerator and denominator of each
+    coefficient, so an int and an equal Fraction are the same coefficient.
     """
     unknowns = list(unknowns)
     n = len(unknowns)
@@ -425,23 +428,28 @@ def solve_linear(blocks, unknowns):
     seen = set()
     for target, images in blocks:
         # column n carries the right-hand side
-        at = {}
-        for j, vec in [(n, target)] + [(col[u], v) for u, v in images.items()]:
+        at = {key: [(n, s)] for key, s in target.entries.items()}
+        for u, vec in images.items():
+            j = col[u]
             for key, s in vec.entries.items():
                 at.setdefault(key, []).append((j, s))
         for key, sides in at.items():
-            first = sides[0][1]
-            variables, window = first.variables, first.window
-            if any(s.variables != variables or s.window != window
-                   for _, s in sides):
-                variables = tuple(sorted({v for _, s in sides for v in s.variables}))
-                window = reduce(_meet, (s.window for _, s in sides))
-                if window is not None and window[0] > window[1]:
-                    raise EmptyWindow(f"empty window [{window[0]},{window[1]}]")
-            eqs = {}
-            for j, s in sides:
-                for expt, c in s._lifted(variables, window)[0].items():
-                    eqs.setdefault(expt, {})[j] = c
+            j, s = sides[0]
+            if len(sides) == 1:  # a lone side is read as it is
+                eqs = {expt: {j: c} for expt, c in s.coeffs.items()}
+            else:
+                variables, window = s.variables, s.window
+                for _, s in sides:
+                    if s.variables != variables or s.window != window:
+                        variables = tuple(sorted({v for _, s in sides for v in s.variables}))
+                        window = reduce(_meet, (s.window for _, s in sides))
+                        if window is not None and window[0] > window[1]:
+                            raise EmptyWindow(f"empty window [{window[0]},{window[1]}]")
+                        break
+                eqs = {}
+                for j, s in sides:
+                    for expt, c in s._lifted(variables, window)[0].items():
+                        eqs.setdefault(expt, {})[j] = c
             for expt, row in eqs.items():
                 # unknown part and right-hand side, by value
                 sig = frozenset([(j, c.numerator, c.denominator)

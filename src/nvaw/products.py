@@ -409,20 +409,28 @@ def sub_nva(host, name, labels, vacuum):
 
 
 def extract_twisting(host, u_labels, v_labels):
-    """Solve for the twisting operator R(x) of a host algebra generated by
-    two subalgebras, from the commutation condition
+    """Solve for the twisting operator R(x)(v⊗u) = Σ r[(v,u)->(a,b),e]
+    x^e a⊗b of a host algebra generated by two subalgebras, from the
+    commutation condition
 
         (x1-x2)^k Y(v,x1)Y(u,x2)w
-          == (x1-x2)^k Σ r[(v,u)->(a,b),e] (-1)^e (x1-x2)^{k+e}
-                         Y(a,x2)Y(b,x1)w / (x1-x2)^k ...
+          == Σ r[(v,u)->(a,b),e] (-1)^e (x1-x2)^{k+e} Y(a,x2)Y(b,x1)w,
 
-    assembled exactly by premultiplying with (x1-x2)^k so every unknown
-    R-monomial (x2-x1)^e contributes the polynomial (-1)^e (x1-x2)^{k+e}.
-    Solves at w = vacuum first, then validates against all w; on a unique
-    solution runs the twisting axioms, the theta-bijectivity test and the
-    degree-two injectivity report.  The vacuum of each subalgebra is the
-    host's when its labels hold it, and otherwise its first label.  The
-    solved R takes the window of the host's table.
+    the premultiplied form of Y(v,x1)Y(u,x2)w == Σ R(x2-x1) Y(a,x2)Y(b,x1)w
+    with k = max(0, -min e): each unknown R-monomial (x2-x1)^e contributes the
+    polynomial (-1)^e (x1-x2)^{k+e}, so the system is exact.  Only the
+    columns the condition reads are composed (v, b in V; u, a in U).
+
+    Solves at w = vacuum first, then the full system over every w: the
+    solution when the vacuum system leaves R open, and otherwise its
+    validation.  Both solves stay, each over every unknown, because the
+    benchmark's tests count two solves per extraction; one factorization
+    without the vacuum solve waits for the benchmark revision (ROADMAP
+    item 1).  On a unique solution runs the twisting axioms, the
+    theta-bijectivity test and the degree-two injectivity report.  The
+    vacuum of each subalgebra is the host's when its labels hold it, and
+    otherwise its first label.  The solved R takes the window of the host's
+    table.
     """
     def vacuum(labels):
         return host.vacuum if host.vacuum in labels else labels[0]
@@ -447,22 +455,30 @@ def extract_twisting(host, u_labels, v_labels):
                     for e in range(elo, ehi + 1):
                         nsym[(v, u, a, b, e)] = f"r[{v},{u}][{a},{b}][{e}]"
 
-    # Y(a,x1)Y(b,x2)w and Y(a,x2)Y(b,x1)w at column (a, b, w)
-    y1, y2 = host.y.at("x1"), host.y.at("x2")
+    # Y(v,x1)Y(u,x2)w at column (v, u, w) and Y(a,x2)Y(b,x1)w at (a, b, w),
+    # built only where v and b are in V and u and a are in U
+    def leading(labels):
+        return SeriesMap(host.y.domain, host.y.codomain, {
+            k: col for k, col in host.y.columns.items() if k[0] in labels})
+
+    y1, y2 = leading(v_labels).at("x1"), leading(u_labels).at("x2")
     y12, y21 = y1.compose(y2, (1,)), y2.compose(y1, (1,))
     step = Series.monomial("x1", 1) - Series.monomial("x2", 1)
     # signed[0] is the premultiplier (x1-x2)^k
     signed = {e: (step ** (k + e)).scale(Q(-1) ** (e % 2))
               for e in range(elo, ehi + 1)}
     # the image (-1)^e (x1-x2)^{k+e} Y(a,x2)Y(b,x1)w of every unknown
-    # r[(v,u)->(a,b),e] does not depend on (v,u)
+    # r[(v,u)->(a,b),e] does not depend on (v,u); an unknown whose image at
+    # w is zero adds no equation there and is left out
     images = {}
     for w in host.space.basis:
+        images[w] = at_w = {}
         for a in u_labels:
             for b in v_labels:
                 base = y21.column((a, b, w))
-                for e, poly in signed.items():
-                    images[(a, b, e, w)] = base.scale(poly)
+                if base.entries:
+                    for e, poly in signed.items():
+                        at_w[(a, b, e)] = base.scale(poly)
 
     # the blocks of every w, in (v, u, w) order; those at w = vacuum are the
     # vacuum system, in the same (v, u) order
@@ -472,9 +488,8 @@ def extract_twisting(host, u_labels, v_labels):
             for w in host.space.basis:
                 lhs = y12.column((v, u, w)).scale(signed[0])
                 blocks.append((w, (lhs, {
-                    nsym[(v, u, a, b, e)]: images[(a, b, e, w)]
-                    for a in u_labels for b in v_labels
-                    for e in range(elo, ehi + 1)})))
+                    nsym[(v, u) + key]: image
+                    for key, image in images[w].items()})))
 
     unknowns = list(nsym.values())
     sol = solve_linear([b for w, b in blocks if w == host.vacuum], unknowns)
@@ -518,11 +533,11 @@ def extract_twisting(host, u_labels, v_labels):
                 lambda s: s.extract("x", 0)))
             rows.append({idx[key]: c for key, c in col.items() if c})
     rank = matrix_rank(rows, len(idx))
-    full = len(u_labels) * len(v_labels)
+    pairs = len(u_labels) * len(v_labels)
     theta.add("theta(u⊗v)=u_{-1}v bijective",
-              Outcome.EXACT_PASS if rank == full == len(host.space.basis)
+              Outcome.EXACT_PASS if rank == pairs == len(host.space.basis)
               else Outcome.FAIL,
-              f"rank {rank}, dim U⊗V {full}, dim host {len(host.space.basis)}")
+              f"rank {rank}, dim U⊗V {pairs}, dim host {len(host.space.basis)}")
 
     z2 = check_Z2_injectivity(host)
     return ExtractionResult(twist, sol, axioms, theta, z2)
@@ -537,10 +552,12 @@ def check_Z2_injectivity(host):
     (basis ⊗ basis ⊗ monomial x1^e1 x2^e2, e1 and e2 in Z2_WINDOW);
     reports the kernel rank.  Each column is held as a sparse row
     {(label, e1, e2) row index: coefficient}, so the rank is taken on the
-    transpose, which has the same rank over Q.  The column of x1^e1 x2^e2
-    is Y(u,x1)Y(v,x2)1 with every exponent shifted by (e1, e2), the terms
-    shifted out of their entry's window dropped: the product with the
-    monomial, which has no window and coefficient 1.
+    transpose, which has the same rank over Q.  Y(u,x1)Y(v,x2)1 is the
+    column (u, v) of Y(x1) composed with the creation map v -> Y(v,x2)1 on
+    its second leg: n² columns, not the n³ of Y(x1) after Y(x2).  The
+    column of x1^e1 x2^e2 is Y(u,x1)Y(v,x2)1 with every exponent shifted by
+    (e1, e2), the terms shifted out of their entry's window dropped: the
+    product with the monomial, which has no window and coefficient 1.
 
     On a Laurent polynomial table the map is linear over the Laurent
     polynomials f, so it sends the rank-n² module of u⊗v into the rank-n
@@ -549,14 +566,16 @@ def check_Z2_injectivity(host):
     artifact.  On Z2⊗Z2 every product u·v is ±1 times a basis vector,
     which gives columns 144, rank 36, kernel 108 at the 3×3 window."""
     rep = CheckReport(f"{host.name}: degree-two injectivity")
-    y12 = host.y.at("x1").compose(host.y.at("x2"), (1,))
+    creation = SeriesMap((host.space,), (host.space,), {
+        (v,): host.y.column((v, host.vacuum)) for v in host.space.basis})
+    y12 = host.y.at("x1").compose(creation.at("x2"), (1,))
     lo, hi = Z2_WINDOW
     shifts = [(e1, e2) for e1 in range(lo, hi + 1) for e2 in range(lo, hi + 1)]
     columns = []
     rowkeys = {}
     for u in host.space.basis:
         for v in host.space.basis:
-            base = y12.column((u, v, host.vacuum))
+            base = y12.column((u, v))
             terms = [(lbl, s.window or (-math.inf, math.inf),
                       s._lifted(("x1", "x2"), s.window)[0])
                      for (lbl,), s in base.entries.items()]

@@ -249,12 +249,18 @@ class Series:
             return self.scale(other)
         a, b, window = self.coeffs, other.coeffs, self.window
         exact = self.exact and other.exact
+        first, second = self.variables, other.variables
+        if not first or not second:
+            # a factor with no variables is a scale: the other factor's
+            # variables and window, no lift and no clip pass
+            s, k = (other, a.get((), 0)) if not first else (self, b.get((), 0))
+            return _made(s.variables, {ex: c * k for ex, c in s.coeffs.items()}
+                         if k else {}, s.window, exact)
         if window == other.window:
             # in disjoint variables under one window, each exponent of the
             # product is the operands' two placed side by side: inside the
             # window, and met by no other term, so none cancels
-            first, second = self.variables, other.variables
-            if not first or not second or first[-1] < second[0]:
+            if first[-1] < second[0]:
                 return _made(first + second, {
                     ex1 + ex2: c1 * c2 for ex1, c1 in a.items()
                     for ex2, c2 in b.items()}, window, exact)

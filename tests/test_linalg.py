@@ -279,6 +279,19 @@ def _dict_rows(rows):
     return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
 
+def test_the_lead_is_the_lowest_column_not_the_first_key():
+    # keys out of column order, a carried column (>= 4) listed first; the
+    # last row is twice the first with a carried 7, so it is set aside
+    rows = [{3: 1, 0: 2}, {5: 1, 2: 3, 1: 1}, {4: 2, 3: 1, 1: 2},
+            {5: 7, 3: 2, 0: 4}]
+    ordered = [dict(sorted(r.items())) for r in rows]
+    pivots, rest = _row_reduce(rows, 4)
+    assert (pivots, rest) == _row_reduce(ordered, 4)
+    assert sorted(pivots) == [0, 1, 2]
+    assert rest == [(3, {5: 7})]
+    assert matrix_rank(rows, 4) == matrix_rank(ordered, 4) == 3
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices())
 def test_matrix_rank_matches_sympy(rows):

@@ -182,6 +182,66 @@ def test_a_mutated_host_gives_its_first_contradicting_equation(name, witness):
     assert res.twist is None
 
 
+# SHA-256 of the equation stream of extract_twisting: every row that
+# solve_linear hands to _row_reduce, in order, its items sorted, and then
+# the outcome of that solve; it pins the row order, the dedupe and the
+# Inconsistent witness of each host, the mutated hosts doubled as above
+EQUATION_STREAM_SHA256 = {
+    "flip:E1,E2":
+        "e0b74b859714d0300529652e3555f0a86a9b64599f5c096397dfb8ab2a9ac35d",
+    "flip:E2,E2":
+        "ba30581978594bbc453ce47ab23204c52aa18e8a7b12b559c917c745d4a13171",
+    "sign:Z2,Z2":
+        "631a093d2d0264c48c3a60fe006e0cec2b6f2ad3e3748dc1fc96650563db9ec7",
+    "flip:E2,E2 mutated":
+        "517e674401f57266944726b586197dd86189ed5852fd489b60f8559ccea84d77",
+    "sign:Z2,Z2 mutated":
+        "e81ce5aa060f133577ded622ec32d3c40512a7f332366755f5d9e733c0a4ea38",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUATION_STREAM_SHA256))
+def test_extraction_equation_stream_is_unchanged(name, monkeypatch):
+    import nvaw.linalg as linalg
+    import nvaw.products as products
+
+    t = builtin_twists()[name.split()[0]]
+    p = build_twisted_tensor(t.first, t.second, t)
+    u_labels = [p.pair(a, p.second.vacuum) for a in p.first.space.basis]
+    v_labels = [p.pair(p.first.vacuum, b) for b in p.second.space.basis]
+    host = p.nva
+    if name.endswith("mutated"):
+        cols = dict(host.y.columns)
+        key = (v_labels[-1], u_labels[-1])
+        cols[key] = cols[key].scale(2)
+        host = Nva(host.name, host.space, host.vacuum,
+                   SeriesMap(host.y.domain, host.y.codomain, cols))
+
+    digest = hashlib.sha256()
+    solving = []
+    row_reduce, solve = linalg._row_reduce, products.solve_linear
+
+    def rows_in(rows, ncols):
+        if solving:  # not the ranks of theta and of the Z2 report
+            for row in rows:
+                digest.update(repr(sorted(row.items())).encode())
+        return row_reduce(rows, ncols)
+
+    def outcome_of(blocks, unknowns):
+        solving.append(True)
+        try:
+            out = solve(blocks, unknowns)
+        finally:
+            solving.pop()
+        digest.update(repr((type(out).__name__, vars(out))).encode())
+        return out
+
+    monkeypatch.setattr(linalg, "_row_reduce", rows_in)
+    monkeypatch.setattr(products, "solve_linear", outcome_of)
+    extract_twisting(host, u_labels, v_labels)
+    assert digest.hexdigest() == EQUATION_STREAM_SHA256[name]
+
+
 # SHA-256 of repr([(name, outcome.name, detail)]) of check_product_nva on
 # (E2 ⊗ E2) ⊗ E2, taken while weak associativity still composed both sides
 # triple by triple; the golden report has no host of dimension 27

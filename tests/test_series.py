@@ -598,6 +598,25 @@ def test_a_product_keeps_its_terms_under_a_window_without_0():
         (("x1", "x2"), {(2, 2): 3}, (2, 3), True)
 
 
+# exact and inexact (clipped), under windows with 0, without it and None
+SCALED = [
+    Series(("x1",), {(1,): 1, (2,): Q(1, 2)}, (1, 3)),
+    Series(("x1",), {(1,): 1, (5,): 2}, (1, 3)),
+    Series(("x1", "x2"), {(0, -1): 3, (2, 1): -1}, (-2, 2)),
+    Series(("x2",), {(-9,): 1}, (-2, 2)),
+    Series.monomial("x1", 2),
+    Series.const(5),
+]
+
+
+@pytest.mark.parametrize("k", [0, 1, Q(2, 3)])
+def test_a_factor_with_no_variables_is_a_scale(k):
+    assert {s.exact for s in SCALED} == {True, False}
+    c = Series.const(k)
+    for s in SCALED:
+        assert fields(s * c) == fields(c * s) == fields(s.scale(k))
+
+
 @settings(max_examples=200, deadline=None)
 @given(clipped_operand(), st.sampled_from([0, Q(0), 1, -2, Q(3, 2)]))
 def test_scaling_is_in_normal_form(s, c):
