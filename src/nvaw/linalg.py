@@ -9,7 +9,7 @@ identities are composed.
 from fractions import Fraction as Q
 from functools import reduce
 
-from .series import EmptyWindow, Series, _meet
+from .series import EmptyWindow, Series, _add_terms, _made, _meet, _placed
 
 # the entry of every missing key: no Series is changed once built
 _ZERO = Series.zero()
@@ -211,16 +211,24 @@ class SeriesMap:
         assert self.domain == other.domain and self.codomain == other.codomain
         out = dict(self.columns)
         for k, v in other.columns.items():
-            out[k] = out[k] + v if k in out else v
-        return SeriesMap(self.domain, self.codomain, out)
+            if k in out:
+                v = out[k] + v
+                if not v.entries:
+                    del out[k]
+                    continue
+            out[k] = v
+        return _map(self.domain, self.codomain, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return SeriesMap(
-            self.domain, self.codomain, {k: v.scale(c) for k, v in self.columns.items()}
-        )
+        cols = {}
+        for k, v in self.columns.items():
+            v = v.scale(c)
+            if v.entries:
+                cols[k] = v
+        return _map(self.domain, self.codomain, cols)
 
     def apply(self, vec, legs=None):
         """Apply to the given contiguous legs of vec (all legs by default).
@@ -231,6 +239,10 @@ class SeriesMap:
         lo, hi = _span(legs, len(vec.spaces))
         assert vec.spaces[lo:hi] == self.domain, (vec.spaces[lo:hi], self.domain)
         out_spaces = vec.spaces[:lo] + self.codomain + vec.spaces[hi:]
+        # each entry is summed as (variables, coeffs, window, exact) into a
+        # coefficient dict of its own, a placed product's or one that * or +
+        # built here, in place while its terms share variables and window,
+        # and is built once at the end
         out = {}
         for key, s in vec.entries.items():
             col = self.columns.get(key[lo:hi])
@@ -239,14 +251,26 @@ class SeriesMap:
             pre, post = key[:lo], key[hi:]
             for ckey, cs in col.entries.items():
                 k = pre + ckey + post
-                t = out[k] + s * cs if k in out else s * cs
+                p = _placed(s, cs)
+                if p is None:
+                    q = s * cs
+                    p = (q.variables, q.coeffs, q.window, q.exact)
+                t = out.get(k)
+                if t is None:
+                    t = p
+                elif t[0] == p[0] and t[2] == p[2]:
+                    _add_terms(t[1], p[1])
+                    t = (t[0], t[1], t[2], t[3] and p[3])
+                else:
+                    q = _made(*t) + _made(*p)
+                    t = (q.variables, q.coeffs, q.window, q.exact)
                 # a sum that cancels exactly leaves the vector, as it would
                 # in SeriesVector addition
-                if not t.coeffs and t.exact:
-                    out.pop(k, None)
-                else:
+                if t[1] or not t[3]:
                     out[k] = t
-        return _vector(out_spaces, out)
+                else:
+                    out.pop(k, None)
+        return _vector(out_spaces, {k: _made(*t) for k, t in out.items()})
 
     def compose(self, inner, legs=None):
         """self ∘ inner, inner acting on the given contiguous legs of self's

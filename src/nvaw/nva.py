@@ -7,8 +7,8 @@ an identity can hold exactly, hold on the truncation window only, fail with
 a witness, or fail to admit a clearing exponent k below the cap.
 """
 
-from .series import Eq, EqResult, Q, Series, window_equal
-from .linalg import SeriesMap, SeriesVector, basis_tuples
+from .series import Eq, EqResult, Q, Series, SeriesError, window_equal
+from .linalg import _ZERO, SeriesMap, SeriesVector, basis_tuples
 
 
 DEFAULT_KMAX = 10
@@ -178,14 +178,26 @@ def window_equal_vec(a, b):
     series.window_equal over the keys of both sides, with the first unequal
     key (in sorted order) and its exponent as the witness.  An all-exact
     verdict is one shared EqResult."""
+    ae, be = a.entries, b.entries
     worst = _EXACT
-    for key in sorted(a.entries.keys() | b.entries.keys()):
-        res = window_equal(a.get(key), b.get(key))
+    # the keys in entry order while they compare equal
+    try:
+        for key in {**ae, **be}:
+            res = window_equal(ae.get(key, _ZERO), be.get(key, _ZERO))
+            if not res:
+                break
+            if res.kind is Eq.WINDOW:
+                worst = res
+        else:
+            return worst
+    except SeriesError:
+        pass
+    # a key compared unequal or raised: in sorted order the first such key
+    # gives the witness, or raises, as it would had the keys been sorted
+    for key in sorted(ae.keys() | be.keys()):
+        res = window_equal(ae.get(key, _ZERO), be.get(key, _ZERO))
         if not res:
             return EqResult(Eq.UNEQUAL, (key, res.witness))
-        if res.kind is Eq.WINDOW:
-            worst = res
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +261,25 @@ def weak_associativity_items(y, yw, spaces, kmax, prefix):
     yx1, yx2, yx0 = yw.at("x1"), yw.at("x2"), y.at("x0")
     lhs_map = yx1.compose(yx2, (1,))
     rhs_map = yx2.compose(yx0, (0,))
-    nonzero = lhs_map.columns.keys() | rhs_map.columns.keys()
+    # the w of the triples at which a map has a column, by their (u, v); a
+    # row of (u, v) with none is one list of 0 == 0 items
+    live = {}
+    for key in lhs_map.columns.keys() | rhs_map.columns.keys():
+        live.setdefault(key[:2], set()).add(key[2])
+    ws = spaces[2].basis
+    zero = [f"{w}) k=0" for w in ws]
+    passed = Outcome.EXACT_PASS
     for (u, v) in basis_tuples(spaces[:2]):
         at = f"{prefix}({u},{v},"
-        for w in spaces[2].basis:
-            key = (u, v, w)
-            if key not in nonzero:
-                rep.items.append(
-                    CheckItem(f"{at}{w}) k=0", Outcome.EXACT_PASS, ""))
+        row = live.get((u, v))
+        if row is None:
+            rep.items += [CheckItem(at + end, passed, "") for end in zero]
+            continue
+        for w, end in zip(ws, zero):
+            if w not in row:
+                rep.items.append(CheckItem(at + end, passed, ""))
                 continue
+            key = (u, v, w)
             lhs12 = lhs_map.column(key)
             k = clearing_exponent(lhs12, "x1", kmax)
             if k is None:

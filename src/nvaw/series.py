@@ -108,6 +108,47 @@ def _normalized(variables, coeffs, window, exact):
     return _made(variables, kept, window, exact and not clipped)
 
 
+def _placed(a, b):
+    """(variables, coeffs, window, exact) of the product a * b when it needs
+    no lift and no clip, its coefficients in a fresh dict; None when it does.
+    A factor with no variables scales the other: the other's variables and
+    window.  In disjoint variables under one window, each exponent of the
+    product is the operands' two placed side by side: inside the window, and
+    met by no other term, so none cancels."""
+    x, y = a.coeffs, b.coeffs
+    exact = a.exact and b.exact
+    first, second = a.variables, b.variables
+    if not first or not second:
+        s, k = (b, x.get((), 0)) if not first else (a, y.get((), 0))
+        return (s.variables, {ex: c * k for ex, c in s.coeffs.items()}
+                if k else {}, s.window, exact)
+    if a.window == b.window:
+        if first[-1] < second[0]:
+            return first + second, {ex1 + ex2: c1 * c2 for ex1, c1 in x.items()
+                                    for ex2, c2 in y.items()}, a.window, exact
+        if second[-1] < first[0]:
+            return second + first, {ex2 + ex1: c1 * c2 for ex1, c1 in x.items()
+                                    for ex2, c2 in y.items()}, a.window, exact
+    return None
+
+
+def _add_terms(coeffs, terms):
+    """Add terms, in their order, into the coefficient dict coeffs in place:
+    a new exponent's coefficient is Q(0) + c (c itself if a Fraction), and
+    an exponent whose sum is 0 leaves.  The sum of two series with the same
+    variables and window."""
+    for ex, c in terms.items():
+        x = coeffs.get(ex)
+        if x is None:
+            coeffs[ex] = c if c.__class__ is Q else Q(0) + c
+        else:
+            x += c
+            if x:
+                coeffs[ex] = x
+            else:
+                del coeffs[ex]
+
+
 class Series:
     __slots__ = ("variables", "coeffs", "window", "exact")
 
@@ -229,9 +270,8 @@ class Series:
         a, ea = self._lifted(variables, window)
         b, eb = other._lifted(variables, window)
         out = dict(a)
-        for ex, c in b.items():
-            out[ex] = out.get(ex, Q(0)) + c
-        return _normalized(variables, out, window, ea and eb)
+        _add_terms(out, b)
+        return _made(variables, out, window, ea and eb)
 
     __radd__ = __add__
 
@@ -247,27 +287,9 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
-        a, b, window = self.coeffs, other.coeffs, self.window
-        exact = self.exact and other.exact
-        first, second = self.variables, other.variables
-        if not first or not second:
-            # a factor with no variables is a scale: the other factor's
-            # variables and window, no lift and no clip pass
-            s, k = (other, a.get((), 0)) if not first else (self, b.get((), 0))
-            return _made(s.variables, {ex: c * k for ex, c in s.coeffs.items()}
-                         if k else {}, s.window, exact)
-        if window == other.window:
-            # in disjoint variables under one window, each exponent of the
-            # product is the operands' two placed side by side: inside the
-            # window, and met by no other term, so none cancels
-            if first[-1] < second[0]:
-                return _made(first + second, {
-                    ex1 + ex2: c1 * c2 for ex1, c1 in a.items()
-                    for ex2, c2 in b.items()}, window, exact)
-            if second[-1] < first[0]:
-                return _made(second + first, {
-                    ex2 + ex1: c1 * c2 for ex1, c1 in a.items()
-                    for ex2, c2 in b.items()}, window, exact)
+        placed = _placed(self, other)
+        if placed is not None:
+            return _made(*placed)
         # the operands are lifted unclipped: the 0 a lift puts in for a
         # missing variable may lie outside the window, and only the
         # product's exponents are clipped
@@ -280,7 +302,7 @@ class Series:
                 ex = tuple(map(operator.add, ex1, ex2))
                 prev = out.get(ex)
                 out[ex] = c1 * c2 if prev is None else prev + c1 * c2
-        return _normalized(variables, out, window, exact)
+        return _normalized(variables, out, window, self.exact and other.exact)
 
     __rmul__ = __mul__
 
@@ -366,45 +388,74 @@ class Series:
         """
         if var not in self.variables:
             return self
-        (f, sf), (g, sg) = _signed(first), _signed(second)
-        if f == g:
-            raise VariableMismatch("summands must be distinct variables")
-        i = self.variables.index(var)
-        rest = self.variables[:i] + self.variables[i + 1 :]
-        variables = tuple(sorted(set(rest) | {f, g}))
-        pos = [variables.index(v) for v in rest]
-        pf, pg = variables.index(f), variables.index(g)
+        at = (self.variables, var, first, second)
+        plan = _PLANS.get(at)
+        if plan is None:
+            plan = _PLANS[at] = _substitution_plan(*at)
+        variables, i, moves, pf, pg, signs = plan
+        window = self.window
         exact = self.exact
-        # the integer multipliers binom(n, k) sf^(n-k) sg^k of each power n
         rows = {}
         out = {}
         for ex, c in self.coeffs.items():
             n = ex[i]
-            base = [0] * len(variables)
-            for p, e in zip(pos, ex[:i] + ex[i + 1 :]):
-                base[p] = e
             row = rows.get(n)
             if row is None:
                 if n >= 0:
                     cap = n
-                elif self.window is None:
+                elif window is None:
                     raise SeriesError(f"{var}^{n} has an infinite expansion "
                                       "and no window to clip it at")
                 else:
-                    lo, hi = self.window
-                    cap = max(-1, min(hi, n - lo))
-                row = rows[n] = [binom(n, k) * sf ** ((n - k) % 2) * sg ** (k % 2)
-                                 for k in range(cap + 1)]
-            if n < 0:
-                exact = False
+                    exact = False
+                    cap = max(-1, min(window[1], n - window[0]))
+                row = rows[n] = _binomial_row(n, cap, signs)
+            base = [0] * len(variables)
+            for p, j in moves:
+                base[p] = ex[j]
             for k, m in enumerate(row):
-                ne = list(base)
+                ne = base.copy()
                 ne[pf] += n - k
                 ne[pg] += k
                 ne = tuple(ne)
                 term = c if m == 1 else c * m
                 out[ne] = out[ne] + term if ne in out else term
-        return _normalized(variables, out, self.window, exact)
+        return _normalized(variables, out, window, exact)
+
+
+# Plans of substitute_sum, kept for the life of the process: one per
+# (variables, var, first, second), and one integer row per (power, cap,
+# signs).  A window bounds the powers and caps a series can have, so both
+# stay as small as the variable layouts and windows in use.
+_PLANS = {}
+_BINOMIAL_ROWS = {}
+
+
+def _substitution_plan(variables, var, first, second):
+    """(result variables, index of var, moves, pf, pg, signs): each other
+    variable's exponent moves from index j to index p, (p, j) in moves; the
+    powers of first and second go to pf and pg."""
+    (f, sf), (g, sg) = _signed(first), _signed(second)
+    if f == g:
+        raise VariableMismatch("summands must be distinct variables")
+    i = variables.index(var)
+    rest = [j for j in range(len(variables)) if j != i]
+    out = tuple(sorted({variables[j] for j in rest} | {f, g}))
+    moves = tuple((out.index(variables[j]), j) for j in rest)
+    return out, i, moves, out.index(f), out.index(g), (sf, sg)
+
+
+def _binomial_row(n, cap, signs):
+    """The integer multipliers binom(n, k) sf^(n-k) sg^k, k = 0..cap, of
+    the power n of a signed sum sf·first + sg·second."""
+    at = (n, cap, signs)
+    row = _BINOMIAL_ROWS.get(at)
+    if row is None:
+        sf, sg = signs
+        row = _BINOMIAL_ROWS[at] = tuple(
+            binom(n, k) * sf ** ((n - k) % 2) * sg ** (k % 2)
+            for k in range(cap + 1))
+    return row
 
 
 def _signed(name):

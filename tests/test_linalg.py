@@ -509,6 +509,149 @@ def test_apply_keeps_a_clipped_zero_and_drops_an_exact_cancellation():
                             (("b2",), ("x",), {(2,): 1}, w, True)]
 
 
+# ---------------------------------------------------------------------------
+# apply sums the products at a key into one coefficient dict; the sequence
+# of * and + it replaces is kept here as the oracle
+
+
+def sequential_apply(m, vec, legs=None):
+    """The entries of m.apply(vec, legs) by its definition: each product
+    s * cs added with + to the entry at its key, in turn.  A sum that
+    cancels exactly leaves the vector, and a later product puts its key
+    back, at the end."""
+    lo, hi = (0, len(vec.spaces)) if legs is None else (legs[0], legs[-1] + 1)
+    out = {}
+    for key, s in vec.entries.items():
+        col = m.columns.get(key[lo:hi])
+        if col is None:
+            continue
+        for ckey, cs in col.entries.items():
+            k = key[:lo] + ckey + key[hi:]
+            t = out[k] + s * cs if k in out else s * cs
+            if not t.coeffs and t.exact:
+                out.pop(k, None)
+            else:
+                out[k] = t
+    return out
+
+
+def fields(entries):
+    """Every field of every entry, in entry order, with each coefficient's
+    exponent, type and value in coefficient order."""
+    return [(k, s.variables, [(ex, type(c), c) for ex, c in s.coeffs.items()],
+             s.window, s.exact) for k, s in entries.items()]
+
+
+def assert_apply_is_sequential(m, vec, legs=None):
+    out = m.apply(vec, legs)
+    assert fields(out.entries) == fields(sequential_apply(m, vec, legs))
+    return out
+
+
+C = Space("C", ("c1", "c2", "c3", "c4"))
+LAYOUTS = ((), ("x0",), ("x1",), ("x2",), ("x1", "x2"), ("x0", "x2"))
+APPLY_WINDOWS = (None, (-8, 8), (0, 0), (1, 3))
+
+
+@st.composite
+def map_and_vector(draw):
+    """(map C -> B, vector, legs) with entries drawn from a pool of an x1
+    series, an x2 series and one of any layout, and their negatives, and
+    columns from two templates, so that products meet at a key, cancel and
+    come back.  The series have the example's window or none, and their
+    exponents mostly lie inside it; some are inexact, some clipped, some
+    inexact zeros."""
+    window = draw(st.sampled_from(APPLY_WINDOWS))
+    lo, hi = window or (-1, 3)
+    exponent = st.one_of(st.integers(max(lo, -1), min(hi, 3)),
+                         st.integers(-1, 3))
+
+    def series(variables):
+        exponents = st.tuples(*[exponent] * len(variables))
+        coeffs = draw(st.dictionaries(exponents, nonzeros, max_size=2))
+        return Series(variables, coeffs,
+                      draw(st.sampled_from((window, window, window, None))),
+                      draw(st.sampled_from((True, True, True, False))))
+
+    pool = [series(("x1",)), series(("x2",)),
+            series(draw(st.sampled_from(LAYOUTS)))]
+
+    def entry():
+        s = draw(st.sampled_from(pool))
+        return -s if draw(st.booleans()) else s
+
+    templates = [SeriesVector((B,), {
+        (b,): entry() for b in draw(st.lists(st.sampled_from(B.basis[:2]),
+                                             unique=True, max_size=2))})
+        for _ in range(2)]
+    cols = {(c,): draw(st.sampled_from(templates)) for c in C.basis}
+    spaces, legs = draw(st.sampled_from((((C,), None), ((C, A), (0,)),
+                                         ((A, C), (1,)))))
+    keys = draw(st.lists(st.sampled_from(basis_tuples(spaces)), unique=True,
+                         min_size=2, max_size=8))
+    vec = SeriesVector(spaces, {k: entry() for k in keys})
+    return SeriesMap((C,), (B,), cols), vec, legs
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_and_vector())
+def test_apply_equals_the_sequential_products_and_sums(case):
+    assert_apply_is_sequential(*case)
+
+
+@pytest.mark.parametrize("window", APPLY_WINDOWS)
+def test_apply_sums_each_kind_of_product_as_the_sequence_does(window):
+    e = max(0, window[0]) if window else 1
+
+    def x(var, c=1, exact=True):
+        return Series((var,), {(e,): Q(c)}, window, exact)
+
+    def apply(vec, cols):
+        m = SeriesMap((C,), (B,), {(c,): SeriesVector((B,), col)
+                                   for c, col in cols.items()})
+        return assert_apply_is_sequential(m, SeriesVector((C,), vec))
+
+    # placements in both variable orders and a scale, summed at one key
+    out = apply({("c1",): x("x1"), ("c2",): x("x2"), ("c3",): Series.const(2)},
+                {"c1": {("b1",): x("x2")}, "c2": {("b1",): x("x1")},
+                 "c3": {("b1",): x("x1") * x("x2", 3)}})
+    assert fields(out.entries) == [(("b1",), ("x1", "x2"), [
+        ((e, e), Fraction, Q(8))], window, True)]
+    # b1 cancels exactly and a later product puts it back after b2
+    out = apply({("c1",): x("x1"), ("c2",): x("x1", -1), ("c3",): x("x1")},
+                {"c1": {("b1",): x("x2"), ("b2",): x("x2")},
+                 "c2": {("b1",): x("x2")}, "c3": {("b1",): x("x2", 5)}})
+    assert list(out.entries) == [("b2",), ("b1",)]
+    # an inexact cancellation stays, an inexact zero
+    out = apply({("c1",): x("x1"), ("c2",): x("x1", -1, exact=False)},
+                {"c1": {("b1",): x("x2")}, "c2": {("b1",): x("x2")}})
+    assert fields(out.entries) == [(("b1",), ("x1", "x2"), [], window, False)]
+    # overlapping variables leave the placed sum for * and +, and a
+    # placement after them adds to what they built
+    out = apply({("c1",): x("x1"), ("c2",): x("x1"), ("c3",): x("x1")},
+                {"c1": {("b1",): x("x2")}, "c2": {("b1",): x("x1", 4)},
+                 "c3": {("b1",): x("x2", 2)}})
+    assert ("b1",) in out.entries
+    if window is None:
+        return
+    # a placement under no window adds to one under the window as + does,
+    # clipped to the window
+    free = Series(("x2",), {(window[1] + 1,): 1, (e,): 1}, None)
+    out = apply({("c1",): x("x1"), ("c2",): Series(("x1",), {(e,): 1}, None)},
+                {"c1": {("b1",): x("x2")}, "c2": {("b1",): free}})
+    assert fields(out.entries) == [(("b1",), ("x1", "x2"), [
+        ((e, e), Fraction, Q(2))], window, False)]
+    if window[1] > e:
+        # an int coefficient that a later product adds at a new exponent is
+        # a Fraction, as 0 + c is in Series +
+        out = apply({("c1",): x("x1"), ("c2",): Series.const(3)},
+                    {"c1": {("b1",): x("x2")},
+                     "c2": {("b1",): Series(("x1", "x2"), {(e, e + 1): 1},
+                                            window)}})
+        assert fields(out.entries)[0][2] == [((e, e), Fraction, Q(1)),
+                                             ((e, e + 1), Fraction, Q(3))]
+
+
 def test_a_missing_entry_is_one_zero_that_no_kernel_operation_changes():
     vec = SeriesVector.basis((A,), ("a1",))
     zero = vec.get(("a2",))

@@ -12,7 +12,9 @@ from nvaw.nva import Nva
 from nvaw.registry import (
     builtin_algebras, make_e1, make_e1n, make_e2, make_z2,
 )
-from nvaw.series import DEFAULT_RANGE, Eq, EqResult, Series, window_equal
+from nvaw.series import (
+    DEFAULT_RANGE, EmptyWindow, Eq, EqResult, Series, window_equal,
+)
 
 ALL = [make_e1, make_e1n, make_e2, make_z2]
 
@@ -84,6 +86,36 @@ def test_window_equal_vec_sees_clipping_in_the_difference():
     res = window_equal_vec(a, c)
     assert res.kind is Eq.UNEQUAL and res.witness == (("b",), (0,))
     assert window_equal_vec(c, a).witness == (("b",), (0,))
+
+
+def test_window_equal_vec_witness_does_not_follow_entry_order():
+    # the keys compare in entry order while they are equal; the witness is
+    # still the first unequal key in sorted order
+    sp = Space("V", ("a", "b", "c"))
+
+    def x(e, window=(-2, 2)):
+        return Series(("x",), {(e,): 1}, window)
+
+    a = SeriesVector((sp,), {("c",): x(1), ("b",): x(0), ("a",): x(2)})
+    b = SeriesVector((sp,), {("c",): x(2), ("b",): x(0), ("a",): x(-1)})
+    res = window_equal_vec(a, b)
+    assert (res.kind, res.witness) == (Eq.UNEQUAL, (("a",), (-1,)))
+    # a key that only the second side holds
+    res = window_equal_vec(SeriesVector((sp,), {("c",): x(1)}),
+                           SeriesVector((sp,), {("c",): x(2), ("b",): x(0)}))
+    assert (res.kind, res.witness) == (Eq.UNEQUAL, (("b",), (0,)))
+    # at c the windows 0..0 and 2..2 do not meet, and the comparison
+    # raises; a sorts first and is unequal, so it is the verdict
+    a = SeriesVector((sp,), {("c",): x(0, (0, 0)), ("a",): x(1)})
+    b = SeriesVector((sp,), {("c",): x(2, (2, 2)), ("a",): x(0)})
+    with pytest.raises(EmptyWindow):
+        window_equal(a.get(("c",)), b.get(("c",)))
+    res = window_equal_vec(a, b)
+    assert (res.kind, res.witness) == (Eq.UNEQUAL, (("a",), (0,)))
+    # with a equal, the comparison at c raises
+    b = SeriesVector((sp,), {("c",): x(2, (2, 2)), ("a",): x(1)})
+    with pytest.raises(EmptyWindow):
+        window_equal_vec(a, b)
 
 
 def test_a_series_clipped_to_zero_keeps_its_vector_inexact():

@@ -265,6 +265,49 @@ def test_triple_product_report_is_unchanged():
         TRIPLE_PRODUCT_NVA_SHA256
 
 
+def test_substitution_plans_stay_small_and_equal_fresh_ones(monkeypatch):
+    """Series.substitute_sum keeps a plan per (variables, var, first,
+    second) and an integer row per (power, cap, signs) for the life of the
+    process.  After the golden sweep and the dim-27 product check they are
+    few: the tables' variable layouts and the checks' substitutions, and
+    the powers and caps inside the tables' window."""
+    from nvaw import series
+    from test_golden import run_sweep
+
+    monkeypatch.setattr(series, "_PLANS", {})
+    monkeypatch.setattr(series, "_BINOMIAL_ROWS", {})
+    run_sweep()
+    p = triple_product()
+    check_product_nva(p)
+    plans, rows = series._PLANS, series._BINOMIAL_ROWS
+    layouts = {key[0] for key in plans}
+    assert all(set(layout) <= {"x", "x0", "x1", "x2"} for layout in layouts)
+    assert 0 < len(plans) <= 3 * len(layouts)
+    lo, hi = DEFAULT_RANGE
+    assert 0 < len(rows) <= 4 * (hi - lo + 1)
+    assert all(lo <= n <= hi and -1 <= cap <= hi for n, cap, _ in rows)
+    assert all(type(m) is int for row in rows.values() for m in row)
+    for key, plan in plans.items():
+        assert plan == series._substitution_plan(*key)
+
+    # substitutions of the product's table as the checks make them, with
+    # the plans kept so far, and again with none kept
+    y = [s for col in p.nva.y.columns.values() for s in col.entries.values()]
+    factor = Series(("x1", "x2"), {(-2, 1): 1, (1, -1): 2}, DEFAULT_RANGE)
+    two = [s.rename({"x": "x1"}) * factor for s in y]
+
+    def substituted():
+        return [(t.variables, list(t.coeffs.items()), t.window, t.exact)
+                for t in [s.substitute_sum("x", "x1", "-x2") for s in y]
+                + [s.substitute_sum("x1", "x0", "x2") for s in two]]
+
+    cached = substituted()
+    monkeypatch.setattr(series, "_PLANS", {})
+    monkeypatch.setattr(series, "_BINOMIAL_ROWS", {})
+    assert substituted() == cached
+    assert any(n < 0 for n, _, _ in series._BINOMIAL_ROWS)
+
+
 def test_z2_injectivity_reports_kernel():
     z2 = make_z2()
     p = build_twisted_tensor(z2, z2, sign_twist_z2())
