@@ -9,7 +9,8 @@ identities are composed.
 from fractions import Fraction as Q
 from functools import reduce
 
-from .series import EmptyWindow, Series, _add_terms, _made, _meet, _placed
+from .series import (
+    EmptyWindow, Series, _add_terms, _integral, _made, _meet, _placed)
 
 # the entry of every missing key: no Series is changed once built
 _ZERO = Series.zero()
@@ -362,14 +363,17 @@ class Inconsistent:
 
 def _subtract(target, f, row, skip):
     """target -= f * row in place on every column but skip (which the
-    caller clears), keeping only nonzero entries."""
+    caller clears), keeping only nonzero entries, each in the normal form
+    of Series coefficients: an int when integral."""
     for j, v in row.items():
         if j != skip:
             x = target.get(j, 0) - f * v
-            if x:
-                target[j] = x
-            else:
+            if not x:
                 del target[j]
+            elif x.__class__ is Q and x.denominator == 1:
+                target[j] = x.numerator
+            else:
+                target[j] = x
 
 
 def _row_reduce(rows, ncols):
@@ -390,7 +394,9 @@ def _row_reduce(rows, ncols):
     the pivots whose rows got an entry there, when the row was stored or
     when a subtraction reached that column; an entry may cancel later, so
     membership is tested again before subtracting.  A row whose leading
-    entry is already 1 is stored as it is.
+    entry is already 1 is stored as it is, and one led by -1 is negated.
+    Input rows in the normal form of Series coefficients (an int when
+    integral) give every entry in it.
 
     The result is the dense column-by-column Gauss-Jordan's.  A held row
     keeps its leading entry at its pivot q: a new pivot p is cleared from
@@ -415,9 +421,12 @@ def _row_reduce(rows, ncols):
         if lead is None:
             rest.append((i, row))
             continue
-        if row[lead] != 1:
-            inv = 1 / Q(row[lead])  # table coefficients may be ints
-            row = {j: v * inv for j, v in row.items()}
+        head = row[lead]
+        if head == -1:
+            row = {j: -v for j, v in row.items()}
+        elif head != 1:
+            inv = Q(head.denominator, head.numerator)
+            row = _integral({j: v * inv for j, v in row.items()})
         reach = [j for j in row if j < ncols and j != lead]
         for p in holders.pop(lead, ()):
             held = pivots[p]
@@ -441,8 +450,8 @@ def solve_linear(blocks, unknowns):
     sides that share variables and window, are read as they are).
     Equations enter in order of first appearance, the target's before the
     images' in unknown order, and a repeated equation enters once:
-    equations are compared by the numerator and denominator of each
-    coefficient, so an int and an equal Fraction are the same coefficient.
+    equations are compared by the value of each coefficient, and an
+    integral one, an int in normal form, hashes cheaply.
     """
     unknowns = list(unknowns)
     n = len(unknowns)
@@ -476,8 +485,7 @@ def solve_linear(blocks, unknowns):
                         eqs.setdefault(expt, {})[j] = c
             for expt, row in eqs.items():
                 # unknown part and right-hand side, by value
-                sig = frozenset([(j, c.numerator, c.denominator)
-                                 for j, c in row.items()])
+                sig = frozenset(row.items())
                 if sig in seen:
                     continue
                 seen.add(sig)
@@ -489,11 +497,11 @@ def solve_linear(blocks, unknowns):
         if leftover:
             return Inconsistent(tags[i])
 
-    assignment = {unknowns[c]: pivots[c].get(n, Q(0)) for c in sorted(pivots)}
+    assignment = {unknowns[c]: pivots[c].get(n, 0) for c in sorted(pivots)}
     if len(pivots) == n:
         return UniqueSolution(assignment)
     free = [u for j, u in enumerate(unknowns) if j not in pivots]
-    particular = {u: assignment.get(u, Q(0)) for u in unknowns}
+    particular = {u: assignment.get(u, 0) for u in unknowns}
     return Underdetermined(len(pivots), free, particular)
 
 
@@ -510,4 +518,4 @@ def matrix_inverse(rows):
     pivots, _ = _row_reduce([{**row, n + i: 1} for i, row in enumerate(rows)], n)
     if len(pivots) < n:
         return None
-    return [[pivots[i].get(n + j, Q(0)) for j in range(n)] for i in range(n)]
+    return [[pivots[i].get(n + j, 0) for j in range(n)] for i in range(n)]

@@ -12,7 +12,6 @@ surrogate for non-degeneracy, and modules over the product.
 """
 
 import math
-from fractions import Fraction as Q
 
 from .series import Series
 from .linalg import (
@@ -465,7 +464,7 @@ def extract_twisting(host, u_labels, v_labels):
     y12, y21 = y1.compose(y2, (1,)), y2.compose(y1, (1,))
     step = Series.monomial("x1", 1) - Series.monomial("x2", 1)
     # signed[0] is the premultiplier (x1-x2)^k
-    signed = {e: (step ** (k + e)).scale(Q(-1) ** (e % 2))
+    signed = {e: (step ** (k + e)).scale((-1) ** (e % 2))
               for e in range(elo, ehi + 1)}
     # the image (-1)^e (x1-x2)^{k+e} Y(a,x2)Y(b,x1)w of every unknown
     # r[(v,u)->(a,b),e] does not depend on (v,u); an unknown whose image at

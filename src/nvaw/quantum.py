@@ -18,7 +18,7 @@ from .nva import (
     CheckReport, DEFAULT_KMAX, Outcome, compute_D, exp_xD,
     find_clearing_k,
 )
-from .series import Q, Series
+from .series import Series
 from .twist import TwistOp, with_inverse
 
 
@@ -253,7 +253,7 @@ def extract_S(a):
     for (aa, bb) in basis_tuples((sp, sp)):
         base = y_neg.column((aa, bb))
         for e in range(elo, ehi + 1):
-            mono = Series.monomial("x", e, coeff=Q(-1) ** (e % 2))
+            mono = Series.monomial("x", e, coeff=(-1) ** (e % 2))
             images[(aa, bb, e)] = expd.apply(base.scale(mono))
 
     window = a.y.window()

@@ -18,8 +18,6 @@ on Z2 (group-like coproduct, sign action, diagonal coaction) reproduces the
 sign twist.
 """
 
-from fractions import Fraction as Q
-
 from .series import DEFAULT_RANGE, Series
 from .linalg import SeriesMap, SeriesVector, Space, basis_tuples
 from .nva import Nva
@@ -41,7 +39,7 @@ def algebra_from_products(name, basis, unit, products):
     cols = {}
     for (a, b) in basis_tuples((sp, sp)):
         combo = products.get((a, b), {})
-        cols[(a, b)] = _const_vec((sp,), {(lbl,): Q(c) for lbl, c in combo.items()})
+        cols[(a, b)] = _const_vec((sp,), {(lbl,): c for lbl, c in combo.items()})
     return Nva(name, sp, unit, SeriesMap((sp, sp), (sp,), cols))
 
 
@@ -85,7 +83,7 @@ def make_e2(rng=DEFAULT_RANGE):
     sp = Space("E2", ("one", "s", "t"))
 
     def mono(lbl, e=0, c=1):
-        return ((lbl,), Series(("x",), {(e,): Q(c)}, rng))
+        return ((lbl,), Series(("x",), {(e,): c}, rng))
 
     prod = {  # multiplication table of the commutative algebra
         ("one", "one"): {"one": 1}, ("one", "s"): {"s": 1},
@@ -117,7 +115,7 @@ def graded_sign_twist(first, second, grading_f, grading_s):
     cod = (first.space, second.space)
     cols, inv_cols = {}, {}
     for (v, u) in basis_tuples(dom):
-        sign = Q(-1) ** (grading_s[v] * grading_f[u] % 2)
+        sign = (-1) ** (grading_s[v] * grading_f[u] % 2)
         cols[(v, u)] = _const_vec(cod, {(u, v): sign})
         inv_cols[(u, v)] = _const_vec(dom, {(v, u): sign})
     return TwistOp(
@@ -149,7 +147,7 @@ def sign_smap_e1():
     dom = (e1.space, e1.space)
     cols = {}
     for (a, b) in basis_tuples(dom):
-        sign = Q(-1) ** (E1_GRADING[a] * E1_GRADING[b] % 2)
+        sign = (-1) ** (E1_GRADING[a] * E1_GRADING[b] % 2)
         cols[(a, b)] = _const_vec(dom, {(a, b): sign})
     return SMap(f"sign({e1.name})", e1, SeriesMap(dom, dom, cols))
 
@@ -181,7 +179,7 @@ def z2_smash_datum():
 
     action = SeriesMap((hs, us), (us,), {
         (hl, ul): _const_vec(
-            (us,), {(ul,): Q(-1) ** (Z2_GRADING[ul] % 2) if hl == "g" else Q(1)}
+            (us,), {(ul,): (-1) ** (Z2_GRADING[ul] % 2) if hl == "g" else 1}
         )
         for (hl, ul) in basis_tuples((hs, us))
     })

@@ -1,14 +1,16 @@
 """Exact arithmetic for sparse Laurent polynomials and truncated formal series.
 
-Everything is over the rationals.  A Series holds a finite sparse support in
-up to three formal variables together with one truncation window and an
-exactness flag.  The window is a property of the data: either a range
-(lo, hi) that bounds every exponent, set where a table is built (the
-registry, a parsed file), or None for untruncated exact data (x-free
-tables, monomials, polynomials such as (x1-x2)^k), which clips nothing and
-is neutral when windows meet.  Exact means the stored support represents
-the object with no error; the flag drops to False the first time a
-coefficient is clipped at a window boundary, and the taint propagates
+Everything is over the rationals, in one normal form: an integral
+coefficient is an int, and any other a Fraction with denominator > 1, so
+that integer arithmetic never reaches `fractions`.  A Series holds a finite
+sparse support in up to three formal variables together with one
+truncation window and an exactness flag.  The window is a property of the
+data: either a range (lo, hi) that bounds every exponent, set where a table
+is built (the registry, a parsed file), or None for untruncated exact data
+(x-free tables, monomials, polynomials such as (x1-x2)^k), which clips
+nothing and is neutral when windows meet.  Exact means the stored support
+represents the object with no error; the flag drops to False the first time
+a coefficient is clipped at a window boundary, and the taint propagates
 through arithmetic.
 """
 
@@ -66,25 +68,45 @@ def binom(n, i):
 
 
 # ---------------------------------------------------------------------------
-# normal form: sorted variables, no zero coefficient, every exponent inside
-# the window, and the window None when there is no variable.  The public
+# normal form: sorted variables, no zero coefficient, every coefficient an
+# int when integral and otherwise a Fraction, every exponent inside the
+# window, and the window None when there is no variable.  The public
 # constructor checks its input and then normalizes it; a kernel operation
-# builds its result once, normalizing only what it may have moved or
-# cancelled.
+# builds its result once, normalizing only what it may have moved, cancelled
+# or made integral.  Only a Fraction result is tested for denominator 1.
+
+
+def _rational(c):
+    """The coefficient c in normal form; SeriesError unless an int or a
+    Fraction (int / int is a float, which has no place in exact data)."""
+    if isinstance(c, Q):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise SeriesError(f"coefficient {c!r} is not an int or a Fraction")
+
+
+def _integral(coeffs):
+    """coeffs, each integral Fraction replaced by its int in place."""
+    for ex, c in coeffs.items():
+        if c.__class__ is Q and c.denominator == 1:
+            coeffs[ex] = c.numerator
+    return coeffs
 
 
 def _clip(coeffs, window):
-    """(kept, clipped): the nonzero coefficients whose exponents lie inside
-    the window, and whether a nonzero one outside it was dropped."""
-    if window is None:
-        return {ex: c for ex, c in coeffs.items() if c}, False
-    lo, hi = window
+    """(kept, clipped): the nonzero coefficients in normal form whose
+    exponents lie inside the window, and whether a nonzero one outside it
+    was dropped."""
+    lo, hi = window or (None, None)
     kept = {}
     clipped = False
     for ex, c in coeffs.items():
+        if c.__class__ is not int:
+            c = _rational(c)
         if not c:
             continue
-        if lo <= min(ex) and max(ex) <= hi:
+        if window is None or lo <= min(ex) and max(ex) <= hi:
             kept[ex] = c
         else:
             clipped = True
@@ -120,33 +142,37 @@ def _placed(a, b):
     first, second = a.variables, b.variables
     if not first or not second:
         s, k = (b, x.get((), 0)) if not first else (a, y.get((), 0))
-        return (s.variables, {ex: c * k for ex, c in s.coeffs.items()}
+        return (s.variables, _integral({ex: c * k for ex, c in s.coeffs.items()})
                 if k else {}, s.window, exact)
     if a.window == b.window:
         if first[-1] < second[0]:
-            return first + second, {ex1 + ex2: c1 * c2 for ex1, c1 in x.items()
-                                    for ex2, c2 in y.items()}, a.window, exact
+            return first + second, _integral({
+                ex1 + ex2: c1 * c2 for ex1, c1 in x.items()
+                for ex2, c2 in y.items()}), a.window, exact
         if second[-1] < first[0]:
-            return second + first, {ex2 + ex1: c1 * c2 for ex1, c1 in x.items()
-                                    for ex2, c2 in y.items()}, a.window, exact
+            return second + first, _integral({
+                ex2 + ex1: c1 * c2 for ex1, c1 in x.items()
+                for ex2, c2 in y.items()}), a.window, exact
     return None
 
 
 def _add_terms(coeffs, terms):
     """Add terms, in their order, into the coefficient dict coeffs in place:
-    a new exponent's coefficient is Q(0) + c (c itself if a Fraction), and
-    an exponent whose sum is 0 leaves.  The sum of two series with the same
-    variables and window."""
+    a new exponent takes its term as it is, a sum keeps the normal form (an
+    integral Fraction becomes its int), and an exponent whose sum is 0
+    leaves.  The sum of two series with the same variables and window."""
     for ex, c in terms.items():
         x = coeffs.get(ex)
         if x is None:
-            coeffs[ex] = c if c.__class__ is Q else Q(0) + c
+            coeffs[ex] = c
         else:
             x += c
-            if x:
-                coeffs[ex] = x
-            else:
+            if not x:
                 del coeffs[ex]
+            elif x.__class__ is Q and x.denominator == 1:
+                coeffs[ex] = x.numerator
+            else:
+                coeffs[ex] = x
 
 
 class Series:
@@ -191,7 +217,7 @@ class Series:
         return not self.coeffs
 
     def coeff(self, expt):
-        return self.coeffs.get(tuple(expt), Q(0))
+        return self.coeffs.get(tuple(expt), 0)
 
     def is_polynomial(self):
         """No negative exponents in any variable."""
@@ -307,9 +333,12 @@ class Series:
     __rmul__ = __mul__
 
     def scale(self, c):
+        if c.__class__ is not int:
+            c = _rational(c)
         if not c:
             return _made(self.variables, {}, self.window, self.exact)
-        return _made(self.variables, {ex: v * c for ex, v in self.coeffs.items()},
+        return _made(self.variables,
+                     _integral({ex: v * c for ex, v in self.coeffs.items()}),
                      self.window, self.exact)
 
     def __pow__(self, k):
@@ -358,7 +387,7 @@ class Series:
                 continue
             ne = list(ex)
             ne[i] -= 1
-            out[tuple(ne)] = c * Q(ex[i])
+            out[tuple(ne)] = c * ex[i]
         # a term at the low edge of the window moves out of it
         return _normalized(self.variables, out, self.window, self.exact)
 
@@ -523,7 +552,7 @@ def parse_series(text, variables, rng=DEFAULT_RANGE):
             raise SeriesError(
                 f"term {part.strip()!r} has arity {len(expt)}, expected {len(variables)}"
             )
-        coeffs[expt] = coeffs.get(expt, Q(0)) + c
+        coeffs[expt] = coeffs.get(expt, 0) + c
     return Series(variables, coeffs, rng)
 
 

@@ -6,8 +6,6 @@ normalized on both vacua, satisfying the two hexagon compatibilities with
 the vertex operators of the two factors.
 """
 
-from fractions import Fraction as Q
-
 from .series import Series
 from .linalg import SeriesMap, SeriesVector, basis_tuples, matrix_inverse
 from .nva import CheckReport, window_equal_vec
@@ -140,7 +138,7 @@ def invert_twisting(t):
     hi = n * maxdeg if window is None else window[1]
     ns = {0: inv0}
     for e in range(1, hi + 1):
-        acc = [[Q(0)] * n for _ in range(n)]
+        acc = [[0] * n for _ in range(n)]
         any_term = False
         for d, md in mats.items():
             if d == 0 or d > e or (e - d) not in ns:

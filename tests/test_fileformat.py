@@ -1,17 +1,25 @@
 """Text format: parsing, emission, round trips, and positioned errors."""
 
+from fractions import Fraction
+
 import pytest
 
 from nvaw.fileformat import (
     ParseError, emit_coalg, emit_nva, emit_smap, emit_twist, emit_workbench,
     parse_file,
 )
-from nvaw.nva import check_vacuum, check_weak_associativity, window_equal_vec
-from nvaw.products import build_twisted_tensor
-from nvaw.registry import (
-    builtin_algebras, make_z2, sign_smap_e1, sign_twist_z2, z2_smash_datum,
+from nvaw.nva import (
+    Nva, check_vacuum, check_weak_associativity, window_equal_vec,
 )
+from nvaw.products import build_twisted_tensor
+from nvaw.quantum import SMap
+from nvaw.registry import (
+    REGISTRY_PRODUCTS, builtin_algebras, builtin_smaps, builtin_twists,
+    make_z2, sign_smap_e1, sign_twist_z2, z2_smash_datum,
+)
+from nvaw.series import _made
 from nvaw.smash import build_smash
+from nvaw.twist import TwistOp
 
 
 EXAMPLE = """\
@@ -145,3 +153,40 @@ def test_error_reports_offending_line_number():
     with pytest.raises(ParseError) as exc:
         parse_file(text).algebra("V")
     assert exc.value.line == len(EXAMPLE.splitlines()) + 1
+
+
+# ---------------------------------------------------------------------------
+# an integral coefficient is an int: the text is the one its Fraction gives
+
+
+def as_fractions(table):
+    """The table with every coefficient a Fraction, integral or not, as no
+    kernel operation or constructor stores it."""
+    return table.transform(lambda s: _made(
+        s.variables, {ex: Fraction(c) for ex, c in s.coeffs.items()},
+        s.window, s.exact))
+
+
+def nva_as_fractions(a):
+    return Nva(a.name, a.space, a.vacuum, as_fractions(a.y))
+
+
+@pytest.mark.parametrize("rng", [(-8, 8), (0, 0)])
+def test_printed_tables_are_those_of_their_fractions(rng):
+    algs = builtin_algebras(rng)
+    twists = builtin_twists(rng, algs)
+    products = [build_twisted_tensor(algs[u], algs[v], twists[t]).nva
+                for u, v, t in REGISTRY_PRODUCTS]
+    ints = 0
+    for a in list(algs.values()) + products:
+        assert emit_nva(a) == emit_nva(nva_as_fractions(a))
+        ints += sum(type(c) is int for col in a.y.columns.values()
+                    for s in col.entries.values() for c in s.coeffs.values())
+    for t in twists.values():
+        same = TwistOp(t.name, nva_as_fractions(t.first),
+                       nva_as_fractions(t.second), as_fractions(t.table))
+        assert emit_twist(t) == emit_twist(same)
+    for s in builtin_smaps(rng).values():
+        same = SMap(s.name, nva_as_fractions(s.algebra), as_fractions(s.table))
+        assert emit_smap(s) == emit_smap(same)
+    assert ints > 0

@@ -15,6 +15,7 @@ from nvaw.registry import (
     builtin_algebras, builtin_smaps, builtin_smash, builtin_twists, make_e2,
 )
 from nvaw.series import DEFAULT_RANGE, EmptyWindow, Q, Series
+from test_series import halves, in_normal_form
 
 A = Space("A", ("a1", "a2"))
 B = Space("B", ("b1", "b2", "b3"))
@@ -331,7 +332,7 @@ def check_solve_linear(rows, rhs):
         # row independent of the rows before it only with its right-hand side
         first = min(_independent(aug) - _independent(aug[:, :n]))
         assert sol == Inconsistent(((f"e{first}",), ()))
-        return
+        return sol
     values = {unknowns[j]: _q(reduced[k, n]) for k, j in enumerate(pivots)}
     if len(pivots) == n:
         assert sol == UniqueSolution(values)
@@ -339,6 +340,7 @@ def check_solve_linear(rows, rhs):
         assert sol == Underdetermined(
             len(pivots), [u for j, u in enumerate(unknowns) if j not in pivots],
             {u: values.get(u, Q(0)) for u in unknowns})
+    return sol
 
 
 @settings(max_examples=100, deadline=None)
@@ -545,7 +547,13 @@ def fields(entries):
 def assert_apply_is_sequential(m, vec, legs=None):
     out = m.apply(vec, legs)
     assert fields(out.entries) == fields(sequential_apply(m, vec, legs))
+    assert_normal_entries(out)
     return out
+
+
+def assert_normal_entries(vec):
+    assert all(in_normal_form(c) for s in vec.entries.values()
+               for c in s.coeffs.values())
 
 
 C = Space("C", ("c1", "c2", "c3", "c4"))
@@ -616,7 +624,7 @@ def test_apply_sums_each_kind_of_product_as_the_sequence_does(window):
                 {"c1": {("b1",): x("x2")}, "c2": {("b1",): x("x1")},
                  "c3": {("b1",): x("x1") * x("x2", 3)}})
     assert fields(out.entries) == [(("b1",), ("x1", "x2"), [
-        ((e, e), Fraction, Q(8))], window, True)]
+        ((e, e), int, 8)], window, True)]
     # b1 cancels exactly and a later product puts it back after b2
     out = apply({("c1",): x("x1"), ("c2",): x("x1", -1), ("c3",): x("x1")},
                 {"c1": {("b1",): x("x2"), ("b2",): x("x2")},
@@ -640,16 +648,16 @@ def test_apply_sums_each_kind_of_product_as_the_sequence_does(window):
     out = apply({("c1",): x("x1"), ("c2",): Series(("x1",), {(e,): 1}, None)},
                 {"c1": {("b1",): x("x2")}, "c2": {("b1",): free}})
     assert fields(out.entries) == [(("b1",), ("x1", "x2"), [
-        ((e, e), Fraction, Q(2))], window, False)]
+        ((e, e), int, 2)], window, False)]
     if window[1] > e:
-        # an int coefficient that a later product adds at a new exponent is
-        # a Fraction, as 0 + c is in Series +
+        # an int coefficient that a later product adds at a new exponent
+        # stays an int, as it does in Series +
         out = apply({("c1",): x("x1"), ("c2",): Series.const(3)},
                     {"c1": {("b1",): x("x2")},
                      "c2": {("b1",): Series(("x1", "x2"), {(e, e + 1): 1},
                                             window)}})
-        assert fields(out.entries)[0][2] == [((e, e), Fraction, Q(1)),
-                                             ((e, e + 1), Fraction, Q(3))]
+        assert fields(out.entries)[0][2] == [((e, e), int, 1),
+                                             ((e, e + 1), int, 3)]
 
 
 def test_a_missing_entry_is_one_zero_that_no_kernel_operation_changes():
@@ -669,3 +677,100 @@ def test_a_missing_entry_is_one_zero_that_no_kernel_operation_changes():
         op()
         assert (zero.variables, zero.coeffs, zero.window, zero.exact) == \
             ((), {}, None, True)
+
+
+# ---------------------------------------------------------------------------
+# coefficients keep the normal form of Series coefficients through the map
+# operations and elimination: an int when integral, otherwise a Fraction
+
+
+@st.composite
+def half_maps(draw):
+    """inner: A -> C, outer: C -> B and a vector over A ⊗ C.  The vector's
+    entries are mostly in x1 with odd halves for coefficients, the maps'
+    mostly in x2 with small ints and halves, under one window: most
+    products are placements that meet at a key and an exponent, and two
+    odd halves sum to an integer.  The other entries take any layout of
+    the apply examples, or no window."""
+    window = draw(st.sampled_from(APPLY_WINDOWS))
+    exponent = st.integers(0, 1)
+    odd_halves = st.sampled_from([Q(n, 2) for n in (-3, -1, 1, 3)])
+    factors = st.sampled_from([1, -1, 2, Q(1, 2)])
+
+    def vector(spaces, var, values, size):
+        keys = draw(st.lists(st.sampled_from(basis_tuples(spaces)),
+                             unique=True, max_size=size))
+        entries = {}
+        for k in keys:
+            variables = draw(st.sampled_from((var, var, var, ()) + LAYOUTS))
+            terms = draw(st.dictionaries(
+                st.tuples(*[exponent] * len(variables)), values, max_size=2))
+            entries[k] = Series(variables, terms,
+                                draw(st.sampled_from((window,) * 3 + (None,))))
+        return SeriesVector(spaces, entries)
+
+    inner = SeriesMap((A,), (C,), {(a,): vector((C,), ("x2",), factors, 3)
+                                   for a in A.basis})
+    outer = SeriesMap((C,), (B,), {(c,): vector((B,), ("x2",), factors, 3)
+                                   for c in C.basis})
+    return inner, outer, vector((A, C), ("x1",), odd_halves, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(half_maps())
+def test_map_operations_keep_the_normal_form(case):
+    inner, outer, vec = case
+    assert_apply_is_sequential(inner, vec, (0,))
+    assert_apply_is_sequential(outer, vec, (1,))
+    got, want = outer.compose(inner), columnwise_compose(outer, inner)
+    assert list(got.columns) == list(want.columns)
+    for key, col in got.columns.items():
+        assert fields(col.entries) == fields(want.columns[key].entries)
+        assert_normal_entries(col)
+    # each column of the tensor product by its definition
+    both = inner.tensor(outer)
+    for k1, v1 in inner.columns.items():
+        for k2, v2 in outer.columns.items():
+            col = both.column(k1 + k2)
+            assert fields(col.entries) == fields({
+                c1 + c2: s1 * s2 for c2, s2 in v2.entries.items()
+                for c1, s1 in v1.entries.items()})
+            assert_normal_entries(col)
+
+
+def normal(x):
+    """The rational x in the normal form of Series coefficients."""
+    return x.numerator if x.denominator == 1 else x
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(square=True), st.booleans(), st.data())
+def test_elimination_keeps_the_normal_form(rows, shift, data):
+    """Given entries in normal form, _row_reduce, solve_linear and
+    matrix_inverse give every entry in it, with sympy's values."""
+    n = len(rows)
+    rows = [[normal(x + 4 * (shift and i == j)) for j, x in enumerate(r)]
+            for i, r in enumerate(rows)]
+    values = data.draw(st.lists(fractions, min_size=n, max_size=n))
+    rhs = [normal(sum(a * v for a, v in zip(r, values))) for r in rows]
+    if data.draw(st.booleans()):
+        rhs = [normal(x) for x in data.draw(
+            st.lists(fractions, min_size=n, max_size=n))]
+    pivots, rest = _row_reduce(_dict_rows([r + [c] for r, c in zip(rows, rhs)]),
+                               n)
+    assert all(in_normal_form(x) for row in pivots.values()
+               for x in row.values())
+    assert all(in_normal_form(x) for _, row in rest for x in row.values())
+
+    sol = check_solve_linear(rows, rhs)
+    for found in (vars(sol).get("assignment", {}),
+                  vars(sol).get("particular", {})):
+        assert all(in_normal_form(x) for x in found.values())
+
+    m = _sym(rows)
+    inv = matrix_inverse(_dict_rows(rows))
+    if m.rank() < n:
+        assert inv is None
+    else:
+        assert inv == [[_q(x) for x in m.inv().row(i)] for i in range(n)]
+        assert all(in_normal_form(x) for row in inv for x in row)

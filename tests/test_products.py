@@ -4,6 +4,7 @@ extraction, and product modules."""
 import collections
 import hashlib
 import re
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -29,6 +30,7 @@ from nvaw.registry import (
 )
 from nvaw.series import DEFAULT_RANGE, Series
 from nvaw.twist import TwistOp, check_twisting_axioms, flip_twist, with_inverse
+from test_series import in_normal_form
 
 
 def registry_products():
@@ -138,7 +140,9 @@ def test_extract_twisting_flip_round_trip():
 
 
 # SHA-256 of repr(sorted(assignment.items())), taken before the systems
-# were assembled from numeric images; the golden report pins verdicts only
+# were assembled from numeric images and while every coefficient was a
+# Fraction: each value is hashed as its Fraction, so the pins compare by
+# value; the golden report pins verdicts only
 ASSIGNMENT_SHA256 = {
     "flip:E1,E2":
         "0d966ebc50b01a44bff061120616b517a7258a67b737b7ac326744dc0cdcb9dd",
@@ -157,8 +161,14 @@ def test_extracted_assignment_is_unchanged(name):
     v_labels = [p.pair(p.first.vacuum, b) for b in p.second.space.basis]
     res = extract_twisting(p.nva, u_labels, v_labels)
     digest = hashlib.sha256(
-        repr(sorted(res.solve.assignment.items())).encode()).hexdigest()
-    assert digest == ASSIGNMENT_SHA256[name]
+        repr(sorted(by_value(res.solve.assignment).items())).encode())
+    assert digest.hexdigest() == ASSIGNMENT_SHA256[name]
+
+
+def by_value(coeffs):
+    """The coefficients, each in normal form, as Fractions."""
+    assert all(in_normal_form(c) for c in coeffs.values())
+    return {k: Fraction(c) for k, c in coeffs.items()}
 
 
 @pytest.mark.parametrize("name,witness", [
@@ -185,7 +195,8 @@ def test_a_mutated_host_gives_its_first_contradicting_equation(name, witness):
 # SHA-256 of the equation stream of extract_twisting: every row that
 # solve_linear hands to _row_reduce, in order, its items sorted, and then
 # the outcome of that solve; it pins the row order, the dedupe and the
-# Inconsistent witness of each host, the mutated hosts doubled as above
+# Inconsistent witness of each host, the mutated hosts doubled as above.
+# Every coefficient, the outcome's values too, is hashed as its Fraction
 EQUATION_STREAM_SHA256 = {
     "flip:E1,E2":
         "e0b74b859714d0300529652e3555f0a86a9b64599f5c096397dfb8ab2a9ac35d",
@@ -224,7 +235,7 @@ def test_extraction_equation_stream_is_unchanged(name, monkeypatch):
     def rows_in(rows, ncols):
         if solving:  # not the ranks of theta and of the Z2 report
             for row in rows:
-                digest.update(repr(sorted(row.items())).encode())
+                digest.update(repr(sorted(by_value(row).items())).encode())
         return row_reduce(rows, ncols)
 
     def outcome_of(blocks, unknowns):
@@ -233,7 +244,9 @@ def test_extraction_equation_stream_is_unchanged(name, monkeypatch):
             out = solve(blocks, unknowns)
         finally:
             solving.pop()
-        digest.update(repr((type(out).__name__, vars(out))).encode())
+        fields = {k: by_value(v) if k in ("assignment", "particular") else v
+                  for k, v in vars(out).items()}
+        digest.update(repr((type(out).__name__, fields)).encode())
         return out
 
     monkeypatch.setattr(linalg, "_row_reduce", rows_in)

@@ -5,6 +5,7 @@ Taylor-substitution consistency, and binomial identities, all with exact
 rational arithmetic.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -230,19 +231,19 @@ def laurent_coeffs(expr, variables):
 
 
 @st.composite
-def laurent(draw, variables, lo, hi, window):
+def laurent(draw, variables, lo, hi, window, values=coeffs):
     terms = draw(st.dictionaries(
-        st.tuples(*[st.integers(lo, hi)] * len(variables)), coeffs,
+        st.tuples(*[st.integers(lo, hi)] * len(variables)), values,
         max_size=4))
     return Series(variables, terms, window)
 
 
 @st.composite
-def laurent_x(draw):
+def laurent_x(draw, values=coeffs):
     """A Laurent polynomial in x with every exponent inside its window, a
     window holding 0 and not always symmetric."""
     lo, hi = draw(st.integers(-5, 0)), draw(st.integers(0, 5))
-    return draw(laurent(("x",), lo, hi, (lo, hi)))
+    return draw(laurent(("x",), lo, hi, (lo, hi), values))
 
 
 @settings(max_examples=60, deadline=None)
@@ -521,9 +522,16 @@ def test_rename_keeps_the_exponents_it_does_not_move():
 # variable.  Each is a fixed point of the public constructor.
 
 
+def in_normal_form(c):
+    """An exact coefficient's normal form: an int when integral, otherwise
+    a Fraction with denominator > 1; never a float."""
+    return type(c) is int or type(c) is Fraction and c.denominator > 1
+
+
 def assert_normal(r):
     assert fields(r) == fields(Series(r.variables, dict(r.coeffs), r.window,
                                       r.exact))
+    assert all(in_normal_form(c) for c in r.coeffs.values())
 
 
 NAMES = ("x0", "x1", "x2")
@@ -674,3 +682,107 @@ def test_binomials_are_integers(n):
         b = binom(n, k)
         assert type(b) is int
         assert b == sympy.ff(n, k) / sympy.factorial(k)
+
+
+# ---------------------------------------------------------------------------
+# exact coefficients keep one normal form: an int when integral, otherwise a
+# Fraction with denominator > 1, and never a float
+
+
+@pytest.mark.parametrize("bad", [1 / 2, 2.0, 1j, Decimal("1.5"), "1"])
+def test_a_coefficient_neither_int_nor_fraction_is_rejected(bad):
+    with pytest.raises(SeriesError, match="not an int or a Fraction"):
+        Series(("x",), {(1,): bad}, RNG)
+    for make in (lambda: Series.const(bad), lambda: Series.monomial("x", 1, bad),
+                 lambda: mono("x", 1).scale(bad), lambda: mono("x", 1) * bad,
+                 lambda: mono("x", 1) + bad):
+        with pytest.raises(SeriesError):
+            make()
+
+
+def test_an_integral_fraction_is_stored_as_its_int():
+    s = Series(("x",), {(1,): Fraction(4, 2), (2,): Fraction(3, 2),
+                        (3,): Fraction(-6, 3), (4,): Fraction(0)}, RNG)
+    assert [(ex, type(c), c) for ex, c in s.coeffs.items()] == [
+        ((1,), int, 2), ((2,), Fraction, Fraction(3, 2)), ((3,), int, -2)]
+    assert type(s.coeff((9,))) is int
+    assert type(Series.const(Fraction(5)).coeffs[()]) is int
+    t = parse_series("1/2@(1) + 1/2@(1) + 4/2", ("x",))
+    assert [(ex, type(c), c) for ex, c in t.coeffs.items()] == [
+        ((1,), int, 1), ((0,), int, 2)]
+
+
+# sums and products of halves meet at a few exponents and often come out
+# integral, from Fraction arithmetic
+halves = st.sampled_from([Fraction(n, 2) for n in range(-4, 5) if n])
+scalars = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3),
+                           Fraction(4, 2)])
+
+
+@st.composite
+def half_pair(draw):
+    """Two operands in any variables with coefficients in halves and
+    exponents in -2..2, under one window or none."""
+    window = draw(window_or_none())
+    a = draw(laurent(draw(subsets), -2, 2, window, halves))
+    b = draw(laurent(draw(subsets), -2, 2,
+                     draw(st.sampled_from([window, None])), halves))
+    return a, b
+
+
+def deriv_by_definition(s, var):
+    if var not in s.variables:
+        return Series(s.variables, {}, s.window, s.exact)
+    i = s.variables.index(var)
+    return Series(s.variables, {
+        ex[:i] + (ex[i] - 1,) + ex[i + 1:]: c * ex[i]
+        for ex, c in s.coeffs.items() if ex[i]}, s.window, s.exact)
+
+
+def extract_by_definition(s, var, k):
+    if var not in s.variables:
+        return s if k == 0 else Series(s.variables, {}, s.window, s.exact)
+    i = s.variables.index(var)
+    return Series(s.variables[:i] + s.variables[i + 1:], {
+        ex[:i] + ex[i + 1:]: c for ex, c in s.coeffs.items() if ex[i] == k},
+        s.window, s.exact)
+
+
+@settings(max_examples=400, deadline=None)
+@given(half_pair(), scalars, st.sampled_from(NAMES), st.integers(-2, 2),
+       st.data())
+def test_kernel_results_keep_the_normal_form(pair, k, var, e, data):
+    """Every coefficient of +, -, *, scale, a merging rename, deriv and
+    extract is an int when integral and a Fraction otherwise, and equals
+    the oracle's."""
+    a, b = pair
+    merged = {v: data.draw(st.sampled_from(["x1", "-x1"])) for v in a.variables}
+    negated = Series(b.variables, {ex: -c for ex, c in b.coeffs.items()},
+                     b.window, b.exact)
+    for got, want in (
+            (a + b, align_both_then("+", a, b)),
+            (a - b, align_both_then("+", a, negated)),
+            (a * b, align_both_then("*", a, b)),
+            (a.scale(k), Series(a.variables, {ex: c * k for ex, c
+                                              in a.coeffs.items()},
+                                a.window, a.exact)),
+            (a.rename(merged), rename_by_loop(a, merged)),
+            (a.deriv(var), deriv_by_definition(a, var)),
+            (a.extract(var, e), extract_by_definition(a, var, e))):
+        assert_normal(got)
+        assert fields(got) == fields(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent_x(halves), st.sampled_from(["x1", "-x1"]),
+       st.sampled_from(["x2", "-x2"]))
+def test_substitution_keeps_the_normal_form_and_matches_sympy(s, first, second):
+    lo, hi = s.window
+    out = s.substitute_sum("x", first, second)
+    assert_normal(out)
+    expr = to_sympy(s).subs(SYMBOLS["x"],
+                            signed_symbol(first) + signed_symbol(second))
+    expansion = sympy.series(expr, SYMBOLS["x2"], 0, hi + 1).removeO()
+    assert out.coeffs == {
+        ex: c for ex, c in laurent_coeffs(expansion, ("x1", "x2")).items()
+        if lo <= min(ex) and max(ex) <= hi}
