@@ -53,10 +53,10 @@ def _parse_window(text):
 
 
 def _parse_kmax(text):
-    kmax = int(text)
-    if kmax < 0:
-        raise argparse.ArgumentTypeError(f"kmax {kmax} is below 0")
-    return kmax
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"bad kmax {text!r}, expected an integer >= 0")
+    return int(text)
 
 
 def _split_labels(text):
@@ -454,7 +454,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -48,13 +48,57 @@ class CheckItem:
         return self.outcome.ok
 
 
+class ReportItems:
+    """The items of a report's entries, read-only and in order."""
+
+    def __init__(self, entries):
+        self._entries = entries
+
+    def __len__(self):
+        return sum(1 if type(e) is CheckItem else len(e[1])
+                   for e in self._entries)
+
+    def __iter__(self):
+        # a run's items, most of a large report, are made without __init__
+        new, passed = object.__new__, Outcome.EXACT_PASS
+        for entry in self._entries:
+            if type(entry) is CheckItem:
+                yield entry
+                continue
+            at, ends = entry
+            for end in ends:
+                item = new(CheckItem)
+                item.name = at + end
+                item.outcome = passed
+                item.detail = ""
+                yield item
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+
 class CheckReport:
+    """The verdicts of a check, in order: each entry a CheckItem, or a run
+    of 0 == 0 identities held as (name prefix, tuple of name suffixes), an
+    exact-pass item with no detail per suffix.  `items` builds a run's
+    items only while they are read; its length, `ok`, `exact` and
+    `failures()` read a run without expanding it."""
+
     def __init__(self, title):
         self.title = title
-        self.items = []
+        self._entries = []
+
+    @property
+    def items(self):
+        return ReportItems(self._entries)
 
     def add(self, name, outcome, detail=""):
-        self.items.append(CheckItem(name, outcome, detail))
+        self._entries.append(CheckItem(name, outcome, detail))
+
+    def run(self, prefix, ends):
+        """Add an exact-pass item, with no detail, for each prefix + end."""
+        if ends:
+            self._entries.append((prefix, tuple(ends)))
 
     def verdict(self, name, res):
         """Add the item for an EqResult: its outcome, and its witness as the
@@ -74,27 +118,32 @@ class CheckReport:
     def compare_maps(self, names, lhs, rhs):
         """Certified comparison of two SeriesMaps, one item per (name, key)
         of names.  At a key where neither map has a column, 0 == 0, the
-        exact-pass item is added with nothing built or compared."""
+        exact-pass item joins a run with nothing built or compared."""
         lcols, rcols = lhs.columns, rhs.columns
+        dead = []
         for name, key in names:
             if key in lcols or key in rcols:
+                self.run("", dead)
+                dead = []
                 self.compare(name, lhs.column(key), rhs.column(key))
             else:
-                self.items.append(CheckItem(name, Outcome.EXACT_PASS, ""))
+                dead.append(name)
+        self.run("", dead)
 
     def extend(self, other):
-        self.items.extend(other.items)
+        self._entries += other._entries
 
     @property
     def ok(self):
-        return all(item.ok for item in self.items)
+        return not self.failures()
 
     @property
     def exact(self):
-        return all(item.outcome is Outcome.EXACT_PASS for item in self.items)
+        return all(e.outcome is Outcome.EXACT_PASS for e in self._entries
+                   if type(e) is CheckItem)
 
     def failures(self):
-        return [item for item in self.items if not item.ok]
+        return [e for e in self._entries if type(e) is CheckItem and not e.ok]
 
     def summary(self):
         lines = [f"== {self.title}: {'PASS' if self.ok else 'FAIL'} "
@@ -213,11 +262,6 @@ def pole_order(vec, var):
     return k
 
 
-def clearing_exponent(vec, var, kmax):
-    k = pole_order(vec, var)
-    return k if k <= kmax else None
-
-
 def find_clearing_k(sides, kmax):
     """(k, verdict): the first k <= kmax at which (x1-x2)^k lhs and
     (x1-x2)^k rhs compare equal for every (lhs, rhs) pair in sides, with the
@@ -261,28 +305,25 @@ def weak_associativity_items(y, yw, spaces, kmax, prefix):
     yx1, yx2, yx0 = yw.at("x1"), yw.at("x2"), y.at("x0")
     lhs_map = yx1.compose(yx2, (1,))
     rhs_map = yx2.compose(yx0, (0,))
-    # the w of the triples at which a map has a column, by their (u, v); a
-    # row of (u, v) with none is one list of 0 == 0 items
+    # the (place in the basis, w) of the triples at which a map has a
+    # column, by their (u, v); a row of (u, v) with none is one run of
+    # 0 == 0 items, and so is each stretch of such w in a row
+    ws = spaces[2].basis
+    index = {w: i for i, w in enumerate(ws)}
     live = {}
     for key in lhs_map.columns.keys() | rhs_map.columns.keys():
-        live.setdefault(key[:2], set()).add(key[2])
-    ws = spaces[2].basis
-    zero = [f"{w}) k=0" for w in ws]
-    passed = Outcome.EXACT_PASS
+        live.setdefault(key[:2], []).append((index[key[2]], key[2]))
+    zero = tuple(f"{w}) k=0" for w in ws)
     for (u, v) in basis_tuples(spaces[:2]):
         at = f"{prefix}({u},{v},"
-        row = live.get((u, v))
-        if row is None:
-            rep.items += [CheckItem(at + end, passed, "") for end in zero]
-            continue
-        for w, end in zip(ws, zero):
-            if w not in row:
-                rep.items.append(CheckItem(at + end, passed, ""))
-                continue
+        start = 0
+        for i, w in sorted(live.get((u, v), ())):
+            rep.run(at, zero[start:i])
+            start = i + 1
             key = (u, v, w)
             lhs12 = lhs_map.column(key)
-            k = clearing_exponent(lhs12, "x1", kmax)
-            if k is None:
+            k = pole_order(lhs12, "x1")
+            if k > kmax:
                 rep.add(f"{at}{w})", Outcome.NO_K_FOUND,
                         f"pole order exceeds kmax={kmax}")
                 continue
@@ -297,6 +338,7 @@ def weak_associativity_items(y, yw, spaces, kmax, prefix):
                 "x1", "x0", "x2").align(("x0", "x2"), s.window))
             rep.compare(f"{at}{w}) k={k}", lhs,
                         rhs.transform(lambda s: s.align(("x0", "x2"), s.window)))
+        rep.run(at, zero[start:])
     return rep
 
 

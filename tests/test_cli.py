@@ -153,6 +153,27 @@ def test_usage_errors_exit_2():
     assert run("check", "E1", "--suite", "nva", "--kmax", "-1") == 2
 
 
+@pytest.mark.parametrize("kmax", ["abc", "1.5"])
+def test_a_kmax_that_is_not_an_integer_is_a_usage_error(capsys, kmax):
+    assert run("check", "E2", "--suite", "nva", "--kmax", kmax) == 2
+    err = capsys.readouterr().err
+    assert f"bad kmax {kmax!r}, expected an integer >= 0" in err
+    assert "_parse_kmax" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "{dir}", "--suite", "nva"),
+    ("check", "E1", "--suite", "nva", "--json", "{dir}"),
+    ("product", "E2", "E2", "--twist", "flip:E2,E2", "-o", "{dir}"),
+])
+def test_a_directory_for_a_file_is_a_usage_error(tmp_path, capsys, argv):
+    # exit 1 would read as a failed verdict
+    assert run(*(a.format(dir=tmp_path) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,expected", [
     (("check", "z2-sign", "--suite", "nva"), "expected an algebra"),
     (("product", "z2-sign", "E2", "--twist", "flip:E2,E2"),

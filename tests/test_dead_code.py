@@ -100,3 +100,51 @@ def test_one_way_to_put_a_map_on_legs():
     # identity extends one, and permute braids legs: nothing else does
     gone = {"on_legs", "apply_legs", "double_product", "permutation"}
     assert [f for f in defined_functions() if f[1] in gone] == []
+
+
+def _is_items(node):
+    return isinstance(node, ast.Attribute) and node.attr == "items"
+
+
+def report_item_writers():
+    """[(module file, line)] of every assignment to, append to or extend
+    of an `.items`, and of every CheckItem built outside nva.py, in
+    src/nvaw."""
+    found = []
+    for path in sorted((ROOT / "src" / "nvaw").glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Assign):
+                hit = any(_is_items(t) for t in node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                hit = _is_items(node.target)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                grows = (isinstance(func, ast.Attribute)
+                         and func.attr in ("append", "extend", "insert")
+                         and _is_items(func.value))
+                builds = "CheckItem" in (getattr(func, "id", None),
+                                         getattr(func, "attr", None))
+                hit = grows or builds and path.name != "nva.py"
+            else:
+                continue
+            if hit:
+                found.append((path.name, node.lineno))
+    return found
+
+
+def test_no_per_identity_item_list():
+    # a report holds a run of 0 == 0 identities as one entry and reads its
+    # items through a view: a list of one CheckItem per identity, built
+    # anywhere else, would bring back their cost
+    assert report_item_writers() == []
+
+
+def test_no_module_imports_gc():
+    # the interpreter's collector belongs to the caller: nvaw does not
+    # switch it off, freeze or retune it
+    assert sorted({
+        path.name for path in (ROOT / "src" / "nvaw").glob("*.py")
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Import) and any(
+            a.name == "gc" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "gc"}) == []
