@@ -34,7 +34,7 @@ pair labels of product algebras do); commas split target tuples only at the
 top parenthesis level.
 """
 
-from .linalg import SeriesMap, SeriesVector, Space, basis_tuples
+from .linalg import SeriesMap, SeriesVector, Space
 from .nva import Nva, NvaModule
 from .series import DEFAULT_RANGE, SeriesError, format_series, parse_series
 
@@ -80,8 +80,6 @@ class WorkbenchFile:
             key: _parse_vec(text, (sp,), ("x",), self.rng, lineno)
             for key, (text, lineno) in self.ys.get(name, {}).items()
         }
-        for key in basis_tuples((sp, sp)):
-            cols.setdefault(key, SeriesVector.zero((sp,)))
         return Nva(name, sp, self.vacuums[name],
                    SeriesMap((sp, sp), (sp,), cols))
 
@@ -103,8 +101,6 @@ class WorkbenchFile:
         cod = (first.space, second.space)
         cols = {key: _parse_vec(text, cod, ("x",), self.rng, lineno)
                 for key, (text, lineno) in b.lines}
-        for key in basis_tuples(dom):
-            cols.setdefault(key, SeriesVector.zero(cod))
         return TwistOp(name, first, second, SeriesMap(dom, cod, cols))
 
     def smap(self, name):
@@ -115,8 +111,6 @@ class WorkbenchFile:
         sp2 = (alg.space, alg.space)
         cols = {key: _parse_vec(text, sp2, ("x",), self.rng, lineno)
                 for key, (text, lineno) in b.lines}
-        for key in basis_tuples(sp2):
-            cols.setdefault(key, SeriesVector.zero(sp2))
         return SMap(name, alg, SeriesMap(sp2, sp2, cols))
 
     def coalg(self, name):
@@ -134,9 +128,6 @@ class WorkbenchFile:
             else:
                 ecols[(lbl,)] = _parse_vec(text, (), (), self.rng, lineno,
                                            scalar=True)
-        for lbl in sp.basis:
-            dcols.setdefault((lbl,), SeriesVector.zero((sp, sp)))
-            ecols.setdefault((lbl,), SeriesVector.zero(()))
         return CoalgebraData(alg, SeriesMap((sp,), (sp, sp), dcols),
                              SeriesMap((sp,), (), ecols))
 
@@ -149,8 +140,6 @@ class WorkbenchFile:
         hs, us = coalg.algebra.space, module.space
         cols = {key: _parse_vec(text, (us,), ("x",), self.rng, lineno)
                 for key, (text, lineno) in b.lines}
-        for key in basis_tuples((hs, us)):
-            cols.setdefault(key, SeriesVector.zero((us,)))
         return ModuleAlgebraData(coalg, module,
                                  SeriesMap((hs, us), (us,), cols))
 
@@ -163,8 +152,6 @@ class WorkbenchFile:
         hs, vs = coalg.algebra.space, comodule.space
         cols = {(key[0],): _parse_vec(text, (hs, vs), (), self.rng, lineno)
                 for key, (text, lineno) in b.lines}
-        for lbl in vs.basis:
-            cols.setdefault((lbl,), SeriesVector.zero((hs, vs)))
         return ComoduleAlgebraData(coalg, comodule,
                                    SeriesMap((vs,), (hs, vs), cols))
 
@@ -174,8 +161,6 @@ class WorkbenchFile:
         msp = self.space(b.header[1])
         cols = {key: _parse_vec(text, (msp,), ("x",), self.rng, lineno)
                 for key, (text, lineno) in b.lines}
-        for key in basis_tuples((alg.space, msp)):
-            cols.setdefault(key, SeriesVector.zero((msp,)))
         return NvaModule(name, alg, msp,
                          SeriesMap((alg.space, msp), (msp,), cols))
 
@@ -332,8 +317,7 @@ def parse_file(text, rng=DEFAULT_RANGE):
                                f"'{head} <lbl>... -> <seriesvec>'")
             labels = tuple(toks[1:1 + arity])
             key = (head, *labels) if kind == "coalg" else labels
-            current.lines.append((key if kind == "coalg" else labels,
-                                  (body, lineno)))
+            current.lines.append((key, (body, lineno)))
         else:
             raise ParseError(lineno, 1, f"declaration keyword, got {head!r}")
     return wf
@@ -346,7 +330,7 @@ def _arrow_body(line, toks, npre, lineno, expected):
 
 
 # ---------------------------------------------------------------------------
-# canonical emission
+# emission
 
 
 def _emit_vec(vec):
@@ -395,55 +379,4 @@ def emit_coalg(c, name):
         lines.append(f"delta {lbl} -> {_emit_vec(c.coproduct.column((lbl,)))}")
     for lbl in c.algebra.space.basis:
         lines.append(f"eps {lbl} -> {format_series(c.counit.column((lbl,)).get(()))}")
-    return "\n".join(lines) + "\n"
-
-
-def emit_workbench(wf):
-    """Canonical text for a parsed WorkbenchFile (sorted declarations)."""
-    lines = []
-    for name in wf.spaces:
-        sp = wf.spaces[name]
-        lines.append(f"space {name} basis {' '.join(sp.basis)}")
-    for name, lbl in wf.vacuums.items():
-        lines.append(f"vacuum {name} {lbl}")
-    for spname in wf.ys:
-        alg = wf.algebra(spname)
-        for (a, b) in sorted(alg.y.columns):
-            lines.append(
-                f"y {spname} {a} {b} -> {_emit_vec(alg.y.column((a, b)))}")
-    for (kind, name), b in wf.blocks.items():
-        lines.append(f"{kind} {name} {' '.join(b.header)}")
-        if kind == "twist":
-            t = wf.twist(name)
-            for key in sorted(t.table.columns):
-                lines.append(
-                    f"r {key[0]} {key[1]} -> {_emit_vec(t.table.column(key))}")
-        elif kind == "smap":
-            s = wf.smap(name)
-            for key in sorted(s.table.columns):
-                lines.append(
-                    f"s {key[0]} {key[1]} -> {_emit_vec(s.table.column(key))}")
-        elif kind == "coalg":
-            c = wf.coalg(name)
-            for lbl in c.algebra.space.basis:
-                lines.append(
-                    f"delta {lbl} -> {_emit_vec(c.coproduct.column((lbl,)))}")
-            for lbl in c.algebra.space.basis:
-                val = c.counit.column((lbl,)).get(())
-                lines.append(f"eps {lbl} -> {format_series(val)}")
-        elif kind == "action":
-            a = wf.action(name)
-            for key in sorted(a.action.columns):
-                lines.append(
-                    f"a {key[0]} {key[1]} -> {_emit_vec(a.action.column(key))}")
-        elif kind == "coaction":
-            c = wf.coaction(name)
-            for lbl in c.comodule.space.basis:
-                lines.append(
-                    f"rho {lbl} -> {_emit_vec(c.coaction.column((lbl,)))}")
-        elif kind == "module":
-            m = wf.module(name)
-            for key in sorted(m.yw.columns):
-                lines.append(
-                    f"m {key[0]} {key[1]} -> {_emit_vec(m.yw.column(key))}")
     return "\n".join(lines) + "\n"

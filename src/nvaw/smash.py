@@ -10,10 +10,7 @@ exhibits every smash product as a twisted tensor product.
 """
 
 from .linalg import SeriesMap, SeriesVector, basis_tuples
-from .nva import (
-    CheckReport, DEFAULT_KMAX, NvaModule, Outcome, check_module,
-    window_equal_vec,
-)
+from .nva import CheckReport, DEFAULT_KMAX, NvaModule, Outcome, check_module
 from .twist import TwistOp
 
 
@@ -73,18 +70,18 @@ class SmashDatum:
 
 
 def same_bialgebra(a, b):
-    """Structural equality of two bialgebra data."""
+    """Whether two bialgebra data are one: the same space and vacuum, and
+    vertex operators, coproducts and counits equal column by column."""
     if a is b:
         return True
-    if a.algebra.space != b.algebra.space:
+    if (a.algebra.space, a.algebra.vacuum) != (b.algebra.space, b.algebra.vacuum):
         return False
-    for h in a.algebra.space.basis:
-        if not window_equal_vec(a.coproduct.column((h,)),
-                                b.coproduct.column((h,))):
-            return False
-        if not window_equal_vec(a.counit.column((h,)), b.counit.column((h,))):
-            return False
-    return True
+    rep = CheckReport("same bialgebra")
+    for lhs, rhs in ((a.algebra.y, b.algebra.y), (a.coproduct, b.coproduct),
+                     (a.counit, b.counit)):
+        rep.compare_maps(((f"{key}", key) for key in basis_tuples(lhs.domain)),
+                         lhs, rhs)
+    return rep.ok
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ the vertex operators of the two factors.
 
 from .series import Series
 from .linalg import SeriesMap, SeriesVector, basis_tuples, matrix_inverse
-from .nva import CheckReport, window_equal_vec
+from .nva import CheckReport
 
 
 class NotInvertibleError(ValueError):
@@ -92,97 +92,67 @@ def check_twisting_axioms(t):
 # inversion
 
 
-def _degree_matrices(table):
-    """Decompose R(x) = sum_d M_d x^d into dense matrices over basis tuples."""
-    dom = basis_tuples(table.domain)
-    cod = basis_tuples(table.codomain)
-    cidx = {k: i for i, k in enumerate(cod)}
-    mats = {}
-    for j, key in enumerate(dom):
-        col = table.column(key)
-        for ckey, s in col.entries.items():
-            i = cidx[ckey]
-            for expt, c in s.coeffs.items():
-                d = expt[0] if expt else 0
-                mats.setdefault(d, [[0] * len(dom) for _ in cod])
-                mats[d][i][j] = c
-    return mats, dom, cod
-
-
 def invert_twisting(t):
-    """Compute R(x)^{-1} degree by degree as a power series in x.
+    """R(x)^{-1} as a power series in x, by Newton steps from the inverse
+    of the constant term M_0, which must be invertible over Q.
 
-    Requires the constant term M_0 to be invertible over Q.  The inverse is
-    truncated at the top of the table's window, and exact when the
-    recursion has ended inside it: N_e = -M_0^{-1} sum_{d=1..maxdeg} M_d
-    N_{e-d} is zero for all later e once maxdeg consecutive N_e are zero,
-    that is, when max(e: N_e != 0) + maxdeg <= top.  A table without a
-    window is cut at top = n * maxdeg, n = dim U⊗V: a polynomial inverse
-    adj(R)/det(R) has degree at most (n-1) * maxdeg.  The inverse takes
-    the table's window; without one, an exact inverse has none either and
-    a cut one takes (0, top).
+    A step N <- N + N(1 - R N) doubles the degree up to which N is right,
+    so top.bit_length() steps reach top: the top of the table's window,
+    or top = n * maxdeg, n = dim U⊗V, for a table without one (a
+    polynomial inverse adj(R)/det(R) has degree at most (n-1) * maxdeg).
+    N starts in the table's window, or in (0, top), so every step is
+    clipped there.  Both composites N R and R N, N taken as exact data,
+    are then compared with the identity: a failure raises
+    NotInvertibleError, and the inverse is exact when every comparison is.
+    It takes the table's window; without one, an exact inverse has none
+    either and a cut one takes (0, top).
     """
-    mats, dom, cod = _degree_matrices(t.table)
-    if any(d < 0 for d in mats):
+    table = t.table
+    dom, cod = basis_tuples(table.domain), basis_tuples(table.codomain)
+    exponents = [ex[0] if ex else 0 for col in table.columns.values()
+                 for s in col.entries.values() for ex in s.coeffs]
+    if any(d < 0 for d in exponents):
         raise NotInvertibleError(
             f"{t.name}: negative powers of x; constant-term inversion "
             "does not apply")
-    n = len(dom)
-    # M_0 as rows of its nonzero entries; no constant term gives n empty rows
-    inv0 = matrix_inverse([{j: c for j, c in enumerate(row) if c}
-                           for row in mats.get(0, [[]] * n)])
+    # M_0 as rows of its nonzero entries, a row per codomain tuple
+    at = {key: i for i, key in enumerate(cod)}
+    rows = [{} for _ in cod]
+    for j, key in enumerate(dom):
+        for ckey, s in table.column(key).entries.items():
+            c = s.coeff((0,) * len(s.variables))
+            if c:
+                rows[at[ckey]][j] = c
+    inv0 = matrix_inverse(rows)
     if inv0 is None:
         raise NotInvertibleError(f"{t.name}: constant term is singular")
-    window = t.table.window()
-    maxdeg = max(mats)
-    hi = n * maxdeg if window is None else window[1]
-    ns = {0: inv0}
-    for e in range(1, hi + 1):
-        acc = [[0] * n for _ in range(n)]
-        any_term = False
-        for d, md in mats.items():
-            if d == 0 or d > e or (e - d) not in ns:
-                continue
-            ne_d = ns[e - d]
-            any_term = True
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] += sum(md[i][k] * ne_d[k][j] for k in range(n))
-        if not any_term:
-            continue
-        ne = [[-sum(inv0[i][k] * acc[k][j] for k in range(n)) for j in range(n)]
-              for i in range(n)]
-        if any(any(x != 0 for x in row) for row in ne):
-            ns[e] = ne
+    window = table.window()
+    top = len(dom) * max(exponents) if window is None else window[1]
+    work = window or (0, top)
+    inverse = SeriesMap(table.codomain, table.domain, {
+        ckey: SeriesVector(table.domain, {
+            key: Series(("x",), {(0,): inv0[i][j]}, work)
+            for i, key in enumerate(dom)})
+        for j, ckey in enumerate(cod)})
+    one = SeriesMap.identity(table.codomain)
+    for _ in range(top.bit_length()):
+        inverse = inverse + inverse.compose(one - table.compose(inverse))
 
-    exact = max(ns) + maxdeg <= hi
-    if window is None and not exact:
-        window = (0, hi)
-    cols = {}
-    for j, key in enumerate(cod):
-        entries = {}
-        for i, ckey in enumerate(dom):
-            coeffs = {}
-            for e, ne in ns.items():
-                if ne[i][j] != 0:
-                    coeffs[(e,)] = ne[i][j]
-            if coeffs:
-                entries[ckey] = Series(("x",), coeffs, window, exact)
-        cols[key] = SeriesVector(t.table.domain, entries)
-    inverse = SeriesMap(t.table.codomain, t.table.domain, cols)
-
-    # verify both compositions are the identity (up to the window)
-    for comp, ident in (
-        (inverse.compose(t.table), SeriesMap.identity(t.table.domain)),
-        (t.table.compose(inverse), SeriesMap.identity(t.table.codomain)),
-    ):
-        for key in sorted(set(comp.columns) | set(ident.columns)):
-            res = window_equal_vec(comp.column(key), ident.column(key))
-            if not res:
-                raise NotInvertibleError(
-                    f"{t.name}: inverse verification failed at {key}: "
-                    f"{res.witness}")
-    return inverse
+    inverse = inverse.transform(lambda s: Series(("x",), s.coeffs, work))
+    rep = CheckReport(f"{t.name}: inverse")
+    for side, lhs, spaces in (
+            ("R^-1 R", inverse.compose(table), table.domain),
+            ("R R^-1", table.compose(inverse), table.codomain)):
+        rep.compare_maps(((f"{side}{key}", key) for key in basis_tuples(spaces)),
+                         lhs, SeriesMap.identity(spaces))
+    if not rep.ok:
+        item = rep.failures()[0]
+        raise NotInvertibleError(
+            f"{t.name}: inverse verification failed at {item.name}: "
+            f"{item.detail}")
+    exact = rep.exact
+    return inverse.transform(lambda s: Series(
+        ("x",), s.coeffs, window if exact else work, exact))
 
 
 def with_inverse(t):

@@ -235,6 +235,31 @@ def test_a_failed_precondition_exits_1_with_its_message(
     assert "Traceback" not in err
 
 
+def test_smash_halves_over_bialgebras_that_differ_in_y_exit_1(
+        tmp_path, monkeypatch, capsys):
+    # two files declare H2 with one group-like coalgebra H; they differ
+    # only in Y(g,x)g, which is 1 in one file and -1 in the other
+    common = "\n".join((
+        "space Z2 basis one g", "vacuum Z2 one", "y Z2 g g -> (one):1",
+        "y Z2 g one -> (g):1", "y Z2 one g -> (g):1",
+        "y Z2 one one -> (one):1",
+        "space H2 basis one g", "vacuum H2 one", "y H2 g one -> (g):1",
+        "y H2 one g -> (g):1", "y H2 one one -> (one):1",
+        "coalg H H2", "delta one -> (one,one):1", "delta g -> (g,g):1",
+        "eps one -> 1", "eps g -> 1", ""))
+    (tmp_path / "a.nvaw").write_text(common + "\n".join((
+        "y H2 g g -> (one):1", "action act H Z2", "a one one -> (one):1",
+        "a one g -> (g):1", "a g one -> (one):1", "a g g -> (g):-1", "")))
+    (tmp_path / "b.nvaw").write_text(common + "\n".join((
+        "y H2 g g -> (one):-1", "coaction co H Z2",
+        "rho one -> (one,one):1", "rho g -> (one,g):1", "")))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run("smash", "a.nvaw", "b.nvaw") == 1
+    err = capsys.readouterr().err
+    assert "share one bialgebra" in err and "Traceback" not in err
+
+
 def test_window_reaches_the_registry(tmp_path):
     inputs = Inputs("E2", (0, 0))
     for table in (inputs.algebra().y, inputs.twist("flip:E2,E2").first.y,

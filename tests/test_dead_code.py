@@ -95,10 +95,13 @@ def test_variable_changes_go_through_seriesmap_at():
     assert set(callers) <= VARIABLE_CHANGERS, callers
 
 
-def test_one_way_to_put_a_map_on_legs():
+def test_deleted_duplicates_stay_deleted():
     # apply and compose(inner, legs) put a map on legs, a tensor with an
-    # identity extends one, and permute braids legs: nothing else does
-    gone = {"on_legs", "apply_legs", "double_product", "permutation"}
+    # identity extends one, and permute braids legs: nothing else does.
+    # The twist inverse is built from compose, not from dense matrices per
+    # degree, and a workbench is emitted by the emit_* of its blocks
+    gone = {"on_legs", "apply_legs", "double_product", "permutation",
+            "_degree_matrices", "emit_workbench"}
     assert [f for f in defined_functions() if f[1] in gone] == []
 
 

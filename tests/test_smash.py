@@ -9,13 +9,13 @@ from nvaw.products import (
     PreconditionError, ProductNva, build_ordinary_tensor, build_twisted_tensor,
 )
 from nvaw.registry import (
-    builtin_smash, make_z2, sign_twist_z2, trivial_smash_datum,
-    z2_smash_datum,
+    algebra_from_products, builtin_smash, make_z2, sign_twist_z2,
+    trivial_smash_datum, z2_smash_datum,
 )
 from nvaw.smash import (
     CoalgebraData, build_smash, check_coalgebra, check_comodule_algebra,
     check_module_algebra, check_smash_datum, check_vertex_bialgebra,
-    smash_as_twist,
+    same_bialgebra, smash_as_twist,
 )
 
 
@@ -95,6 +95,26 @@ def test_mismatched_bialgebras_rejected():
         build_smash(sign.action, bad_coact)
     with pytest.raises(PreconditionError):
         smash_as_twist(triv.action, bad_coact)
+
+
+def test_same_bialgebra_compares_vacuum_vertex_operator_and_coalgebra():
+    h = z2_smash_datum().coalgebra
+    assert same_bialgebra(h, h)
+    # built apart from equal data: one bialgebra
+    assert same_bialgebra(h, CoalgebraData(make_z2(), h.coproduct, h.counit))
+
+    def on(products, unit="one"):
+        return CoalgebraData(
+            algebra_from_products("Z2", ("one", "g"), unit, products),
+            h.coproduct, h.counit)
+
+    z2 = {("one", "one"): {"one": 1}, ("one", "g"): {"g": 1},
+          ("g", "one"): {"g": 1}}
+    # g·g = -1 instead of 1: only the vertex operator differs
+    assert not same_bialgebra(h, on({**z2, ("g", "g"): {"one": -1}}))
+    assert not same_bialgebra(h, on({**z2, ("g", "g"): {"one": 1}}, "g"))
+    assert not same_bialgebra(h, CoalgebraData(
+        h.algebra, h.coproduct, h.counit.transform(lambda s: s * 2)))
 
 
 def test_module_and_comodule_suites_individually():
