@@ -23,6 +23,7 @@ Exit status: 0 all checks pass, 1 verdict or precondition failures,
 
 import argparse
 import json
+import os
 import sys
 
 from .nva import (
@@ -194,16 +195,16 @@ def _suite_product_props(inputs, args, kmax):
     if not args.twist:
         raise UsageError("--suite product-props requires --twist NAME")
     t = inputs.twist(args.twist)
+    try:  # the product carries the inverse its invertible relations read
+        t = with_inverse(t)
+    except NotInvertibleError:
+        pass
     p = build_twisted_tensor(t.first, t.second, t)
     rep = CheckReport(f"{p.nva.name}: product suite")
     rep.extend(check_product_nva(p, kmax))
     rep.extend(check_embeddings(p))
     rep.extend(check_product_properties(p))
-    try:
-        with_inverse(t)
-    except NotInvertibleError:
-        pass
-    else:
+    if t.inverse is not None:
         rep.extend(check_invertible_relations(p, kmax))
     return rep
 
@@ -362,8 +363,10 @@ def cmd_list(args):
 
 
 def _report(rep, args, rng, suite):
-    print(rep.summary())
     path = getattr(args, "json", None)
+    if path:  # the runs' items are built once, for summary and payload
+        rep._entries = list(rep.items)
+    print(rep.summary())
     if path:
         payload = [
             {
@@ -453,6 +456,11 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        # an output path is refused before any work
+        for path in (getattr(args, "output", None), getattr(args, "json", None)):
+            if path and (os.path.isdir(path) or not os.path.isdir(
+                    os.path.dirname(path) or ".")):
+                raise UsageError(f"cannot write {path}: a directory, or in none")
         return args.fn(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

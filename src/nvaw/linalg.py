@@ -440,69 +440,120 @@ def _row_reduce(rows, ncols):
     return pivots, rest
 
 
-def solve_linear(blocks, unknowns):
-    """Solve for the unknowns from blocks (target, images): SeriesVectors
-    with target == sum(u * images[u]).
-
-    Each (basis key, exponent) of a block is one equation.  At a key every
-    side is read as their difference would be: lifted onto the union of
-    their variables, clipped to the meet of their windows (a lone side, or
-    sides that share variables and window, are read as they are).
-    Equations enter in order of first appearance, the target's before the
-    images' in unknown order, and a repeated equation enters once:
-    equations are compared by the value of each coefficient, and an
-    integral one, an int in normal form, hashes cheaply.
+def _equations(blocks, col, m):
+    """(rows, tags, spoiled) of blocks (targets, images): a row per (basis
+    key, exponent), unknown u in column col[u] < m and the g-th target in
+    column m + g, and tags its (key, exponent).  Every side of a key is read
+    lifted onto the union of the sides' variables and clipped to the meet
+    of their windows (as it is when they share both); at a key no image
+    holds, each target alone.  With several targets the images' reading
+    holds; where targets would change it, the build stops and spoiled holds
+    their g.  Rows enter in order of first appearance, targets first, and a
+    repeated row enters once: rows compare by value, an int hashing cheaply.
     """
-    unknowns = list(unknowns)
-    n = len(unknowns)
-    col = {u: i for i, u in enumerate(unknowns)}
-    rows = []
-    tags = []
-    seen = set()
-    for target, images in blocks:
-        # column n carries the right-hand side
-        at = {key: [(n, s)] for key, s in target.entries.items()}
-        for u, vec in images.items():
-            j = col[u]
+    kept = {}
+    for targets, images in blocks:
+        at = {}
+        carried = [(m + g, t) for g, t in enumerate(targets)]
+        for j, vec in carried + [(col[u], vec) for u, vec in images.items()]:
             for key, s in vec.entries.items():
                 at.setdefault(key, []).append((j, s))
         for key, sides in at.items():
-            j, s = sides[0]
-            if len(sides) == 1:  # a lone side is read as it is
-                eqs = {expt: {j: c} for expt, c in s.coeffs.items()}
-            else:
-                variables, window = s.variables, s.window
-                for _, s in sides:
-                    if s.variables != variables or s.window != window:
-                        variables = tuple(sorted({v for _, s in sides for v in s.variables}))
-                        window = reduce(_meet, (s.window for _, s in sides))
-                        if window is not None and window[0] > window[1]:
-                            raise EmptyWindow(f"empty window [{window[0]},{window[1]}]")
-                        break
+            for part in [sides] if sides[-1][0] < m else [[t] for t in sides]:
+                variables, window = part[0][1].variables, part[0][1].window
+                if any(s.variables != variables or s.window != window
+                       for _, s in part):
+                    # the images' reading, with the target's if it is alone
+                    held = [s for j, s in part if j < m or len(targets) == 1]
+                    variables = tuple(sorted({v for s in held for v in s.variables}))
+                    window = reduce(_meet, (s.window for s in held))
+                    if window is not None and window[0] > window[1]:
+                        raise EmptyWindow(f"empty window [{window[0]},{window[1]}]")
+                    spoiled = {j - m for j, s in part if j >= m and (
+                        _meet(window, s.window) != window
+                        or not set(s.variables) <= set(variables))}
+                    if spoiled:
+                        return None, None, spoiled
                 eqs = {}
-                for j, s in sides:
+                for j, s in part:
                     for expt, c in s._lifted(variables, window)[0].items():
                         eqs.setdefault(expt, {})[j] = c
-            for expt, row in eqs.items():
-                # unknown part and right-hand side, by value
-                sig = frozenset(row.items())
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                rows.append(row)
-                tags.append((key, expt))
+                for expt, row in eqs.items():
+                    kept.setdefault(frozenset(row.items()), (row, (key, expt)))
+    return [r for r, _ in kept.values()], [t for _, t in kept.values()], set()
 
-    pivots, rest = _row_reduce(rows, n)
-    for i, leftover in rest:
-        if leftover:
-            return Inconsistent(tags[i])
 
-    assignment = {unknowns[c]: pivots[c].get(n, 0) for c in sorted(pivots)}
-    if len(pivots) == n:
+def solve_linear(blocks, unknowns):
+    """Solve for the unknowns from blocks (target, images): SeriesVectors
+    with target == sum(u * images[u]), read as _equations reads them.
+    Blocks that share an unknown form a group.  Groups whose blocks hold
+    the same image objects at the same positions of their unknowns share a
+    matrix, eliminated once with a column for each group's targets unless
+    one changes how a key is read; the reduced row echelon form is unique,
+    so each group gets the values of its own elimination.  The witness of
+    an inconsistent system, the first equation in input order that
+    contradicts those before it, comes from eliminating again the blocks
+    of the groups a leftover row holds.
+    """
+    blocks, unknowns = list(blocks), list(unknowns)
+    n = len(unknowns)
+    col = {u: i for i, u in enumerate(unknowns)}
+    up = list(range(n))  # union-find over the columns
+
+    def root(j):
+        while up[j] != j:
+            up[j] = j = up[up[j]]
+        return j
+
+    for _, images in blocks:
+        js = [root(j) for j in {up[col[u]] for u in images}]
+        for j in js:
+            up[j] = js[0]
+    groups = {}  # a block with no unknown is a group of its own
+    for i, (_, images) in enumerate(blocks):
+        groups.setdefault(root(col[next(iter(images))]) if images else -1 - i,
+                          []).append(i)
+    shapes = {}  # by the image objects at the positions of their unknowns
+    for group in groups.values():
+        cols = sorted({col[u] for i in group for u in blocks[i][1]})
+        at = {unknowns[j]: p for p, j in enumerate(cols)}.get
+        shapes.setdefault(tuple(
+            (tuple(map(at, blocks[i][1])), tuple(map(id, blocks[i][1].values())))
+            for i in group), []).append((group, cols))
+
+    values, bad = {}, []
+    todo = list(shapes.values())
+    for batch in todo:
+        first, cols = batch[0]
+        m = len(cols)
+        rows, _, spoiled = _equations(
+            [([blocks[group[p]][0] for group, _ in batch], blocks[i][1])
+             for p, i in enumerate(first)],
+            {unknowns[j]: p for p, j in enumerate(cols)}, m)
+        if spoiled:  # each such group is solved on its own
+            kept = [b for g, b in enumerate(batch) if g not in spoiled]
+            todo += [[batch[g]] for g in sorted(spoiled)] + [kept] * bool(kept)
+            continue
+        pivots, rest = _row_reduce(rows, m)
+        failed = {j - m for _, leftover in rest for j in leftover}
+        for g, (group, cols) in enumerate(batch):
+            if g in failed:
+                bad += group
+            else:
+                values.update((cols[c], row.get(m + g, 0))
+                              for c, row in pivots.items())
+    if bad:
+        rows, tags, _ = _equations(
+            [([blocks[i][0]], blocks[i][1]) for i in sorted(bad)], col, n)
+        _, rest = _row_reduce(rows, n)
+        return Inconsistent(next(tags[i] for i, leftover in rest if leftover))
+
+    assignment = {unknowns[j]: values[j] for j in sorted(values)}
+    if len(values) == n:
         return UniqueSolution(assignment)
-    free = [u for j, u in enumerate(unknowns) if j not in pivots]
+    free = [u for j, u in enumerate(unknowns) if j not in values]
     particular = {u: assignment.get(u, 0) for u in unknowns}
-    return Underdetermined(len(pivots), free, particular)
+    return Underdetermined(len(values), free, particular)
 
 
 def matrix_rank(rows, ncols):

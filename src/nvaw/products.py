@@ -418,18 +418,18 @@ def extract_twisting(host, u_labels, v_labels):
     the premultiplied form of Y(v,x1)Y(u,x2)w == Σ R(x2-x1) Y(a,x2)Y(b,x1)w
     with k = max(0, -min e): each unknown R-monomial (x2-x1)^e contributes the
     polynomial (-1)^e (x1-x2)^{k+e}, so the system is exact.  Only the
-    columns the condition reads are composed (v, b in V; u, a in U).
+    columns the condition reads are composed (v, b in V; u, a in U).  The
+    images do not depend on (v,u), so solve_linear eliminates their one
+    matrix once, with a right-hand side per (v,u).
 
-    Solves at w = vacuum first, then the full system over every w: the
-    solution when the vacuum system leaves R open, and otherwise its
-    validation.  Both solves stay, each over every unknown, because the
-    benchmark's tests count two solves per extraction; one factorization
-    without the vacuum solve waits for the benchmark revision (ROADMAP
-    item 1).  On a unique solution runs the twisting axioms, the
-    theta-bijectivity test and the degree-two injectivity report.  The
-    vacuum of each subalgebra is the host's when its labels hold it, and
-    otherwise its first label.  The solved R takes the window of the host's
-    table.
+    Solves at w = vacuum, then over every w: the solution when the vacuum
+    system leaves R open, and otherwise its validation.  The vacuum solve
+    stays only because the benchmark's tests count two solves per
+    extraction (ROADMAP item 1).  On a unique solution runs the twisting
+    axioms, the theta-bijectivity test and the degree-two injectivity
+    report.  The vacuum of each subalgebra is the host's when its labels
+    hold it, and otherwise its first label.  The solved R takes the window
+    of the host's table.
     """
     def vacuum(labels):
         return host.vacuum if host.vacuum in labels else labels[0]

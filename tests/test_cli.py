@@ -165,13 +165,39 @@ def test_a_kmax_that_is_not_an_integer_is_a_usage_error(capsys, kmax):
     ("check", "{dir}", "--suite", "nva"),
     ("check", "E1", "--suite", "nva", "--json", "{dir}"),
     ("product", "E2", "E2", "--twist", "flip:E2,E2", "-o", "{dir}"),
+    ("check", "E1", "--suite", "nva", "--json", "{dir}/no/report.json"),
+    ("extract-smap", "E2", "-o", "{dir}/no/smap.nvaw"),
 ])
 def test_a_directory_for_a_file_is_a_usage_error(tmp_path, capsys, argv):
-    # exit 1 would read as a failed verdict
+    # exit 1 would read as a failed verdict; an output path is refused
+    # before any work, so no report is printed
     assert run(*(a.format(dir=tmp_path) for a in argv)) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and str(tmp_path) in err
     assert "Traceback" not in err
+
+
+def test_product_props_on_a_file_twist_inverts_it_once(tmp_path, monkeypatch):
+    # a file twist carries no inverse: the suite inverts it once, and the
+    # invertible relations read the product's twist
+    import nvaw.twist as twist_mod
+    from nvaw.fileformat import emit_twist
+    from nvaw.registry import make_e2
+    from nvaw.twist import flip_twist
+
+    (tmp_path / "twist.nvaw").write_text(
+        emit_twist(flip_twist(make_e2(), make_e2())))
+    real, calls = twist_mod.invert_twisting, []
+
+    def counted(t):
+        calls.append(t.name)
+        return real(t)
+
+    monkeypatch.setattr(twist_mod, "invert_twisting", counted)
+    assert run("check", str(tmp_path / "twist.nvaw"), "--suite",
+               "product-props", "--twist", "flip(E2,E2)") == 0
+    assert calls == ["flip(E2,E2)"]
 
 
 @pytest.mark.parametrize("argv,expected", [

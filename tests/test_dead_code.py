@@ -151,3 +151,24 @@ def test_no_module_imports_gc():
         if isinstance(node, ast.Import) and any(
             a.name == "gc" for a in node.names)
         or isinstance(node, ast.ImportFrom) and node.module == "gc"}) == []
+
+
+def _calls(node, name):
+    """Whether node holds a call of name, as a name or an attribute."""
+    return any(isinstance(n, ast.Call) and name in (
+        getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        for n in ast.walk(node))
+
+
+def test_one_implementation_of_exact_elimination():
+    # _row_reduce is called only from linalg.py, and one function there
+    # turns blocks into elimination rows, reading each side with _lifted
+    callers = sorted({path.name
+                      for path in (ROOT / "src" / "nvaw").glob("*.py")
+                      if _calls(_parse(path), "_row_reduce")})
+    assert callers == ["linalg.py"]
+    tree = _parse(ROOT / "src" / "nvaw" / "linalg.py")
+    assemblers = [node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and _calls(node, "_lifted")]
+    assert assemblers == ["_equations"]

@@ -196,18 +196,21 @@ def test_a_mutated_host_gives_its_first_contradicting_equation(name, witness):
 # solve_linear hands to _row_reduce, in order, its items sorted, and then
 # the outcome of that solve; it pins the row order, the dedupe and the
 # Inconsistent witness of each host, the mutated hosts doubled as above.
-# Every coefficient, the outcome's values too, is hashed as its Fraction
+# The rows are those of the factored system, one shared coefficient matrix
+# with a carried column per (v,u), and on the mutated hosts the rows of the
+# inconsistent blocks solved again for the witness.  Every coefficient, the
+# outcome's values too, is hashed as its Fraction
 EQUATION_STREAM_SHA256 = {
     "flip:E1,E2":
-        "e0b74b859714d0300529652e3555f0a86a9b64599f5c096397dfb8ab2a9ac35d",
+        "b0e9e89abd71b68514421849469a579ebe48bd1194fd265c4a91409486ade3a5",
     "flip:E2,E2":
-        "ba30581978594bbc453ce47ab23204c52aa18e8a7b12b559c917c745d4a13171",
+        "83ba593424b8056871edeed06337075a53a0ebbcf0aa4d6ee4ec4b2d6a76be87",
     "sign:Z2,Z2":
-        "631a093d2d0264c48c3a60fe006e0cec2b6f2ad3e3748dc1fc96650563db9ec7",
+        "27c7557a363f3a14b90b4808d9e7598edd0a0ef03a5466a328b44ffde493d854",
     "flip:E2,E2 mutated":
-        "517e674401f57266944726b586197dd86189ed5852fd489b60f8559ccea84d77",
+        "1eb025db751655d3ccab8ad37118964142e222b8547bdb08d97452919c98817a",
     "sign:Z2,Z2 mutated":
-        "e81ce5aa060f133577ded622ec32d3c40512a7f332366755f5d9e733c0a4ea38",
+        "fbbc6a1c41045a78bf391e7a7c8c676bb491d179a38b6dafbe32efbdf6c9a2fb",
 }
 
 
