@@ -322,9 +322,10 @@ def universal_map(p, target, psi1, psi2):
     psi12, psi21 = psi1.tensor(psi2), psi2.tensor(psi1)
 
     # hypothesis: Y(psi1 u, x) psi2 v regular
+    images = {}
     for u in p.first.space.basis:
         for v in p.second.space.basis:
-            img = target.y.apply(psi12.column((u, v)))
+            img = images[u, v] = target.y.apply(psi12.column((u, v)))
             if not all(s.is_polynomial() for s in img.entries.values()):
                 raise PreconditionError("regularity of Y(psi1 u,x) psi2 v",
                                         (u, v))
@@ -337,11 +338,8 @@ def universal_map(p, target, psi1, psi2):
             if not window_equal_vec(lhs, rhs):
                 raise PreconditionError("skew hypothesis", (v, u))
 
-    cols = {}
-    for u in p.first.space.basis:
-        for v in p.second.space.basis:
-            img = target.y.apply(psi12.column((u, v)))
-            cols[(p.pair(u, v),)] = img.transform(lambda s: s.extract("x", 0))
+    cols = {(p.pair(u, v),): img.transform(lambda s: s.extract("x", 0))
+            for (u, v), img in images.items()}
     psi = SeriesMap((p.space,), (target.space,), cols)
     rep = check_homomorphism(p.nva, target, psi)
     rep.title = f"universal map {p.nva.name} -> {target.name}"

@@ -245,18 +245,9 @@ def _require_matched(u, v):
                                  v.bialgebra.algebra.name))
 
 
-def smash_as_twist(u, v, check=True):
+def _smash_twist(u, v):
     """The canonical twisting operator R(x)(v⊗u') = Y(b1(v),-x)u' ⊗ v2
-    read off the coaction ρ(v) = Σ b1(v)⊗v2 and the action of H on U.
-
-    Returns (TwistOp, CheckReport); the report contains the twisting axioms
-    and, when check is set, the column-by-column agreement of the twisted
-    tensor product built from R with the smash product table.
-    """
-    from .products import build_twisted_tensor
-    from .twist import check_twisting_axioms
-
-    _require_matched(u, v)
+    read off the coaction ρ(v) = Σ b1(v)⊗v2 and the action of H on U."""
     U, V = u.module, v.comodule
     us, vs = U.space, V.space
     act_neg = u.action.at("-x")
@@ -265,19 +256,33 @@ def smash_as_twist(u, v, check=True):
         vec = SeriesVector.basis((vs, us), (vl, ul))
         vec = v.coaction.apply(vec, (0,)).permute((0, 2, 1))  # (H,U,V)
         cols[(vl, ul)] = act_neg.apply(vec, (0, 1))
-    twist = TwistOp(f"smash({U.name},{V.name})", U, V,
-                    SeriesMap((vs, us), (us, vs), cols))
+    return TwistOp(f"smash({U.name},{V.name})", U, V,
+                   SeriesMap((vs, us), (us, vs), cols))
+
+
+def _twist_report(sharp):
+    """The twisting axioms of the smash product's twist, then the
+    column-by-column agreement of the twisted tensor product built from it
+    with the smash product table."""
+    from .products import build_twisted_tensor
+    from .twist import check_twisting_axioms
+
+    twist = sharp.twist
     rep = CheckReport(f"{twist.name}: smash product as twisted tensor")
     rep.extend(check_twisting_axioms(twist))
-    if check:
-        sharp = build_smash(u, v)
-        tw = build_twisted_tensor(U, V, twist, check_axioms=False)
-        for key in sorted(set(sharp.nva.y.columns) | set(tw.nva.y.columns)):
-            other = SeriesVector((sharp.nva.space,),
-                                 tw.nva.y.column(key).entries)
-            rep.compare(f"table agreement {key}", sharp.nva.y.column(key),
-                        other)
-    return twist, rep
+    tw = build_twisted_tensor(sharp.first, sharp.second, twist,
+                              check_axioms=False)
+    for key in sorted(set(sharp.nva.y.columns) | set(tw.nva.y.columns)):
+        other = SeriesVector((sharp.nva.space,), tw.nva.y.column(key).entries)
+        rep.compare(f"table agreement {key}", sharp.nva.y.column(key), other)
+    return rep
+
+
+def smash_as_twist(u, v):
+    """(TwistOp, CheckReport): the canonical twisting operator of the smash
+    product U♯V, and the report that it is one (`_twist_report`)."""
+    sharp = build_smash(u, v)
+    return sharp.twist, _twist_report(sharp)
 
 
 def build_smash(u, v):
@@ -312,15 +317,15 @@ def build_smash(u, v):
         entries = {(pair_label(a, b),): s for (a, b), s in vec.entries.items()}
         cols[(pair_label(ul, vl), pair_label(u2, v2))] = SeriesVector(
             (pspace,), entries)
-    twist, _ = smash_as_twist(u, v, check=False)
     nva = Nva(pspace.name, pspace, pair_label(U.vacuum, V.vacuum),
               SeriesMap((pspace, pspace), (pspace,), cols))
-    return ProductNva(nva, U, V, twist)
+    return ProductNva(nva, U, V, _smash_twist(u, v))
 
 
 def check_smash_datum(d, kmax=DEFAULT_KMAX):
     """Full suite for a smash datum: coalgebra, bialgebra, module-algebra,
-    comodule-algebra, the product axioms, and the twisted-tensor agreement."""
+    comodule-algebra, the twisted-tensor agreement, and the product axioms,
+    on one build of the smash product."""
     from .products import check_product_nva
 
     rep = CheckReport(f"{d.name}: smash-product suite")
@@ -328,8 +333,7 @@ def check_smash_datum(d, kmax=DEFAULT_KMAX):
     rep.extend(check_vertex_bialgebra(d.coalgebra))
     rep.extend(check_module_algebra(d.action, kmax))
     rep.extend(check_comodule_algebra(d.coaction))
-    _, twrep = smash_as_twist(d.action, d.coaction)
-    rep.extend(twrep)
     p = build_smash(d.action, d.coaction)
+    rep.extend(_twist_report(p))
     rep.extend(check_product_nva(p, kmax))
     return rep

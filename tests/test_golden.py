@@ -15,6 +15,7 @@ a change meant to move verdicts, and say so in CHANGES.md:
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -62,9 +63,11 @@ def sweep_argvs():
     return calls
 
 
+@functools.cache
 def run_sweep():
-    """[record] for the sweep, one record per call."""
-    records = []
+    """([record], [payload]) for the sweep, one record and one `--json`
+    payload per call; run once and shared by the tests that read it."""
+    records, payloads = [], []
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "report.json"
         for argv in sweep_argvs():
@@ -75,6 +78,7 @@ def run_sweep():
             payload = report.read_bytes() if report.exists() else b"[]"
             report.unlink(missing_ok=True)
             items = json.loads(payload)
+            payloads.append(payload)
             records.append({
                 "argv": " ".join(argv),
                 "exit": code,
@@ -85,18 +89,43 @@ def run_sweep():
                 "not_exact": [[i["identity"], i["verdict"], i["detail"]]
                               for i in items if i["verdict"] != "EXACT_PASS"],
             })
-    return records
+    return records, payloads
 
 
 def test_sweep_matches_the_golden_report():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = run_sweep()
+    got, _ = run_sweep()
     assert len(got) == len(golden) == 42
     assert sum(r["items"] for r in golden) == TOTAL_IDENTITIES
     for want, have in zip(golden, got):
         assert have == want, want["argv"]
 
 
+# The repeated names of the sweep, by suite: the name prefixes that may
+# repeat within one call, and the number of repeats over all calls.
+# check_product_nva lists the items of check_embeddings and the
+# product-props suite adds them again (73 repeats over 6 calls); the qva
+# suite adds the S-skew items of check_S_skew and check_qva_axioms adds them
+# again (21 repeats over 4 calls).
+KNOWN_REPEATS = {"product-props": (("U⊗1 hom", "1⊗V hom"), 73),
+                 "qva": (("S-skew(",), 21)}
+
+
+def test_no_identity_is_listed_twice_but_the_two_known_repeats():
+    _, payloads = run_sweep()
+    repeats = Counter()
+    for argv, payload in zip(sweep_argvs(), payloads):
+        suite = argv[argv.index("--suite") + 1] if "--suite" in argv else None
+        names = Counter(i["identity"] for i in json.loads(payload))
+        for name, n in names.items():
+            if n > 1:
+                prefixes, _ = KNOWN_REPEATS.get(suite, ((), 0))
+                assert name.startswith(prefixes), (" ".join(argv), name)
+                repeats[suite] += n - 1
+    for suite, (_, most) in KNOWN_REPEATS.items():
+        assert repeats[suite] <= most, suite
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(run_sweep(), indent=1, ensure_ascii=False)
+    GOLDEN.write_text(json.dumps(run_sweep()[0], indent=1, ensure_ascii=False)
                       + "\n", encoding="utf-8")

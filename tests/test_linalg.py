@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from nvaw.linalg import (
     Inconsistent, SeriesMap, SeriesVector, Space, UniqueSolution,
@@ -15,7 +16,7 @@ from nvaw.registry import (
     builtin_algebras, builtin_smaps, builtin_smash, builtin_twists, make_e2,
 )
 from nvaw.series import DEFAULT_RANGE, EmptyWindow, Q, Series
-from test_series import halves, in_normal_form
+from test_series import in_normal_form
 
 A = Space("A", ("a1", "a2"))
 B = Space("B", ("b1", "b2", "b3"))
@@ -219,7 +220,8 @@ def test_matrix_rank_and_inverse():
 
 
 # ---------------------------------------------------------------------------
-# sympy as an independent oracle for elimination
+# sympy's exact linear algebra over QQ as an independent oracle for
+# elimination
 
 
 # the values of st.fractions(-3, 3, max_denominator=3), sampled from their
@@ -233,14 +235,24 @@ nonzeros = st.one_of(st.sampled_from([f for f in FRACTIONS if f]),
 row_kinds = st.sampled_from(("fresh",) * 4 + ("copy", "combination"))
 
 
+def normal(x):
+    """The rational x in the normal form of Series coefficients."""
+    return x.numerator if x.denominator == 1 else x
+
+
 @st.composite
-def sparse_matrices(draw, square=False, size=8):
-    """Rational matrices of at most size rows and columns, their entries
-    ints and Fractions, with some rows repeated and some rows sums of
-    multiples of earlier rows.  A fresh row holds a handful of nonzeros,
-    so the larger the size, the sparser the matrix."""
-    # half the draws from the upper half of the sizes, where elimination
-    # clears a new pivot from many held rows
+def systems(draw, size=8, square=False, normalized=False):
+    """The rows of a rational matrix, and two right-hand sides: one
+    consistent, the rows times drawn values, and one drawn freely.
+
+    The matrix has at most size rows and columns, half the draws from the
+    upper half of the sizes, where elimination clears a new pivot from many
+    held rows.  It is square if asked, and a square one is shifted by 4 on
+    the diagonal half of the time, which makes most of them invertible.
+    Its entries are ints and Fractions, with some rows repeated and some
+    rows sums of multiples of earlier rows; a fresh row holds a handful of
+    nonzeros, so the larger the size, the sparser the matrix.  If asked,
+    every entry is put in the normal form of Series coefficients."""
     dims = st.one_of(st.integers(1, size), st.integers(max(1, size // 2), size))
     nrows = draw(dims)
     ncols = nrows if square else draw(dims)
@@ -257,22 +269,35 @@ def sparse_matrices(draw, square=False, size=8):
         else:
             cells = draw(fresh)
             rows.append([cells.get(j, 0) for j in range(ncols)])
-    return rows
+    if nrows == ncols and draw(st.booleans()):
+        rows = [[x + 4 * (i == j) for j, x in enumerate(r)]
+                for i, r in enumerate(rows)]
+    values = draw(st.lists(draw(st.sampled_from((fractions, integers))),
+                           min_size=ncols, max_size=ncols))
+    consistent = [sum(a * v for a, v in zip(r, values)) for r in rows]
+    free = draw(st.lists(st.one_of(st.just(0), fractions),
+                         min_size=nrows, max_size=nrows))
+    if normalized:
+        rows = [[normal(x) for x in r] for r in rows]
+        consistent = [normal(x) for x in consistent]
+        free = [normal(x) for x in free]
+    return rows, consistent, free
 
 
-def _sym(rows):
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
-                          for x in r] for r in rows])
+def _dm(rows):
+    """The rows as a sympy matrix over QQ."""
+    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in r]
+                         for r in rows], (len(rows), len(rows[0])), QQ)
 
 
-def _q(r):
-    return Q(int(r.p), int(r.q))
+def _q(x):
+    return Q(int(x.numerator), int(x.denominator))
 
 
-def _independent(m):
-    """The rows of a sympy matrix not in the span of the rows before them:
-    the pivot columns of its transpose."""
-    return set(m.T.rref()[1])
+def _independent(rows):
+    """The rows not in the span of the rows before them: the pivot columns
+    of the transpose."""
+    return set(_dm([list(c) for c in zip(*rows)]).rref()[1])
 
 
 def _dict_rows(rows):
@@ -293,29 +318,6 @@ def test_the_lead_is_the_lowest_column_not_the_first_key():
     assert matrix_rank(rows, 4) == matrix_rank(ordered, 4) == 3
 
 
-@settings(max_examples=100, deadline=None)
-@given(sparse_matrices())
-def test_matrix_rank_matches_sympy(rows):
-    rank = _sym(rows).rank()
-    assert matrix_rank(_dict_rows(rows), len(rows[0])) == rank
-    # the rank of the transpose, which check_Z2_injectivity takes
-    assert matrix_rank(_dict_rows(zip(*rows)), len(rows)) == rank
-
-
-@settings(max_examples=100, deadline=None)
-@given(sparse_matrices(square=True), st.booleans())
-def test_matrix_inverse_matches_sympy(rows, shift):
-    if shift:  # a diagonal shift makes most of these matrices invertible
-        rows = [[x + 4 * (i == j) for j, x in enumerate(r)]
-                for i, r in enumerate(rows)]
-    m = _sym(rows)
-    inv = matrix_inverse(_dict_rows(rows))
-    if m.rank() < len(rows):
-        assert inv is None
-    else:
-        assert inv == [[_q(x) for x in m.inv().row(i)] for i in range(m.rows)]
-
-
 def check_solve_linear(rows, rhs):
     """solve_linear on the equations row . u == rhs, one per key, against
     sympy's rref of the augmented matrix."""
@@ -325,15 +327,16 @@ def check_solve_linear(rows, rhs):
                                    for i, (r, c) in enumerate(zip(rows, rhs))]),
                        unknowns)
 
-    aug = _sym([r + [c] for r, c in zip(rows, rhs)])
-    reduced, pivots = aug.rref()
+    aug = [r + [c] for r, c in zip(rows, rhs)]
+    reduced, pivots = _dm(aug).rref()
     if n in pivots:
         # the first equation that contradicts the ones before it: the first
         # row independent of the rows before it only with its right-hand side
-        first = min(_independent(aug) - _independent(aug[:, :n]))
+        first = min(_independent(aug) - _independent(rows))
         assert sol == Inconsistent(((f"e{first}",), ()))
         return sol
-    values = {unknowns[j]: _q(reduced[k, n]) for k, j in enumerate(pivots)}
+    reduced = reduced.to_list()
+    values = {unknowns[j]: _q(reduced[k][n]) for k, j in enumerate(pivots)}
     if len(pivots) == n:
         assert sol == UniqueSolution(values)
     else:
@@ -344,32 +347,52 @@ def check_solve_linear(rows, rhs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(sparse_matrices(), st.data())
-def test_solve_linear_matches_sympy_rref(rows, data):
-    n = len(rows[0])
-    # right-hand sides of a drawn solution, consistent, or drawn freely
-    values = data.draw(st.lists(fractions, min_size=n, max_size=n))
-    rhs = [sum(a * v for a, v in zip(r, values)) for r in rows]
-    if data.draw(st.booleans()):
-        rhs = data.draw(st.lists(fractions, min_size=len(rows),
-                                 max_size=len(rows)))
-    check_solve_linear(rows, rhs)
+@given(systems())
+def test_matrix_rank_matches_sympy(system):
+    rows = system[0]
+    rank = _dm(rows).rank()
+    assert matrix_rank(_dict_rows(rows), len(rows[0])) == rank
+    # the rank of the transpose, which check_Z2_injectivity takes
+    assert matrix_rank(_dict_rows(zip(*rows)), len(rows)) == rank
+
+
+def check_matrix_inverse(rows):
+    """matrix_inverse of a square matrix against sympy's inverse over QQ."""
+    m = _dm(rows)
+    inv = matrix_inverse(_dict_rows(rows))
+    if m.rank() < len(rows):
+        assert inv is None
+    else:
+        assert inv == [[_q(x) for x in r] for r in m.inv().to_list()]
+    return inv
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(square=True))
+def test_matrix_inverse_matches_sympy(system):
+    check_matrix_inverse(system[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_solve_linear_matches_sympy_rref(system):
+    rows, consistent, free = system
+    check_solve_linear(rows, consistent)
+    check_solve_linear(rows, free)
 
 
 @settings(max_examples=30, deadline=None)
-@given(sparse_matrices(size=30), st.data())
-def test_row_reduce_of_larger_systems_matches_sympy_rref(rows, data):
+@given(systems(size=30))
+def test_row_reduce_of_larger_systems_matches_sympy_rref(system):
     # up to 30×30, where a new pivot is cleared from many held rows; two
     # carried columns, a consistent right-hand side and a free one
+    rows, consistent, free = system
     n = len(rows[0])
-    values = data.draw(st.lists(integers, min_size=n, max_size=n))
-    free = data.draw(st.lists(st.one_of(st.just(0), fractions),
-                              min_size=len(rows), max_size=len(rows)))
-    consistent = [sum(a * v for a, v in zip(r, values)) for r in rows]
     aug = [r + [c, f] for r, c, f in zip(rows, consistent, free)]
     pivots, rest = _row_reduce(_dict_rows(aug), n)
 
-    reduced, sym_pivots = _sym(aug).rref()
+    reduced, sym_pivots = _dm(aug).rref()
+    reduced = [[_q(x) for x in r] for r in reduced.to_list()]
     assert sorted(pivots) == [j for j in sym_pivots if j < n]
     # each pivot row, cleared in the pivot columns of the carried part
     # (those of the free right-hand side's contradictions), is sympy's row
@@ -378,18 +401,40 @@ def test_row_reduce_of_larger_systems_matches_sympy_rref(rows, data):
         row = [pivots[j].get(c, Q(0)) for c in range(n + 2)]
         for m in carried:
             q = sym_pivots[m]
-            row = [x - row[q] * _q(y) for x, y in zip(row, reduced.row(m))]
-        assert row == [_q(x) for x in reduced.row(k)]
+            row = [x - row[q] * y for x, y in zip(row, reduced[m])]
+        assert row == reduced[k]
     # a row is set aside exactly when it lies in the span of the rows
     # before it, its leftovers spanning what the carried pivots span
-    kept = _independent(_sym(rows))
+    kept = _independent(rows)
     assert [i for i, _ in rest] == [i for i in range(len(rows)) if i not in kept]
     leftovers = [[x.get(c, 0) for c in (n, n + 1)] for _, x in rest]
-    assert (_sym(leftovers).rank() if leftovers else 0) == len(carried)
+    assert (_dm(leftovers).rank() if leftovers else 0) == len(carried)
 
     assert matrix_rank(_dict_rows(rows), n) == len(pivots)
     check_solve_linear(rows, consistent)
     check_solve_linear(rows, free)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(square=True, normalized=True))
+def test_elimination_keeps_the_normal_form(system):
+    """Given entries in normal form, _row_reduce, solve_linear and
+    matrix_inverse give every entry in it, with sympy's values."""
+    rows, consistent, free = system
+    n = len(rows)
+    for rhs in (consistent, free):
+        pivots, rest = _row_reduce(
+            _dict_rows([r + [c] for r, c in zip(rows, rhs)]), n)
+        assert all(in_normal_form(x) for row in pivots.values()
+                   for x in row.values())
+        assert all(in_normal_form(x) for _, row in rest for x in row.values())
+        sol = check_solve_linear(rows, rhs)
+        for found in (vars(sol).get("assignment", {}),
+                      vars(sol).get("particular", {})):
+            assert all(in_normal_form(x) for x in found.values())
+    inv = check_matrix_inverse(rows)
+    if inv is not None:
+        assert all(in_normal_form(x) for row in inv for x in row)
 
 
 def test_a_repeated_equation_enters_once_by_value(monkeypatch):
@@ -561,52 +606,6 @@ LAYOUTS = ((), ("x0",), ("x1",), ("x2",), ("x1", "x2"), ("x0", "x2"))
 APPLY_WINDOWS = (None, (-8, 8), (0, 0), (1, 3))
 
 
-@st.composite
-def map_and_vector(draw):
-    """(map C -> B, vector, legs) with entries drawn from a pool of an x1
-    series, an x2 series and one of any layout, and their negatives, and
-    columns from two templates, so that products meet at a key, cancel and
-    come back.  The series have the example's window or none, and their
-    exponents mostly lie inside it; some are inexact, some clipped, some
-    inexact zeros."""
-    window = draw(st.sampled_from(APPLY_WINDOWS))
-    lo, hi = window or (-1, 3)
-    exponent = st.one_of(st.integers(max(lo, -1), min(hi, 3)),
-                         st.integers(-1, 3))
-
-    def series(variables):
-        exponents = st.tuples(*[exponent] * len(variables))
-        coeffs = draw(st.dictionaries(exponents, nonzeros, max_size=2))
-        return Series(variables, coeffs,
-                      draw(st.sampled_from((window, window, window, None))),
-                      draw(st.sampled_from((True, True, True, False))))
-
-    pool = [series(("x1",)), series(("x2",)),
-            series(draw(st.sampled_from(LAYOUTS)))]
-
-    def entry():
-        s = draw(st.sampled_from(pool))
-        return -s if draw(st.booleans()) else s
-
-    templates = [SeriesVector((B,), {
-        (b,): entry() for b in draw(st.lists(st.sampled_from(B.basis[:2]),
-                                             unique=True, max_size=2))})
-        for _ in range(2)]
-    cols = {(c,): draw(st.sampled_from(templates)) for c in C.basis}
-    spaces, legs = draw(st.sampled_from((((C,), None), ((C, A), (0,)),
-                                         ((A, C), (1,)))))
-    keys = draw(st.lists(st.sampled_from(basis_tuples(spaces)), unique=True,
-                         min_size=2, max_size=8))
-    vec = SeriesVector(spaces, {k: entry() for k in keys})
-    return SeriesMap((C,), (B,), cols), vec, legs
-
-
-@settings(max_examples=200, deadline=None)
-@given(map_and_vector())
-def test_apply_equals_the_sequential_products_and_sums(case):
-    assert_apply_is_sequential(*case)
-
-
 @pytest.mark.parametrize("window", APPLY_WINDOWS)
 def test_apply_sums_each_kind_of_product_as_the_sequence_does(window):
     e = max(0, window[0]) if window else 1
@@ -680,46 +679,92 @@ def test_a_missing_entry_is_one_zero_that_no_kernel_operation_changes():
 
 
 # ---------------------------------------------------------------------------
-# coefficients keep the normal form of Series coefficients through the map
-# operations and elimination: an int when integral, otherwise a Fraction
+# apply, compose and tensor against their definitions: apply as the sequence
+# of * and + it replaces, compose as apply on every column, and each column
+# of a tensor product as the products of the two columns' entries; every
+# coefficient they give keeps the normal form of Series coefficients
+
+
+ODD_HALVES = st.sampled_from([Q(n, 2) for n in (-3, -1, 1, 3)])
+FACTORS = st.sampled_from([1, -1, 2, Q(1, 2)])
+# the vector's entries mostly in x1 and the maps' mostly in x2, so that most
+# products are placements that meet at a key
+VECTOR_LAYOUTS = st.sampled_from((("x1",),) * 3 + ((),) + LAYOUTS)
+MAP_LAYOUTS = st.sampled_from((("x2",),) * 3 + ((),) + LAYOUTS)
+# the spaces of the vector, and the legs of C in it
+PLACEMENTS = (((C,), None), ((C, A), (0,)), ((A, C), (1,)))
 
 
 @st.composite
-def half_maps(draw):
-    """inner: A -> C, outer: C -> B and a vector over A ⊗ C.  The vector's
-    entries are mostly in x1 with odd halves for coefficients, the maps'
-    mostly in x2 with small ints and halves, under one window: most
-    products are placements that meet at a key and an exponent, and two
-    odd halves sum to an integer.  The other entries take any layout of
-    the apply examples, or no window."""
+def maps_and_vector(draw, placements=PLACEMENTS):
+    """(inner: A -> C, outer: C -> B, vector, legs of C in the vector).
+
+    The vector is over the spaces of one of the placements, with two to
+    eight keys or up to six.  Its entries, and apart from them the maps',
+    come half of the time from a pool of one to four series and their
+    negatives, so that products meet at a key, cancel and come back, and
+    otherwise are each drawn on their own.  The maps' columns have up to
+    three keys, half of the time at least one, and the outer map's come
+    from one to four templates.  Half of the time the coefficients are any
+    small rationals, and otherwise odd halves in the vector and small ints
+    and halves in the maps: products of the two meet at a key and an
+    exponent, and two odd halves sum to an integer.  Each series is in x1
+    (mostly, in the vector), in x2 (mostly, in the maps) or in any layout,
+    under the example's window or none, and its exponents mostly lie
+    inside the window; some are inexact, some clipped, some inexact zeros.
+    """
     window = draw(st.sampled_from(APPLY_WINDOWS))
-    exponent = st.integers(0, 1)
-    odd_halves = st.sampled_from([Q(n, 2) for n in (-3, -1, 1, 3)])
-    factors = st.sampled_from([1, -1, 2, Q(1, 2)])
+    lo, hi = window or (-1, 3)
+    exponent = st.one_of(st.integers(max(lo, -1), min(hi, 3)),
+                         st.integers(-1, 3))
+    vector_values, map_values = draw(st.sampled_from(
+        ((nonzeros, nonzeros), (ODD_HALVES, FACTORS))))
 
-    def vector(spaces, var, values, size):
+    def series(values, layouts):
+        variables = draw(layouts)
+        terms = st.tuples(st.tuples(*[exponent] * len(variables)), values)
+        return Series(variables, dict(draw(st.lists(terms, max_size=2))),
+                      draw(st.sampled_from((window, window, window, None))),
+                      draw(st.sampled_from((True, True, True, False))))
+
+    def entries(values, layouts):
+        """A function that draws one entry."""
+        if draw(st.booleans()):
+            return lambda: series(values, layouts)
+        pool = st.sampled_from([series(values, layouts)
+                                for _ in range(draw(st.integers(1, 4)))])
+        return lambda: -draw(pool) if draw(st.booleans()) else draw(pool)
+
+    def vector(spaces, entry, fewest, most):
         keys = draw(st.lists(st.sampled_from(basis_tuples(spaces)),
-                             unique=True, max_size=size))
-        entries = {}
-        for k in keys:
-            variables = draw(st.sampled_from((var, var, var, ()) + LAYOUTS))
-            terms = draw(st.dictionaries(
-                st.tuples(*[exponent] * len(variables)), values, max_size=2))
-            entries[k] = Series(variables, terms,
-                                draw(st.sampled_from((window,) * 3 + (None,))))
-        return SeriesVector(spaces, entries)
+                             unique=True, min_size=fewest, max_size=most))
+        return SeriesVector(spaces, {k: entry() for k in keys})
 
-    inner = SeriesMap((A,), (C,), {(a,): vector((C,), ("x2",), factors, 3)
+    map_entry = entries(map_values, MAP_LAYOUTS)
+    vector_entry = entries(vector_values, VECTOR_LAYOUTS)
+    fewest = draw(st.integers(0, 1))
+    inner = SeriesMap((A,), (C,), {(a,): vector((C,), map_entry, fewest, 3)
                                    for a in A.basis})
-    outer = SeriesMap((C,), (B,), {(c,): vector((B,), ("x2",), factors, 3)
+    templates = [vector((B,), map_entry, fewest, 3)
+                 for _ in range(draw(st.integers(1, 4)))]
+    outer = SeriesMap((C,), (B,), {(c,): draw(st.sampled_from(templates))
                                    for c in C.basis})
-    return inner, outer, vector((A, C), ("x1",), odd_halves, 6)
+    spaces, legs = draw(st.sampled_from(placements))
+    fewest, most = draw(st.sampled_from(((2, 8), (0, 6))))
+    return inner, outer, vector(spaces, vector_entry, fewest, most), legs
 
 
 @settings(max_examples=200, deadline=None)
-@given(half_maps())
+@given(maps_and_vector())
+def test_apply_equals_the_sequential_products_and_sums(case):
+    _, outer, vec, legs = case
+    assert_apply_is_sequential(outer, vec, legs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_and_vector(placements=(((A, C), (1,)),)))
 def test_map_operations_keep_the_normal_form(case):
-    inner, outer, vec = case
+    inner, outer, vec, _ = case
     assert_apply_is_sequential(inner, vec, (0,))
     assert_apply_is_sequential(outer, vec, (1,))
     got, want = outer.compose(inner), columnwise_compose(outer, inner)
@@ -736,41 +781,3 @@ def test_map_operations_keep_the_normal_form(case):
                 c1 + c2: s1 * s2 for c2, s2 in v2.entries.items()
                 for c1, s1 in v1.entries.items()})
             assert_normal_entries(col)
-
-
-def normal(x):
-    """The rational x in the normal form of Series coefficients."""
-    return x.numerator if x.denominator == 1 else x
-
-
-@settings(max_examples=100, deadline=None)
-@given(sparse_matrices(square=True), st.booleans(), st.data())
-def test_elimination_keeps_the_normal_form(rows, shift, data):
-    """Given entries in normal form, _row_reduce, solve_linear and
-    matrix_inverse give every entry in it, with sympy's values."""
-    n = len(rows)
-    rows = [[normal(x + 4 * (shift and i == j)) for j, x in enumerate(r)]
-            for i, r in enumerate(rows)]
-    values = data.draw(st.lists(fractions, min_size=n, max_size=n))
-    rhs = [normal(sum(a * v for a, v in zip(r, values))) for r in rows]
-    if data.draw(st.booleans()):
-        rhs = [normal(x) for x in data.draw(
-            st.lists(fractions, min_size=n, max_size=n))]
-    pivots, rest = _row_reduce(_dict_rows([r + [c] for r, c in zip(rows, rhs)]),
-                               n)
-    assert all(in_normal_form(x) for row in pivots.values()
-               for x in row.values())
-    assert all(in_normal_form(x) for _, row in rest for x in row.values())
-
-    sol = check_solve_linear(rows, rhs)
-    for found in (vars(sol).get("assignment", {}),
-                  vars(sol).get("particular", {})):
-        assert all(in_normal_form(x) for x in found.values())
-
-    m = _sym(rows)
-    inv = matrix_inverse(_dict_rows(rows))
-    if m.rank() < n:
-        assert inv is None
-    else:
-        assert inv == [[_q(x) for x in m.inv().row(i)] for i in range(n)]
-        assert all(in_normal_form(x) for row in inv for x in row)

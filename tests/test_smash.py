@@ -1,6 +1,8 @@
 """Smash products: coalgebra/bialgebra axioms, module- and comodule-algebra
 structures, the induced twisting operator, and the product construction."""
 
+from collections import Counter
+
 import pytest
 
 from nvaw.linalg import SeriesMap, SeriesVector
@@ -28,6 +30,28 @@ def registry_data():
 def test_registry_data_pass_full_suite(name, d):
     rep = check_smash_datum(d)
     assert rep.ok, rep.summary()
+
+
+def test_the_suite_builds_the_product_and_its_twist_once(monkeypatch):
+    import nvaw.smash as smash_mod
+
+    built = Counter()
+    real_build, real_twist = smash_mod.build_smash, smash_mod.TwistOp
+
+    def build_smash(u, v):
+        built["build_smash"] += 1
+        return real_build(u, v)
+
+    def twist_op(*args, **kwargs):
+        built["R"] += 1
+        return real_twist(*args, **kwargs)
+
+    monkeypatch.setattr(smash_mod, "build_smash", build_smash)
+    monkeypatch.setattr(smash_mod, "TwistOp", twist_op)
+    for name, d in registry_data():
+        built.clear()
+        assert check_smash_datum(d).ok, name
+        assert built == {"build_smash": 1, "R": 1}, name
 
 
 def test_sign_smash_oracle():
