@@ -1,9 +1,9 @@
 """Finite-dimensional spaces, series-valued vectors and maps, exact solving.
 
 A SeriesMap sends each basis tuple of its domain spaces to a SeriesVector
-over its codomain spaces; entries are Series over Q.  Maps are applied to
-selected tensor legs of a vector, which is how all the multi-variable
-identities are composed.
+over its codomain spaces; entries are Series over Q.  Maps compose on
+selected tensor legs, which is how each side of a multi-variable identity
+is built as one map.
 """
 
 from fractions import Fraction as Q
@@ -117,12 +117,6 @@ class SeriesVector:
             for k1, s1 in self.entries.items():
                 out[k1 + k2] = s1 * s2
         return SeriesVector(self.spaces + other.spaces, out)
-
-    def permute(self, perm):
-        """Reorder tensor legs: new leg i is old leg perm[i]."""
-        spaces = tuple(self.spaces[p] for p in perm)
-        out = {tuple(k[p] for p in perm): s for k, s in self.entries.items()}
-        return SeriesVector(spaces, out)
 
     def __repr__(self):
         from .series import format_series
@@ -277,7 +271,13 @@ class SeriesMap:
         """self ∘ inner, inner acting on the given contiguous legs of self's
         domain (all by default) and the identity on the others.  That
         extension is never built: an inner column, its keys put among the
-        other legs' labels, is applied only if one is among self's columns."""
+        other legs' labels, is applied only if one is among self's columns.
+
+        A side nested from the right, a.compose(b, legs).compose(c, legs'),
+        repeats at each key the apply chain a(b(c(key))) on those legs,
+        column by column: the same products, each taken as c·(b·a) where
+        the chain takes (c·b)·a.  Exact arithmetic makes the two equal;
+        only a product clipped at a window could part them."""
         lo, hi = _span(legs, len(self.domain))
         assert inner.codomain == self.domain[lo:hi], (inner.codomain, self.domain)
         whole = hi - lo == len(self.domain)

@@ -115,20 +115,23 @@ class CheckReport:
         Returns the EqResult."""
         return self.verdict(name, window_equal_vec(lhs, rhs))
 
-    def compare_maps(self, names, lhs, rhs):
-        """Certified comparison of two SeriesMaps, one item per (name, key)
-        of names.  At a key where neither map has a column, 0 == 0, the
-        exact-pass item joins a run with nothing built or compared."""
-        lcols, rcols = lhs.columns, rhs.columns
-        dead = []
-        for name, key in names:
-            if key in lcols or key in rcols:
+    def compare_maps(self, items):
+        """Certified comparison of SeriesMaps, one item per (name, key,
+        lhs, rhs) of items: the column of lhs at key against that of rhs.
+        At a key where neither map has a column, 0 == 0, the exact-pass
+        item joins a run with nothing built or compared.  Returns whether
+        every item passed."""
+        dead, ok = [], True
+        for name, key, lhs, rhs in items:
+            if key in lhs.columns or key in rhs.columns:
                 self.run("", dead)
                 dead = []
-                self.compare(name, lhs.column(key), rhs.column(key))
+                ok = bool(self.compare(name, lhs.column(key),
+                                       rhs.column(key))) and ok
             else:
                 dead.append(name)
         self.run("", dead)
+        return ok
 
     def extend(self, other):
         self._entries += other._entries
@@ -284,6 +287,26 @@ def find_clearing_k(sides, kmax):
     return None, None
 
 
+def clearing_k_items(rep, items, kmax):
+    """Add to rep an item per (name, sides) of items, sides the (lhs, rhs)
+    pairs of one identity: "{name} k=K" with the verdict of
+    find_clearing_k, or "{name}" with no k found.  An identity without
+    sides, 0 == 0 at every key, is exact at k=0 and joins a run."""
+    dead = []
+    for name, sides in items:
+        if not sides:
+            dead.append(f"{name} k=0")
+            continue
+        rep.run("", dead)
+        dead = []
+        k, res = find_clearing_k(sides, kmax)
+        if k is None:
+            rep.add(name, Outcome.NO_K_FOUND, f"no k <= {kmax}")
+        else:
+            rep.verdict(f"{name} k={k}", res)
+    rep.run("", dead)
+
+
 def check_weak_associativity(nva, kmax=DEFAULT_KMAX):
     """(x0+x2)^k Y(u,x0+x2) Y(v,x2) w == (x0+x2)^k Y(Y(u,x0)v,x2) w."""
     rep = CheckReport(f"{nva.name}: weak associativity")
@@ -411,12 +434,9 @@ def check_D_bracket(nva):
     bracket = D.compose(nva.y) - nva.y.compose(D, (1,))
     ydv = nva.y.compose(D, (0,))
     deriv = nva.y.transform(lambda s: s.deriv("x"))
-    for key in basis_tuples(pair):
-        v, u = key
-        rep.compare_maps(((f"[D,Y({v},x)]{u} == Y(D{v},x){u}", key),),
-                         bracket, ydv)
-        rep.compare_maps(((f"Y(D{v},x){u} == d/dx Y({v},x){u}", key),),
-                         ydv, deriv)
+    rep.compare_maps(item for v, u in basis_tuples(pair) for item in (
+        (f"[D,Y({v},x)]{u} == Y(D{v},x){u}", (v, u), bracket, ydv),
+        (f"Y(D{v},x){u} == d/dx Y({v},x){u}", (v, u), ydv, deriv)))
     return rep
 
 

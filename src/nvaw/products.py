@@ -34,9 +34,9 @@ from .nva import (
     check_D_bracket,
     check_vacuum,
     check_weak_associativity,
+    clearing_k_items,
     compute_D,
     exp_xD,
-    find_clearing_k,
     scalar_of,
     window_equal_vec,
 )
@@ -118,21 +118,24 @@ def build_twisted_tensor(first, second, twist, check_axioms=True):
         if not rep.ok:
             raise PreconditionError(
                 "twisting-operator axioms", rep.failures()[0].name)
-    U, V = first.space, second.space
-    assert twist.first.space == U and twist.second.space == V
-    pspace = Space(
-        f"{first.name}*{second.name}",
-        tuple(pair_label(u, v) for (u, v) in basis_tuples((U, V))),
-    )
+    assert twist.first.space == first.space
+    assert twist.second.space == second.space
     # (Y_U(x) ⊗ Y_V(x)) R23(-x) on U⊗V⊗U⊗V
     table = first.y.tensor(second.y).compose(twist.table.at("-x"), (1, 2))
+    return ProductNva(pair_nva(f"{first.name}*{second.name}", first, second,
+                               table), first, second, twist)
+
+
+def pair_nva(name, first, second, table):
+    """The algebra named name on the pair labels of first ⊗ second, its
+    vertex operator the map table: U⊗V⊗U⊗V -> U⊗V, read on pairs."""
+    pspace = Space(name, tuple(pair_label(u, v) for (u, v)
+                               in basis_tuples((first.space, second.space))))
     cols = {(pair_label(u, v), pair_label(u2, v2)): SeriesVector((pspace,), {
                 (pair_label(a, b),): s for (a, b), s in col.entries.items()})
             for (u, v, u2, v2), col in table.columns.items()}
-    nva = Nva(pspace.name, pspace,
-              pair_label(first.vacuum, second.vacuum),
-              SeriesMap((pspace, pspace), (pspace,), cols))
-    return ProductNva(nva, first, second, twist)
+    return Nva(name, pspace, pair_label(first.vacuum, second.vacuum),
+               SeriesMap((pspace, pspace), (pspace,), cols))
 
 
 def build_ordinary_tensor(first, second):
@@ -157,12 +160,9 @@ def check_embeddings(p):
         (p.first, p.embed_first(), "U⊗1"),
         (p.second, p.embed_second(), "1⊗V"),
     ):
-        for (a, b) in basis_tuples((nva.space, nva.space)):
-            lhs = emb.apply(nva.vertex(a, b))
-            ea = emb.column((a,)).entries
-            eb = emb.column((b,)).entries
-            (pa,), (pb,) = next(iter(ea)), next(iter(eb))
-            rep.compare(f"{tag} hom at ({a},{b})", lhs, p.nva.vertex(pa, pb))
+        lhs, rhs = emb.compose(nva.y), p.nva.y.compose(emb.tensor(emb))
+        rep.compare_maps((f"{tag} hom at ({a},{b})", (a, b), lhs, rhs)
+                         for (a, b) in basis_tuples((nva.space, nva.space)))
     return rep
 
 
@@ -186,13 +186,16 @@ def check_product_properties(p):
 
     dsum = product_D_sum(p)
     dprod = compute_D(P)
-    rep.compare_maps(((f"D-additivity at {key[0]}", key)
-                      for key in basis_tuples((P.space,))), dprod, dsum)
+    rep.compare_maps((f"D-additivity at {key[0]}", key, dprod, dsum)
+                     for key in basis_tuples((P.space,)))
 
     vac_u, vac_v = p.first.vacuum, p.second.vacuum
-    expd = exp_xD(P)
-    r_neg, y_neg = p.twist.table.at("-x"), P.y.at("-x")
-    embed = p.embed_first().tensor(p.embed_second())
+    # skew symmetry: Y_R(1⊗v,x)(u⊗1)
+    #   == e^{xD} Σ f_i(-x) Y_R(a_i⊗1,-x)(1⊗b_i)
+    lhs = P.y.compose(p.embed_second().tensor(p.embed_first()))
+    rhs = (exp_xD(P).compose(P.y.at("-x"))
+           .compose(p.embed_first().tensor(p.embed_second()))
+           .compose(p.twist.table.at("-x")))
     for u in p.first.space.basis:
         for v in p.second.space.basis:
             # regularity and the (-1)-product identity
@@ -208,11 +211,7 @@ def check_product_properties(p):
                 rep.add(name, Outcome.FAIL,
                         "pole" if not poly else "wrong constant term")
 
-            # skew symmetry: Y_R(1⊗v,x)(u⊗1)
-            #   == e^{xD} Σ f_i(-x) Y_R(a_i⊗1,-x)(1⊗b_i)
-            lhs = P.vertex(p.pair(vac_u, v), p.pair(u, vac_v))
-            rhs = expd.apply(y_neg.apply(embed.apply(r_neg.column((v, u)))))
-            rep.compare(f"skew-symmetry ({v},{u})", lhs, rhs)
+            rep.compare_maps(((f"skew-symmetry ({v},{u})", (v, u), lhs, rhs),))
     return rep
 
 
@@ -221,19 +220,15 @@ def check_invertible_relations(p, kmax=DEFAULT_KMAX):
     twist = with_inverse(p.twist)
     rep = CheckReport(f"{p.nva.name}: invertible-twist identities")
     P = p.nva
-    vac_u, vac_v = p.first.vacuum, p.second.vacuum
-    expd = exp_xD(P)
-    y_neg = P.y.at("-x")
-    embed = p.embed_second().tensor(p.embed_first())
 
     # Y_R(u⊗1,x)(1⊗v) == e^{xD} Σ g_i(x) Y_R(1⊗b_i,-x)(a_i⊗1),
     # where R^{-1}(x)(u⊗v) = Σ b_i ⊗ a_i ⊗ g_i(x)
-    for u in p.first.space.basis:
-        for v in p.second.space.basis:
-            lhs = P.vertex(p.pair(u, vac_v), p.pair(vac_u, v))
-            rhs = expd.apply(y_neg.apply(embed.apply(
-                twist.inverse.column((u, v)))))
-            rep.compare(f"inverse-skew ({u},{v})", lhs, rhs)
+    lhs = P.y.compose(p.embed_first().tensor(p.embed_second()))
+    rhs = (exp_xD(P).compose(P.y.at("-x"))
+           .compose(p.embed_second().tensor(p.embed_first()))
+           .compose(twist.inverse))
+    rep.compare_maps((f"inverse-skew ({u},{v})", (u, v), lhs, rhs) for (u, v)
+                     in basis_tuples((p.first.space, p.second.space)))
 
     # the actions of U and V on P through u ↦ u⊗1 and v ↦ 1⊗v
     adj = adjoint_module(P)
@@ -258,13 +253,11 @@ def inverse_commutation(m_first, m_second, twist, title):
     second, on one space; twist carries its inverse."""
     rep = CheckReport(title)
     yu1, yv2 = m_first.yw.at("x1"), m_second.yw.at("x2")
-    rinv_sub = twist.inverse.at("-x2", "x1")
+    lhs = yu1.compose(yv2, (1,))
+    rhs = yv2.compose(yu1, (1,)).compose(twist.inverse.at("-x2", "x1"), (0, 1))
     spaces = (twist.first.space, twist.second.space, m_first.space)
-    for (u, v, w) in basis_tuples(spaces):
-        vec = SeriesVector.basis(spaces, (u, v, w))
-        lhs = yu1.apply(yv2.apply(vec, (1, 2)), (0, 1))
-        rhs = yv2.apply(yu1.apply(rinv_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
-        rep.compare(f"{title}({u},{v};{w})", lhs, rhs)
+    rep.compare_maps((f"{title}({u},{v};{w})", (u, v, w), lhs, rhs)
+                     for (u, v, w) in basis_tuples(spaces))
     return rep
 
 
@@ -274,18 +267,14 @@ def commutation_with_twist(m_first, m_second, twist, kmax, title):
     the twist's first factor and m_second over its second, on one space."""
     rep = CheckReport(title)
     yu2, yv1 = m_first.yw.at("x2"), m_second.yw.at("x1")
-    r_sub = twist.table.at("x2", "-x1")
+    lhs = yv1.compose(yu2, (1,))
+    rhs = yu2.compose(yv1, (1,)).compose(twist.table.at("x2", "-x1"), (0, 1))
     spaces = (twist.second.space, twist.first.space, m_first.space)
-    for (v, u, w) in basis_tuples(spaces):
-        vec = SeriesVector.basis(spaces, (v, u, w))
-        lhs = yv1.apply(yu2.apply(vec, (1, 2)), (0, 1))
-        rhs = yu2.apply(yv1.apply(r_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
-        k, res = find_clearing_k([(lhs, rhs)], kmax)
-        if k is None:
-            rep.add(f"{title}({v},{u};{w})", Outcome.NO_K_FOUND,
-                    f"no k <= {kmax}")
-        else:
-            rep.verdict(f"{title}({v},{u};{w}) k={k}", res)
+    live = lhs.columns.keys() | rhs.columns.keys()
+    clearing_k_items(rep, (
+        (f"{title}({v},{u};{w})", [(lhs.column((v, u, w)), rhs.column((v, u, w)))]
+         if (v, u, w) in live else [])
+        for (v, u, w) in basis_tuples(spaces)), kmax)
     return rep
 
 
@@ -297,10 +286,9 @@ def check_homomorphism(src, dst, phi):
     """phi: (src,) -> (dst,) x-free; verify vacuum and Y-intertwining."""
     rep = CheckReport(f"hom {src.name} -> {dst.name}")
     rep.compare("vacuum", phi.column((src.vacuum,)), dst.vacuum_vec())
-    for (a, b) in basis_tuples((src.space, src.space)):
-        lhs = phi.apply(src.vertex(a, b))
-        rhs = dst.y.apply(phi.column((a,)).tensor(phi.column((b,))))
-        rep.compare(f"Y-hom at ({a},{b})", lhs, rhs)
+    lhs, rhs = phi.compose(src.y), dst.y.compose(phi.tensor(phi))
+    rep.compare_maps((f"Y-hom at ({a},{b})", (a, b), lhs, rhs)
+                     for (a, b) in basis_tuples((src.space, src.space)))
     return rep
 
 
@@ -317,29 +305,24 @@ def universal_map(p, target, psi1, psi2):
             raise PreconditionError(f"{tag} is a homomorphism",
                                     hrep.failures()[0].name)
 
-    expd = exp_xD(target)
-    r_neg, y_neg = p.twist.table.at("-x"), target.y.at("-x")
-    psi12, psi21 = psi1.tensor(psi2), psi2.tensor(psi1)
-
     # hypothesis: Y(psi1 u, x) psi2 v regular
-    images = {}
-    for u in p.first.space.basis:
-        for v in p.second.space.basis:
-            img = images[u, v] = target.y.apply(psi12.column((u, v)))
-            if not all(s.is_polynomial() for s in img.entries.values()):
-                raise PreconditionError("regularity of Y(psi1 u,x) psi2 v",
-                                        (u, v))
+    pairs = basis_tuples((p.first.space, p.second.space))
+    images = target.y.compose(psi1.tensor(psi2))
+    for key in pairs:
+        if not all(s.is_polynomial() for s in images.column(key).entries.values()):
+            raise PreconditionError("regularity of Y(psi1 u,x) psi2 v", key)
 
     # hypothesis: Y(psi2 v, x) psi1 u == e^{xD} Σ f_i(-x) Y(psi1 a_i,-x) psi2 b_i
-    for v in p.second.space.basis:
-        for u in p.first.space.basis:
-            lhs = target.y.apply(psi21.column((v, u)))
-            rhs = expd.apply(y_neg.apply(psi12.apply(r_neg.column((v, u)))))
-            if not window_equal_vec(lhs, rhs):
-                raise PreconditionError("skew hypothesis", (v, u))
+    lhs = target.y.compose(psi2.tensor(psi1))
+    rhs = (exp_xD(target).compose(target.y.at("-x"))
+           .compose(psi1.tensor(psi2)).compose(p.twist.table.at("-x")))
+    skew = CheckReport("skew hypothesis")
+    keys = {f"{key}": key for key in basis_tuples((p.second.space, p.first.space))}
+    if not skew.compare_maps((name, key, lhs, rhs) for name, key in keys.items()):
+        raise PreconditionError("skew hypothesis", keys[skew.failures()[0].name])
 
-    cols = {(p.pair(u, v),): img.transform(lambda s: s.extract("x", 0))
-            for (u, v), img in images.items()}
+    cols = {(p.pair(u, v),): images.column((u, v)).transform(
+        lambda s: s.extract("x", 0)) for (u, v) in pairs}
     psi = SeriesMap((p.space,), (target.space,), cols)
     rep = check_homomorphism(p.nva, target, psi)
     rep.title = f"universal map {p.nva.name} -> {target.name}"
@@ -650,9 +633,8 @@ def check_module_extension(p, mod, m_first, m_second):
     rep = CheckReport(f"{mod.name}: extension property")
     for (m, which) in ((m_first, "first"), (m_second, "second")):
         r = restricted_module(p, mod, which)
-        rep.compare_maps(((f"{which} restriction at {key}", key) for key
-                          in sorted(m.yw.columns.keys() | r.yw.columns.keys())),
-                         m.yw, r.yw)
+        rep.compare_maps((f"{which} restriction at {key}", key, m.yw, r.yw)
+                         for key in sorted(m.yw.columns.keys() | r.yw.columns.keys()))
     return rep
 
 

@@ -15,8 +15,7 @@ from .linalg import (
     solve_linear,
 )
 from .nva import (
-    CheckReport, DEFAULT_KMAX, Outcome, compute_D, exp_xD,
-    find_clearing_k,
+    CheckReport, DEFAULT_KMAX, Outcome, clearing_k_items, compute_D, exp_xD,
 )
 from .series import Series
 from .twist import TwistOp, with_inverse
@@ -48,26 +47,16 @@ def check_S_locality(a, s, kmax=DEFAULT_KMAX):
     """(x1-x2)^k Y(u,x1)Y(v,x2)w ==
        (x1-x2)^k sum_i f_i(x2-x1) Y(v_i,x2)Y(u_i,x1)w,
     with S(x2-x1)(v⊗u) = sum_i v_i⊗u_i⊗f_i, one k per pair (u,v) working
-    for every basis w."""
+    for every basis w.  The sides are maps on u⊗v⊗w and on v⊗u⊗w."""
     rep = CheckReport(f"{a.name}/{s.name}: S-locality")
     sp = a.space
     y1, y2 = a.y.at("x1"), a.y.at("x2")
-    s_sub = s.table.at("x2", "-x1")
-    spaces = (sp, sp, sp)
-    double = y1.compose(y2, (1,))
-    for (u, v) in basis_tuples((sp, sp)):
-        sides = []
-        for w in sp.basis:
-            lhs = double.column((u, v, w))
-            vec = SeriesVector.basis(spaces, (v, u, w))
-            rhs = y2.apply(y1.apply(s_sub.apply(vec, (0, 1)), (1, 2)), (0, 1))
-            sides.append((lhs, rhs))
-        k, res = find_clearing_k(sides, kmax)
-        if k is None:
-            rep.add(f"S-locality({u},{v})", Outcome.NO_K_FOUND,
-                    f"no k <= {kmax}")
-        else:
-            rep.verdict(f"S-locality({u},{v}) k={k}", res)
+    lhs = y1.compose(y2, (1,))
+    rhs = y2.compose(y1, (1,)).compose(s.table.at("x2", "-x1"), (0, 1))
+    clearing_k_items(rep, ((f"S-locality({u},{v})", [
+        (lhs.column((u, v, w)), rhs.column((v, u, w))) for w in sp.basis
+        if (u, v, w) in lhs.columns or (v, u, w) in rhs.columns])
+        for (u, v) in basis_tuples((sp, sp))), kmax)
     return rep
 
 
@@ -76,12 +65,10 @@ def check_S_skew(a, s):
     with S(-x)(v⊗u) = sum_i v_i⊗u_i⊗f_i(-x)."""
     rep = CheckReport(f"{a.name}/{s.name}: S-skew-symmetry")
     sp = a.space
-    expd = exp_xD(a)
-    s_neg, y_neg = s.table.at("-x"), a.y.at("-x")
-    for (u, v) in basis_tuples((sp, sp)):
-        lhs = a.vertex(u, v)
-        rhs = expd.apply(y_neg.apply(s_neg.column((v, u))))
-        rep.compare(f"S-skew({u},{v})", lhs, rhs)
+    rhs = (exp_xD(a).compose(a.y.at("-x")).compose(s.table.at("-x"))
+           .compose(SeriesMap.flip(sp, sp)))
+    rep.compare_maps((f"S-skew({u},{v})", (u, v), a.y, rhs)
+                     for (u, v) in basis_tuples((sp, sp)))
     return rep
 
 
@@ -94,28 +81,22 @@ def check_qyb_unitarity(s):
     S(x) S21(-x) == 1 == S21(-x) S(x)."""
     rep = CheckReport(f"{s.name}: quantum Yang-Baxter + unitarity")
     sp = s.algebra.space
-    s_x = s.table
-    s_z = s.table.at("z")
-    s_sum = s.table.at("x", "z")
-    spaces = (sp, sp, sp)
+    one, flip = SeriesMap.identity((sp,)), SeriesMap.flip(sp, sp)
+    s_x, s_z, s_sum = s.table, s.table.at("z"), s.table.at("x", "z")
     # S13 = σ23 S12 σ23
-    for key in basis_tuples(spaces):
-        vec = SeriesVector.basis(spaces, key)
-        lhs = s_z.apply(vec, (1, 2)).permute((0, 2, 1))
-        lhs = s_sum.apply(lhs, (0, 1)).permute((0, 2, 1))
-        lhs = s_x.apply(lhs, (0, 1))
-        rhs = s_x.apply(vec, (0, 1)).permute((0, 2, 1))
-        rhs = s_sum.apply(rhs, (0, 1)).permute((0, 2, 1))
-        rhs = s_z.apply(rhs, (1, 2))
-        rep.compare(f"QYB{key}", lhs, rhs)
+    lhs = (s_x.tensor(one).compose(flip, (1, 2)).compose(s_sum, (0, 1))
+           .compose(flip, (1, 2)).compose(s_z, (1, 2)))
+    rhs = (one.tensor(s_z).compose(flip, (1, 2)).compose(s_sum, (0, 1))
+           .compose(flip, (1, 2)).compose(s_x, (0, 1)))
+    rep.compare_maps((f"QYB{key}", key, lhs, rhs)
+                     for key in basis_tuples((sp,) * 3))
 
     inv = s.inverse_table()
+    left, right = s.table.compose(inv), inv.compose(s.table)
     ident = SeriesMap.identity((sp, sp))
-    for key in basis_tuples((sp, sp)):
-        rep.compare(f"unitarity S(x)S21(-x){key}",
-                    s.table.apply(inv.column(key)), ident.column(key))
-        rep.compare(f"unitarity S21(-x)S(x){key}",
-                    inv.apply(s.table.column(key)), ident.column(key))
+    rep.compare_maps(item for key in basis_tuples((sp, sp)) for item in (
+        (f"unitarity S(x)S21(-x){key}", key, left, ident),
+        (f"unitarity S21(-x)S(x){key}", key, right, ident)))
     return rep
 
 
@@ -140,16 +121,11 @@ def check_qva_axioms(a, s):
     rep = CheckReport(f"{a.name}/{s.name}: quantum-vertex-algebra axioms")
     sp = a.space
     vac = a.vacuum
-
-    ok1 = ok2 = True
-    for v in sp.basis:
-        res = rep.compare(f"S(x)(1⊗{v}) == 1⊗{v}", s.table.column((vac, v)),
-                          SeriesVector.basis((sp, sp), (vac, v)))
-        ok1 = ok1 and bool(res)
-    for v in sp.basis:
-        res = rep.compare(f"S(x)({v}⊗1) == {v}⊗1", s.table.column((v, vac)),
-                          SeriesVector.basis((sp, sp), (v, vac)))
-        ok2 = ok2 and bool(res)
+    ident = SeriesMap.identity((sp, sp))
+    ok1 = rep.compare_maps((f"S(x)(1⊗{v}) == 1⊗{v}", (vac, v), s.table, ident)
+                           for v in sp.basis)
+    ok2 = rep.compare_maps((f"S(x)({v}⊗1) == {v}⊗1", (v, vac), s.table, ident)
+                           for v in sp.basis)
 
     D = compute_D(a)
     ok3 = _d_bracket_items(rep, s.table, D, leg=0, sign=-1,
@@ -160,29 +136,20 @@ def check_qva_axioms(a, s):
     skew = check_S_skew(a, s)
     rep.extend(skew)
 
-    y2 = a.y.at("x2")
-    s_x1 = s.table.at("x1")
-    s_sum = s.table.at("x1", "x2")
-    s_diff = s.table.at("x1", "-x2")
-    spaces = (sp, sp, sp)
-    ok6 = ok7 = True
+    y2, s_x1 = a.y.at("x2"), s.table.at("x1")
+    one, flip = SeriesMap.identity((sp,)), SeriesMap.flip(sp, sp)
+    keys = basis_tuples((sp,) * 3)
     # S13 = σ23 S12 σ23
-    for key in basis_tuples(spaces):
-        vec = SeriesVector.basis(spaces, key)
-        lhs = s_x1.apply(y2.apply(vec, (0, 1)), (0, 1))
-        rhs = s_sum.apply(vec.permute((0, 2, 1)), (0, 1)).permute((0, 2, 1))
-        rhs = s_x1.apply(rhs, (1, 2))
-        rhs = y2.apply(rhs, (0, 1))
-        res = rep.compare(f"S(x1)(Y(x2)⊗1){key}", lhs, rhs)
-        ok6 = ok6 and bool(res)
-    for key in basis_tuples(spaces):
-        vec = SeriesVector.basis(spaces, key)
-        lhs = s_x1.apply(y2.apply(vec, (1, 2)), (0, 1))
-        rhs = s_x1.apply(vec.permute((0, 2, 1)), (0, 1)).permute((0, 2, 1))
-        rhs = s_diff.apply(rhs, (0, 1))
-        rhs = y2.apply(rhs, (1, 2))
-        res = rep.compare(f"S(x1)(1⊗Y(x2)){key}", lhs, rhs)
-        ok7 = ok7 and bool(res)
+    lhs = s_x1.compose(y2, (0,))
+    rhs = (y2.tensor(one).compose(s_x1, (1, 2)).compose(flip, (1, 2))
+           .compose(s.table.at("x1", "x2"), (0, 1)).compose(flip, (1, 2)))
+    ok6 = rep.compare_maps((f"S(x1)(Y(x2)⊗1){key}", key, lhs, rhs)
+                           for key in keys)
+    lhs = s_x1.compose(y2, (1,))
+    rhs = (one.tensor(y2).compose(s.table.at("x1", "-x2"), (0, 1))
+           .compose(flip, (1, 2)).compose(s_x1, (0, 1)).compose(flip, (1, 2)))
+    ok7 = rep.compare_maps((f"S(x1)(1⊗Y(x2)){key}", key, lhs, rhs)
+                           for key in keys)
 
     for name, lvl, rvl in (("vacuum legs", ok1, ok2),
                            ("D-brackets", ok3, ok4),
@@ -195,18 +162,14 @@ def check_qva_axioms(a, s):
 
 
 def _d_bracket_items(rep, table, D, leg, sign, label):
-    """[D on one leg, table] == sign * d/dx table, itemized per column."""
-    ok = True
-    sp2 = table.domain
-    for key in basis_tuples(sp2):
-        col = table.column(key)
-        term1 = D.apply(col, (leg,))
-        term2 = table.apply(D.apply(SeriesVector.basis(sp2, key), (leg,)))
-        bracket = term1 - term2
-        want = col.transform(lambda t: t.deriv("x").scale(sign))
-        res = rep.compare(f"{label} at {key}", bracket, want)
-        ok = ok and bool(res)
-    return ok
+    """[D on one leg, table] == sign * d/dx table, itemized per column.
+    Returns whether every item passed."""
+    one = SeriesMap.identity(D.domain)
+    d_leg = D.tensor(one) if leg == 0 else one.tensor(D)
+    bracket = d_leg.compose(table) - table.compose(D, (leg,))
+    want = table.transform(lambda t: t.deriv("x").scale(sign))
+    return rep.compare_maps((f"{label} at {key}", key, bracket, want)
+                            for key in basis_tuples(table.domain))
 
 
 # ---------------------------------------------------------------------------
@@ -299,33 +262,21 @@ def extract_S(a):
 
 def build_S_R(p, sU, sV):
     """S_R(x) = (R^{-1})^{23}(x) S_U^{12}(x) σ12 S_V^{34}(x) σ34 R^{23}(x)
-    σ13 σ24, wrapped into the pair basis of the product algebra."""
-    from .products import pair_label
-
+    σ13 σ24, wrapped into the pair basis of the product algebra, where
+    σ13 σ24 is the flip of the two pair legs."""
     assert sU.algebra.space == p.first.space
     assert sV.algebra.space == p.second.space
     twist = with_inverse(p.twist)
-    U, V = p.first.space, p.second.space
-    r_x, rinv_x = twist.table, twist.inverse
-    su_x, sv_x = sU.table, sV.table
-    P = p.nva.space
-    cols = {}
-    for (u, v, u2, v2) in basis_tuples((U, V, U, V)):
-        vec = SeriesVector.basis((U, V, U, V), (u, v, u2, v2))
-        vec = vec.permute((2, 3, 0, 1))           # σ13 σ24
-        vec = r_x.apply(vec, (1, 2))              # (U,U,V,V)
-        vec = vec.permute((0, 1, 3, 2))           # σ34
-        vec = sv_x.apply(vec, (2, 3))
-        vec = vec.permute((1, 0, 2, 3))           # σ12
-        vec = su_x.apply(vec, (0, 1))
-        vec = rinv_x.apply(vec, (1, 2))           # back to (U,V,U,V)
-        entries = {}
-        for (a, b, c, d), t in vec.entries.items():
-            key = (pair_label(a, b), pair_label(c, d))
-            entries[key] = entries[key] + t if key in entries else t
-        cols[(pair_label(u, v), pair_label(u2, v2))] = SeriesVector(
-            (P, P), entries)
-    return SMap(f"S_R({p.nva.name})", p.nva, SeriesMap((P, P), (P, P), cols))
+    U, V, P = p.first.space, p.second.space, p.nva.space
+    pairs, unpairs = (p.pairing().tensor(p.pairing()),
+                      p.unpairing().tensor(p.unpairing()))
+    table = (pairs.compose(SeriesMap.identity((U,)).tensor(twist.inverse)
+                           .tensor(SeriesMap.identity((V,))))
+             .compose(sU.table, (0, 1)).compose(SeriesMap.flip(U, U), (0, 1))
+             .compose(sV.table, (2, 3)).compose(SeriesMap.flip(V, V), (2, 3))
+             .compose(twist.table, (1, 2)).compose(unpairs)
+             .compose(SeriesMap.flip(P, P)))
+    return SMap(f"S_R({p.nva.name})", p.nva, table)
 
 
 def smap_twist(s):

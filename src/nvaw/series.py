@@ -421,14 +421,20 @@ class Series:
         plan = _PLANS.get(at)
         if plan is None:
             plan = _PLANS[at] = _substitution_plan(*at)
-        variables, i, moves, pf, pg, signs = plan
+        variables, i, moves, pf, pg, signs, shared = plan
         window = self.window
         exact = self.exact
         rows = {}
         out = {}
         for ex, c in self.coeffs.items():
             n = ex[i]
-            row = rows.get(n)
+            base = [0] * len(variables)
+            for p, j in moves:
+                base[p] = ex[j]
+            # a summand that is a variable of the series adds its exponent
+            # in the term to those of the expansion, which moves the cap
+            at = (n, base[pf], base[pg]) if shared else n
+            row = rows.get(at)
             if row is None:
                 if n >= 0:
                     cap = n
@@ -437,11 +443,9 @@ class Series:
                                       "and no window to clip it at")
                 else:
                     exact = False
-                    cap = max(-1, min(window[1], n - window[0]))
-                row = rows[n] = _binomial_row(n, cap, signs)
-            base = [0] * len(variables)
-            for p, j in moves:
-                base[p] = ex[j]
+                    cap = max(-1, min(window[1] - base[pg],
+                                      n + base[pf] - window[0]))
+                row = rows[at] = _binomial_row(n, cap, signs)
             for k, m in enumerate(row):
                 ne = base.copy()
                 ne[pf] += n - k
@@ -461,9 +465,10 @@ _BINOMIAL_ROWS = {}
 
 
 def _substitution_plan(variables, var, first, second):
-    """(result variables, index of var, moves, pf, pg, signs): each other
-    variable's exponent moves from index j to index p, (p, j) in moves; the
-    powers of first and second go to pf and pg."""
+    """(result variables, index of var, moves, pf, pg, signs, shared): each
+    other variable's exponent moves from index j to index p, (p, j) in
+    moves; the powers of first and second go to pf and pg, and shared says
+    whether a moved exponent goes there too."""
     (f, sf), (g, sg) = _signed(first), _signed(second)
     if f == g:
         raise VariableMismatch("summands must be distinct variables")
@@ -471,7 +476,9 @@ def _substitution_plan(variables, var, first, second):
     rest = [j for j in range(len(variables)) if j != i]
     out = tuple(sorted({variables[j] for j in rest} | {f, g}))
     moves = tuple((out.index(variables[j]), j) for j in rest)
-    return out, i, moves, out.index(f), out.index(g), (sf, sg)
+    pf, pg = out.index(f), out.index(g)
+    shared = any(p in (pf, pg) for p, _ in moves)
+    return out, i, moves, pf, pg, (sf, sg), shared
 
 
 def _binomial_row(n, cap, signs):

@@ -76,12 +76,11 @@ def same_bialgebra(a, b):
         return True
     if (a.algebra.space, a.algebra.vacuum) != (b.algebra.space, b.algebra.vacuum):
         return False
-    rep = CheckReport("same bialgebra")
-    for lhs, rhs in ((a.algebra.y, b.algebra.y), (a.coproduct, b.coproduct),
-                     (a.counit, b.counit)):
-        rep.compare_maps(((f"{key}", key) for key in basis_tuples(lhs.domain)),
-                         lhs, rhs)
-    return rep.ok
+    return CheckReport("same bialgebra").compare_maps(
+        (f"{key}", key, lhs, rhs)
+        for lhs, rhs in ((a.algebra.y, b.algebra.y), (a.coproduct, b.coproduct),
+                         (a.counit, b.counit))
+        for key in basis_tuples(lhs.domain))
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +91,13 @@ def check_coalgebra(c):
     """Coassociativity and the two counit laws, per basis vector."""
     rep = CheckReport(f"{c.algebra.name}: coalgebra axioms")
     sp = c.algebra.space
-    for b in sp.basis:
-        d = c.coproduct.column((b,))
-        lhs = c.coproduct.apply(d, (0,))
-        rhs = c.coproduct.apply(d, (1,))
-        rep.compare(f"(Δ⊗1)Δ({b}) == (1⊗Δ)Δ({b})", lhs, rhs)
-        want = SeriesVector.basis((sp,), (b,))
-        rep.compare(f"(ε⊗1)Δ({b}) == {b}", c.counit.apply(d, (0,)), want)
-        rep.compare(f"(1⊗ε)Δ({b}) == {b}", c.counit.apply(d, (1,)), want)
+    one, delta, eps = SeriesMap.identity((sp,)), c.coproduct, c.counit
+    lhs, rhs = delta.tensor(one).compose(delta), one.tensor(delta).compose(delta)
+    left, right = eps.tensor(one).compose(delta), one.tensor(eps).compose(delta)
+    rep.compare_maps(item for b in sp.basis for item in (
+        (f"(Δ⊗1)Δ({b}) == (1⊗Δ)Δ({b})", (b,), lhs, rhs),
+        (f"(ε⊗1)Δ({b}) == {b}", (b,), left, one),
+        (f"(1⊗ε)Δ({b}) == {b}", (b,), right, one)))
     return rep
 
 
@@ -111,30 +109,21 @@ def check_vertex_bialgebra(h):
     alg = h.algebra
     sp = alg.space
     vac = alg.vacuum
+    delta, eps = h.coproduct, h.counit
 
-    rep.compare("ε(1) == 1", h.counit.column((vac,)),
-                SeriesVector.basis((), ()))
-    rep.compare("Δ(1) == 1⊗1", h.coproduct.column((vac,)),
+    rep.compare("ε(1) == 1", eps.column((vac,)), SeriesVector.basis((), ()))
+    rep.compare("Δ(1) == 1⊗1", delta.column((vac,)),
                 SeriesVector.basis((sp, sp), (vac, vac)))
 
     p = build_ordinary_tensor(alg, alg)
     pairing = p.pairing()
-    yp = p.nva.y
-    for (a, b) in basis_tuples((sp, sp)):
-        yab = alg.vertex(a, b)
-        lhs_eps = h.counit.apply(yab, (0,))
-        ea = h.counit.column((a,)).get(()).coeff(())
-        eb = h.counit.column((b,)).get(()).coeff(())
-        want = SeriesVector.basis((), ()).scale(ea * eb)
-        rep.compare(f"ε(Y({a},x){b}) == ε({a})ε({b})", lhs_eps, want)
-
-        lhs = pairing.apply(h.coproduct.apply(yab, (0,)))
-        da = h.coproduct.column((a,))
-        db = h.coproduct.column((b,))
-        four = da.tensor(db)
-        paired = pairing.apply(pairing.apply(four, (0, 1)), (1, 2))
-        rep.compare(f"Δ(Y({a},x){b}) == Y(Δ{a},x)Δ{b}", lhs,
-                    yp.apply(paired))
+    eps_y, eps2 = eps.compose(alg.y), eps.tensor(eps)
+    lhs = pairing.compose(delta).compose(alg.y)
+    rhs = (p.nva.y.compose(pairing, (1,)).compose(pairing, (0,))
+           .compose(delta.tensor(delta)))
+    rep.compare_maps(item for (a, b) in basis_tuples((sp, sp)) for item in (
+        (f"ε(Y({a},x){b}) == ε({a})ε({b})", (a, b), eps_y, eps2),
+        (f"Δ(Y({a},x){b}) == Y(Δ{a},x)Δ{b}", (a, b), lhs, rhs)))
     return rep
 
 
@@ -173,28 +162,21 @@ def check_module_algebra(m, kmax=DEFAULT_KMAX):
                 "columns are finite sums of basis vectors times one series"
                 + ("" if poly else " (with finite pole order)"))
 
-    act_x = m.action
-    act_xz = m.action.at("x", "-z")
-    yu_z = m.module.y.at("z")
-    for (hl, u, v) in basis_tuples((hs, us, us)):
-        vec = SeriesVector.basis((hs, us, us), (hl, u, v))
-        lhs = act_x.apply(yu_z.apply(vec, (1, 2)), (0, 1))
-        rhs = m.bialgebra.coproduct.apply(vec, (0,))   # (H,H,U,U)
-        rhs = rhs.permute((0, 2, 1, 3))                # h1,u,h2,v
-        rhs = act_xz.apply(rhs, (0, 1))                # (U,H,U)
-        rhs = act_x.apply(rhs, (1, 2))                 # (U,U)
-        rhs = yu_z.apply(rhs, (0, 1))
-        rep.compare(f"Y({hl},x)Y({u},z){v} == Y(Y(h1,x-z){u},z)Y(h2,x){v}",
-                    lhs, rhs)
+    act_x, yu_z = m.action, m.module.y.at("z")
+    lhs = act_x.compose(yu_z, (1,))
+    rhs = (yu_z.compose(act_x, (1,)).compose(m.action.at("x", "-z"), (0,))
+           .compose(SeriesMap.flip(hs, us), (1, 2))
+           .compose(h.coproduct, (0, 1)))
+    rep.compare_maps(
+        (f"Y({hl},x)Y({u},z){v} == Y(Y(h1,x-z){u},z)Y(h2,x){v}", (hl, u, v),
+         lhs, rhs) for (hl, u, v) in basis_tuples((hs, us, us)))
 
-    act_z, act_zx = m.action.at("z"), m.action.at("z", "x")
-    yh_x = h.algebra.y
-    for (h1, h2, v) in basis_tuples((hs, hs, us)):
-        vec = SeriesVector.basis((hs, hs, us), (h1, h2, v))
-        lhs = act_zx.apply(act_z.apply(vec, (1, 2)), (0, 1))
-        rhs = act_z.apply(yh_x.apply(vec, (0, 1)), (0, 1))
-        rep.compare(f"Y({h1},z+x)Y({h2},z){v} == Y(Y({h1},x){h2},z){v}",
-                    lhs, rhs)
+    act_z = m.action.at("z")
+    lhs = m.action.at("z", "x").compose(act_z, (1,))
+    rhs = act_z.compose(h.algebra.y, (0,))
+    rep.compare_maps(
+        (f"Y({h1},z+x)Y({h2},z){v} == Y(Y({h1},x){h2},z){v}", (h1, h2, v),
+         lhs, rhs) for (h1, h2, v) in basis_tuples((hs, hs, us)))
     return rep
 
 
@@ -213,22 +195,20 @@ def check_comodule_algebra(c):
                 SeriesVector.basis((hs, vs),
                                    (h.algebra.vacuum, c.comodule.vacuum)))
 
-    for v in vs.basis:
-        rho = c.coaction.column((v,))
-        lhs = h.coproduct.apply(rho, (0,))
-        rhs = c.coaction.apply(rho, (1,))
-        rep.compare(f"(Δ⊗1)ρ({v}) == (1⊗ρ)ρ({v})", lhs, rhs)
-        rep.compare(f"(ε⊗1)ρ({v}) == {v}", h.counit.apply(rho, (0,)),
-                    SeriesVector.basis((vs,), (v,)))
+    rho, one_v = c.coaction, SeriesMap.identity((vs,))
+    lhs = h.coproduct.tensor(one_v).compose(rho)
+    rhs = SeriesMap.identity((hs,)).tensor(rho).compose(rho)
+    counit = h.counit.tensor(one_v).compose(rho)
+    rep.compare_maps(item for v in vs.basis for item in (
+        (f"(Δ⊗1)ρ({v}) == (1⊗ρ)ρ({v})", (v,), lhs, rhs),
+        (f"(ε⊗1)ρ({v}) == {v}", (v,), counit, one_v)))
 
-    yh, yv = h.algebra.y, c.comodule.y
-    for (v, v2) in basis_tuples((vs, vs)):
-        lhs = c.coaction.apply(c.comodule.vertex(v, v2), (0,))
-        four = c.coaction.column((v,)).tensor(c.coaction.column((v2,)))
-        four = four.permute((0, 2, 1, 3))        # σ23: (H,H,V,V)
-        rhs = yv.apply(four, (2, 3))
-        rhs = yh.apply(rhs, (0, 1))
-        rep.compare(f"ρ(Y({v},x){v2}) multiplicative", lhs, rhs)
+    # σ23 takes ρ(v)⊗ρ(v') to H⊗H⊗V⊗V
+    lhs = rho.compose(c.comodule.y)
+    rhs = (h.algebra.y.tensor(one_v).compose(c.comodule.y, (2,))
+           .compose(SeriesMap.flip(vs, hs), (1, 2)).compose(rho.tensor(rho)))
+    rep.compare_maps((f"ρ(Y({v},x){v2}) multiplicative", (v, v2), lhs, rhs)
+                     for (v, v2) in basis_tuples((vs, vs)))
     return rep
 
 
@@ -250,14 +230,10 @@ def _smash_twist(u, v):
     read off the coaction ρ(v) = Σ b1(v)⊗v2 and the action of H on U."""
     U, V = u.module, v.comodule
     us, vs = U.space, V.space
-    act_neg = u.action.at("-x")
-    cols = {}
-    for (vl, ul) in basis_tuples((vs, us)):
-        vec = SeriesVector.basis((vs, us), (vl, ul))
-        vec = v.coaction.apply(vec, (0,)).permute((0, 2, 1))  # (H,U,V)
-        cols[(vl, ul)] = act_neg.apply(vec, (0, 1))
-    return TwistOp(f"smash({U.name},{V.name})", U, V,
-                   SeriesMap((vs, us), (us, vs), cols))
+    table = (u.action.at("-x").tensor(SeriesMap.identity((vs,)))
+             .compose(SeriesMap.flip(vs, us), (1, 2))
+             .compose(v.coaction, (0, 1)))
+    return TwistOp(f"smash({U.name},{V.name})", U, V, table)
 
 
 def _twist_report(sharp):
@@ -295,31 +271,16 @@ def build_smash(u, v):
     bialgebra is required here; the module-algebra and comodule-algebra
     axioms are the caller's to check.
     """
-    from .products import ProductNva, pair_label
-    from .linalg import Space
-    from .nva import Nva
+    from .products import ProductNva, pair_nva
 
     _require_matched(u, v)
     U, V = u.module, v.comodule
-    us, vs = U.space, V.space
-    pspace = Space(
-        f"{U.name}#{V.name}",
-        tuple(pair_label(a, b) for (a, b) in basis_tuples((us, vs))),
-    )
-    cols = {}
-    for (ul, vl, u2, v2) in basis_tuples((us, vs, us, vs)):
-        vec = SeriesVector.basis((us, vs, us, vs), (ul, vl, u2, v2))
-        vec = v.coaction.apply(vec, (1,))        # ρ(v): (U,H,V,U,V)
-        vec = vec.permute((0, 1, 3, 2, 4))       # (U,H,U,V,V)
-        vec = u.action.apply(vec, (1, 2))        # Y(b1(v),x)u'
-        vec = U.y.apply(vec, (0, 1))             # Y(u,x)Y(b1(v),x)u'
-        vec = V.y.apply(vec, (1, 2))             # ⊗ Y(v2(v),x)v'
-        entries = {(pair_label(a, b),): s for (a, b), s in vec.entries.items()}
-        cols[(pair_label(ul, vl), pair_label(u2, v2))] = SeriesVector(
-            (pspace,), entries)
-    nva = Nva(pspace.name, pspace, pair_label(U.vacuum, V.vacuum),
-              SeriesMap((pspace, pspace), (pspace,), cols))
-    return ProductNva(nva, U, V, _smash_twist(u, v))
+    # (1⊗Y_V(x)) (Y_U(x)⊗1⊗1) on the action of ρ(v)'s H leg on u'
+    table = (SeriesMap.identity((U.space,)).tensor(V.y).compose(U.y, (0,))
+             .compose(u.action, (1,)).compose(SeriesMap.flip(V.space, U.space), (2, 3))
+             .compose(v.coaction, (1, 2)))
+    return ProductNva(pair_nva(f"{U.name}#{V.name}", U, V, table), U, V,
+                      _smash_twist(u, v))
 
 
 def check_smash_datum(d, kmax=DEFAULT_KMAX):

@@ -74,8 +74,8 @@ def check_twisting_axioms(t):
     lhs = r_x1.compose(yu_x2, (1,))
     rhs = (yu_x2.tensor(SeriesMap.identity((vs,))).compose(r_x1, (1, 2))
            .compose(t.table.at("x1", "x2"), (0, 1)))
-    rep.compare_maps(((f"hexagon-right{key}", key)
-                      for key in basis_tuples(spaces)), lhs, rhs)
+    rep.compare_maps((f"hexagon-right{key}", key, lhs, rhs)
+                     for key in basis_tuples(spaces))
 
     # hexagon against Y_V:  R(x1)(Y_V(x2)⊗1) == (1⊗Y_V(x2)) R12(x1-x2) R23(x1)
     yv_x2 = V.y.at("x2")
@@ -83,8 +83,8 @@ def check_twisting_axioms(t):
     lhs = r_x1.compose(yv_x2, (0,))
     rhs = (SeriesMap.identity((us,)).tensor(yv_x2)
            .compose(t.table.at("x1", "-x2"), (0, 1)).compose(r_x1, (1, 2)))
-    rep.compare_maps(((f"hexagon-left{key}", key)
-                      for key in basis_tuples(spaces)), lhs, rhs)
+    rep.compare_maps((f"hexagon-left{key}", key, lhs, rhs)
+                     for key in basis_tuples(spaces))
     return rep
 
 
@@ -143,8 +143,9 @@ def invert_twisting(t):
     for side, lhs, spaces in (
             ("R^-1 R", inverse.compose(table), table.domain),
             ("R R^-1", table.compose(inverse), table.codomain)):
-        rep.compare_maps(((f"{side}{key}", key) for key in basis_tuples(spaces)),
-                         lhs, SeriesMap.identity(spaces))
+        ident = SeriesMap.identity(spaces)
+        rep.compare_maps((f"{side}{key}", key, lhs, ident)
+                         for key in basis_tuples(spaces))
     if not rep.ok:
         item = rep.failures()[0]
         raise NotInvertibleError(

@@ -2,17 +2,16 @@
 
 import pytest
 
-from nvaw.nva import CheckReport, Outcome
+from nvaw import nva
+from nvaw.nva import CheckReport, Outcome, find_clearing_k
 
-
-def entries(vec):
-    return [(k, s.variables, s.coeffs, s.window, s.exact)
-            for k, s in vec.entries.items()]
+from apply_chains import entries
 
 
 class MapComparisons:
-    """What CheckReport.compare_maps was given, as (key, lhs map, rhs map)
-    per item, and the vectors CheckReport.compare compared, by item name."""
+    """What CheckReport.compare_maps was given, its (name, key, lhs map,
+    rhs map) items, and the vectors CheckReport.compare compared, by item
+    name."""
 
     def __init__(self):
         self.clear()
@@ -23,19 +22,25 @@ class MapComparisons:
     def match(self, items, want):
         """Check the items of one report against an oracle that compared
         every key vector by vector, want holding its (name, key, lhs, rhs)
-        per item: the same names and keys in the same order; where both
-        oracle sides are zero, an exact-pass item with no detail, the key
-        in neither map and nothing compared; elsewhere the oracle's
-        vectors compared.  Returns the number of zero items."""
-        assert len(items) == len(self.mapped) == len(want)
-        assert [(i.name, m[0]) for i, m in zip(items, self.mapped)] == [
-            w[:2] for w in want]
+        per item: the items of want's names, in the report and among the
+        compare_maps items, have want's names in want's order, the latter
+        with want's keys; where both oracle sides are zero, an exact-pass
+        item with no detail, the key in neither map and nothing compared;
+        elsewhere the oracle's vectors compared.  items is None for a
+        report that the check keeps to itself.  Returns the number of
+        zero items."""
+        names = {w[0] for w in want}
+        mapped = [m for m in self.mapped if m[0] in names]
+        assert [m[:2] for m in mapped] == [w[:2] for w in want]
+        if items is not None:
+            items = [i for i in items if i.name in names]
+            assert [i.name for i in items] == [w[0] for w in want]
         zero = 0
-        for item, (key, lhs_map, rhs_map), (name, _, lhs0, rhs0) in zip(
-                items, self.mapped, want):
+        for i, ((name, key, lhs_map, rhs_map), (_, _, lhs0, rhs0)) in enumerate(
+                zip(mapped, want)):
             if lhs0.is_zero() and rhs0.is_zero():
                 zero += 1
-                assert (item.outcome, item.detail) == (
+                assert items is None or (items[i].outcome, items[i].detail) == (
                     Outcome.EXACT_PASS, ""), name
                 assert key not in lhs_map.columns, name
                 assert key not in rhs_map.columns, name
@@ -58,11 +63,56 @@ def map_comparisons(monkeypatch):
         rec.compared[name] = (lhs, rhs)
         return real_compare(self, name, lhs, rhs)
 
-    def compare_maps(self, names, lhs, rhs):
-        names = list(names)
-        rec.mapped.extend((key, lhs, rhs) for _, key in names)
-        return real_maps(self, names, lhs, rhs)
+    def compare_maps(self, items):
+        items = list(items)
+        rec.mapped.extend(items)
+        return real_maps(self, items)
 
     monkeypatch.setattr(CheckReport, "compare", compare)
     monkeypatch.setattr(CheckReport, "compare_maps", compare_maps)
+    return rec
+
+
+class KSearches:
+    """The sides of every find_clearing_k call of nva.clearing_k_items."""
+
+    def __init__(self):
+        self.calls = []
+
+    def match(self, items, want, kmax):
+        """Check the items of one k-searched report against an oracle that
+        searched k over every key, want holding its (name, sides) per
+        identity: the same items in the same order, and the sides searched
+        the oracle's that are not 0 == 0, an identity with none searched
+        nowhere.  Returns the number of identities searched nowhere."""
+        rep = CheckReport("oracle")
+        live = []
+        for name, sides in want:
+            k, res = find_clearing_k(sides, kmax)
+            if k is None:
+                rep.add(name, Outcome.NO_K_FOUND, f"no k <= {kmax}")
+            else:
+                rep.verdict(f"{name} k={k}", res)
+            live.append([(lhs, rhs) for lhs, rhs in sides
+                         if not (lhs.is_zero() and rhs.is_zero())])
+        assert [(i.name, i.outcome, i.detail) for i in items] == [
+            (i.name, i.outcome, i.detail) for i in rep.items]
+        searched = [sides for sides in live if sides]
+        assert len(self.calls) == len(searched)
+        for got, sides in zip(self.calls, searched):
+            assert [(entries(lhs), entries(rhs)) for lhs, rhs in got] == [
+                (entries(lhs), entries(rhs)) for lhs, rhs in sides]
+        return len(live) - len(searched)
+
+
+@pytest.fixture
+def k_searches(monkeypatch):
+    """A KSearches that records every k search while the test runs."""
+    rec = KSearches()
+
+    def spy(sides, kmax):
+        rec.calls.append(list(sides))
+        return find_clearing_k(rec.calls[-1], kmax)
+
+    monkeypatch.setattr(nva, "find_clearing_k", spy)
     return rec

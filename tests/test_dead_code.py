@@ -96,13 +96,29 @@ def test_variable_changes_go_through_seriesmap_at():
 
 
 def test_deleted_duplicates_stay_deleted():
-    # apply and compose(inner, legs) put a map on legs, a tensor with an
-    # identity extends one, and permute braids legs: nothing else does.
-    # The twist inverse is built from compose, not from dense matrices per
-    # degree, and a workbench is emitted by the emit_* of its blocks
+    # compose(inner, legs) puts a map on legs, a tensor with an identity
+    # extends one, and SeriesMap.flip composed on legs braids them: nothing
+    # else does.  The twist inverse is built from compose, not from dense
+    # matrices per degree, and a workbench is emitted by the emit_* of its
+    # blocks
     gone = {"on_legs", "apply_legs", "double_product", "permutation",
-            "_degree_matrices", "emit_workbench"}
+            "permute", "_degree_matrices", "emit_workbench"}
     assert [f for f in defined_functions() if f[1] in gone] == []
+
+
+def test_only_linalg_applies_a_map_on_legs():
+    # each side of an identity is one composed map, compared by
+    # CheckReport.compare_maps; a chain of applies on legs per basis vector
+    # would be a second engine beside it
+    callers = sorted({path.name
+                      for path in (ROOT / "src" / "nvaw").glob("*.py")
+                      for node in ast.walk(_parse(path))
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "apply"
+                      and (len(node.args) > 1
+                           or any(k.arg == "legs" for k in node.keywords))})
+    assert set(callers) <= {"linalg.py"}, callers
 
 
 def _is_items(node):

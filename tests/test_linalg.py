@@ -50,10 +50,6 @@ def test_tensor_and_permute():
     w = SeriesVector.basis((B,), ("b2",))
     t = v.tensor(w)
     assert t.spaces == (A, B)
-    p = t.permute((1, 0))
-    assert p.spaces == (B, A)
-    assert not p.get(("b2", "a1")).is_zero() if hasattr(
-        p.get(("b2", "a1")), "is_zero") else p.get(("b2", "a1")).coeff(()) == 1
 
 
 def test_map_apply_on_legs():

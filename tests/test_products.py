@@ -18,11 +18,11 @@ from nvaw.nva import (
     check_weak_associativity, window_equal_vec,
 )
 from nvaw.products import (
-    PreconditionError, build_ordinary_tensor, build_product_module,
-    build_twisted_tensor, check_embeddings, check_invertible_relations,
-    check_module_extension, check_product_nva, check_product_properties,
-    check_Z2_injectivity, extract_twisting, flip_iso, module_hypotheses,
-    Z2_WINDOW, pair_label, restricted_module, universal_map,
+    PreconditionError, ProductNva, build_ordinary_tensor, build_product_module,
+    build_twisted_tensor, check_embeddings, check_homomorphism,
+    check_invertible_relations, check_module_extension, check_product_nva,
+    check_product_properties, check_Z2_injectivity, extract_twisting, flip_iso,
+    module_hypotheses, Z2_WINDOW, pair_label, restricted_module, universal_map,
 )
 from nvaw.registry import (
     REGISTRY_PRODUCTS, builtin_algebras, builtin_twists, make_e1, make_e2,
@@ -31,6 +31,12 @@ from nvaw.registry import (
 from nvaw.series import DEFAULT_RANGE, Series
 from nvaw.twist import TwistOp, check_twisting_axioms, flip_twist, with_inverse
 from test_series import in_normal_form
+
+from apply_chains import (
+    MUTATED, commutation_sides, doubled, embeddings_chain, failures,
+    homomorphism_chain, inverse_commutation_chain, inverse_skew_chain,
+    product_skew_chain, universal_skew_chain,
+)
 
 
 def registry_products():
@@ -578,3 +584,68 @@ def test_a_mutated_factor_makes_the_product_fail():
     p = build_twisted_tensor(bad, other, flip_twist(bad, other))
     failures = [i.name for i in check_product_nva(p).failures()]
     assert "assoc((t,one),(one,one),(one,one)) k=0" in failures
+
+
+# ---------------------------------------------------------------------------
+# each side is one composed map; the apply chains it replaced are the
+# oracle (apply_chains.py)
+
+
+@pytest.mark.parametrize("rng", [DEFAULT_RANGE, (0, 0), (-1, 1)])
+def test_composed_product_sides_equal_the_apply_chains(rng, map_comparisons,
+                                                        k_searches):
+    zero = total = 0
+    for name, t in sorted(builtin_twists(rng).items()):
+        p = build_twisted_tensor(t.first, t.second, t)
+        twist = with_inverse(t)
+        adj = adjoint_module(p.nva)
+        m_u = restricted_module(p, adj, "first")
+        m_v = restricted_module(p, adj, "second")
+        for check, want in (
+                (lambda: check_embeddings(p), embeddings_chain(p)),
+                (lambda: check_product_properties(p), product_skew_chain(p)),
+                (lambda: check_invertible_relations(p), [
+                    *inverse_skew_chain(p), *inverse_commutation_chain(
+                        m_u, m_v, twist, "commutation ")]),
+                (lambda: check_homomorphism(p.first, p.nva, p.embed_first()),
+                 homomorphism_chain(p.first, p.nva, p.embed_first()))):
+            map_comparisons.clear()
+            items = check().items
+            want = list(want)
+            zero += map_comparisons.match(items, want)
+            total += len(want)
+        k_searches.calls.clear()
+        items = [i for i in check_invertible_relations(p).items
+                 if i.name.startswith("k-witnessed")]
+        zero += k_searches.match(items, list(commutation_sides(
+            m_u, m_v, twist, "k-witnessed commutation")), DEFAULT_KMAX)
+
+        map_comparisons.clear()
+        universal_map(p, p.nva, p.embed_first(), p.embed_second())
+        want = list(universal_skew_chain(p, p.nva, p.embed_first(),
+                                         p.embed_second()))
+        zero += map_comparisons.match(None, want)
+    assert 0 < zero < total
+
+
+def test_a_mutated_product_fails_as_it_did_with_the_apply_chains():
+    t = builtin_twists()["flip:E2,E2"]
+    p = build_twisted_tensor(t.first, t.second, t)
+    y = doubled(p.nva.y, ("(s,one)", "(one,one)"))
+    bad = ProductNva(Nva(p.nva.name, p.space, p.nva.vacuum, y),
+                     p.first, p.second, t)
+    rep = check_product_nva(bad)
+    for part in (check_embeddings(bad), check_product_properties(bad),
+                 check_invertible_relations(bad)):
+        rep.extend(part)
+    assert failures(rep) == MUTATED[
+        "product-props flip:E2,E2 table ((s,one),(one,one)) doubled"]
+    hom = check_homomorphism(p.first, p.nva, doubled(p.embed_first(), ("s",)))
+    assert failures(hom) == MUTATED["hom flip:E2,E2 embed_first (s,) doubled"]
+    twisted = TwistOp("mutated", t.first, t.second, doubled(t.table, ("s", "s")))
+    with pytest.raises(PreconditionError) as err:
+        universal_map(build_twisted_tensor(t.first, t.second, twisted,
+                                           check_axioms=False),
+                      p.nva, p.embed_first(), p.embed_second())
+    assert [err.value.hypothesis, list(err.value.where)] == MUTATED[
+        "universal_map flip:E2,E2 twist (s,s) doubled"]

@@ -3,18 +3,24 @@ axiom suite, extraction, induced twistings, and product S-maps."""
 
 import pytest
 
-from nvaw.linalg import SeriesMap, Underdetermined, UniqueSolution
-from nvaw.nva import window_equal_vec
+from nvaw.linalg import SeriesMap, SeriesVector, Underdetermined, UniqueSolution
+from nvaw.nva import DEFAULT_KMAX, CheckReport, window_equal_vec
 from nvaw.products import build_twisted_tensor
 from nvaw.quantum import (
-    build_S_R, check_qva_axioms, check_qyb_unitarity, check_S_locality,
+    SMap, build_S_R, check_qva_axioms, check_qyb_unitarity, check_S_locality,
     check_S_skew, extract_S, smap_twist,
 )
 from nvaw.registry import (
-    builtin_algebras, builtin_smaps, identity_smap, make_e1n, make_e2,
-    make_z2, sign_smap_e1, sign_twist_z2,
+    builtin_algebras, builtin_smaps, builtin_twists, identity_smap, make_e1n,
+    make_e2, make_z2, sign_smap_e1, sign_twist_z2,
 )
+from nvaw.series import DEFAULT_RANGE
 from nvaw.twist import check_twisting_axioms, flip_twist
+
+from apply_chains import (
+    MUTATED, doubled, entries, failures, qva_chain, qyb_unitarity_chain,
+    s_locality_sides, s_r_columns, s_skew_chain,
+)
 
 
 def registry_smaps():
@@ -137,3 +143,61 @@ def test_inverse_table_is_two_sided_inverse():
                  s.inverse_table().compose(s.table)):
         for key, col in ident.columns.items():
             assert window_equal_vec(col, comp.column(key))
+
+
+# ---------------------------------------------------------------------------
+# each side is one composed map; the apply chains it replaced are the
+# oracle (apply_chains.py)
+
+
+def oracle_smaps(rng):
+    """The registry S-maps at rng, and the identity on E1n, a Laurent table
+    that is not an S-map."""
+    smaps = builtin_smaps(rng)
+    smaps["id:E1n"] = identity_smap(make_e1n())
+    return sorted(smaps.items())
+
+
+@pytest.mark.parametrize("rng", [DEFAULT_RANGE, (0, 0), (-1, 1)])
+def test_composed_qva_sides_equal_the_apply_chains(rng, map_comparisons,
+                                                    k_searches):
+    zero = total = 0
+    for name, s in oracle_smaps(rng):
+        a = s.algebra
+        for check, want in ((lambda: check_S_skew(a, s), s_skew_chain(a, s)),
+                            (lambda: check_qyb_unitarity(s),
+                             qyb_unitarity_chain(s)),
+                            (lambda: check_qva_axioms(a, s), qva_chain(a, s))):
+            map_comparisons.clear()
+            items = check().items
+            want = list(want)
+            zero += map_comparisons.match(items, want)
+            total += len(want)
+        k_searches.calls.clear()
+        zero += k_searches.match(check_S_locality(a, s).items,
+                                 list(s_locality_sides(a, s)), DEFAULT_KMAX)
+    assert 0 < zero < total
+
+
+@pytest.mark.parametrize("rng", [DEFAULT_RANGE, (0, 0), (-1, 1)])
+def test_composed_S_R_equals_the_apply_chain(rng):
+    for name, t in sorted(builtin_twists(rng).items()):
+        p = build_twisted_tensor(t.first, t.second, t)
+        sU, sV = identity_smap(p.first), identity_smap(p.second)
+        table = build_S_R(p, sU, sV).table
+        want = s_r_columns(p, sU, sV)
+        assert table.columns.keys() <= want.keys(), name
+        for key, col in want.items():
+            assert entries(table.column(key)) == entries(
+                SeriesVector(table.codomain, col)), name
+
+
+def test_a_mutated_smap_fails_as_it_did_with_the_apply_chains():
+    s = builtin_smaps()["id:E2"]
+    a = s.algebra
+    bad = SMap("mutated(id(E2))", a, doubled(s.table, ("s", "one")))
+    rep = CheckReport("qva")
+    for part in (check_qyb_unitarity(bad), check_S_locality(a, bad),
+                 check_S_skew(a, bad), check_qva_axioms(a, bad)):
+        rep.extend(part)
+    assert failures(rep) == MUTATED["qva id:E2 (s,one) doubled"]

@@ -369,6 +369,33 @@ def test_substitution_keeps_the_normal_form_and_matches_sympy(s, first, second):
     assert_substitution_matches_sympy(s, out, first, second)
 
 
+def test_a_summand_among_the_variables_moves_the_cap():
+    # x0^3 (x0+x2)^-1 = Σ (-1)^k x0^(2-k) x2^k keeps x2^3 in the window
+    # -3..3: the cap is where x2 leaves the window or x0 drops below it, read
+    # from the exponents the term already has, not from the window alone
+    out = Series(("x0", "x1"), {(3, -1): 1}, (-3, 3)).substitute_sum(
+        "x1", "x0", "x2")
+    assert out.coeffs == {(2, 0): 1, (1, 1): -1, (0, 2): 1, (-1, 3): -1}
+    assert not out.exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_over(st.sampled_from([("x0", "x1"), ("x1", "x2"),
+                                    ("x0", "x1", "x2")]),
+                   st.tuples(st.integers(-3, 0), st.integers(0, 3)), -3, 3),
+       st.sampled_from([("x0", "x2"), ("-x0", "x2"), ("x0", "-x2"),
+                        ("x2", "x0"), ("x1", "x2"), ("x0", "x1")]))
+def test_substitution_into_its_own_variables_matches_sympy(s, summands):
+    """x1 -> a sum of x0, x1 or x2 in a series that holds x0 or x2 agrees
+    with sympy's series in the second summand on every coefficient inside
+    the window."""
+    out = s.substitute_sum("x1", *summands)
+    variables, want = substituted(s, "x1", *summands)
+    assert out.variables == variables
+    assert out.coeffs == {ex: c for ex, c in want.items()
+                          if holds(s.window, ex)}
+
+
 def test_substitute_sum_without_a_window_has_nowhere_to_clip():
     with pytest.raises(SeriesError):
         Series.monomial("x", -1).substitute_sum("x", "x1", "x2")

@@ -11,13 +11,19 @@ from nvaw.products import (
     PreconditionError, ProductNva, build_ordinary_tensor, build_twisted_tensor,
 )
 from nvaw.registry import (
-    algebra_from_products, builtin_smash, make_z2, sign_twist_z2,
+    algebra_from_products, builtin_smash, make_e2, make_z2, sign_twist_z2,
     trivial_smash_datum, z2_smash_datum,
 )
+from nvaw.series import DEFAULT_RANGE, Series
 from nvaw.smash import (
-    CoalgebraData, build_smash, check_coalgebra, check_comodule_algebra,
-    check_module_algebra, check_smash_datum, check_vertex_bialgebra,
-    same_bialgebra, smash_as_twist,
+    CoalgebraData, ComoduleAlgebraData, ModuleAlgebraData, SmashDatum,
+    build_smash, check_coalgebra, check_comodule_algebra, check_module_algebra,
+    check_smash_datum, check_vertex_bialgebra, same_bialgebra, smash_as_twist,
+)
+
+from apply_chains import (
+    MUTATED, bialgebra_chain, coalgebra_chain, comodule_algebra_chain, doubled,
+    entries, failures, module_algebra_chain, smash_columns, smash_twist_columns,
 )
 
 
@@ -170,3 +176,86 @@ def test_table_agreement_sees_a_column_missing_from_the_smash_table(
     _, rep = smash_as_twist(d.action, d.coaction)
     assert [i.name for i in rep.failures()] == [
         f"table agreement {dropped[0]}"]
+
+
+# ---------------------------------------------------------------------------
+# each side is one composed map; the apply chains it replaced are the
+# oracle (apply_chains.py)
+
+
+def x_dependent_datum(rng):
+    """Data on E2 at rng: h of index i acts on u as (1+x)^i u, Δ(h) = h⊗h,
+    ε(h) = 1 and ρ(v) = v⊗v.  Not a smash datum, but x-dependent and
+    clipped at rng, as the x-free registry data are not."""
+    e2 = make_e2(rng)
+    sp = e2.space
+    step = Series(("x",), {(0,): 1, (1,): 1}, rng)
+    action = SeriesMap((sp, sp), (sp,), {
+        (h, u): SeriesVector.basis((sp,), (u,), step ** i)
+        for i, h in enumerate(sp.basis) for u in sp.basis})
+    square = {(h,): SeriesVector.basis((sp, sp), (h, h)) for h in sp.basis}
+    coalg = CoalgebraData(e2, SeriesMap((sp,), (sp, sp), square), SeriesMap(
+        (sp,), (), {(h,): SeriesVector.basis((), ()) for h in sp.basis}))
+    return SmashDatum("E2 on itself", coalg, ModuleAlgebraData(coalg, e2, action),
+                      ComoduleAlgebraData(coalg, e2, SeriesMap((sp,), (sp, sp),
+                                                               square)))
+
+
+def oracle_data(rng):
+    return registry_data() + [("x-dependent", x_dependent_datum(rng))]
+
+
+@pytest.mark.parametrize("rng", [DEFAULT_RANGE, (0, 0), (-1, 1)])
+def test_composed_smash_sides_equal_the_apply_chains(rng, map_comparisons):
+    zero = total = 0
+    for name, d in oracle_data(rng):
+        for check, want in (
+                (lambda: check_coalgebra(d.coalgebra),
+                 coalgebra_chain(d.coalgebra)),
+                (lambda: check_vertex_bialgebra(d.coalgebra),
+                 bialgebra_chain(d.coalgebra)),
+                (lambda: check_module_algebra(d.action),
+                 module_algebra_chain(d.action)),
+                (lambda: check_comodule_algebra(d.coaction),
+                 comodule_algebra_chain(d.coaction))):
+            map_comparisons.clear()
+            items = check().items
+            want = list(want)
+            zero += map_comparisons.match(items, want)
+            total += len(want)
+    assert 0 < zero < total
+
+
+@pytest.mark.parametrize("rng", [DEFAULT_RANGE, (0, 0), (-1, 1)])
+def test_composed_smash_tables_equal_the_apply_chains(rng):
+    for name, d in oracle_data(rng):
+        p = build_smash(d.action, d.coaction)
+        for table, want in ((p.twist.table,
+                             smash_twist_columns(d.action, d.coaction)),
+                            (p.nva.y, smash_columns(d.action, d.coaction))):
+            assert table.columns.keys() <= want.keys(), name
+            for key, col in want.items():
+                assert entries(table.column(key)) == entries(
+                    SeriesVector(table.codomain, col)), name
+
+
+def mutated_datum(d, part, key):
+    """d with the column at key of its coproduct, action or coaction
+    doubled, the action and the coaction over one bialgebra."""
+    c = d.coalgebra
+    coalg = CoalgebraData(c.algebra, doubled(c.coproduct, key)
+                          if part == "coproduct" else c.coproduct, c.counit)
+    act = ModuleAlgebraData(coalg, d.action.module, doubled(
+        d.action.action, key) if part == "action" else d.action.action)
+    coact = ComoduleAlgebraData(coalg, d.coaction.comodule, doubled(
+        d.coaction.coaction, key) if part == "coaction" else d.coaction.coaction)
+    return SmashDatum(f"{d.name} {part}", coalg, act, coact)
+
+
+@pytest.mark.parametrize("part,key", [("coproduct", ("g",)),
+                                      ("action", ("g", "g")),
+                                      ("coaction", ("g",))])
+def test_a_mutated_datum_fails_as_it_did_with_the_apply_chains(part, key):
+    d = mutated_datum(z2_smash_datum(), part, key)
+    assert failures(check_smash_datum(d)) == MUTATED[
+        f"smash z2-sign {part} {key} doubled"]
