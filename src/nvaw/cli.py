@@ -22,16 +22,14 @@ Exit status: 0 all checks pass, 1 verdict or precondition failures,
 """
 
 import argparse
-import json
 import os
 import sys
 
 from .nva import (
-    CheckReport, DEFAULT_KMAX, adjoint_module, check_D_bracket, check_module,
-    check_vacuum, check_weak_associativity,
+    CheckReport, DEFAULT_KMAX, Outcome, adjoint_module, check_D_bracket,
+    check_module, check_vacuum, check_weak_associativity,
 )
 from .series import DEFAULT_RANGE
-from . import registry
 
 
 class UsageError(ValueError):
@@ -66,8 +64,17 @@ def _split_labels(text):
     return [t.strip() for t in _split_top(text, ",") if t.strip()]
 
 
+def _registry_module():
+    """The registry module, imported on first use."""
+    from . import registry
+
+    return registry
+
+
 class Inputs:
-    """Resolves names against a parsed file (if any) and the registry."""
+    """Resolves names against a parsed file (if any) and the registry.
+    The registry is imported only for an input that names one of its
+    instances, or for a name the file does not hold."""
 
     def __init__(self, path_or_name, rng, tables=None):
         self.rng = rng
@@ -77,7 +84,8 @@ class Inputs:
         if "/" in path_or_name or path_or_name.endswith(
                 (".nva", ".wb", ".txt")):
             self.file = self._read(path_or_name)
-        elif path_or_name in registry.ALGEBRA_NAMES + registry.SMASH_NAMES:
+        elif path_or_name in (_registry_module().ALGEBRA_NAMES
+                              + _registry_module().SMASH_NAMES):
             self.name = path_or_name
         else:
             try:
@@ -95,14 +103,14 @@ class Inputs:
     def _registry(self, builder, *args):
         """registry.<builder>(*args), built once per shared tables."""
         if builder not in self.tables:
-            self.tables[builder] = getattr(registry, builder)(*args)
+            self.tables[builder] = getattr(_registry_module(), builder)(*args)
         return self.tables[builder]
 
     def algebra(self):
-        if self.name in registry.SMASH_NAMES:
-            raise UsageError(f"{self.name!r} is a registry smash datum, "
-                             f"expected an algebra")
         if self.name is not None:
+            if self.name in _registry_module().SMASH_NAMES:
+                raise UsageError(f"{self.name!r} is a registry smash datum, "
+                                 f"expected an algebra")
             return self._registry("builtin_algebras", self.rng)[self.name]
         algs = self.file.algebras()
         if len(algs) != 1:
@@ -124,7 +132,7 @@ class Inputs:
         if self.file is not None and ("smap", name) in self.file.blocks:
             return self.file.smap(name)
         if name == "identity" and algebra is not None:
-            return registry.identity_smap(algebra)
+            return _registry_module().identity_smap(algebra)
         table = self._registry("builtin_smaps", self.rng)
         if name in table:
             return table[name]
@@ -133,10 +141,10 @@ class Inputs:
     def smash_halves(self):
         """(ModuleAlgebraData, ComoduleAlgebraData) from a registry datum or
         a file holding one action and one coaction block."""
-        if self.name in registry.ALGEBRA_NAMES:
-            raise UsageError(f"{self.name!r} is a registry algebra, "
-                             f"expected a smash datum")
         if self.name is not None:
+            if self.name in _registry_module().ALGEBRA_NAMES:
+                raise UsageError(f"{self.name!r} is a registry algebra, "
+                                 f"expected a smash datum")
             d = self._registry("builtin_smash")[self.name]
             return d.action, d.coaction
         actions = [n for (k, n) in self.file.blocks if k == "action"]
@@ -256,8 +264,7 @@ def cmd_check(args):
             rep = _suite_module(inputs, alg, kmax)
         else:
             raise UsageError(f"unknown suite {args.suite!r}")
-    _report(rep, args, args.window, suite=args.suite)
-    return 0 if rep.ok else 1
+    return _report(rep, args, rep.ok)
 
 
 def cmd_product(args):
@@ -272,13 +279,7 @@ def cmd_product(args):
             f"twist {twist.name} is for ({twist.first.name},{twist.second.name})")
     p = build_twisted_tensor(first, second, twist)
     rep = check_product_nva(p, args.kmax)
-    _report(rep, args, args.window, suite="product")
-    if args.output and rep.ok:
-        from .fileformat import emit_nva
-
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(emit_nva(p.nva))
-    return 0 if rep.ok else 1
+    return _report(rep, args, rep.ok, rep.ok and p.nva, "emit_nva")
 
 
 def cmd_smash(args):
@@ -297,63 +298,49 @@ def cmd_smash(args):
         if not pre.ok:
             raise PreconditionError(f"{label} axioms", pre.failures()[0].name)
     rep = check_product_nva(p, args.kmax)
-    _report(rep, args, args.window, suite="smash")
-    if args.output and rep.ok:
-        from .fileformat import emit_nva
-
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(emit_nva(p.nva))
-    return 0 if rep.ok else 1
+    return _report(rep, args, rep.ok, rep.ok and p.nva, "emit_nva")
 
 
 def cmd_extract_twist(args):
-    from .products import extract_twisting
-    from .linalg import UniqueSolution
+    from .products import LabelError, extract_twisting
 
     host = Inputs(args.input, args.window).algebra()
-    res = extract_twisting(host, _split_labels(args.u), _split_labels(args.v))
-    rep = CheckReport(f"{host.name}: twisting-operator extraction")
-    from .nva import Outcome
-
-    rep.add("linear solve", Outcome.EXACT_PASS
-            if isinstance(res.solve, UniqueSolution) else Outcome.FAIL,
-            type(res.solve).__name__)
-    for sub in (res.axioms, res.theta, res.z2):
-        if sub is not None:
-            rep.extend(sub)
-    _report(rep, args, args.window, suite="extract-twist")
-    if res.twist is not None and args.output:
-        from .fileformat import emit_twist
-
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(emit_twist(res.twist))
-    return 0 if res.ok else 1
+    try:
+        res = extract_twisting(host, _split_labels(args.u),
+                               _split_labels(args.v))
+    except LabelError as exc:  # the labels are the command line's
+        raise UsageError(str(exc)) from None
+    return _extraction(args, f"{host.name}: twisting-operator extraction",
+                       "linear solve", res, (res.axioms, res.theta, res.z2),
+                       res.twist, "emit_twist")
 
 
 def cmd_extract_smap(args):
     from .quantum import extract_S
-    from .linalg import UniqueSolution
-    from .nva import Outcome
 
     alg = Inputs(args.input, args.window).algebra()
     res = extract_S(alg)
-    rep = CheckReport(f"{alg.name}: S-map extraction")
-    rep.add("columnwise solve", Outcome.EXACT_PASS
-            if isinstance(res.solve, UniqueSolution) else Outcome.FAIL,
-            type(res.solve).__name__)
-    for sub in (res.axioms, res.d_relation, res.z2):
+    return _extraction(args, f"{alg.name}: S-map extraction",
+                       "columnwise solve", res,
+                       (res.axioms, res.d_relation, res.z2), res.smap,
+                       "emit_smap")
+
+
+def _extraction(args, title, solve, res, reports, found, emit):
+    """Report an extraction's solve and reports; write what it found."""
+    from .linalg import UniqueSolution
+
+    rep = CheckReport(title)
+    rep.add(solve, Outcome.EXACT_PASS if isinstance(res.solve, UniqueSolution)
+            else Outcome.FAIL, type(res.solve).__name__)
+    for sub in reports:
         if sub is not None:
             rep.extend(sub)
-    _report(rep, args, args.window, suite="extract-smap")
-    if res.smap is not None and args.output:
-        from .fileformat import emit_smap
-
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(emit_smap(res.smap))
-    return 0 if res.ok else 1
+    return _report(rep, args, res.ok, found, emit)
 
 
 def cmd_list(args):
+    registry = _registry_module()
     print("algebras:  " + " ".join(sorted(registry.builtin_algebras())))
     print("twists:    " + " ".join(sorted(registry.builtin_twists())))
     print("smaps:     " + " ".join(sorted(registry.builtin_smaps())) +
@@ -362,24 +349,38 @@ def cmd_list(args):
     return 0
 
 
-def _report(rep, args, rng, suite):
+def _report(rep, args, ok, found=None, emit=None):
+    """Print rep, write its --json payload and, to -o, what a command found
+    as fileformat.<emit> gives it; the exit status, 0 if ok and else 1."""
     path = getattr(args, "json", None)
     if path:  # the runs' items are built once, for summary and payload
         rep._entries = list(rep.items)
     print(rep.summary())
     if path:
-        payload = [
-            {
-                "suite": suite,
-                "identity": item.name,
-                "verdict": item.outcome.name,
-                "detail": item.detail,
-                "window": list(rng),
-            }
-            for item in rep.items
-        ]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2))
+            fh.write(_json(rep.items, args))
+    if found and getattr(args, "output", None):
+        from . import fileformat
+
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(getattr(fileformat, emit)(found))
+    return 0 if ok else 1
+
+
+def _json(items, args):
+    """The `--json` payload, a record (suite checked or else command,
+    identity, verdict, detail, window) per item: the text of json.dumps(
+    records, indent=2), each string escaped by the C escaper json.dumps
+    uses (an indenting json.dumps does not use its C encoder)."""
+    from json.encoder import encode_basestring_ascii as esc
+
+    suite, (lo, hi) = getattr(args, "suite", args.command), args.window
+    head = f'  {{\n    "suite": {esc(suite)},\n    "identity": '
+    tail = f',\n    "window": [\n      {lo},\n      {hi}\n    ]\n  }}'
+    body = ",\n".join(
+        f'{head}{esc(i.name)},\n    "verdict": {esc(i.outcome.name)},\n'
+        f'    "detail": {esc(i.detail)}{tail}' for i in items)
+    return f"[\n{body}\n]" if body else "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,10 @@ class SeriesVector:
 
     def __init__(self, spaces, entries):
         self.spaces = tuple(spaces)
-        entries = {tuple(key): s for key, s in entries.items()}
         assert all(len(key) == len(self.spaces) for key in entries)
-        self.entries = _kept(entries.items())
+        # all but the exact zeros: a clipped zero says it lost terms
+        self.entries = {tuple(key): s for key, s in entries.items()
+                        if s.coeffs or not s.exact}
 
     @staticmethod
     def zero(spaces):
@@ -92,7 +93,8 @@ class SeriesVector:
         out = dict(self.entries)
         for key, s in other.entries.items():
             out[key] = out[key] + s if key in out else s
-        return _vector(self.spaces, _kept(out.items()))
+        return _vector(self.spaces, {k: s for k, s in out.items()
+                                     if s.coeffs or not s.exact})
 
     def __neg__(self):
         return _vector(self.spaces, {k: -s for k, s in self.entries.items()})
@@ -102,21 +104,29 @@ class SeriesVector:
 
     def scale(self, c):
         """Every entry times c, a number or a Series."""
-        return _vector(self.spaces, _kept((k, s * c) for k, s in self.entries.items()))
+        return self.transform(lambda s: s * c)
 
     def transform(self, fn):
-        """Apply fn to every Series entry (substitutions, var renames...)."""
-        return _vector(self.spaces, _kept((k, fn(s)) for k, s in self.entries.items()))
+        """Apply fn to every Series entry (substitutions, var renames...),
+        in one pass; the vector itself when fn returns every entry itself."""
+        out, same = {}, True
+        for k, s in self.entries.items():
+            t = fn(s)
+            same = same and t is s
+            if t.coeffs or not t.exact:
+                out[k] = t
+        return self if same else _vector(self.spaces, out)
 
     def tensor(self, other):
         """self ⊗ other, its entries listed with other's key outermost: the
         order in which applying other's map and then self's map on the
-        legs before it would list them."""
+        legs before it would list them.  Each product is kept: Laurent
+        polynomials have no zero divisors, and one clipped to 0 is inexact."""
         out = {}
         for k2, s2 in other.entries.items():
             for k1, s1 in self.entries.items():
                 out[k1 + k2] = s1 * s2
-        return SeriesVector(self.spaces + other.spaces, out)
+        return _vector(self.spaces + other.spaces, out)
 
     def __repr__(self):
         from .series import format_series
@@ -126,12 +136,6 @@ class SeriesVector:
             f"{k}: {format_series(s)}" for k, s in sorted(self.entries.items())
         )
         return f"<{names} | {body or '0'}>"
-
-
-def _kept(pairs):
-    """The entries of (key, Series) pairs that a vector keeps: all but the
-    exact zeros.  A zero that lost coefficients to clipping still says so."""
-    return {k: s for k, s in pairs if s.coeffs or not s.exact}
 
 
 def _vector(spaces, entries):
@@ -161,29 +165,35 @@ class SeriesMap:
                 self.columns[key] = vec
 
     @staticmethod
+    def relabel(domain, codomain, image):
+        """The map sending each basis tuple t of the domain to the basis
+        vector at image(t) of the codomain."""
+        return SeriesMap(domain, codomain, {
+            t: SeriesVector.basis(codomain, image(t))
+            for t in basis_tuples(domain)})
+
+    @staticmethod
     def identity(spaces):
-        spaces = tuple(spaces)
-        cols = {t: SeriesVector.basis(spaces, t) for t in basis_tuples(spaces)}
-        return SeriesMap(spaces, spaces, cols)
+        return SeriesMap.relabel(spaces, spaces, lambda t: t)
 
     @staticmethod
     def flip(a, b):
         """a ⊗ b -> b ⊗ a."""
-        return SeriesMap((a, b), (b, a), {
-            (x, y): SeriesVector.basis((b, a), (y, x))
-            for (x, y) in basis_tuples((a, b))})
+        return SeriesMap.relabel((a, b), (b, a), lambda t: t[::-1])
 
     def column(self, key):
         col = self.columns.get(tuple(key))
         return _vector(self.codomain, {}) if col is None else col
 
     def transform(self, fn):
-        cols = {}
+        """fn on every entry; the map itself when fn returns each entry."""
+        cols, same = {}, True
         for k, v in self.columns.items():
-            v = v.transform(fn)
-            if v.entries:
-                cols[k] = v
-        return _map(self.domain, self.codomain, cols)
+            t = v.transform(fn)
+            same = same and t is v
+            if t.entries:
+                cols[k] = t
+        return self if same else _map(self.domain, self.codomain, cols)
 
     def window(self):
         """The meet of the windows of the entries: None when no entry has
@@ -198,32 +208,22 @@ class SeriesMap:
         the expansion is clipped at the window of each entry."""
         if second is not None:
             return self.transform(lambda s: s.substitute_sum("x", first, second))
-        if first == "x":
-            return self
-        return self.transform(lambda s: s.rename({"x": first}))
+        mapping = {"x": first}
+        return self.transform(lambda s: s.rename(mapping))
 
     def __add__(self, other):
         assert self.domain == other.domain and self.codomain == other.codomain
         out = dict(self.columns)
         for k, v in other.columns.items():
-            if k in out:
-                v = out[k] + v
-                if not v.entries:
-                    del out[k]
-                    continue
-            out[k] = v
-        return _map(self.domain, self.codomain, out)
+            out[k] = out[k] + v if k in out else v
+        return _map(self.domain, self.codomain,
+                    {k: v for k, v in out.items() if v.entries})
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        cols = {}
-        for k, v in self.columns.items():
-            v = v.scale(c)
-            if v.entries:
-                cols[k] = v
-        return _map(self.domain, self.codomain, cols)
+        return self.transform(lambda s: s * c)
 
     def apply(self, vec, legs=None):
         """Apply to the given contiguous legs of vec (all legs by default).
@@ -234,44 +234,15 @@ class SeriesMap:
         lo, hi = _span(legs, len(vec.spaces))
         assert vec.spaces[lo:hi] == self.domain, (vec.spaces[lo:hi], self.domain)
         out_spaces = vec.spaces[:lo] + self.codomain + vec.spaces[hi:]
-        # each entry is summed as (variables, coeffs, window, exact) into a
-        # coefficient dict of its own, a placed product's or one that * or +
-        # built here, in place while its terms share variables and window,
-        # and is built once at the end
-        out = {}
-        for key, s in vec.entries.items():
-            col = self.columns.get(key[lo:hi])
-            if col is None:
-                continue
-            pre, post = key[:lo], key[hi:]
-            for ckey, cs in col.entries.items():
-                k = pre + ckey + post
-                p = _placed(s, cs)
-                if p is None:
-                    q = s * cs
-                    p = (q.variables, q.coeffs, q.window, q.exact)
-                t = out.get(k)
-                if t is None:
-                    t = p
-                elif t[0] == p[0] and t[2] == p[2]:
-                    _add_terms(t[1], p[1])
-                    t = (t[0], t[1], t[2], t[3] and p[3])
-                else:
-                    q = _made(*t) + _made(*p)
-                    t = (q.variables, q.coeffs, q.window, q.exact)
-                # a sum that cancels exactly leaves the vector, as it would
-                # in SeriesVector addition
-                if t[1] or not t[3]:
-                    out[k] = t
-                else:
-                    out.pop(k, None)
-        return _vector(out_spaces, {k: _made(*t) for k, t in out.items()})
+        return _vector(out_spaces, _summed(self.columns, vec.entries.items(),
+                                           lo, hi))
 
     def compose(self, inner, legs=None):
         """self ∘ inner, inner acting on the given contiguous legs of self's
         domain (all by default) and the identity on the others.  That
-        extension is never built: an inner column, its keys put among the
-        other legs' labels, is applied only if one is among self's columns.
+        extension is never built: a column is summed straight from an inner
+        column's entries, under each labels of the other legs where self
+        reads one of them.
 
         A side nested from the right, a.compose(b, legs).compose(c, legs'),
         repeats at each key the apply chain a(b(c(key))) on those legs,
@@ -280,37 +251,79 @@ class SeriesMap:
         only a product clipped at a window could part them."""
         lo, hi = _span(legs, len(self.domain))
         assert inner.codomain == self.domain[lo:hi], (inner.codomain, self.domain)
-        whole = hi - lo == len(self.domain)
-        # the inner legs' labels of self's columns, by the labels around them
+        # self's columns by the labels around the inner legs, then on them
         read = {}
-        for k in self.columns:
-            read.setdefault((k[:lo], k[hi:]), set()).add(k[lo:hi])
+        for k, col in self.columns.items():
+            read.setdefault((k[:lo], k[hi:]), {})[k[lo:hi]] = col
+        # the places of the inner columns that hold each key
+        items = list(inner.columns.items())
+        holding = {}
+        for i, (_, v) in enumerate(items):
+            for k in v.entries:
+                holding.setdefault(k, []).append(i)
         posts, cols = basis_tuples(self.domain[hi:]), {}
         for pre in basis_tuples(self.domain[:lo]):
-            around = [(post, read.get((pre, post), ())) for post in posts]
-            for key, v in inner.columns.items():
-                for post, labels in around:
-                    # an inner column is re-keyed only if self reads it
-                    if not labels or labels.isdisjoint(v.entries):
-                        continue
-                    col = self.apply(v if whole else _vector(self.domain, {
-                        pre + k + post: s for k, s in v.entries.items()}))
-                    if col.entries:
-                        cols[pre + key + post] = col
+            around = [(post, read[pre, post]) for post in posts
+                      if (pre, post) in read]
+            # an inner column is summed only under the labels around it
+            # where self reads one of its keys, in (column, post) order
+            for i, j in sorted({(i, j) for j, (_, at) in enumerate(around)
+                                for k in at for i in holding.get(k, ())}):
+                (key, v), (post, at) = items[i], around[j]
+                col = _summed(at, v.entries.items(), 0, hi - lo)
+                if col:
+                    cols[pre + key + post] = _vector(self.codomain, col)
         return _map(self.domain[:lo] + inner.domain + self.domain[hi:],
                     self.codomain, cols)
 
     def tensor(self, other):
-        cols = {}
+        cols = {}  # of nonzero columns: no product of entries is an exact 0
         for k1, v1 in self.columns.items():
             for k2, v2 in other.columns.items():
                 cols[k1 + k2] = v1.tensor(v2)
-        return SeriesMap(self.domain + other.domain, self.codomain + other.codomain, cols)
+        return _map(self.domain + other.domain, self.codomain + other.codomain,
+                    cols)
 
     def __repr__(self):
         dom = "⊗".join(sp.name for sp in self.domain) or "Q"
         cod = "⊗".join(sp.name for sp in self.codomain) or "Q"
         return f"SeriesMap({dom} -> {cod}, {len(self.columns)} columns)"
+
+
+def _summed(columns, entries, lo, hi):
+    """The entries of the sum over (key, s) in entries of s times the column
+    at key[lo:hi], its keys put on those legs: apply's, and compose's per
+    column.  Each is summed as (variables, coeffs, window, exact) into a
+    coefficient dict of its own, a placed product's or one that * or +
+    built, in place while its terms share variables and window."""
+    out = {}
+    for key, s in entries:
+        col = columns.get(key[lo:hi])
+        if col is None:
+            continue
+        pre, post = key[:lo], key[hi:]
+        for ckey, cs in col.entries.items():
+            k = pre + ckey + post
+            p = _placed(s, cs)
+            if p is None:
+                q = s * cs
+                p = (q.variables, q.coeffs, q.window, q.exact)
+            t = out.get(k)
+            if t is None:
+                t = p
+            elif t[0] == p[0] and t[2] == p[2]:
+                _add_terms(t[1], p[1])
+                t = (t[0], t[1], t[2], t[3] and p[3])
+            else:
+                q = _made(*t) + _made(*p)
+                t = (q.variables, q.coeffs, q.window, q.exact)
+            # a sum that cancels exactly leaves the vector, as it would
+            # in SeriesVector addition
+            if t[1] or not t[3]:
+                out[k] = t
+            else:
+                out.pop(k, None)
+    return {k: _made(*t) for k, t in out.items()}
 
 
 def _map(domain, codomain, columns):

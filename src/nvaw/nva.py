@@ -7,7 +7,7 @@ an identity can hold exactly, hold on the truncation window only, fail with
 a witness, or fail to admit a clearing exponent k below the cap.
 """
 
-from .series import Eq, EqResult, Q, Series, SeriesError, window_equal
+from .series import _EXACT, Eq, EqResult, Q, Series, SeriesError, window_equal
 from .linalg import _ZERO, SeriesMap, SeriesVector, basis_tuples
 
 
@@ -222,9 +222,6 @@ def check_vacuum(nva):
     return rep
 
 
-_EXACT = EqResult(Eq.EXACT)
-
-
 def window_equal_vec(a, b):
     """Certified equality of SeriesVectors: the worst verdict of
     series.window_equal over the keys of both sides, with the first unequal
@@ -274,7 +271,7 @@ def find_clearing_k(sides, kmax):
     step = Series.monomial("x1", 1) - Series.monomial("x2", 1)
     factor = Series.const(1)
     for k in range(kmax + 1):
-        worst = EqResult(Eq.EXACT)
+        worst = _EXACT
         for lhs, rhs in sides:
             res = window_equal_vec(lhs.scale(factor), rhs.scale(factor))
             if not res:

@@ -58,6 +58,10 @@ class PreconditionError(ValueError):
         super().__init__(f"hypothesis {hypothesis!r} fails at {where}")
 
 
+class LabelError(PreconditionError):
+    """Factor labels that are not one or more distinct labels of a host."""
+
+
 def pair_label(ul, vl):
     return f"({ul},{vl})"
 
@@ -79,12 +83,8 @@ class ProductNva:
 
     def pairing(self):
         """SeriesMap (U, V) -> (P,) relabelling pure tensors."""
-        dom = (self.first.space, self.second.space)
-        cols = {
-            (u, v): SeriesVector.basis((self.space,), (self.pair(u, v),))
-            for (u, v) in basis_tuples(dom)
-        }
-        return SeriesMap(dom, (self.space,), cols)
+        return SeriesMap.relabel((self.first.space, self.second.space),
+                                 (self.space,), lambda t: (self.pair(*t),))
 
     def unpairing(self):
         dom = (self.first.space, self.second.space)
@@ -97,19 +97,13 @@ class ProductNva:
     def embed_first(self):
         """U -> P, u |-> u ⊗ 1."""
         vac = self.second.vacuum
-        cols = {
-            (u,): SeriesVector.basis((self.space,), (self.pair(u, vac),))
-            for u in self.first.space.basis
-        }
-        return SeriesMap((self.first.space,), (self.space,), cols)
+        return SeriesMap.relabel((self.first.space,), (self.space,),
+                                 lambda t: (self.pair(*t, vac),))
 
     def embed_second(self):
         vac = self.first.vacuum
-        cols = {
-            (v,): SeriesVector.basis((self.space,), (self.pair(vac, v),))
-            for v in self.second.space.basis
-        }
-        return SeriesMap((self.second.space,), (self.space,), cols)
+        return SeriesMap.relabel((self.second.space,), (self.space,),
+                                 lambda t: (self.pair(vac, *t),))
 
 
 def build_twisted_tensor(first, second, twist, check_axioms=True):
@@ -408,10 +402,18 @@ def extract_twisting(host, u_labels, v_labels):
     stays only because the benchmark's tests count two solves per
     extraction (ROADMAP item 1).  On a unique solution runs the twisting
     axioms, the theta-bijectivity test and the degree-two injectivity
-    report.  The vacuum of each subalgebra is the host's when its labels
-    hold it, and otherwise its first label.  The solved R takes the window
-    of the host's table.
+    report.  The labels of each factor are one or more distinct labels of
+    the host's basis (LabelError otherwise).  The vacuum of each subalgebra
+    is the host's when its labels hold it, and otherwise its first label.
+    The solved R takes the window of the host's table.
     """
+    basis = host.space.basis
+    for tag, labels in (("U", u_labels), ("V", v_labels)):
+        for i, label in enumerate(labels or [""]):
+            if label not in basis or label in labels[:i]:
+                raise LabelError(f"{tag} labels are distinct labels of "
+                                 f"the host basis {basis}", repr(label))
+
     def vacuum(labels):
         return host.vacuum if host.vacuum in labels else labels[0]
 

@@ -354,14 +354,22 @@ class Series:
         """Substitute each variable v -> mapping.get(v, v).  A target may
         carry a sign, "-y" for v -> -y, and variables sent to one name merge,
         their exponents adding.  A one-to-one unsigned mapping that keeps the
-        variable order moves no exponent: the coefficients pass unchanged."""
-        targets = [_signed(mapping.get(v, v)) for v in self.variables]
-        names = tuple(name for name, _ in targets)
-        variables = tuple(sorted(set(names)))
-        neg = [i for i, (_, sign) in enumerate(targets) if sign < 0]
-        if names == variables and not neg:
-            return _made(variables, self.coeffs, self.window, self.exact)
-        pos = [variables.index(name) for name in names]
+        variable order moves no exponent: the coefficients pass unchanged,
+        and a mapping that changes no variable returns the series itself."""
+        at = (self.variables, *mapping.items())
+        if at not in _RENAMES:
+            targets = [_signed(mapping.get(v, v)) for v in self.variables]
+            names = tuple(name for name, _ in targets)
+            variables = tuple(sorted(set(names)))
+            neg = [i for i, (_, sign) in enumerate(targets) if sign < 0]
+            # where each exponent goes, None when none moves or changes sign
+            pos = [variables.index(name) for name in names]
+            moves = neg or names != variables
+            _RENAMES[at] = variables, neg, pos if moves else None
+        variables, neg, pos = _RENAMES[at]
+        if pos is None:
+            return self if variables == self.variables else _made(
+                variables, self.coeffs, self.window, self.exact)
         out = {}
         for ex, c in self.coeffs.items():
             ne = [0] * len(variables)
@@ -371,7 +379,7 @@ class Series:
                 c = -c
             ne = tuple(ne)
             out[ne] = out[ne] + c if ne in out else c
-        if len(variables) < len(names):
+        if len(variables) < len(pos):
             # merged exponents add: they may leave the window or cancel
             return _normalized(variables, out, self.window, self.exact)
         # one-to-one: each exponent is a permutation of one inside the window
@@ -456,11 +464,13 @@ class Series:
         return _normalized(variables, out, window, exact)
 
 
-# Plans of substitute_sum, kept for the life of the process: one per
-# (variables, var, first, second), and one integer row per (power, cap,
-# signs).  A window bounds the powers and caps a series can have, so both
-# stay as small as the variable layouts and windows in use.
+# Plans of substitute_sum and rename, kept for the life of the process:
+# one per (variables, var, first, second), one per (variables, *mapping
+# items), and one integer row per (power, cap, signs).  A window bounds the
+# powers and caps a series can have, so they stay as small as the variable
+# layouts and windows in use.
 _PLANS = {}
+_RENAMES = {}
 _BINOMIAL_ROWS = {}
 
 
@@ -518,16 +528,21 @@ class EqResult:
         return self.kind is not Eq.UNEQUAL
 
 
+# the two verdicts without a witness, shared: an EqResult is never changed
+_EXACT = EqResult(Eq.EXACT)
+_WINDOW = EqResult(Eq.WINDOW)
+
+
 def window_equal(a, b):
     """Certified equality of two Series inside the common window."""
     if a.variables == b.variables and a.coeffs == b.coeffs:
         # each support lies in its own window, so in their meet: a - b
         # would clip nothing and be zero
-        return EqResult(Eq.EXACT if a.exact and b.exact else Eq.WINDOW)
+        return _EXACT if a.exact and b.exact else _WINDOW
     diff = a - b
     if diff.coeffs:
         return EqResult(Eq.UNEQUAL, min(diff.coeffs))
-    return EqResult(Eq.EXACT if a.exact and b.exact and diff.exact else Eq.WINDOW)
+    return _EXACT if a.exact and b.exact and diff.exact else _WINDOW
 
 
 # ---------------------------------------------------------------------------

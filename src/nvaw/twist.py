@@ -32,17 +32,9 @@ class TwistOp:
 
 def flip_twist(first, second):
     """The trivial twisting operator v ⊗ u -> u ⊗ v for first ⊗ second."""
-    dom = (second.space, first.space)
-    cod = (first.space, second.space)
-    cols = {
-        (v, u): SeriesVector.basis(cod, (u, v)) for (v, u) in basis_tuples(dom)
-    }
-    table = SeriesMap(dom, cod, cols)
-    inv_cols = {
-        (u, v): SeriesVector.basis(dom, (v, u)) for (u, v) in basis_tuples(cod)
-    }
-    inverse = SeriesMap(cod, dom, inv_cols)
-    return TwistOp(f"flip({first.name},{second.name})", first, second, table, inverse)
+    return TwistOp(f"flip({first.name},{second.name})", first, second,
+                   SeriesMap.flip(second.space, first.space),
+                   SeriesMap.flip(first.space, second.space))
 
 
 # ---------------------------------------------------------------------------

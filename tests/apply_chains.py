@@ -26,6 +26,31 @@ def entries(vec):
             for k, s in vec.entries.items()]
 
 
+def rekeyed_compose(outer, inner, legs=None):
+    """outer.compose(inner, legs) as it was built before each column was
+    accumulated in place: every inner column that outer reads, its keys put
+    among the other legs' labels as a vector over outer's domain, applied
+    by outer."""
+    n = len(outer.domain)
+    lo, hi = (0, n) if legs is None else (legs[0], legs[-1] + 1)
+    read = {}
+    for k in outer.columns:
+        read.setdefault((k[:lo], k[hi:]), set()).add(k[lo:hi])
+    cols = {}
+    for pre in basis_tuples(outer.domain[:lo]):
+        for key, v in inner.columns.items():
+            for post in basis_tuples(outer.domain[hi:]):
+                labels = read.get((pre, post), ())
+                if not labels or labels.isdisjoint(v.entries):
+                    continue
+                col = outer.apply(SeriesVector(outer.domain, {
+                    pre + k + post: s for k, s in v.entries.items()}))
+                if col.entries:
+                    cols[pre + key + post] = col
+    return SeriesMap(outer.domain[:lo] + inner.domain + outer.domain[hi:],
+                     outer.codomain, cols)
+
+
 def permuted(vec, perm):
     """vec with its tensor legs reordered: new leg i is old leg perm[i]."""
     return SeriesVector(tuple(vec.spaces[p] for p in perm),

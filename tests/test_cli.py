@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, file round trips, JSON reports."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -105,6 +106,20 @@ def test_extract_twist_recovers_sign(tmp_path):
     assert tw.exists() and "twist" in tw.read_text()
 
 
+@pytest.mark.parametrize("u_labels, label", [
+    ("zz", "'zz'"), ("one,one", "'one'"), (",", "''")])
+def test_extract_twist_refuses_labels_outside_the_host_basis(
+        capsys, u_labels, label):
+    # an unknown, repeated or empty label is a usage error that names the
+    # label and the host basis, with no solve and no traceback
+    assert run("extract-twist", "E2", "--u", u_labels, "--v", "one") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: hypothesis \"U labels are distinct labels of the host basis "
+        f"('one', 's', 't')\" fails at {label}\n")
+
+
 def test_extract_smap_reports_underdetermined(capsys):
     # the defining relation does not pin the S-map down on any registry
     # instance, so the solve fails honestly
@@ -135,6 +150,45 @@ def test_json_report(tmp_path):
         set(r) == {"suite", "identity", "verdict", "detail", "window"}
         for r in rows)
     assert all(r["suite"] == "nva" for r in rows)
+
+
+def payload_text(records):
+    """The `--json` text of records, a run's payload, through cli._json:
+    the items they record, with the suite and window of the first."""
+    from nvaw.cli import _json
+    from nvaw.nva import CheckItem
+
+    outcomes = {o.name: o for o in (Outcome.EXACT_PASS, Outcome.WINDOW_PASS,
+                                    Outcome.FAIL, Outcome.NO_K_FOUND)}
+    items = [CheckItem(r["identity"], outcomes[r["verdict"]], r["detail"])
+             for r in records]
+    suite, window = ((records[0]["suite"], tuple(records[0]["window"]))
+                     if records else ("nva", (-8, 8)))
+    return _json(items, argparse.Namespace(command="check", suite=suite,
+                                           window=window))
+
+
+def test_json_payload_is_the_text_of_an_indented_json_dumps():
+    from test_golden import run_sweep
+
+    # every payload of the golden sweep, and an empty report
+    _, payloads = run_sweep()
+    for payload in payloads + [b"[]"]:
+        records = json.loads(payload)
+        assert payload_text(records) == json.dumps(records, indent=2) \
+            == payload.decode("ascii")
+    # quotes, backslashes, control characters, non-ASCII and non-BMP
+    # characters in every string field
+    odd = ['"q"', "back\\slash\\", "tab\tnew\nline\x00\x1f\x7f",
+           "é ⊗ ∘", "\U0001F600 \U00010348", ""]
+    records = [{"suite": suite, "identity": name, "verdict": verdict,
+                "detail": detail, "window": [lo, hi]}
+               for suite, lo, hi in ((odd[0], -3, 3), ("smash", 0, 0))
+               for name in odd for detail in reversed(odd)
+               for verdict in ("EXACT_PASS", "FAIL")]
+    for run_records in (records[:len(records) // 2],
+                        records[len(records) // 2:]):
+        assert payload_text(run_records) == json.dumps(run_records, indent=2)
 
 
 def test_list(capsys):
@@ -327,6 +381,25 @@ def test_a_command_imports_only_what_it_runs():
         "assert not lean & set(sys.modules), sorted(lean & set(sys.modules))\n"
         "assert nvaw.cli.main(['check', 'E1', '--suite', 'nva']) == 0\n"
         "assert not lean & set(sys.modules), sorted(lean & set(sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_file_input_does_not_import_the_registry(tmp_path):
+    # a check of a file reads no registry instance, so it does not import
+    # (or compile) the registry
+    from nvaw.fileformat import emit_nva
+    from nvaw.registry import make_e2
+
+    path = tmp_path / "e2.nva"
+    path.write_text(emit_nva(make_e2()), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "import nvaw.cli\n"
+        f"assert nvaw.cli.main(['check', {str(path)!r}, '--suite', 'nva',\n"
+        f"    '--json', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "assert 'nvaw.registry' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

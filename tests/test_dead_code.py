@@ -188,3 +188,26 @@ def test_one_implementation_of_exact_elimination():
                   if isinstance(node, ast.FunctionDef)
                   and _calls(node, "_lifted")]
     assert assemblers == ["_equations"]
+
+
+KERNEL_OPERATIONS = {"apply", "compose", "tensor", "transform", "scale",
+                     "__add__", "__sub__", "__neg__"}
+
+
+def test_one_multiply_accumulate_and_no_checked_kernel_results():
+    # _placed is called from one function of linalg.py, the multiply-
+    # accumulate loop that apply and compose share; and no kernel operation
+    # of a vector or a map builds its result through the checked
+    # constructors, SeriesVector(...) and SeriesMap(...)
+    tree = _parse(ROOT / "src" / "nvaw" / "linalg.py")
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and _calls(node, "_placed")] == ["_summed"]
+    kernel = [(cls.name, f) for cls in tree.body
+              if isinstance(cls, ast.ClassDef)
+              and cls.name in ("SeriesVector", "SeriesMap")
+              for f in cls.body if isinstance(f, ast.FunctionDef)
+              and f.name in KERNEL_OPERATIONS]
+    assert len(kernel) == 13
+    assert [(c, f.name) for c, f in kernel
+            if _calls(f, "SeriesVector") or _calls(f, "SeriesMap")] == []

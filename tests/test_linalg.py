@@ -18,6 +18,8 @@ from nvaw.registry import (
 from nvaw.series import DEFAULT_RANGE, EmptyWindow, Q, Series
 from test_series import in_normal_form
 
+from apply_chains import rekeyed_compose
+
 A = Space("A", ("a1", "a2"))
 B = Space("B", ("b1", "b2", "b3"))
 
@@ -777,3 +779,57 @@ def test_map_operations_keep_the_normal_form(case):
                 c1 + c2: s1 * s2 for c2, s2 in v2.entries.items()
                 for c1, s1 in v1.entries.items()})
             assert_normal_entries(col)
+
+
+# ---------------------------------------------------------------------------
+# compose sums each column in place, and tensor and transform build only
+# what they return; the compose that re-keyed and applied each column is
+# the oracle (apply_chains.rekeyed_compose)
+
+
+def same_map(got, want):
+    """Equal maps: domain, codomain, column order, and every field of every
+    entry in entry order, each coefficient's type included."""
+    assert (got.domain, got.codomain) == (want.domain, want.codomain)
+    assert list(got.columns) == list(want.columns)
+    for key, col in got.columns.items():
+        assert col.spaces == want.columns[key].spaces
+        assert fields(col.entries) == fields(want.columns[key].entries)
+        assert_normal_entries(col)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_and_vector())
+def test_compose_tensor_and_transform_build_what_their_definitions_do(case):
+    inner, outer, vec, legs = case
+    lo, hi = (0, 1) if legs is None else (legs[0], legs[-1] + 1)
+    # the outer map on the legs of C among the vector's spaces, its column
+    # at each key of the vector scaled by the entry there
+    on_legs = SeriesMap(vec.spaces, outer.codomain, {
+        key: outer.column(key[lo:hi]).scale(s)
+        for key, s in vec.entries.items()})
+    for mp, at in ((outer, None), (on_legs, legs)):
+        same_map(mp.compose(inner, at), rekeyed_compose(mp, inner, at))
+    # tensor as the checked constructors build it
+    for first, second in ((inner, outer), (outer, on_legs)):
+        same_map(first.tensor(second), SeriesMap(
+            first.domain + second.domain, first.codomain + second.codomain, {
+                k1 + k2: SeriesVector(first.codomain + second.codomain, {
+                    c1 + c2: s1 * s2 for c2, s2 in v2.entries.items()
+                    for c1, s1 in v1.entries.items()})
+                for k1, v1 in first.columns.items()
+                for k2, v2 in second.columns.items()}))
+    # a transform that returns every entry itself returns its input, as
+    # does a change of the variable x to itself
+    for mp in (inner, outer, on_legs):
+        assert mp.transform(lambda s: s) is mp
+        assert mp.at("x") is mp
+        assert all(v.transform(lambda s: s) is v for v in mp.columns.values())
+    assert vec.transform(lambda s: s) is vec
+    # one that changes the entries builds the vector the constructor would,
+    # an exact zero left out and an inexact one kept
+    for fn in (lambda s: -s, lambda s: s - s):
+        got = vec.transform(fn)
+        assert (got is not vec) == bool(vec.entries)
+        assert fields(got.entries) == fields(SeriesVector(vec.spaces, {
+            k: fn(s) for k, s in vec.entries.items()}).entries)

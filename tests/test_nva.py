@@ -226,22 +226,29 @@ def test_weak_associativity_applies_each_side_on_its_support(monkeypatch):
     """On (E2⊗E2)⊗E2 each side's inner table has 125 columns, placed under
     the 27 labels of the other leg: 3,375 candidate columns, none of them
     built as a map.  Only 343 have a key the outer table acts on: those are
-    the only applies."""
+    the only columns each side's compose accumulates."""
+    from nvaw import linalg
     from nvaw.products import build_ordinary_tensor
 
     a, b, c = make_e2(), make_e2(), make_e2()
     p = build_ordinary_tensor(build_ordinary_tensor(a, b).nva, c).nva
-    calls = {}
-    real = SeriesMap.apply
+    counts = []
+    compose, summed = SeriesMap.compose, linalg._summed
 
-    def counted(self, vec, legs=None):
-        calls[id(self)] = calls.get(id(self), 0) + 1
-        return real(self, vec, legs)
+    def counted_compose(self, inner, legs=None):
+        counts.append(0)
+        return compose(self, inner, legs)
 
-    monkeypatch.setattr(SeriesMap, "apply", counted)
+    def counted_summed(*args):
+        counts[-1] += 1
+        return summed(*args)
+
+    monkeypatch.setattr(SeriesMap, "compose", counted_compose)
+    monkeypatch.setattr(linalg, "_summed", counted_summed)
     weak_associativity_items(p.y, p.y, (p.space,) * 3, 10, "assoc")
-    # one outer map per side: Y(·,x1) on the left, Y(·,x2) on the right
-    assert sorted(calls.values()) == [343, 343]
+    # one compose per side: Y(·,x1) after Y(·,x2) on the left, Y(·,x2)
+    # after Y(·,x0) on the right, one accumulation per result column
+    assert counts == [343, 343]
 
 
 # ---------------------------------------------------------------------------

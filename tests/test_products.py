@@ -450,6 +450,20 @@ def test_product_module_incompatible_actions_rejected():
     assert "module compatibility" in str(exc.value)
 
 
+@pytest.mark.parametrize("u_labels, label", [
+    (["zz"], "'zz'"), (["one", "one"], "'one'"), ([], "''")])
+def test_extract_twisting_refuses_labels_outside_the_host_basis(
+        u_labels, label):
+    # an unknown, repeated or missing label is a precondition of the
+    # extraction, named with the host's basis
+    e2 = make_e2()
+    with pytest.raises(PreconditionError) as exc:
+        extract_twisting(e2, u_labels, ["one", "t"])
+    assert exc.value.where == label
+    assert exc.value.hypothesis == (
+        "U labels are distinct labels of the host basis ('one', 's', 't')")
+
+
 def test_sub_nva_not_closed_raises():
     from nvaw.products import sub_nva
 
