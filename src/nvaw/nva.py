@@ -8,7 +8,7 @@ a witness, or fail to admit a clearing exponent k below the cap.
 """
 
 from .series import _EXACT, Eq, EqResult, Q, Series, SeriesError, window_equal
-from .linalg import _ZERO, SeriesMap, SeriesVector, basis_tuples
+from .linalg import _ZERO, SeriesMap, SeriesVector, _vector, basis_tuples
 
 
 DEFAULT_KMAX = 10
@@ -258,7 +258,10 @@ def pole_order(vec, var):
     k = 0
     for s in vec.entries.values():
         if var in s.variables:
-            k = max(k, -min(0, s.min_degree(var)))
+            i = s.variables.index(var)
+            for ex in s.coeffs:
+                if ex[i] < -k:
+                    k = -ex[i]
     return k
 
 
@@ -354,12 +357,23 @@ def weak_associativity_items(y, yw, spaces, kmax, prefix):
                 rhs = rhs.scale(xk.substitute_sum("x1", "x0", "x2"))
             # at k=0 both sides are still lifted onto (x0, x2), as x1^0 and
             # (x0+x2)^0 would, so a witness exponent has two entries
-            lhs = lhs12.transform(lambda s: s.substitute_sum(
-                "x1", "x0", "x2").align(("x0", "x2"), s.window))
-            rep.compare(f"{at}{w}) k={k}", lhs,
-                        rhs.transform(lambda s: s.align(("x0", "x2"), s.window)))
+            rep.compare(f"{at}{w}) k={k}", _on_x0_x2(lhs12, True),
+                        _on_x0_x2(rhs, False))
         rep.run(at, zero[start:])
     return rep
+
+
+def _on_x0_x2(vec, substitute):
+    """vec on (x0, x2) in one pass, x1 -> x0 + x2 substituted first when
+    substitute is set; an exact zero leaves, as in transform."""
+    out = {}
+    for key, s in vec.entries.items():
+        t = s.substitute_sum("x1", "x0", "x2") if substitute else s
+        if t.variables != ("x0", "x2"):
+            t = t.align(("x0", "x2"), s.window)
+        if t.coeffs or not t.exact:
+            out[key] = t
+    return _vector(vec.spaces, out)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,8 @@ def _placed(a, b):
     A factor with no variables scales the other: the other's variables and
     window.  In disjoint variables under one window, each exponent of the
     product is the operands' two placed side by side: inside the window, and
-    met by no other term, so none cancels."""
+    met by no other term, so none cancels; two one-term factors make one
+    term, an int unless a factor is a Fraction."""
     x, y = a.coeffs, b.coeffs
     exact = a.exact and b.exact
     first, second = a.variables, b.variables
@@ -144,16 +145,21 @@ def _placed(a, b):
         s, k = (b, x.get((), 0)) if not first else (a, y.get((), 0))
         return (s.variables, _integral({ex: c * k for ex, c in s.coeffs.items()})
                 if k else {}, s.window, exact)
-    if a.window == b.window:
-        if first[-1] < second[0]:
-            return first + second, _integral({
-                ex1 + ex2: c1 * c2 for ex1, c1 in x.items()
-                for ex2, c2 in y.items()}), a.window, exact
-        if second[-1] < first[0]:
-            return second + first, _integral({
-                ex2 + ex1: c1 * c2 for ex1, c1 in x.items()
-                for ex2, c2 in y.items()}), a.window, exact
-    return None
+    swap = second[-1] < first[0]
+    if a.window != b.window or not (swap or first[-1] < second[0]):
+        return None
+    variables = second + first if swap else first + second
+    if len(x) == 1 == len(y):
+        (ex1, c1), = x.items()
+        (ex2, c2), = y.items()
+        # a factor 1, the most common, leaves the other as it is
+        c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+        if c.__class__ is Q and c.denominator == 1:
+            c = c.numerator
+        return variables, {ex2 + ex1 if swap else ex1 + ex2: c}, a.window, exact
+    return variables, _integral({
+        ex2 + ex1 if swap else ex1 + ex2: c1 * c2 for ex1, c1 in x.items()
+        for ex2, c2 in y.items()}), a.window, exact
 
 
 def _add_terms(coeffs, terms):
@@ -222,10 +228,6 @@ class Series:
     def is_polynomial(self):
         """No negative exponents in any variable."""
         return all(all(e >= 0 for e in ex) for ex in self.coeffs)
-
-    def min_degree(self, var):
-        i = self.variables.index(var)
-        return min((ex[i] for ex in self.coeffs), default=0)
 
     def __eq__(self, other):
         return (
@@ -422,39 +424,53 @@ class Series:
         summand (the iota convention).  That expansion is infinite, so it is
         clipped at the series' window and the result is not exact; a series
         without a window has nowhere to clip it and raises SeriesError.
+
+        A series of one term is its coefficient times the kept substitution
+        of its unit term; a longer one is summed and then clipped, since two
+        of its terms may cancel outside the window.
         """
         if var not in self.variables:
             return self
+        if len(self.coeffs) != 1:
+            return self._substituted(var, first, second)
+        (ex, c), = self.coeffs.items()
+        at = (self.variables, var, first, second, self.window, ex)
+        unit = _TERMS.get(at)
+        if unit is None:
+            unit = _TERMS[at] = _made(self.variables, {ex: 1}, self.window,
+                                      True)._substituted(var, first, second)
+        coeffs = {ne: c if m == 1 else c * m for ne, m in unit.coeffs.items()}
+        return _made(unit.variables, coeffs if c.__class__ is int else
+                     _integral(coeffs), self.window, self.exact and unit.exact)
+
+    def _substituted(self, var, first, second):
+        """substitute_sum of var in self, summed term by term and clipped."""
         at = (self.variables, var, first, second)
         plan = _PLANS.get(at)
         if plan is None:
             plan = _PLANS[at] = _substitution_plan(*at)
-        variables, i, moves, pf, pg, signs, shared = plan
+        variables, i, moves, pf, pg, signs = plan
         window = self.window
         exact = self.exact
-        rows = {}
         out = {}
         for ex, c in self.coeffs.items():
             n = ex[i]
             base = [0] * len(variables)
             for p, j in moves:
                 base[p] = ex[j]
-            # a summand that is a variable of the series adds its exponent
-            # in the term to those of the expansion, which moves the cap
-            at = (n, base[pf], base[pg]) if shared else n
-            row = rows.get(at)
-            if row is None:
-                if n >= 0:
-                    cap = n
-                elif window is None:
-                    raise SeriesError(f"{var}^{n} has an infinite expansion "
-                                      "and no window to clip it at")
-                else:
-                    exact = False
-                    cap = max(-1, min(window[1] - base[pg],
-                                      n + base[pf] - window[0]))
-                row = rows[at] = _binomial_row(n, cap, signs)
-            for k, m in enumerate(row):
+            if n >= 0:
+                cap = n
+            elif window is None:
+                raise SeriesError(f"{var}^{n} has an infinite expansion "
+                                  "and no window to clip it at")
+            else:
+                # a summand that is a variable of the series adds its
+                # exponent in the term to those of the expansion, which
+                # moves the cap
+                exact = False
+                cap = max(-1, min(window[1] - base[pg],
+                                  n + base[pf] - window[0]))
+            for k, m in enumerate(_binomial_row(n, cap, signs)):
                 ne = base.copy()
                 ne[pf] += n - k
                 ne[pg] += k
@@ -466,19 +482,20 @@ class Series:
 
 # Plans of substitute_sum and rename, kept for the life of the process:
 # one per (variables, var, first, second), one per (variables, *mapping
-# items), and one integer row per (power, cap, signs).  A window bounds the
-# powers and caps a series can have, so they stay as small as the variable
-# layouts and windows in use.
+# items), one integer row per (power, cap, signs), and one substituted unit
+# term per (variables, var, first, second, window, exponent).  A window
+# bounds the powers, caps and exponents a series can have, so they stay as
+# small as the variable layouts and windows in use.
 _PLANS = {}
 _RENAMES = {}
 _BINOMIAL_ROWS = {}
+_TERMS = {}
 
 
 def _substitution_plan(variables, var, first, second):
-    """(result variables, index of var, moves, pf, pg, signs, shared): each
-    other variable's exponent moves from index j to index p, (p, j) in
-    moves; the powers of first and second go to pf and pg, and shared says
-    whether a moved exponent goes there too."""
+    """(result variables, index of var, moves, pf, pg, signs): each other
+    variable's exponent moves from index j to index p, (p, j) in moves; the
+    powers of first and second go to pf and pg."""
     (f, sf), (g, sg) = _signed(first), _signed(second)
     if f == g:
         raise VariableMismatch("summands must be distinct variables")
@@ -486,9 +503,7 @@ def _substitution_plan(variables, var, first, second):
     rest = [j for j in range(len(variables)) if j != i]
     out = tuple(sorted({variables[j] for j in rest} | {f, g}))
     moves = tuple((out.index(variables[j]), j) for j in rest)
-    pf, pg = out.index(f), out.index(g)
-    shared = any(p in (pf, pg) for p, _ in moves)
-    return out, i, moves, pf, pg, (sf, sg), shared
+    return out, i, moves, out.index(f), out.index(g), (sf, sg)
 
 
 def _binomial_row(n, cap, signs):

@@ -8,14 +8,20 @@ identity yields (name, key, lhs, rhs) per item, in the order its check
 reports them; each chain of a k-searched identity yields (name, sides),
 sides the (lhs, rhs) pairs its k is searched on; and each table chain
 returns the columns of the table it builds.
+
+Weak associativity's live loop and Series.substitute_sum as they were
+before a live triple was built in one pass per side, and before a term's
+expansion was kept, are kept here too, as the oracles of both.
 """
 
 import json
 from pathlib import Path
 
 from nvaw.linalg import SeriesMap, SeriesVector, basis_tuples
-from nvaw.nva import compute_D, exp_xD
+from nvaw.nva import CheckReport, Outcome, compute_D, exp_xD
 from nvaw.products import pair_label
+from nvaw.series import (
+    Series, SeriesError, _binomial_row, _normalized, _substitution_plan)
 from nvaw.twist import with_inverse
 
 
@@ -49,6 +55,13 @@ def rekeyed_compose(outer, inner, legs=None):
                     cols[pre + key + post] = col
     return SeriesMap(outer.domain[:lo] + inner.domain + outer.domain[hi:],
                      outer.codomain, cols)
+
+
+def typed_entries(vec):
+    """Each entry of vec as (key, variables, [(exponent, coefficient, type
+    of the coefficient)], window, exact), both in their order."""
+    return [(k, s.variables, [(ex, c, type(c)) for ex, c in s.coeffs.items()],
+             s.window, s.exact) for k, s in vec.entries.items()]
 
 
 def permuted(vec, perm):
@@ -359,6 +372,99 @@ def universal_skew_chain(p, target, psi1, psi2):
             lhs = target.y.apply(psi21.column((v, u)))
             rhs = expd.apply(y_neg.apply(psi12.apply(r_neg.column((v, u)))))
             yield f"{(v, u)}", (v, u), lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# nva.py and series.py: weak associativity's triples through transform and
+# align, and the substitution of every series term by term
+
+
+def substitute_sum(s, var, first, second):
+    """s.substitute_sum(var, first, second) summed term by term and then
+    clipped, for a series of any length."""
+    if var not in s.variables:
+        return s
+    variables, i, moves, pf, pg, signs = _substitution_plan(
+        s.variables, var, first, second)
+    shared = any(p in (pf, pg) for p, _ in moves)
+    window = s.window
+    exact = s.exact
+    rows = {}
+    out = {}
+    for ex, c in s.coeffs.items():
+        n = ex[i]
+        base = [0] * len(variables)
+        for p, j in moves:
+            base[p] = ex[j]
+        at = (n, base[pf], base[pg]) if shared else n
+        row = rows.get(at)
+        if row is None:
+            if n >= 0:
+                cap = n
+            elif window is None:
+                raise SeriesError(f"{var}^{n} has an infinite expansion "
+                                  "and no window to clip it at")
+            else:
+                exact = False
+                cap = max(-1, min(window[1] - base[pg],
+                                  n + base[pf] - window[0]))
+            row = rows[at] = _binomial_row(n, cap, signs)
+        for k, m in enumerate(row):
+            ne = base.copy()
+            ne[pf] += n - k
+            ne[pg] += k
+            ne = tuple(ne)
+            term = c if m == 1 else c * m
+            out[ne] = out[ne] + term if ne in out else term
+    return _normalized(variables, out, window, exact)
+
+
+def pole_order(vec, var):
+    k = 0
+    for s in vec.entries.values():
+        if var in s.variables:
+            i = s.variables.index(var)
+            k = max(k, -min(0, min((ex[i] for ex in s.coeffs), default=0)))
+    return k
+
+
+def weak_associativity_items(y, yw, spaces, kmax, prefix):
+    """nva.weak_associativity_items with each live triple's sides built by
+    transform and align."""
+    rep = CheckReport("weak associativity")
+    yx1, yx2, yx0 = yw.at("x1"), yw.at("x2"), y.at("x0")
+    lhs_map = yx1.compose(yx2, (1,))
+    rhs_map = yx2.compose(yx0, (0,))
+    ws = spaces[2].basis
+    index = {w: i for i, w in enumerate(ws)}
+    live = {}
+    for key in lhs_map.columns.keys() | rhs_map.columns.keys():
+        live.setdefault(key[:2], []).append((index[key[2]], key[2]))
+    zero = tuple(f"{w}) k=0" for w in ws)
+    for (u, v) in basis_tuples(spaces[:2]):
+        at = f"{prefix}({u},{v},"
+        start = 0
+        for i, w in sorted(live.get((u, v), ())):
+            rep.run(at, zero[start:i])
+            start = i + 1
+            key = (u, v, w)
+            lhs12 = lhs_map.column(key)
+            k = pole_order(lhs12, "x1")
+            if k > kmax:
+                rep.add(f"{at}{w})", Outcome.NO_K_FOUND,
+                        f"pole order exceeds kmax={kmax}")
+                continue
+            rhs = rhs_map.column(key)
+            if k:
+                xk = Series.monomial("x1", k)
+                lhs12 = lhs12.scale(xk)
+                rhs = rhs.scale(substitute_sum(xk, "x1", "x0", "x2"))
+            lhs = lhs12.transform(lambda s: substitute_sum(
+                s, "x1", "x0", "x2").align(("x0", "x2"), s.window))
+            rep.compare(f"{at}{w}) k={k}", lhs,
+                        rhs.transform(lambda s: s.align(("x0", "x2"), s.window)))
+        rep.run(at, zero[start:])
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -211,3 +211,25 @@ def test_one_multiply_accumulate_and_no_checked_kernel_results():
     assert len(kernel) == 13
     assert [(c, f.name) for c, f in kernel
             if _calls(f, "SeriesVector") or _calls(f, "SeriesMap")] == []
+
+
+def module_cache_dicts(path):
+    """The names a module binds, at its top level, to a dict display."""
+    return {target.id for node in _parse(path).body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_every_series_cache_is_bounded_by_a_test():
+    # a dict that nvaw.series keeps for the life of the process grows with
+    # every call that misses it: each is cleared, filled and bounded by the
+    # bounded-cache test of test_products.py, and a new one cannot land
+    # without it
+    tree = _parse(ROOT / "tests" / "test_products.py")
+    test, = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name
+             == "test_substitution_plans_stay_small_and_equal_fresh_ones"]
+    cleared = {node.value for node in ast.walk(test)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and node.value.startswith("_")}
+    assert module_cache_dicts(ROOT / "src" / "nvaw" / "series.py") == cleared

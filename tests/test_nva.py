@@ -2,13 +2,17 @@
 
 import pytest
 
+import apply_chains
+from apply_chains import typed_entries
 from nvaw.nva import (
-    CheckItem, CheckReport, Outcome, adjoint_module, check_D_bracket,
-    check_module, check_vacuum, check_weak_associativity, compute_D, exp_xD,
-    scalar_of, window_equal_vec, weak_associativity_items,
+    DEFAULT_KMAX, CheckItem, CheckReport, Outcome, adjoint_module,
+    check_D_bracket, check_module, check_vacuum, check_weak_associativity,
+    compute_D, exp_xD, scalar_of, window_equal_vec, weak_associativity_items,
 )
 from nvaw.linalg import SeriesMap, SeriesVector, Space, basis_tuples
 from nvaw.nva import Nva
+from nvaw.products import build_twisted_tensor
+from nvaw.twist import flip_twist
 from nvaw.registry import (
     builtin_algebras, make_e1, make_e1n, make_e2, make_z2,
 )
@@ -249,6 +253,79 @@ def test_weak_associativity_applies_each_side_on_its_support(monkeypatch):
     # one compose per side: Y(·,x1) after Y(·,x2) on the left, Y(·,x2)
     # after Y(·,x0) on the right, one accumulation per result column
     assert counts == [343, 343]
+
+
+# ---------------------------------------------------------------------------
+# a live triple's sides are built in one pass each; the loop through
+# transform and align that built them before is kept in apply_chains.py as
+# the oracle
+
+
+def with_pole(nva):
+    """nva with the first entry of its last column times x^-1."""
+    key = list(nva.y.columns)[-1]
+    col = nva.y.column(key)
+    label, s = next(iter(col.entries.items()))
+    cols = dict(nva.y.columns)
+    cols[key] = SeriesVector(col.spaces, {
+        **col.entries, label: s * Series.monomial("x", -1)})
+    return Nva(f"{nva.name}/x", nva.space, nva.vacuum,
+               SeriesMap(nva.y.domain, nva.y.codomain, cols))
+
+
+def with_x_free_vacuum(nva):
+    """nva with each Y(1,x)v = v an x-free constant beside the windowed
+    entries of its other columns: a side may then hold an entry in x2
+    alone, under the table's window."""
+    cols = dict(nva.y.columns)
+    for v in nva.space.basis:
+        cols[(nva.vacuum, v)] = SeriesVector.basis((nva.space,), (v,))
+    return Nva(f"{nva.name}/1", nva.space, nva.vacuum,
+               SeriesMap(nva.y.domain, nva.y.codomain, cols))
+
+
+def flip_cube(rng):
+    """The flip (E2 ⊗ E2) ⊗ E2 of E2 at the window rng, of dimension 27."""
+    e2 = make_e2(rng)
+    square = build_twisted_tensor(e2, e2, flip_twist(e2, e2)).nva
+    return build_twisted_tensor(square, e2, flip_twist(square, e2)).nva
+
+
+@pytest.mark.parametrize("rng", [DEFAULT_RANGE, (0, 0), (-1, 1)])
+def test_live_triples_equal_the_transform_and_align_loop(rng, map_comparisons):
+    """The same items, and at each live triple the same compared vectors:
+    entries, coefficients with their types, windows and exactness flags,
+    all in order.  Over the registry algebras, their adjoint modules, each
+    algebra with an x-free vacuum and with a pole added (k > 0, fail
+    witnesses, and no k at kmax = 0) and the dimension-27 host."""
+    cases = []
+    for alg in builtin_algebras(rng).values():
+        mod, poled = adjoint_module(alg), with_pole(alg)
+        free = with_x_free_vacuum(alg)
+        cases += [(alg.y, alg.y, (alg.space,) * 3, DEFAULT_KMAX, "assoc"),
+                  (alg.y, mod.yw, (alg.space, alg.space, mod.space),
+                   DEFAULT_KMAX, "module"),
+                  (free.y, free.y, (alg.space,) * 3, DEFAULT_KMAX, "assoc")]
+        cases += [(poled.y, poled.y, (alg.space,) * 3, kmax, "assoc")
+                  for kmax in (DEFAULT_KMAX, 0)]
+    cube = flip_cube(rng)
+    cases.append((cube.y, cube.y, (cube.space,) * 3, DEFAULT_KMAX, "assoc"))
+    seen = set()
+    for case in cases:
+        map_comparisons.clear()
+        want = apply_chains.weak_associativity_items(*case)
+        compared = map_comparisons.compared
+        map_comparisons.clear()
+        got = weak_associativity_items(*case)
+        assert [(i.name, i.outcome, i.detail) for i in got.items] == [
+            (i.name, i.outcome, i.detail) for i in want.items]
+        assert list(map_comparisons.compared) == list(compared)
+        for name, (lhs, rhs) in compared.items():
+            assert [typed_entries(v) for v in map_comparisons.compared[name]] \
+                == [typed_entries(lhs), typed_entries(rhs)], name
+        seen |= {(i.outcome.name, i.name.partition(" ")[2])
+                 for i in got.items}
+    assert {("EXACT_PASS", "k=0"), ("FAIL", "k=1"), ("NO_K_FOUND", "")} <= seen
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
+import apply_chains
 from nvaw.series import (
     DEFAULT_RANGE, EmptyWindow, Eq, Q, Series, SeriesError, _meet, binom,
     format_series, parse_series, window_equal,
@@ -404,6 +405,56 @@ def test_substitute_sum_without_a_window_has_nowhere_to_clip():
     assert out.coeffs == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
 
+# a series of one term is substituted through the kept substitution of its
+# unit term; the general loop, summed term by term and clipped, is kept in
+# apply_chains.py as the oracle
+
+ONE_TERM_SUBSTITUTIONS = [
+    (("x",), "x", "x1", "-x2"), (("x",), "x", "-x2", "x1"),
+    (("x",), "x", "-x1", "-x2"), (("x",), "x", "x", "z"),
+    (("x1", "x2"), "x1", "x0", "x2"), (("x1", "x2"), "x1", "-x2", "x1"),
+    (("x0", "x1"), "x1", "x0", "-x2")]
+
+
+@st.composite
+def one_term_substitution(draw):
+    """A one-term series, windowed or not, exact or not, with an int or a
+    Fraction coefficient and an exponent inside its window (-4..4 when it
+    has none), and the substitution to make in it."""
+    variables, var, first, second = draw(st.sampled_from(
+        ONE_TERM_SUBSTITUTIONS))
+    window = draw(WINDOW_OR_NONE)
+    lo, hi = window or (-4, 4)
+    ex = draw(st.tuples(*[st.integers(lo, hi)] * len(variables)))
+    c = draw(NONZERO | st.integers(-6, 6).filter(bool))
+    s = Series(variables, {ex: c}, window, draw(st.booleans()))
+    return s, var, first, second
+
+
+def typed_fields(s):
+    return (s.variables, [(ex, c, type(c)) for ex, c in s.coeffs.items()],
+            s.window, s.exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_term_substitution())
+def test_a_one_term_substitution_equals_the_general_loop(case):
+    """The same variables, coefficients with their types in order, window
+    and exactness, first computed and then kept; or the same SeriesError
+    for a negative power without a window, every time."""
+    s, var, first, second = case
+    try:
+        want = typed_fields(apply_chains.substitute_sum(s, var, first, second))
+    except SeriesError as exc:
+        for _ in range(2):
+            with pytest.raises(SeriesError) as got:
+                s.substitute_sum(var, first, second)
+            assert str(got.value) == str(exc)
+        return
+    for _ in range(2):
+        assert typed_fields(s.substitute_sum(var, first, second)) == want
+
+
 def window_equal_by_subtraction(a, b):
     """(kind, witness) of window_equal as the difference a - b decides it."""
     diff = a - b
@@ -675,9 +726,17 @@ DISJOINT = list(dict.fromkeys(
     for pair in ((lower, upper), (upper, lower))))
 
 
+# two one-term factors whose product is integral, in either order of their
+# variables
+HALF_X1 = Series(("x1",), {(1,): Q(1, 2)}, (-2, 2))
+TWO_X2 = Series(("x2",), {(-2,): 2}, (-2, 2))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.tuples(st.sampled_from(DISJOINT), WINDOW_OR_NONE).flatmap(
     lambda drawn: st.tuples(*(laurent(v, drawn[1], -4, 4) for v in drawn[0]))))
+@example((HALF_X1, TWO_X2))
+@example((TWO_X2, HALF_X1))
 def test_a_product_in_disjoint_variables_is_a_placement(pair):
     a, b = pair
     r = a * b
