@@ -158,28 +158,42 @@ class Inputs:
 # suites
 
 
-def _suite_nva(alg, kmax):
+def _suite_nva(inputs, args):
+    alg = inputs.algebra()
     rep = CheckReport(f"{alg.name}: nonlocal-vertex-algebra suite")
     rep.extend(check_vacuum(alg))
-    rep.extend(check_weak_associativity(alg, kmax))
+    rep.extend(check_weak_associativity(alg, args.kmax))
     rep.extend(check_D_bracket(alg))
     return rep
 
 
-def _suite_twist(inputs, args):
+def _twist(inputs, args):
+    """The --twist of a check, refused when the input is a registry name
+    other than the twist's first factor."""
     if not args.twist:
-        raise UsageError("--suite twist requires --twist NAME")
+        raise UsageError(f"--suite {args.suite} requires --twist NAME")
     t = inputs.twist(args.twist)
+    if inputs.name not in (None, t.first.name):
+        raise _twist_is_for(t)
+    return t
+
+
+def _twist_is_for(t):
+    return UsageError(f"twist {t.name} is for ({t.first.name},{t.second.name})")
+
+
+def _suite_twist(inputs, args):
     from .twist import check_twisting_axioms
 
-    return check_twisting_axioms(t)
+    return check_twisting_axioms(_twist(inputs, args))
 
 
-def _suite_qva(inputs, alg, args, kmax):
+def _suite_qva(inputs, args):
     from .quantum import (
         check_S_locality, check_S_skew, check_qva_axioms, check_qyb_unitarity,
     )
 
+    alg = inputs.algebra()
     if not args.smap:
         raise UsageError("--suite qva requires --smap NAME")
     s = inputs.smap(args.smap, alg)
@@ -187,47 +201,46 @@ def _suite_qva(inputs, alg, args, kmax):
         raise UsageError(f"S-map {s.name} is for {s.algebra.name}")
     rep = CheckReport(f"{alg.name}/{s.name}: quantum suite")
     rep.extend(check_qyb_unitarity(s))
-    rep.extend(check_S_locality(alg, s, kmax))
+    rep.extend(check_S_locality(alg, s, args.kmax))
     rep.extend(check_S_skew(alg, s))
     rep.extend(check_qva_axioms(alg, s))
     return rep
 
 
-def _suite_product_props(inputs, args, kmax):
+def _suite_product_props(inputs, args):
     from .products import (
         build_twisted_tensor, check_embeddings, check_invertible_relations,
         check_product_nva, check_product_properties,
     )
     from .twist import NotInvertibleError, with_inverse
 
-    if not args.twist:
-        raise UsageError("--suite product-props requires --twist NAME")
-    t = inputs.twist(args.twist)
+    t = _twist(inputs, args)
     try:  # the product carries the inverse its invertible relations read
         t = with_inverse(t)
     except NotInvertibleError:
         pass
     p = build_twisted_tensor(t.first, t.second, t)
     rep = CheckReport(f"{p.nva.name}: product suite")
-    rep.extend(check_product_nva(p, kmax))
+    rep.extend(check_product_nva(p, args.kmax))
     rep.extend(check_embeddings(p))
     rep.extend(check_product_properties(p))
     if t.inverse is not None:
-        rep.extend(check_invertible_relations(p, kmax))
+        rep.extend(check_invertible_relations(p, args.kmax))
     return rep
 
 
-def _suite_smash(inputs, kmax):
+def _suite_smash(inputs, args):
     from .smash import SmashDatum, check_smash_datum
 
     act, coact = inputs.smash_halves()
     if act is None or coact is None:
         raise UsageError("--suite smash needs an action and a coaction")
     datum = SmashDatum(inputs.name or "file", act.bialgebra, act, coact)
-    return check_smash_datum(datum, kmax)
+    return check_smash_datum(datum, args.kmax)
 
 
-def _suite_module(inputs, alg, kmax):
+def _suite_module(inputs, args):
+    alg = inputs.algebra()
     rep = CheckReport(f"{alg.name}: module suite")
     mods = []
     if inputs.file is not None:
@@ -236,8 +249,14 @@ def _suite_module(inputs, alg, kmax):
     if not mods:
         mods = [adjoint_module(alg)]
     for mod in mods:
-        rep.extend(check_module(mod, kmax))
+        rep.extend(check_module(mod, args.kmax))
     return rep
+
+
+# each suite reads the input's algebra only if it checks it
+SUITES = {"nva": _suite_nva, "twist": _suite_twist, "qva": _suite_qva,
+          "smash": _suite_smash, "product-props": _suite_product_props,
+          "module": _suite_module}
 
 
 # ---------------------------------------------------------------------------
@@ -245,25 +264,7 @@ def _suite_module(inputs, alg, kmax):
 
 
 def cmd_check(args):
-    kmax = args.kmax
-    inputs = Inputs(args.input, args.window)
-    # only the suites that read the input's algebra build it
-    if args.suite == "smash":
-        rep = _suite_smash(inputs, kmax)
-    elif args.suite == "twist":
-        rep = _suite_twist(inputs, args)
-    elif args.suite == "product-props":
-        rep = _suite_product_props(inputs, args, kmax)
-    else:
-        alg = inputs.algebra()
-        if args.suite == "nva":
-            rep = _suite_nva(alg, kmax)
-        elif args.suite == "qva":
-            rep = _suite_qva(inputs, alg, args, kmax)
-        elif args.suite == "module":
-            rep = _suite_module(inputs, alg, kmax)
-        else:
-            raise UsageError(f"unknown suite {args.suite!r}")
+    rep = SUITES[args.suite](Inputs(args.input, args.window), args)
     return _report(rep, args, rep.ok)
 
 
@@ -275,8 +276,7 @@ def cmd_product(args):
     twist = inputs_u.twist(args.twist)
     first, second = inputs_u.algebra(), inputs_v.algebra()
     if twist.first.space != first.space or twist.second.space != second.space:
-        raise UsageError(
-            f"twist {twist.name} is for ({twist.first.name},{twist.second.name})")
+        raise _twist_is_for(twist)
     p = build_twisted_tensor(first, second, twist)
     rep = check_product_nva(p, args.kmax)
     return _report(rep, args, rep.ok, rep.ok and p.nva, "emit_nva")
@@ -407,9 +407,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="run a check suite on an input")
     p.add_argument("input")
-    p.add_argument("--suite", required=True,
-                   choices=["nva", "twist", "qva", "smash", "product-props",
-                            "module"])
+    p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--twist", default=None)
     p.add_argument("--smap", default=None)
     common(p)

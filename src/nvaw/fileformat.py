@@ -48,11 +48,11 @@ class ParseError(ValueError):
 
 
 class _Block:
-    def __init__(self, kind, name, header):
+    def __init__(self, kind, header, lineno):
         self.kind = kind
-        self.name = name
         self.header = header
-        self.lines = []  # (key-tuple, (seriesvec-text, lineno))
+        self.lineno = lineno
+        self.lines = {}  # key-tuple -> (seriesvec-text, lineno)
 
 
 class WorkbenchFile:
@@ -61,7 +61,7 @@ class WorkbenchFile:
     def __init__(self, rng):
         self.spaces = {}
         self.vacuums = {}
-        self.ys = {}      # space name -> {(l1,l2): vec text}
+        self.ys = {}      # space name -> {(l1,l2): (vec text, lineno)}
         self.blocks = {}  # (kind, name) -> _Block
         self.rng = rng
 
@@ -76,52 +76,56 @@ class WorkbenchFile:
         sp = self.space(name)
         if name not in self.vacuums:
             raise ParseError(0, 0, f"vacuum declaration for space {name!r}")
-        cols = {
-            key: _parse_vec(text, (sp,), ("x",), self.rng, lineno)
-            for key, (text, lineno) in self.ys.get(name, {}).items()
-        }
-        return Nva(name, sp, self.vacuums[name],
-                   SeriesMap((sp, sp), (sp,), cols))
+        return Nva(name, sp, self.vacuums[name], self._table(
+            self.ys.get(name, {}), (sp, sp), (sp,), ("x",)))
 
     def algebras(self):
         return {name: self.algebra(name) for name in self.spaces
                 if name in self.vacuums}
 
-    def _block(self, kind, name):
+    def _block(self, kind, name, *readers):
+        """The lines of a block and the objects its header names, each read
+        by its reader; an error in one is placed at the header's line."""
         if (kind, name) not in self.blocks:
             raise ParseError(0, 0, f"{kind} block named {name!r}")
-        return self.blocks[(kind, name)]
+        b = self.blocks[(kind, name)]
+        try:
+            return b.lines, [read(n) for read, n in zip(readers, b.header)]
+        except ParseError as exc:
+            if exc.line:
+                raise
+            raise ParseError(b.lineno, 1, exc.expected) from None
+
+    def _table(self, lines, dom, cod, variables):
+        """The map dom -> cod with a column per item of lines, {key:
+        (seriesvec-text, lineno)}."""
+        return SeriesMap(dom, cod, {
+            key: _parse_vec(text, cod, variables, self.rng, lineno)
+            for key, (text, lineno) in lines.items()})
 
     def twist(self, name):
         from .twist import TwistOp
 
-        b = self._block("twist", name)
-        second, first = self.algebra(b.header[0]), self.algebra(b.header[1])
-        dom = (second.space, first.space)
-        cod = (first.space, second.space)
-        cols = {key: _parse_vec(text, cod, ("x",), self.rng, lineno)
-                for key, (text, lineno) in b.lines}
-        return TwistOp(name, first, second, SeriesMap(dom, cod, cols))
+        lines, (second, first) = self._block("twist", name, self.algebra,
+                                             self.algebra)
+        return TwistOp(name, first, second, self._table(
+            lines, (second.space, first.space), (first.space, second.space),
+            ("x",)))
 
     def smap(self, name):
         from .quantum import SMap
 
-        b = self._block("smap", name)
-        alg = self.algebra(b.header[0])
+        lines, (alg,) = self._block("smap", name, self.algebra)
         sp2 = (alg.space, alg.space)
-        cols = {key: _parse_vec(text, sp2, ("x",), self.rng, lineno)
-                for key, (text, lineno) in b.lines}
-        return SMap(name, alg, SeriesMap(sp2, sp2, cols))
+        return SMap(name, alg, self._table(lines, sp2, sp2, ("x",)))
 
     def coalg(self, name):
         from .smash import CoalgebraData
 
-        b = self._block("coalg", name)
-        alg = self.algebra(b.header[0])
+        lines, (alg,) = self._block("coalg", name, self.algebra)
         sp = alg.space
         dcols, ecols = {}, {}
-        for key, (text, lineno) in b.lines:
-            tag, lbl = key
+        for (tag, lbl), (text, lineno) in lines.items():
             if tag == "delta":
                 dcols[(lbl,)] = _parse_vec(text, (sp, sp), (), self.rng,
                                            lineno)
@@ -134,35 +138,26 @@ class WorkbenchFile:
     def action(self, name):
         from .smash import ModuleAlgebraData
 
-        b = self._block("action", name)
-        coalg = self.coalg(b.header[0])
-        module = self.algebra(b.header[1])
-        hs, us = coalg.algebra.space, module.space
-        cols = {key: _parse_vec(text, (us,), ("x",), self.rng, lineno)
-                for key, (text, lineno) in b.lines}
-        return ModuleAlgebraData(coalg, module,
-                                 SeriesMap((hs, us), (us,), cols))
+        lines, (coalg, module) = self._block("action", name, self.coalg,
+                                             self.algebra)
+        return ModuleAlgebraData(coalg, module, self._table(
+            lines, (coalg.algebra.space, module.space), (module.space,),
+            ("x",)))
 
     def coaction(self, name):
         from .smash import ComoduleAlgebraData
 
-        b = self._block("coaction", name)
-        coalg = self.coalg(b.header[0])
-        comodule = self.algebra(b.header[1])
-        hs, vs = coalg.algebra.space, comodule.space
-        cols = {(key[0],): _parse_vec(text, (hs, vs), (), self.rng, lineno)
-                for key, (text, lineno) in b.lines}
-        return ComoduleAlgebraData(coalg, comodule,
-                                   SeriesMap((vs,), (hs, vs), cols))
+        lines, (coalg, comodule) = self._block("coaction", name, self.coalg,
+                                               self.algebra)
+        return ComoduleAlgebraData(coalg, comodule, self._table(
+            lines, (comodule.space,), (coalg.algebra.space, comodule.space),
+            ()))
 
     def module(self, name):
-        b = self._block("module", name)
-        alg = self.algebra(b.header[0])
-        msp = self.space(b.header[1])
-        cols = {key: _parse_vec(text, (msp,), ("x",), self.rng, lineno)
-                for key, (text, lineno) in b.lines}
-        return NvaModule(name, alg, msp,
-                         SeriesMap((alg.space, msp), (msp,), cols))
+        lines, (alg, msp) = self._block("module", name, self.algebra,
+                                        self.space)
+        return NvaModule(name, alg, msp, self._table(
+            lines, (alg.space, msp), (msp,), ("x",)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +226,9 @@ def _parse_vec(text, spaces, variables, rng, lineno, scalar=False):
         if len(labels) != len(spaces):
             raise ParseError(lineno, 1,
                              f"{len(spaces)} target label(s), got {labels}")
+        if labels in entries:
+            raise ParseError(lineno, 1, f"one item per target tuple "
+                                        f"({','.join(labels)} repeated)")
         for lbl, sp in zip(labels, spaces):
             if lbl not in sp.basis:
                 raise ParseError(lineno, 1,
@@ -282,6 +280,9 @@ def parse_file(text, rng=DEFAULT_RANGE):
                 raise ParseError(lineno, 1, f"declared space ({toks[1]!r})")
             if toks[2] not in sp.basis:
                 raise ParseError(lineno, 1, f"basis label of {toks[1]}")
+            if toks[1] in wf.vacuums:
+                raise ParseError(lineno, 1,
+                                 f"one vacuum per space ({toks[1]!r} repeated)")
             wf.vacuums[toks[1]] = toks[2]
             current = None
         elif head == "y":
@@ -295,7 +296,11 @@ def parse_file(text, rng=DEFAULT_RANGE):
                 if lbl not in sp.basis:
                     raise ParseError(lineno, 1,
                                      f"basis label of {spname}, got {lbl!r}")
-            wf.ys.setdefault(spname, {})[(l1, l2)] = (body, lineno)
+            ys = wf.ys.setdefault(spname, {})
+            if (l1, l2) in ys:
+                raise ParseError(lineno, 1,
+                                 f"one y line per pair ({l1} {l2} repeated)")
+            ys[(l1, l2)] = (body, lineno)
             current = None
         elif head in _BLOCK_HEADS:
             want = _BLOCK_HEADS[head]
@@ -306,7 +311,7 @@ def parse_file(text, rng=DEFAULT_RANGE):
             key = (head, name)
             if key in wf.blocks:
                 raise ParseError(lineno, 1, f"fresh {head} name ({name!r} reused)")
-            current = _Block(head, name, header)
+            current = _Block(head, header, lineno)
             wf.blocks[key] = current
         elif head in _BLOCK_LINES:
             kind, arity = _BLOCK_LINES[head]
@@ -317,7 +322,10 @@ def parse_file(text, rng=DEFAULT_RANGE):
                                f"'{head} <lbl>... -> <seriesvec>'")
             labels = tuple(toks[1:1 + arity])
             key = (head, *labels) if kind == "coalg" else labels
-            current.lines.append((key, (body, lineno)))
+            if key in current.lines:
+                raise ParseError(lineno, 1, f"one {head} line per label tuple "
+                                            f"({' '.join(labels)} repeated)")
+            current.lines[key] = (body, lineno)
         else:
             raise ParseError(lineno, 1, f"declaration keyword, got {head!r}")
     return wf

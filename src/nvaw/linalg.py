@@ -75,9 +75,8 @@ class SeriesVector:
         return SeriesVector(spaces, {})
 
     @staticmethod
-    def basis(spaces, labels, series=None):
-        s = Series.const(1) if series is None else series
-        return SeriesVector(spaces, {tuple(labels): s})
+    def basis(spaces, labels):
+        return SeriesVector(spaces, {tuple(labels): Series.const(1)})
 
     def get(self, key):
         return self.entries.get(tuple(key), _ZERO)

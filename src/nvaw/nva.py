@@ -208,18 +208,24 @@ def check_vacuum(nva):
         rep.compare(f"Y(1,x){v} == {v}", nva.vertex(one, v),
                     SeriesVector.basis((nva.space,), (v,)))
     for v in nva.space.basis:
-        creation = nva.vertex(v, one)
-        poly = all(s.is_polynomial() for s in creation.entries.values())
-        limit = creation.transform(lambda s: s.extract("x", 0))
-        want = SeriesVector.basis((nva.space,), (v,))
-        res = window_equal_vec(limit, want)
-        name = f"Y({v},x)1 regular with limit {v}"
-        if poly and res:
-            rep.verdict(name, res)
-        else:
-            rep.add(name, Outcome.FAIL,
-                    "negative powers present" if not poly else "wrong limit")
+        regular_limit(rep, f"Y({v},x)1 regular with limit {v}",
+                      nva.vertex(v, one),
+                      SeriesVector.basis((nva.space,), (v,)),
+                      ("negative powers present", "wrong limit"))
     return rep
+
+
+def regular_limit(rep, name, vec, want, fails):
+    """Add to rep the item name: vec has no negative power of x and its
+    constant term equals want, with the verdict of that comparison; a fail
+    detailed fails[0] at a negative power and fails[1] at another limit."""
+    poly = all(s.is_polynomial() for s in vec.entries.values())
+    res = poly and window_equal_vec(
+        vec.transform(lambda s: s.extract("x", 0)), want)
+    if res:
+        rep.verdict(name, res)
+    else:
+        rep.add(name, Outcome.FAIL, fails[1] if poly else fails[0])
 
 
 def window_equal_vec(a, b):

@@ -37,8 +37,8 @@ from .nva import (
     clearing_k_items,
     compute_D,
     exp_xD,
+    regular_limit,
     scalar_of,
-    window_equal_vec,
 )
 from .twist import TwistOp, check_twisting_axioms, flip_twist, with_inverse
 
@@ -193,18 +193,10 @@ def check_product_properties(p):
     for u in p.first.space.basis:
         for v in p.second.space.basis:
             # regularity and the (-1)-product identity
-            yuv = P.vertex(p.pair(u, vac_v), p.pair(vac_u, v))
-            poly = all(s.is_polynomial() for s in yuv.entries.values())
-            limit = yuv.transform(lambda s: s.extract("x", 0))
-            want = SeriesVector.basis((P.space,), (p.pair(u, v),))
-            res = window_equal_vec(limit, want)
-            name = f"regularity+(-1)-product ({u},{v})"
-            if poly and res:
-                rep.verdict(name, res)
-            else:
-                rep.add(name, Outcome.FAIL,
-                        "pole" if not poly else "wrong constant term")
-
+            regular_limit(rep, f"regularity+(-1)-product ({u},{v})",
+                          P.vertex(p.pair(u, vac_v), p.pair(vac_u, v)),
+                          SeriesVector.basis((P.space,), (p.pair(u, v),)),
+                          ("pole", "wrong constant term"))
             rep.compare_maps(((f"skew-symmetry ({v},{u})", (v, u), lhs, rhs),))
     return rep
 
@@ -286,6 +278,27 @@ def check_homomorphism(src, dst, phi):
     return rep
 
 
+def minus_one_product(images, pairs, hypothesis):
+    """The map of the constant terms a_{-1}b of images, the map of Y(a,x)b,
+    read at each of pairs in order; PreconditionError(hypothesis, (a, b))
+    at the first with a negative power."""
+    cols = {}
+    for key in pairs:
+        col = images.column(key)
+        if not all(s.is_polynomial() for s in col.entries.values()):
+            raise PreconditionError(hypothesis, key)
+        cols[key] = col.transform(lambda s: s.extract("x", 0))
+    return SeriesMap(images.domain, images.codomain, cols)
+
+
+def x_free_rank(m):
+    """The exact rank of an x-free map, its columns read as rows over the
+    basis of its codomain."""
+    idx = {key: i for i, key in enumerate(basis_tuples(m.codomain))}
+    return matrix_rank([{idx[key]: c for key, c in scalar_of(col).items() if c}
+                        for col in m.columns.values()], len(idx))
+
+
 def universal_map(p, target, psi1, psi2):
     """The induced homomorphism ψ(u⊗v) = ψ1(u)_{-1} ψ2(v) from the twisted
     product to `target`, with all hypotheses checked first.
@@ -299,12 +312,11 @@ def universal_map(p, target, psi1, psi2):
             raise PreconditionError(f"{tag} is a homomorphism",
                                     hrep.failures()[0].name)
 
-    # hypothesis: Y(psi1 u, x) psi2 v regular
-    pairs = basis_tuples((p.first.space, p.second.space))
-    images = target.y.compose(psi1.tensor(psi2))
-    for key in pairs:
-        if not all(s.is_polynomial() for s in images.column(key).entries.values()):
-            raise PreconditionError("regularity of Y(psi1 u,x) psi2 v", key)
+    # hypothesis: Y(psi1 u, x) psi2 v regular, read in the basis order of U⊗V
+    psi = minus_one_product(
+        target.y.compose(psi1.tensor(psi2)),
+        basis_tuples((p.first.space, p.second.space)),
+        "regularity of Y(psi1 u,x) psi2 v").compose(p.unpairing())
 
     # hypothesis: Y(psi2 v, x) psi1 u == e^{xD} Σ f_i(-x) Y(psi1 a_i,-x) psi2 b_i
     lhs = target.y.compose(psi2.tensor(psi1))
@@ -315,9 +327,6 @@ def universal_map(p, target, psi1, psi2):
     if not skew.compare_maps((name, key, lhs, rhs) for name, key in keys.items()):
         raise PreconditionError("skew hypothesis", keys[skew.failures()[0].name])
 
-    cols = {(p.pair(u, v),): images.column((u, v)).transform(
-        lambda s: s.extract("x", 0)) for (u, v) in pairs}
-    psi = SeriesMap((p.space,), (target.space,), cols)
     rep = check_homomorphism(p.nva, target, psi)
     rep.title = f"universal map {p.nva.name} -> {target.name}"
     return psi, rep
@@ -338,11 +347,7 @@ def flip_iso(p):
 
     rev = build_twisted_tensor(p.second, p.first, reversed_twisting(twist))
     psi, rep = universal_map(rev, p.nva, p.embed_second(), p.embed_first())
-    # bijectivity by exact rank
-    idx = {(lbl,): i for i, lbl in enumerate(p.space.basis)}
-    rows = [{idx[key]: c for key, c in scalar_of(psi.column(t)).items() if c}
-            for t in basis_tuples((rev.space,))]
-    rank = matrix_rank(rows, len(idx))
+    rank = x_free_rank(psi)
     rep.add("bijectivity", Outcome.EXACT_PASS if rank == len(p.space.basis)
             else Outcome.FAIL, f"rank {rank} of {len(p.space.basis)}")
     return rev, psi, rep
@@ -420,22 +425,17 @@ def extract_twisting(host, u_labels, v_labels):
     ualg = sub_nva(host, f"{host.name}.U", u_labels, vacuum(u_labels))
     valg = sub_nva(host, f"{host.name}.V", v_labels, vacuum(v_labels))
 
-    # hypothesis: Y(u,x)v regular in the host
-    for u in u_labels:
-        for v in v_labels:
-            col = host.vertex(u, v)
-            if not all(s.is_polynomial() for s in col.entries.values()):
-                raise PreconditionError("Y(u,x)v regular", (u, v))
+    # hypothesis: Y(u,x)v regular in the host, read in the order of the
+    # labels; theta(u⊗v) = u_{-1}v
+    theta_map = minus_one_product(
+        host.y, [(u, v) for u in u_labels for v in v_labels],
+        "Y(u,x)v regular")
 
     elo, ehi = EXP_RANGE
     k = max(0, -elo)
-    nsym = {}
-    for v in v_labels:
-        for u in u_labels:
-            for a in u_labels:
-                for b in v_labels:
-                    for e in range(elo, ehi + 1):
-                        nsym[(v, u, a, b, e)] = f"r[{v},{u}][{a},{b}][{e}]"
+    nsym = {(v, u, a, b, e): f"r[{v},{u}][{a},{b}][{e}]"
+            for v in v_labels for u in u_labels for a in u_labels
+            for b in v_labels for e in range(elo, ehi + 1)}
 
     # Y(v,x1)Y(u,x2)w at column (v, u, w) and Y(a,x2)Y(b,x1)w at (a, b, w),
     # built only where v and b are in V and u and a are in U
@@ -484,37 +484,14 @@ def extract_twisting(host, u_labels, v_labels):
         return ExtractionResult(None, full, None, None,
                                 check_Z2_injectivity(host))
 
-    dom = (valg.space, ualg.space)
-    cod = (ualg.space, valg.space)
-    window = host.y.window()
-    cols = {}
-    for v in v_labels:
-        for u in u_labels:
-            entries = {}
-            for a in u_labels:
-                for b in v_labels:
-                    coeffs = {}
-                    for e in range(elo, ehi + 1):
-                        c = sol.assignment[nsym[(v, u, a, b, e)]]
-                        if c != 0:
-                            coeffs[(e,)] = c
-                    if coeffs:
-                        entries[(a, b)] = Series(("x",), coeffs, window)
-            cols[(v, u)] = SeriesVector(cod, entries)
-    twist = TwistOp(f"extracted({host.name})", ualg, valg,
-                    SeriesMap(dom, cod, cols))
+    twist = TwistOp(f"extracted({host.name})", ualg, valg, solved_table(
+        {key: sol.assignment[name] for key, name in nsym.items()},
+        (valg.space, ualg.space), (ualg.space, valg.space), host.y.window()))
     axioms = check_twisting_axioms(twist)
 
     # theta(u⊗v) = u_{-1}v bijectivity, exact rank over the host basis
     theta = CheckReport(f"{host.name}: theta bijectivity")
-    idx = {(lbl,): i for i, lbl in enumerate(host.space.basis)}
-    rows = []
-    for u in u_labels:
-        for v in v_labels:
-            col = scalar_of(host.vertex(u, v).transform(
-                lambda s: s.extract("x", 0)))
-            rows.append({idx[key]: c for key, c in col.items() if c})
-    rank = matrix_rank(rows, len(idx))
+    rank = x_free_rank(theta_map)
     pairs = len(u_labels) * len(v_labels)
     theta.add("theta(u⊗v)=u_{-1}v bijective",
               Outcome.EXACT_PASS if rank == pairs == len(host.space.basis)
@@ -523,6 +500,19 @@ def extract_twisting(host, u_labels, v_labels):
 
     z2 = check_Z2_injectivity(host)
     return ExtractionResult(twist, sol, axioms, theta, z2)
+
+
+def solved_table(values, dom, cod, window):
+    """The map dom -> cod solved for: its entry at column c and row r is
+    Σ_e values[c + r + (e,)] x^e, with the given window."""
+    cols = {}
+    for key, x in values.items():
+        if x:
+            cols.setdefault(key[:len(dom)], {}).setdefault(
+                key[len(dom):-1], {})[key[-1:]] = x
+    return SeriesMap(dom, cod, {c: SeriesVector(cod, {
+        r: Series(("x",), coeffs, window) for r, coeffs in rows.items()})
+        for c, rows in cols.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ product of two algebras that each carry one.
 """
 
 from .linalg import (
-    Inconsistent, SeriesMap, SeriesVector, UniqueSolution, basis_tuples,
-    solve_linear,
+    Inconsistent, SeriesMap, UniqueSolution, basis_tuples, solve_linear,
 )
 from .nva import (
     CheckReport, DEFAULT_KMAX, Outcome, clearing_k_items, compute_D, exp_xD,
@@ -202,7 +201,7 @@ def extract_S(a):
     [1⊗D, S(x)] == d/dx S(x) are run and reported.  The solved S takes
     the window of the algebra's table.
     """
-    from .products import EXP_RANGE, check_Z2_injectivity
+    from .products import EXP_RANGE, check_Z2_injectivity, solved_table
 
     sp = a.space
     z2 = check_Z2_injectivity(a)
@@ -219,34 +218,24 @@ def extract_S(a):
             mono = Series.monomial("x", e, coeff=(-1) ** (e % 2))
             images[(aa, bb, e)] = expd.apply(base.scale(mono))
 
-    window = a.y.window()
-    cols = {}
-    combined = None
+    values, combined = {}, None
     for (v, u) in basis_tuples((sp, sp)):
         nsym = {(aa, bb, e): f"s[{v},{u}][{aa},{bb}][{e}]"
                 for (aa, bb, e) in images}
         sol = solve_linear(
             [(a.vertex(u, v), {nsym[key]: img for key, img in images.items()})],
             list(nsym.values()))
-        if not isinstance(sol, UniqueSolution):
-            if combined is None or isinstance(sol, Inconsistent):
-                combined = sol
-            continue
-        entries = {}
-        for (aa, bb) in basis_tuples((sp, sp)):
-            coeffs = {}
-            for e in range(elo, ehi + 1):
-                c = sol.assignment[nsym[(aa, bb, e)]]
-                if c != 0:
-                    coeffs[(e,)] = c
-            if coeffs:
-                entries[(aa, bb)] = Series(("x",), coeffs, window)
-        cols[(v, u)] = SeriesVector((sp, sp), entries)
+        if isinstance(sol, UniqueSolution):
+            values.update({(v, u) + key: sol.assignment[name]
+                           for key, name in nsym.items()})
+        elif combined is None or isinstance(sol, Inconsistent):
+            combined = sol
 
     if combined is not None:
         return SMapExtraction(None, combined, None, None, z2)
 
-    smap = SMap(f"extracted({a.name})", a, SeriesMap((sp, sp), (sp, sp), cols))
+    smap = SMap(f"extracted({a.name})", a,
+                solved_table(values, (sp, sp), (sp, sp), a.y.window()))
     axioms = CheckReport(f"{a.name}: extracted S-map axioms")
     axioms.extend(check_qyb_unitarity(smap))
     axioms.extend(check_qva_axioms(a, smap))

@@ -565,7 +565,7 @@ def window_equal(a, b):
 
 
 _TERM_RE = re.compile(
-    r"^\s*(?P<coeff>-?\d+(?:/\d+)?)\s*(?:@\(\s*(?P<expts>-?\d+(?:\s*,\s*-?\d+)*)\s*\))?\s*$"
+    r"^\s*(?P<coeff>-?\d+(?:/0*[1-9]\d*)?)\s*(?:@\(\s*(?P<expts>-?\d+(?:\s*,\s*-?\d+)*)\s*\))?\s*$"
 )
 
 

@@ -262,6 +262,13 @@ def test_product_props_on_a_file_twist_inverts_it_once(tmp_path, monkeypatch):
     (("check", "E2", "--suite", "smash"), "expected a smash datum"),
     (("smash", "E2", "z2-sign"), "expected a smash datum"),
     (("check", "E2", "--suite", "qva", "--smap", "id:Z2"), "is for Z2"),
+    # a registry input names the first factor of the twist it checks
+    (("check", "E1", "--suite", "twist", "--twist", "flip:Z2,Z2"),
+     "twist flip(Z2,Z2) is for (Z2,Z2)"),
+    (("check", "z2-sign", "--suite", "twist", "--twist", "flip:E1,E1"),
+     "twist flip(E1,E1) is for (E1,E1)"),
+    (("check", "E2", "--suite", "product-props", "--twist", "flip:E1,E2"),
+     "twist flip(E1,E2) is for (E1,E2)"),
 ])
 def test_a_registry_name_of_the_wrong_kind_is_a_usage_error(
         capsys, argv, expected):

@@ -190,6 +190,30 @@ def test_one_implementation_of_exact_elimination():
     assert assemblers == ["_equations"]
 
 
+def callers_in_src(name, args=None):
+    """The functions of src/nvaw that call name, as a name or an attribute,
+    with the constant arguments args when given."""
+    return sorted({node.name for path in (ROOT / "src" / "nvaw").glob("*.py")
+                   for node in ast.walk(_parse(path))
+                   if isinstance(node, ast.FunctionDef)
+                   and any(isinstance(n, ast.Call) and name in (
+                       getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                       and (args is None or [getattr(a, "value", None)
+                                             for a in n.args] == args)
+                       for n in ast.walk(node))})
+
+
+def test_one_home_for_a_constant_term_and_an_x_free_rank():
+    # the (-1)-product, with its regularity hypothesis, and the limit verdict
+    # of a regular Y(a,x)b are the only readers of a constant term; the
+    # rank of an x-free map is read in one place, and the degree-two
+    # injectivity report takes the rank of its own matrix
+    assert callers_in_src("extract", ["x", 0]) == [
+        "minus_one_product", "regular_limit"]
+    assert callers_in_src("matrix_rank") == [
+        "check_Z2_injectivity", "x_free_rank"]
+
+
 KERNEL_OPERATIONS = {"apply", "compose", "tensor", "transform", "scale",
                      "__add__", "__sub__", "__neg__"}
 

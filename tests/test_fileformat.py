@@ -1,9 +1,13 @@
 """Text format: parsing, emission, round trips, and positioned errors."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from nvaw.cli import main
 from nvaw.fileformat import (
     ParseError, emit_coalg, emit_nva, emit_smap, emit_twist, parse_file,
 )
@@ -13,8 +17,8 @@ from nvaw.nva import (
 from nvaw.products import build_twisted_tensor
 from nvaw.quantum import SMap
 from nvaw.registry import (
-    REGISTRY_PRODUCTS, builtin_algebras, builtin_smaps, builtin_twists,
-    make_z2, sign_smap_e1, sign_twist_z2, z2_smash_datum,
+    REGISTRY_PRODUCTS, builtin_algebras, builtin_smash, builtin_smaps,
+    builtin_twists, make_z2, sign_smap_e1, sign_twist_z2, z2_smash_datum,
 )
 from nvaw.series import _made
 from nvaw.smash import build_smash
@@ -113,6 +117,17 @@ def test_comments_and_blank_lines_ignored():
     assert a.vacuum == "one"
 
 
+def resolve_all(text):
+    """Parse text and resolve every algebra and every block it declares."""
+    wf = parse_file(text)
+    wf.algebras()
+    for kind, name in wf.blocks:
+        getattr(wf, kind)(name)
+
+
+ONE_A = "space V basis one a\nvacuum V one\n"
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("space V basis a a\n", "distinct basis labels"),
     ("vacuum V a\n", "declared space"),
@@ -120,22 +135,95 @@ def test_comments_and_blank_lines_ignored():
     ("space V basis a\ny V a a (a):1\n", "->"),
     ("space V basis a\nfrobnicate V\n", "keyword"),
     ("space V basis a\nspace V basis b\n", "fresh space name"),
+    # a repeated declaration does not override the first
+    (ONE_A + "y V a a -> (one):1\ny V a a -> (a):1\n",
+     "one y line per pair (a a repeated)"),
+    (ONE_A + "vacuum V a\n", "one vacuum per space ('V' repeated)"),
+    (ONE_A + "twist T V V\nr a a -> (a,a):1\nr a a -> (a,a):-1\n",
+     "one r line per label tuple (a a repeated)"),
+    (ONE_A + "y V a a -> (a):1 ; (a):-1\n",
+     "one item per target tuple (a repeated)"),
+    # a header naming what the file does not hold fails at the header
+    (ONE_A + "twist T V W\n", "declared space 'W'"),
+    (ONE_A + "space W basis b\ntwist T V W\n",
+     "vacuum declaration for space 'W'"),
+    (ONE_A + "action act H V\n", "coalg block named 'H'"),
 ])
 def test_positioned_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
-        parse_file(text)
+        resolve_all(text)
     assert fragment in exc.value.expected
-    assert exc.value.line >= 1 and exc.value.col >= 1
+    # each text fails at its last line
+    assert exc.value.line == text.count("\n") and exc.value.col >= 1
 
 
-@pytest.mark.parametrize("body", ["(a):", "(zzz):1", "(a)1", "(a):1/0"])
+@pytest.mark.parametrize("body", ["(a):", "(zzz):1", "(a)1", "(a):1/0",
+                                  "(a):1/00@(1)"])
 def test_bad_series_body_raises_at_resolution(body):
-    # column bodies are parsed when the algebra is assembled
+    # column bodies are parsed when the algebra is assembled; a zero
+    # denominator is a bad term
     text = f"space V basis a\nvacuum V a\ny V a a -> {body}\n"
-    with pytest.raises((ParseError, ZeroDivisionError)) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_file(text).algebra("V")
-    if isinstance(exc.value, ParseError):
-        assert exc.value.line == 3
+    assert exc.value.line == 3
+
+
+@functools.lru_cache(maxsize=None)
+def registry_files():
+    """The emitted text of every registry algebra, twist, S-map and
+    coalgebra."""
+    return tuple([emit_nva(a) for a in builtin_algebras().values()]
+                 + [emit_twist(t) for t in builtin_twists().values()]
+                 + [emit_smap(s) for s in builtin_smaps().values()]
+                 + [emit_coalg(d.coalgebra, "H")
+                    for d in builtin_smash().values()])
+
+
+HOSTILE = ("", "0", "-1", "1/0", "->", "#", "(", ")", ";", ":", "+", "@(1)",
+           "1@(1,1)", "1@(99)", "1@(-99)", "space", "y", "vacuum", "twist",
+           "r", "basis")
+
+
+@st.composite
+def mutated_registry_files(draw):
+    """A registry file with one whitespace-separated token replaced: by a
+    token of the file, by a hostile one, or by a token of the file with a
+    hostile suffix."""
+    text = draw(st.sampled_from(registry_files()))
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    toks = lines[i].split(" ")
+    j = draw(st.integers(0, len(toks) - 1))
+    own = st.sampled_from(sorted(set(text.split())))
+    hostile = st.sampled_from(HOSTILE)
+    toks[j] = draw(own | hostile | st.builds(
+        lambda t, h: t + h, own, st.sampled_from(("/0", "@(1,1)", "(", ")",
+                                                  ";", "#", ",", "/2"))))
+    lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_registry_files())
+def test_a_mutated_registry_file_exits_0_1_or_2(tmp_path, text):
+    # a verdict, a failed check or a positioned error: never a traceback
+    path = tmp_path / "mutated.nva"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path), "--suite", "nva"]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("space V basis a\nvacuum V a\ny V a a -> (a):1/0\n", 3),
+    (ONE_A + "y V a a -> (one):1\ny V a a -> (a):1\n", 4),
+])
+def test_a_bad_file_is_a_positioned_error_of_the_cli(
+        tmp_path, capsys, text, line):
+    path = tmp_path / "bad.nva"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path), "--suite", "nva"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: line {line}, column 1: ")
 
 
 def test_error_reports_offending_line_number():

@@ -358,8 +358,8 @@ def with_x_term(nva):
     gains b, which Y(Db,x)b does not."""
     b = nva.space.basis[-1]
     cols = dict(nva.y.columns)
-    cols[(b, b)] = nva.y.column((b, b)) + SeriesVector.basis(
-        (nva.space,), (b,), Series.monomial("x", 1))
+    cols[(b, b)] = nva.y.column((b, b)) + SeriesVector(
+        (nva.space,), {(b,): Series.monomial("x", 1)})
     return Nva(f"{nva.name}+x", nva.space, nva.vacuum,
                SeriesMap(nva.y.domain, nva.y.codomain, cols))
 

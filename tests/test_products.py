@@ -14,7 +14,7 @@ from nvaw.linalg import (
     basis_tuples, matrix_rank,
 )
 from nvaw.nva import (
-    DEFAULT_KMAX, Nva, NvaModule, adjoint_module, check_module,
+    DEFAULT_KMAX, Nva, NvaModule, adjoint_module, check_module, check_vacuum,
     check_weak_associativity, window_equal_vec,
 )
 from nvaw.products import (
@@ -95,6 +95,62 @@ def test_universal_map_bad_homomorphism_is_named():
     with pytest.raises(PreconditionError) as exc:
         universal_map(p, p.nva, broken, p.embed_second())
     assert "psi1 is a homomorphism" in str(exc.value)
+
+
+def with_columns(nva, extra):
+    """nva with extra[key] added to the column key of its table."""
+    cols = dict(nva.y.columns)
+    for key, vec in extra.items():
+        cols[key] = nva.y.column(key) + vec
+    return Nva(nva.name, nva.space, nva.vacuum,
+               SeriesMap(nva.y.domain, nva.y.codomain, cols))
+
+
+def test_a_pole_of_u_minus_one_v_names_the_first_pair_in_order():
+    # a pole in Y(u⊗1,x)(1⊗v) at (s,t) and (t,s): universal_map reads the
+    # pairs in the basis order of (U, V), the extraction in the order of
+    # the labels given, here U's reversed
+    e2 = make_e2()
+    p = build_twisted_tensor(e2, e2, flip_twist(e2, e2))
+    pole = Series.monomial("x", -1)
+    host = with_columns(p.nva, {
+        (p.pair(u, "one"), p.pair("one", v)): SeriesVector(
+            (p.space,), {(p.pair("one", "one"),): pole})
+        for u, v in (("t", "s"), ("s", "t"))})
+    with pytest.raises(PreconditionError) as exc:
+        universal_map(p, host, p.embed_first(), p.embed_second())
+    assert (exc.value.hypothesis, exc.value.where) == (
+        "regularity of Y(psi1 u,x) psi2 v", ("s", "t"))
+    u_labels = [p.pair(u, "one") for u in ("t", "s", "one")]
+    v_labels = [p.pair("one", v) for v in ("one", "s", "t")]
+    with pytest.raises(PreconditionError) as exc:
+        extract_twisting(host, u_labels, v_labels)
+    assert (exc.value.hypothesis, exc.value.where) == (
+        "Y(u,x)v regular", ("(t,one)", "(one,s)"))
+
+
+@pytest.mark.parametrize("extra,vacuum,product", [
+    (Series.monomial("x", -1), "negative powers present", "pole"),
+    (Series.const(1), "wrong limit", "wrong constant term"),
+])
+def test_a_creation_map_off_its_limit_fails_with_its_detail(
+        extra, vacuum, product):
+    # Y(s,x)1 gains t·x^-1 or t: the vacuum item of s fails, and so does
+    # the product's regularity+(-1)-product item of each (s,v), since
+    # Y_R(s⊗1,x)(1⊗v) = Y(s,x)1 ⊗ v, each with its own detail
+    e2 = make_e2()
+    bad = with_columns(e2, {("s", "one"): SeriesVector((e2.space,),
+                                                       {("t",): extra})})
+    items = {i.name: i for i in check_vacuum(bad).items}
+    item = items["Y(s,x)1 regular with limit s"]
+    assert (item.outcome.value, item.detail) == ("fail", vacuum)
+    assert [i.name for i in items.values() if not i.ok] == [item.name]
+    p = build_twisted_tensor(bad, e2, flip_twist(bad, e2), check_axioms=False)
+    items = {i.name: i for i in check_product_properties(p).items
+             if i.name.startswith("regularity")}
+    assert {name: (i.outcome.value, i.detail) for name, i in items.items()
+            if not i.ok} == {f"regularity+(-1)-product (s,{v})": (
+                "fail", product) for v in e2.space.basis}
 
 
 def test_flip_iso_round_trip():

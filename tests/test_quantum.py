@@ -3,8 +3,10 @@ axiom suite, extraction, induced twistings, and product S-maps."""
 
 import pytest
 
-from nvaw.linalg import SeriesMap, SeriesVector, Underdetermined, UniqueSolution
-from nvaw.nva import DEFAULT_KMAX, CheckReport, window_equal_vec
+from nvaw.linalg import (
+    SeriesMap, SeriesVector, Space, Underdetermined, UniqueSolution,
+)
+from nvaw.nva import DEFAULT_KMAX, CheckReport, Nva, window_equal_vec
 from nvaw.products import build_twisted_tensor
 from nvaw.quantum import (
     SMap, build_S_R, check_qva_axioms, check_qyb_unitarity, check_S_locality,
@@ -14,7 +16,7 @@ from nvaw.registry import (
     builtin_algebras, builtin_smaps, builtin_twists, identity_smap, make_e1n,
     make_e2, make_z2, sign_smap_e1, sign_twist_z2,
 )
-from nvaw.series import DEFAULT_RANGE
+from nvaw.series import DEFAULT_RANGE, Series
 from nvaw.twist import check_twisting_axioms, flip_twist
 
 from apply_chains import (
@@ -92,6 +94,23 @@ def test_extract_S_is_underdetermined_at_this_scale(name):
         (rank, nfree, first)
     assert ext.smap is None
     assert not ext.ok
+
+
+@pytest.mark.parametrize("window", [None, (-2, 2)])
+def test_extract_S_on_the_one_dimensional_algebra_is_the_identity(window):
+    # Y(1,x)1 = 1 pins S(x)(1⊗1) = 1⊗1: the solved table is read back with
+    # the window of the algebra's table, and every axiom holds
+    sp = Space("T", ("one",))
+    one = Nva("T", sp, "one", SeriesMap((sp, sp), (sp,), {("one", "one"):
+              SeriesVector((sp,), {("one",): Series(("x",), {(0,): 1},
+                                                    window)})}))
+    ext = extract_S(one)
+    assert isinstance(ext.solve, UniqueSolution) and ext.ok
+    col, = ext.smap.table.columns.items()
+    assert col[0] == ("one", "one")
+    (key, entry), = col[1].entries.items()
+    assert key == ("one", "one") and entry.coeffs == {(0,): 1}
+    assert type(entry.coeffs[(0,)]) is int and entry.window == window
 
 
 def test_smap_twist_satisfies_twisting_axioms():

@@ -191,7 +191,7 @@ def x_dependent_datum(rng):
     sp = e2.space
     step = Series(("x",), {(0,): 1, (1,): 1}, rng)
     action = SeriesMap((sp, sp), (sp,), {
-        (h, u): SeriesVector.basis((sp,), (u,), step ** i)
+        (h, u): SeriesVector((sp,), {(u,): step ** i})
         for i, h in enumerate(sp.basis) for u in sp.basis})
     square = {(h,): SeriesVector.basis((sp, sp), (h, h)) for h in sp.basis}
     coalg = CoalgebraData(e2, SeriesMap((sp,), (sp, sp), square), SeriesMap(
