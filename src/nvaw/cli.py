@@ -168,13 +168,19 @@ def _suite_nva(inputs, args):
 
 
 def _twist(inputs, args):
-    """The --twist of a check, refused when the input is a registry name
-    other than the twist's first factor."""
+    """The --twist of a check: a block of the input's file, or a twist
+    whose first factor is the input's one algebra, compared by space."""
     if not args.twist:
         raise UsageError(f"--suite {args.suite} requires --twist NAME")
     t = inputs.twist(args.twist)
-    if inputs.name not in (None, t.first.name):
-        raise _twist_is_for(t)
+    blocks = {} if inputs.file is None else inputs.file.blocks
+    if ("twist", args.twist) not in blocks:
+        try:  # a smash datum, or a file of several algebras, has none
+            space = inputs.algebra().space
+        except UsageError:
+            space = None
+        if t.first.space != space:
+            raise _twist_is_for(t)
     return t
 
 

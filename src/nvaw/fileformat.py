@@ -98,9 +98,10 @@ class WorkbenchFile:
 
     def _table(self, lines, dom, cod, variables):
         """The map dom -> cod with a column per item of lines, {key:
-        (seriesvec-text, lineno)}."""
+        (seriesvec-text, lineno)}, each key's labels those of dom."""
         return SeriesMap(dom, cod, {
-            key: _parse_vec(text, cod, variables, self.rng, lineno)
+            _labels(key, dom, lineno):
+            _parse_vec(text, cod, variables, self.rng, lineno)
             for key, (text, lineno) in lines.items()})
 
     def twist(self, name):
@@ -126,12 +127,12 @@ class WorkbenchFile:
         sp = alg.space
         dcols, ecols = {}, {}
         for (tag, lbl), (text, lineno) in lines.items():
+            key = _labels((lbl,), (sp,), lineno)
             if tag == "delta":
-                dcols[(lbl,)] = _parse_vec(text, (sp, sp), (), self.rng,
-                                           lineno)
+                dcols[key] = _parse_vec(text, (sp, sp), (), self.rng, lineno)
             else:
-                ecols[(lbl,)] = _parse_vec(text, (), (), self.rng, lineno,
-                                           scalar=True)
+                ecols[key] = _parse_vec(text, (), (), self.rng, lineno,
+                                        scalar=True)
         return CoalgebraData(alg, SeriesMap((sp,), (sp, sp), dcols),
                              SeriesMap((sp,), (), ecols))
 
@@ -211,6 +212,15 @@ def _parse_target(item, lineno):
     raise ParseError(lineno, len(item), "closing ')' in target tuple")
 
 
+def _labels(labels, spaces, lineno):
+    """The labels, each one of the basis of its space; a ParseError at
+    lineno otherwise."""
+    for lbl, sp in zip(labels, spaces):
+        if lbl not in sp.basis:
+            raise ParseError(lineno, 1, f"basis label of {sp.name}, got {lbl!r}")
+    return labels
+
+
 def _parse_vec(text, spaces, variables, rng, lineno, scalar=False):
     entries = {}
     text = text.strip()
@@ -229,10 +239,7 @@ def _parse_vec(text, spaces, variables, rng, lineno, scalar=False):
         if labels in entries:
             raise ParseError(lineno, 1, f"one item per target tuple "
                                         f"({','.join(labels)} repeated)")
-        for lbl, sp in zip(labels, spaces):
-            if lbl not in sp.basis:
-                raise ParseError(lineno, 1,
-                                 f"basis label of {sp.name}, got {lbl!r}")
+        _labels(labels, spaces, lineno)
         try:
             entries[labels] = parse_series(lit, variables, rng)
         except SeriesError as exc:
@@ -289,13 +296,8 @@ def parse_file(text, rng=DEFAULT_RANGE):
             body = _arrow_body(line, toks, 4, lineno,
                                "'y <space> <lbl> <lbl> -> <seriesvec>'")
             spname, l1, l2 = toks[1], toks[2], toks[3]
-            sp = wf.spaces.get(spname)
-            if sp is None:
+            if spname not in wf.spaces:
                 raise ParseError(lineno, 1, f"declared space ({spname!r})")
-            for lbl in (l1, l2):
-                if lbl not in sp.basis:
-                    raise ParseError(lineno, 1,
-                                     f"basis label of {spname}, got {lbl!r}")
             ys = wf.ys.setdefault(spname, {})
             if (l1, l2) in ys:
                 raise ParseError(lineno, 1,

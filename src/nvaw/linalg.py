@@ -39,9 +39,6 @@ class Space:
     def __len__(self):
         return len(self.basis)
 
-    def index(self, label):
-        return self.basis.index(label)
-
 
 def basis_tuples(spaces):
     """All basis-label tuples of a tensor product of spaces, in order."""

@@ -87,12 +87,10 @@ class ProductNva:
                                  (self.space,), lambda t: (self.pair(*t),))
 
     def unpairing(self):
-        dom = (self.first.space, self.second.space)
-        cols = {
-            (self.pair(u, v),): SeriesVector.basis(dom, (u, v))
-            for (u, v) in basis_tuples(dom)
-        }
-        return SeriesMap((self.space,), dom, cols)
+        """SeriesMap (P,) -> (U, V), the inverse of the pairing."""
+        cod = (self.first.space, self.second.space)
+        split = {self.pair(*t): t for t in basis_tuples(cod)}
+        return SeriesMap.relabel((self.space,), cod, lambda t: split[t[0]])
 
     def embed_first(self):
         """U -> P, u |-> u ⊗ 1."""
@@ -591,10 +589,8 @@ def build_product_module(p, m_first, m_second, kmax=DEFAULT_KMAX):
         raise PreconditionError("module compatibility",
                                 rep.failures()[0].name)
 
-    table = m_first.yw.compose(m_second.yw, (1,))
-    cols = {(p.pair(u, v), w): col
-            for (u, v, w), col in table.columns.items()}
-    yw = SeriesMap((p.space, W), (W,), cols)
+    yw = (m_first.yw.compose(m_second.yw, (1,))
+          .compose(p.unpairing(), (0, 1)))
     return NvaModule(f"{p.nva.name}-module({W.name})", p.nva, W, yw)
 
 
@@ -603,13 +599,8 @@ def restricted_module(p, mod, which):
     (which='first') or v ↦ 1⊗v (which='second')."""
     factor = p.first if which == "first" else p.second
     emb = p.embed_first() if which == "first" else p.embed_second()
-    cols = {}
-    for a in factor.space.basis:
-        (lbl,), = emb.column((a,)).entries.keys()
-        for w in mod.space.basis:
-            cols[(a, w)] = mod.yw.column((lbl, w))
-    yw = SeriesMap((factor.space, mod.space), (mod.space,), cols)
-    return NvaModule(f"{mod.name}|{factor.name}", factor, mod.space, yw)
+    return NvaModule(f"{mod.name}|{factor.name}", factor, mod.space,
+                     mod.yw.compose(emb, (0,)))
 
 
 def check_module_extension(p, mod, m_first, m_second):

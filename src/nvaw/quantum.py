@@ -10,9 +10,7 @@ enough to determine it), and assembles the induced S-map on a twisted tensor
 product of two algebras that each carry one.
 """
 
-from .linalg import (
-    Inconsistent, SeriesMap, UniqueSolution, basis_tuples, solve_linear,
-)
+from .linalg import SeriesMap, UniqueSolution, basis_tuples, solve_linear
 from .nva import (
     CheckReport, DEFAULT_KMAX, Outcome, clearing_k_items, compute_D, exp_xD,
 )
@@ -191,7 +189,7 @@ class SMapExtraction:
 
 
 def extract_S(a):
-    """Solve Y(u,x)v == e^{xD} Y(-x) S(-x)(v⊗u) columnwise for S.
+    """Solve Y(u,x)v == e^{xD} Y(-x) S(-x)(v⊗u) for S as one system.
 
     The unknowns are the coefficients of S(x)(v⊗u) = sum c[(a,b),e] x^e a⊗b
     over the exponent range.  When the degree-two injectivity kernel is
@@ -211,38 +209,34 @@ def extract_S(a):
     # the image e^{xD} Y(aa,-x)bb (-1)^e x^e of the unknown s[(v,u)->(aa,bb),e]
     # does not depend on (v,u); S(-x) turns x^e into (-1)^e x^e
     y_neg = a.y.at("-x")
+    pairs = basis_tuples((sp, sp))
     images = {}
-    for (aa, bb) in basis_tuples((sp, sp)):
+    for (aa, bb) in pairs:
         base = y_neg.column((aa, bb))
         for e in range(elo, ehi + 1):
             mono = Series.monomial("x", e, coeff=(-1) ** (e % 2))
             images[(aa, bb, e)] = expd.apply(base.scale(mono))
 
-    values, combined = {}, None
-    for (v, u) in basis_tuples((sp, sp)):
-        nsym = {(aa, bb, e): f"s[{v},{u}][{aa},{bb}][{e}]"
-                for (aa, bb, e) in images}
-        sol = solve_linear(
-            [(a.vertex(u, v), {nsym[key]: img for key, img in images.items()})],
-            list(nsym.values()))
-        if isinstance(sol, UniqueSolution):
-            values.update({(v, u) + key: sol.assignment[name]
-                           for key, name in nsym.items()})
-        elif combined is None or isinstance(sol, Inconsistent):
-            combined = sol
+    # a block per (v,u) over the same image objects: their one matrix is
+    # eliminated once, with a right-hand side per (v,u)
+    nsym = {(v, u, aa, bb, e): f"s[{v},{u}][{aa},{bb}][{e}]"
+            for (v, u) in pairs for (aa, bb, e) in images}
+    sol = solve_linear([(a.vertex(u, v), {
+        nsym[(v, u) + key]: img for key, img in images.items()})
+        for (v, u) in pairs], list(nsym.values()))
+    if not isinstance(sol, UniqueSolution):
+        return SMapExtraction(None, sol, None, None, z2)
 
-    if combined is not None:
-        return SMapExtraction(None, combined, None, None, z2)
-
-    smap = SMap(f"extracted({a.name})", a,
-                solved_table(values, (sp, sp), (sp, sp), a.y.window()))
+    smap = SMap(f"extracted({a.name})", a, solved_table(
+        {key: sol.assignment[name] for key, name in nsym.items()},
+        (sp, sp), (sp, sp), a.y.window()))
     axioms = CheckReport(f"{a.name}: extracted S-map axioms")
     axioms.extend(check_qyb_unitarity(smap))
     axioms.extend(check_qva_axioms(a, smap))
     d_rel = CheckReport(f"{a.name}: [1⊗D,S(x)] == d/dx S(x)")
     _d_bracket_items(d_rel, smap.table, compute_D(a), leg=1, sign=1,
                      label="[1⊗D,S(x)] == d/dx S(x)")
-    return SMapExtraction(smap, UniqueSolution({}), axioms, d_rel, z2)
+    return SMapExtraction(smap, sol, axioms, d_rel, z2)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,24 @@ def test_a_registry_name_of_the_wrong_kind_is_a_usage_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite", ["twist", "product-props"])
+def test_a_file_input_names_the_first_factor_of_a_registry_twist(
+        tmp_path, capsys, suite):
+    # a twist that is not a block of the file is for the file's algebra,
+    # compared by space, as a registry input's is
+    from nvaw.fileformat import emit_nva
+    from nvaw.registry import make_e1
+
+    path = tmp_path / "e1.nva"
+    path.write_text(emit_nva(make_e1()))
+    assert run("check", str(path), "--suite", suite,
+               "--twist", "flip:Z2,Z2") == 2
+    err = capsys.readouterr().err
+    assert err == "error: twist flip(Z2,Z2) is for (Z2,Z2)\n"
+    assert run("check", str(path), "--suite", suite,
+               "--twist", "flip:E1,E2") == 0
+
+
 def write_failing_inputs(tmp_path):
     """Files whose data fail a precondition: a flip E2⊗E2 twist with
     R(s⊗s) = 2·s⊗s, which fails its hexagons, and an action and a

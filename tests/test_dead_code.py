@@ -190,6 +190,19 @@ def test_one_implementation_of_exact_elimination():
     assert assemblers == ["_equations"]
 
 
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def test_each_extraction_hands_its_whole_system_to_one_solve():
+    # solve_linear eliminates a matrix that several blocks share once, so
+    # no call of it sits in a loop or a comprehension, one per column
+    assert sorted({path.name for path in (ROOT / "src" / "nvaw").glob("*.py")
+                   for node in ast.walk(_parse(path))
+                   if isinstance(node, LOOPS)
+                   and _calls(node, "solve_linear")}) == []
+
+
 def callers_in_src(name, args=None):
     """The functions of src/nvaw that call name, as a name or an attribute,
     with the constant arguments args when given."""

@@ -4,7 +4,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nvaw.cli import main
@@ -148,6 +148,18 @@ ONE_A = "space V basis one a\nvacuum V one\n"
     (ONE_A + "space W basis b\ntwist T V W\n",
      "vacuum declaration for space 'W'"),
     (ONE_A + "action act H V\n", "coalg block named 'H'"),
+    # the key labels of every table line are labels of its domain spaces
+    (ONE_A + "y V zz a -> (a):1\n", "basis label of V, got 'zz'"),
+    (ONE_A + "twist T V V\nr a zz -> (a,a):1\n", "basis label of V, got 'zz'"),
+    (ONE_A + "smap S V\ns zz a -> (a,a):1\n", "basis label of V, got 'zz'"),
+    (ONE_A + "coalg H V\ndelta zz -> (a,a):1\n",
+     "basis label of V, got 'zz'"),
+    (ONE_A + "coalg H V\neps zz -> 1\n", "basis label of V, got 'zz'"),
+    (ONE_A + "coalg H V\naction act H V\na zz a -> (a):1\n",
+     "basis label of V, got 'zz'"),
+    (ONE_A + "coalg H V\ncoaction co H V\nrho zz -> (one,a):1\n",
+     "basis label of V, got 'zz'"),
+    (ONE_A + "module M V V\nm a zz -> (a):1\n", "basis label of V, got 'zz'"),
 ])
 def test_positioned_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
@@ -171,12 +183,16 @@ def test_bad_series_body_raises_at_resolution(body):
 @functools.lru_cache(maxsize=None)
 def registry_files():
     """The emitted text of every registry algebra, twist, S-map and
-    coalgebra."""
-    return tuple([emit_nva(a) for a in builtin_algebras().values()]
-                 + [emit_twist(t) for t in builtin_twists().values()]
-                 + [emit_smap(s) for s in builtin_smaps().values()]
-                 + [emit_coalg(d.coalgebra, "H")
-                    for d in builtin_smash().values()])
+    coalgebra, each with the suite that resolves its twist or S-map block
+    (none for the others)."""
+    return tuple(
+        [(emit_nva(a), ()) for a in builtin_algebras().values()]
+        + [(emit_twist(t), ("--suite", "product-props", "--twist", t.name))
+           for t in builtin_twists().values()]
+        + [(emit_smap(s), ("--suite", "qva", "--smap", s.name))
+           for s in builtin_smaps().values()]
+        + [(emit_coalg(d.coalgebra, "H"), ())
+           for d in builtin_smash().values()])
 
 
 HOSTILE = ("", "0", "-1", "1/0", "->", "#", "(", ")", ";", ":", "+", "@(1)",
@@ -188,8 +204,8 @@ HOSTILE = ("", "0", "-1", "1/0", "->", "#", "(", ")", ";", ":", "+", "@(1)",
 def mutated_registry_files(draw):
     """A registry file with one whitespace-separated token replaced: by a
     token of the file, by a hostile one, or by a token of the file with a
-    hostile suffix."""
-    text = draw(st.sampled_from(registry_files()))
+    hostile suffix.  Drawn with the suite of its block."""
+    text, suite = draw(st.sampled_from(registry_files()))
     lines = text.splitlines()
     i = draw(st.integers(0, len(lines) - 1))
     toks = lines[i].split(" ")
@@ -200,17 +216,24 @@ def mutated_registry_files(draw):
         lambda t, h: t + h, own, st.sampled_from(("/0", "@(1,1)", "(", ")",
                                                   ";", "#", ",", "/2"))))
     lines[i] = " ".join(toks)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", suite
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated_registry_files())
-def test_a_mutated_registry_file_exits_0_1_or_2(tmp_path, text):
-    # a verdict, a failed check or a positioned error: never a traceback
+# a twist line whose labels are not of the twist's spaces
+@example((emit_twist(sign_twist_z2()) + "r zz zz -> (g,g):5\n",
+          ("--suite", "product-props", "--twist", "sign(Z2,Z2)")))
+def test_a_mutated_registry_file_exits_0_1_or_2(tmp_path, mutated):
+    # a verdict, a failed check or a positioned error: never a traceback,
+    # also where a suite resolves the file's twist or S-map block
+    text, suite = mutated
     path = tmp_path / "mutated.nva"
     path.write_text(text, encoding="utf-8")
     assert main(["check", str(path), "--suite", "nva"]) in (0, 1, 2)
+    if suite:
+        assert main(["check", str(path), *suite]) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("text,line", [

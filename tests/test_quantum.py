@@ -5,6 +5,7 @@ import pytest
 
 from nvaw.linalg import (
     SeriesMap, SeriesVector, Space, Underdetermined, UniqueSolution,
+    solve_linear,
 )
 from nvaw.nva import DEFAULT_KMAX, CheckReport, Nva, window_equal_vec
 from nvaw.products import build_twisted_tensor
@@ -71,13 +72,13 @@ def test_locality_equivalent_to_skew_on_all_instances():
             f"{a.name}/{s.name}: locality {loc.ok} vs skew {skew.ok}")
 
 
-# rank, number of free unknowns and first free unknown of the first
-# column's solve, (v, u) = (one, one)
+# rank, number of free unknowns and first free unknown of the one solve
+# over every column, (v, u) = (one, one) first
 EXTRACT_S_SHAPE = {
-    "E1": (10, 10, "s[one,one][eps,one][-2]"),
-    "E1n": (15, 30, "s[one,one][n,one][-2]"),
-    "E2": (16, 29, "s[one,one][s,one][-2]"),
-    "Z2": (10, 10, "s[one,one][g,one][-2]"),
+    "E1": (40, 40, "s[one,one][eps,one][-2]"),
+    "E1n": (135, 270, "s[one,one][n,one][-2]"),
+    "E2": (144, 261, "s[one,one][s,one][-2]"),
+    "Z2": (40, 40, "s[one,one][g,one][-2]"),
 }
 
 
@@ -96,6 +97,23 @@ def test_extract_S_is_underdetermined_at_this_scale(name):
     assert not ext.ok
 
 
+@pytest.mark.parametrize("name", sorted(builtin_algebras()))
+def test_extract_S_solves_every_column_in_one_system(monkeypatch, name):
+    # one solve_linear call for all |V|^2 columns, each of |V|^2 * 5
+    # unknowns
+    import nvaw.quantum as quantum
+
+    a, calls = builtin_algebras()[name], []
+
+    def counted(blocks, unknowns):
+        calls.append(len(unknowns))
+        return solve_linear(blocks, unknowns)
+
+    monkeypatch.setattr(quantum, "solve_linear", counted)
+    extract_S(a)
+    assert calls == [len(a.space) ** 4 * 5]
+
+
 @pytest.mark.parametrize("window", [None, (-2, 2)])
 def test_extract_S_on_the_one_dimensional_algebra_is_the_identity(window):
     # Y(1,x)1 = 1 pins S(x)(1⊗1) = 1⊗1: the solved table is read back with
@@ -106,6 +124,9 @@ def test_extract_S_on_the_one_dimensional_algebra_is_the_identity(window):
                                                     window)})}))
     ext = extract_S(one)
     assert isinstance(ext.solve, UniqueSolution) and ext.ok
+    # the solve that was made: S(x)(1⊗1) = x^0 1⊗1
+    assert ext.solve.assignment == {
+        f"s[one,one][one,one][{e}]": int(e == 0) for e in range(-2, 3)}
     col, = ext.smap.table.columns.items()
     assert col[0] == ("one", "one")
     (key, entry), = col[1].entries.items()
