@@ -330,6 +330,11 @@ def parse_file(text, rng=DEFAULT_RANGE):
             current.lines[key] = (body, lineno)
         else:
             raise ParseError(lineno, 1, f"declaration keyword, got {head!r}")
+    # a y line is read only as part of an algebra, which needs a vacuum
+    for spname, ys in wf.ys.items():
+        if spname not in wf.vacuums:
+            raise ParseError(min(n for _, n in ys.values()), 1,
+                             f"vacuum declaration for space {spname!r}")
     return wf
 
 

@@ -451,20 +451,21 @@ def _row_reduce(rows, ncols):
 
 def _equations(blocks, col, m):
     """(rows, tags, spoiled) of blocks (targets, images): a row per (basis
-    key, exponent), unknown u in column col[u] < m and the g-th target in
-    column m + g, and tags its (key, exponent).  Every side of a key is read
-    lifted onto the union of the sides' variables and clipped to the meet
-    of their windows (as it is when they share both); at a key no image
-    holds, each target alone.  With several targets the images' reading
-    holds; where targets would change it, the build stops and spoiled holds
-    their g.  Rows enter in order of first appearance, targets first, and a
-    repeated row enters once: rows compare by value, an int hashing cheaply.
+    key, exponent), the image at k in column col[k] < m and the g-th
+    target in column m + g, and tags its (key, exponent).  Every side of a
+    key is read lifted onto the union of the sides' variables and clipped
+    to the meet of their windows (as it is when they share both); at a key
+    no image holds, each target alone.  With several targets the images'
+    reading holds; where targets would change it, the build stops and
+    spoiled holds their g.  Rows enter in order of first appearance,
+    targets first, and a repeated row enters once: rows compare by value,
+    an int hashing cheaply.
     """
     kept = {}
     for targets, images in blocks:
         at = {}
         carried = [(m + g, t) for g, t in enumerate(targets)]
-        for j, vec in carried + [(col[u], vec) for u, vec in images.items()]:
+        for j, vec in carried + [(col[k], vec) for k, vec in images.items()]:
             for key, s in vec.entries.items():
                 at.setdefault(key, []).append((j, s))
         for key, sides in at.items():
@@ -493,76 +494,63 @@ def _equations(blocks, col, m):
 
 
 def solve_linear(blocks, unknowns):
-    """Solve for the unknowns from blocks (target, images): SeriesVectors
-    with target == sum(u * images[u]), read as _equations reads them.
-    Blocks that share an unknown form a group.  Groups whose blocks hold
-    the same image objects at the same positions of their unknowns share a
-    matrix, eliminated once with a column for each group's targets unless
-    one changes how a key is read; the reduced row echelon form is unique,
-    so each group gets the values of its own elimination.  The witness of
-    an inconsistent system, the first equation in input order that
-    contradicts those before it, comes from eliminating again the blocks
-    of the groups a leftover row holds.
+    """Solve for the unknowns from blocks (targets, images): targets maps
+    each right-hand side c to a SeriesVector and images each key k to one,
+    shared by the block's targets, with targets[c] == sum(u[c, k] *
+    images[k]), read as _equations reads them.  unknowns maps each (c, k)
+    to its name, in the order of the outcome; every c lists the same keys
+    in the same order and every block holds a target for every c, or the
+    system is refused (ValueError).  The images' matrix is eliminated once,
+    with a carried column per c, unless a c's target would change how a key
+    is read: that c is solved on its own.  The reduced row echelon form is
+    unique, so each c gets the values of its own elimination.  The witness
+    of an inconsistent system, the first equation that contradicts those
+    before it, comes from eliminating again the blocks of the failing c's,
+    c by c in the order of unknowns.
     """
-    blocks, unknowns = list(blocks), list(unknowns)
-    n = len(unknowns)
-    col = {u: i for i, u in enumerate(unknowns)}
-    up = list(range(n))  # union-find over the columns
-
-    def root(j):
-        while up[j] != j:
-            up[j] = j = up[up[j]]
-        return j
-
-    for _, images in blocks:
-        js = [root(j) for j in {up[col[u]] for u in images}]
-        for j in js:
-            up[j] = js[0]
-    groups = {}  # a block with no unknown is a group of its own
-    for i, (_, images) in enumerate(blocks):
-        groups.setdefault(root(col[next(iter(images))]) if images else -1 - i,
-                          []).append(i)
-    shapes = {}  # by the image objects at the positions of their unknowns
-    for group in groups.values():
-        cols = sorted({col[u] for i in group for u in blocks[i][1]})
-        at = {unknowns[j]: p for p, j in enumerate(cols)}.get
-        shapes.setdefault(tuple(
-            (tuple(map(at, blocks[i][1])), tuple(map(id, blocks[i][1].values())))
-            for i in group), []).append((group, cols))
-
-    values, bad = {}, []
-    todo = list(shapes.values())
+    blocks = list(blocks)
+    listed = {}
+    for c, k in unknowns:
+        listed.setdefault(c, []).append(k)
+    keys = next(iter(listed.values()), [])
+    if any(ks != keys for ks in listed.values()) or any(
+            targets.keys() != listed.keys() for targets, _ in blocks):
+        raise ValueError("every right-hand side lists the same keys in the "
+                         "same order, and every block holds each")
+    m, col = len(keys), {k: j for j, k in enumerate(keys)}
+    values, bad = {}, set()
+    todo = [list(listed)]
     for batch in todo:
-        first, cols = batch[0]
-        m = len(cols)
-        rows, _, spoiled = _equations(
-            [([blocks[group[p]][0] for group, _ in batch], blocks[i][1])
-             for p, i in enumerate(first)],
-            {unknowns[j]: p for p, j in enumerate(cols)}, m)
-        if spoiled:  # each such group is solved on its own
-            kept = [b for g, b in enumerate(batch) if g not in spoiled]
+        rows, _, spoiled = _equations([([targets[c] for c in batch], images)
+                                       for targets, images in blocks], col, m)
+        if spoiled:  # each such c is solved on its own
+            kept = [c for g, c in enumerate(batch) if g not in spoiled]
             todo += [[batch[g]] for g in sorted(spoiled)] + [kept] * bool(kept)
             continue
         pivots, rest = _row_reduce(rows, m)
         failed = {j - m for _, leftover in rest for j in leftover}
-        for g, (group, cols) in enumerate(batch):
+        for g, c in enumerate(batch):
             if g in failed:
-                bad += group
+                bad.add(c)
             else:
-                values.update((cols[c], row.get(m + g, 0))
-                              for c, row in pivots.items())
+                values[c] = {keys[j]: row.get(m + g, 0)
+                             for j, row in pivots.items()}
     if bad:
+        where = {u: j for j, u in enumerate(unknowns)}
         rows, tags, _ = _equations(
-            [([blocks[i][0]], blocks[i][1]) for i in sorted(bad)], col, n)
-        _, rest = _row_reduce(rows, n)
+            [([targets[c]], {(c, k): image for k, image in images.items()})
+             for c in listed if c in bad for targets, images in blocks],
+            where, len(where))
+        _, rest = _row_reduce(rows, len(where))
         return Inconsistent(next(tags[i] for i, leftover in rest if leftover))
 
-    assignment = {unknowns[j]: values[j] for j in sorted(values)}
-    if len(values) == n:
+    assignment = {name: values[c][k] for (c, k), name in unknowns.items()
+                  if k in values[c]}
+    if len(assignment) == len(unknowns):
         return UniqueSolution(assignment)
-    free = [u for j, u in enumerate(unknowns) if j not in values]
-    particular = {u: assignment.get(u, 0) for u in unknowns}
-    return Underdetermined(len(values), free, particular)
+    free = [u for u in unknowns.values() if u not in assignment]
+    particular = {u: assignment.get(u, 0) for u in unknowns.values()}
+    return Underdetermined(len(assignment), free, particular)
 
 
 def matrix_rank(rows, ncols):

@@ -397,18 +397,20 @@ def extract_twisting(host, u_labels, v_labels):
     with k = max(0, -min e): each unknown R-monomial (x2-x1)^e contributes the
     polynomial (-1)^e (x1-x2)^{k+e}, so the system is exact.  Only the
     columns the condition reads are composed (v, b in V; u, a in U).  The
-    images do not depend on (v,u), so solve_linear eliminates their one
-    matrix once, with a right-hand side per (v,u).
+    images do not depend on (v,u): solve_linear takes a block per w, whose
+    images, those of the keys (a,b,e), serve a target per (v,u), and
+    eliminates their one matrix once, with a right-hand side per (v,u).
 
-    Solves at w = vacuum, then over every w: the solution when the vacuum
-    system leaves R open, and otherwise its validation.  The vacuum solve
-    stays only because the benchmark's tests count two solves per
-    extraction (ROADMAP item 1).  On a unique solution runs the twisting
-    axioms, the theta-bijectivity test and the degree-two injectivity
-    report.  The labels of each factor are one or more distinct labels of
-    the host's basis (LabelError otherwise).  The vacuum of each subalgebra
-    is the host's when its labels hold it, and otherwise its first label.
-    The solved R takes the window of the host's table.
+    Solves the block at w = vacuum, then the blocks of every w: the
+    solution when the vacuum system leaves R open, and otherwise its
+    validation.  Each solve is over every unknown.  The vacuum solve stays
+    only because the benchmark's tests count two solves per extraction
+    (ROADMAP item 1).  On a unique solution runs the twisting axioms, the
+    theta-bijectivity test and the degree-two injectivity report.  The
+    labels of each factor are one or more distinct labels of the host's
+    basis (LabelError otherwise).  The vacuum of each subalgebra is the
+    host's when its labels hold it, and otherwise its first label.  The
+    solved R takes the window of the host's table.
     """
     basis = host.space.basis
     for tag, labels in (("U", u_labels), ("V", v_labels)):
@@ -431,7 +433,8 @@ def extract_twisting(host, u_labels, v_labels):
 
     elo, ehi = EXP_RANGE
     k = max(0, -elo)
-    nsym = {(v, u, a, b, e): f"r[{v},{u}][{a},{b}][{e}]"
+    # the unknown r[(v,u)->(a,b),e] of right-hand side (v,u) and key (a,b,e)
+    nsym = {((v, u), (a, b, e)): f"r[{v},{u}][{a},{b}][{e}]"
             for v in v_labels for u in u_labels for a in u_labels
             for b in v_labels for e in range(elo, ehi + 1)}
 
@@ -460,22 +463,15 @@ def extract_twisting(host, u_labels, v_labels):
                     for e, poly in signed.items():
                         at_w[(a, b, e)] = base.scale(poly)
 
-    # the blocks of every w, in (v, u, w) order; those at w = vacuum are the
-    # vacuum system, in the same (v, u) order
-    blocks = []
-    for v in v_labels:
-        for u in u_labels:
-            for w in host.space.basis:
-                lhs = y12.column((v, u, w)).scale(signed[0])
-                blocks.append((w, (lhs, {
-                    nsym[(v, u) + key]: image
-                    for key, image in images[w].items()})))
-
-    unknowns = list(nsym.values())
-    sol = solve_linear([b for w, b in blocks if w == host.vacuum], unknowns)
+    # a block per w, its images images[w] and a target per (v,u); the one
+    # at w = vacuum is the vacuum system
+    blocks = {w: ({(v, u): y12.column((v, u, w)).scale(signed[0])
+                   for v in v_labels for u in u_labels}, images[w])
+              for w in host.space.basis}
+    sol = solve_linear([blocks[host.vacuum]], nsym)
     # the full system over every w: the solution when the vacuum system
     # leaves R open, and otherwise the validation of the solved R
-    full = solve_linear([b for _, b in blocks], unknowns)
+    full = solve_linear(list(blocks.values()), nsym)
     if not isinstance(sol, UniqueSolution):
         sol = full
     if not isinstance(sol, UniqueSolution) or isinstance(full, Inconsistent):
@@ -483,7 +479,7 @@ def extract_twisting(host, u_labels, v_labels):
                                 check_Z2_injectivity(host))
 
     twist = TwistOp(f"extracted({host.name})", ualg, valg, solved_table(
-        {key: sol.assignment[name] for key, name in nsym.items()},
+        {c + key: sol.assignment[name] for (c, key), name in nsym.items()},
         (valg.space, ualg.space), (ualg.space, valg.space), host.y.window()))
     axioms = check_twisting_axioms(twist)
 

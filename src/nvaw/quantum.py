@@ -192,12 +192,14 @@ def extract_S(a):
     """Solve Y(u,x)v == e^{xD} Y(-x) S(-x)(v⊗u) for S as one system.
 
     The unknowns are the coefficients of S(x)(v⊗u) = sum c[(a,b),e] x^e a⊗b
-    over the exponent range.  When the degree-two injectivity kernel is
-    nonzero the defining relation cannot pin the table down and the solve
-    comes back Underdetermined; that outcome is reported honestly.  On a
-    unique solution the full axiom suite and the extra derivation relation
-    [1⊗D, S(x)] == d/dx S(x) are run and reported.  The solved S takes
-    the window of the algebra's table.
+    over the exponent range.  Their images do not depend on (v,u), so
+    solve_linear takes one block: the images once, keyed by (a,b,e), and a
+    target Y(u,x)v per right-hand side (v,u).  When the degree-two
+    injectivity kernel is nonzero the defining relation cannot pin the
+    table down and the solve comes back Underdetermined; that outcome is
+    reported honestly.  On a unique solution the full axiom suite and the
+    extra derivation relation [1⊗D, S(x)] == d/dx S(x) are run and
+    reported.  The solved S takes the window of the algebra's table.
     """
     from .products import EXP_RANGE, check_Z2_injectivity, solved_table
 
@@ -217,18 +219,17 @@ def extract_S(a):
             mono = Series.monomial("x", e, coeff=(-1) ** (e % 2))
             images[(aa, bb, e)] = expd.apply(base.scale(mono))
 
-    # a block per (v,u) over the same image objects: their one matrix is
+    # one block over the images, a target per (v,u): their one matrix is
     # eliminated once, with a right-hand side per (v,u)
-    nsym = {(v, u, aa, bb, e): f"s[{v},{u}][{aa},{bb}][{e}]"
+    nsym = {((v, u), (aa, bb, e)): f"s[{v},{u}][{aa},{bb}][{e}]"
             for (v, u) in pairs for (aa, bb, e) in images}
-    sol = solve_linear([(a.vertex(u, v), {
-        nsym[(v, u) + key]: img for key, img in images.items()})
-        for (v, u) in pairs], list(nsym.values()))
+    sol = solve_linear([({(v, u): a.vertex(u, v) for (v, u) in pairs},
+                         images)], nsym)
     if not isinstance(sol, UniqueSolution):
         return SMapExtraction(None, sol, None, None, z2)
 
     smap = SMap(f"extracted({a.name})", a, solved_table(
-        {key: sol.assignment[name] for key, name in nsym.items()},
+        {c + key: sol.assignment[name] for (c, key), name in nsym.items()},
         (sp, sp), (sp, sp), a.y.window()))
     axioms = CheckReport(f"{a.name}: extracted S-map axioms")
     axioms.extend(check_qyb_unitarity(smap))

@@ -1,7 +1,11 @@
-"""solve_linear eliminates each coefficient matrix that groups of blocks
-share once, their targets carried as right-hand sides.  The oracle is the
-solve that eliminated every equation of every block in one system, kept
-here as it was: the outcome must be the same, field by field."""
+"""solve_linear takes the system its callers state: blocks (targets,
+images), each block's images shared by a target per right-hand side c,
+and a name per (c, k).  It eliminates the images' one matrix once, the
+targets carried as right-hand sides.  The oracle is the solve that
+eliminated every equation of every block in one system, kept here as it
+was; it is fed each stated system with the images renamed to the
+unknowns of each (c, k), c by c in the order of the unknowns.  The
+outcome must be the same, field by field."""
 
 import importlib.util
 from functools import reduce
@@ -17,7 +21,7 @@ from nvaw.linalg import (
     Underdetermined, _row_reduce, solve_linear,
 )
 from nvaw.nva import Nva
-from nvaw.products import build_twisted_tensor, extract_twisting
+from nvaw.products import EXP_RANGE, build_twisted_tensor, extract_twisting
 from nvaw.registry import builtin_twists, make_e2
 from nvaw.series import EmptyWindow, Q, Series, _meet
 from nvaw.twist import flip_twist
@@ -88,11 +92,21 @@ def fields(out):
         else v for k, v in vars(out).items()}
 
 
+def renamed(blocks, unknowns):
+    """The stated system as the oracle takes it: a block (target, images)
+    per c and block, c by c in the order of the unknowns, each image under
+    the name of its (c, k); and the names, in order."""
+    return ([(targets[c], {unknowns[c, k]: image
+                           for k, image in images.items()})
+             for c in dict.fromkeys(c for c, _ in unknowns)
+             for targets, images in blocks], list(unknowns.values()))
+
+
 def solved_alike(blocks, unknowns):
-    """The factored solve's outcome, asserted equal field by field to the
-    oracle's, or both raising EmptyWindow."""
+    """The solve's outcome, asserted equal field by field to the oracle's,
+    or both raising EmptyWindow."""
     try:
-        want = reference_solve_linear(blocks, unknowns)
+        want = reference_solve_linear(*renamed(blocks, unknowns))
     except EmptyWindow:
         with pytest.raises(EmptyWindow):
             solve_linear(blocks, unknowns)
@@ -198,8 +212,41 @@ def test_each_extraction_solve_is_one_elimination_of_the_shared_matrix(
     assert ncols == [[len(u_labels) * len(v_labels) * 5]] * 2
 
 
+@pytest.mark.parametrize("name", sorted(builtin_twists()))
+def test_each_extraction_solve_takes_a_block_per_w_over_its_shared_images(
+        name, monkeypatch):
+    # the vacuum solve one block, the full solve one per host basis vector;
+    # a block's images are keyed by (a, b, e) alone and serve a target per
+    # (v, u), and the vacuum block's images are the full solve's at w =
+    # vacuum, the same dict: no copy per (v, u)
+    calls, real = [], products.solve_linear
+
+    def stated(blocks, unknowns):
+        calls.append((list(blocks), unknowns))
+        return real(*calls[-1])
+
+    monkeypatch.setattr(products, "solve_linear", stated)
+    t = builtin_twists()[name]
+    p = build_twisted_tensor(t.first, t.second, t)
+    u_labels, v_labels = factor_labels(p)
+    extract_twisting(p.nva, u_labels, v_labels)
+    (vacuum, unknowns), (full, again) = calls
+    basis = p.nva.space.basis
+    assert len(vacuum) == 1 and len(full) == len(basis)
+    assert vacuum[0][1] is full[basis.index(p.nva.vacuum)][1]
+    assert len({id(images) for _, images in full}) == len(basis)
+    pairs = [(v, u) for v in v_labels for u in u_labels]
+    keys = [(a, b, e) for a in u_labels for b in v_labels
+            for e in range(EXP_RANGE[0], EXP_RANGE[1] + 1)]
+    for targets, images in vacuum + full:
+        assert list(targets) == pairs and images.keys() <= set(keys)
+    assert again is unknowns
+    assert len(unknowns) == 5 * len(u_labels) ** 2 * len(v_labels) ** 2
+    assert list(unknowns) == [(c, k) for c in pairs for k in keys]
+
+
 # ---------------------------------------------------------------------------
-# drawn systems whose groups share their image objects
+# drawn systems in the stated form
 
 
 K = Space("K", ("k0", "k1", "k2"))
@@ -252,52 +299,47 @@ def target(draw, images):
 
 
 @st.composite
-def shared_systems(draw):
-    """(blocks, unknowns): groups of nblocks blocks that hold the same
-    image objects, each group its own unknowns u<g>_<l>, the blocks of the
-    groups interleaved in input order; unknowns in no block, and an order
-    of the unknowns that may not keep each group's own order."""
-    ngroups, nblocks = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    nlocal = draw(st.integers(1, 3))
-    images = [draw(st.dictionaries(st.integers(0, nlocal - 1), vectors,
-                                   max_size=nlocal)) for _ in range(nblocks)]
-    blocks = {}
-    for g in range(ngroups):
-        blocks[g] = [(draw(target(imgs)), {f"u{g}_{l}": vec
-                                           for l, vec in imgs.items()})
-                     for imgs in images]
-    order = draw(st.permutations([g for g in blocks for _ in range(nblocks)]))
-    system = [blocks[g].pop(0) for g in order]
-    # each group's unknowns in their own order, interleaved, with extras
-    spare = [f"z{i}" for i in range(draw(st.integers(0, 2)))]
-    names = [[f"u{g}_{l}" for l in range(nlocal)] for g in range(ngroups)]
-    names.append(spare)
-    picks = draw(st.permutations([g for g, ns in enumerate(names) for _ in ns]))
-    unknowns = [names[g].pop(0) for g in picks]
-    if draw(st.booleans()):
-        unknowns = draw(st.permutations(unknowns))
-    return system, unknowns
+def stated_systems(draw):
+    """(blocks, unknowns): nblocks blocks, each with its images keyed by
+    l and a target per right-hand side c; the unknown of (c, l) is
+    u<c>_<l>.  Every c lists the same keys in one drawn order, keys in no
+    block among them, and the c's are interleaved in a drawn order."""
+    ncols, nblocks = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    nkeys, spare = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    blocks = []
+    for _ in range(nblocks):
+        images = draw(st.dictionaries(st.integers(0, nkeys - 1), vectors,
+                                      max_size=nkeys))
+        blocks.append(({c: draw(target(images)) for c in range(ncols)},
+                       images))
+    keys = draw(st.permutations(range(nkeys + spare)))
+    left = {c: list(keys) for c in range(ncols)}
+    unknowns = {}
+    for c in draw(st.permutations([c for c in left for _ in left[c]])):
+        k = left[c].pop(0)
+        unknowns[c, k] = f"u{c}_{k}"
+    return blocks, unknowns
 
 
 @settings(max_examples=300, deadline=None)
-@given(shared_systems())
+@given(stated_systems())
 def test_shared_systems_solve_as_the_oracle(system):
     solved_alike(*system)
 
 
 def test_a_target_that_changes_the_reading_is_solved_on_its_own(monkeypatch):
-    # three groups share the image x^-1 + 1 + 2x at k0, read at window
-    # -2..2; group 1's target 2 + 4x is read at 0..2 there, which drops the
-    # x^-1 equation, and group 2's has a key no image holds
+    # three right-hand sides share the image x^-1 + 1 + 2x at k0, read at
+    # window -2..2; column 1's target 2 + 4x is read at 0..2 there, which
+    # drops the x^-1 equation, and column 2's has a key no image holds
     image = SeriesVector((K,), {("k0",): Series(
         ("x",), {(-1,): 1, (0,): 1, (1,): 2}, (-2, 2))})
-    targets = [
-        image.scale(3),
-        SeriesVector((K,), {("k0",): Series(("x",), {(0,): 2, (1,): 4},
-                                            (0, 2))}),
-        image.scale(Q(1, 2)) + SeriesVector.basis((K,), ("k1",))]
-    blocks = [(t, {f"u{g}": image}) for g, t in enumerate(targets)]
-    unknowns = ["u0", "u1", "u2"]
+    targets = {
+        0: image.scale(3),
+        1: SeriesVector((K,), {("k0",): Series(("x",), {(0,): 2, (1,): 4},
+                                               (0, 2))}),
+        2: image.scale(Q(1, 2)) + SeriesVector.basis((K,), ("k1",))}
+    blocks = [(targets, {"k": image})]
+    unknowns = {(g, "k"): f"u{g}" for g in targets}
     seen = []
     real = linalg._row_reduce
 
@@ -306,12 +348,28 @@ def test_a_target_that_changes_the_reading_is_solved_on_its_own(monkeypatch):
         return real(rows, n)
 
     monkeypatch.setattr(linalg, "_row_reduce", spy)
-    # group 1 on its own, then groups 0 and 2 together; group 2's
+    # column 1 on its own, then columns 0 and 2 together; column 2's
     # target-only key contradicts, and its block is solved again
     assert solved_alike(blocks, unknowns) == Inconsistent((("k1",), ()))
     assert seen == [(1, [1]), (1, [1, 2]), (3, [3])]
     seen.clear()
-    blocks[2] = (image.scale(Q(1, 2)), {"u2": image})
+    targets[2] = image.scale(Q(1, 2))
     assert solved_alike(blocks, unknowns) == UniqueSolution(
         {"u0": 3, "u1": 2, "u2": Q(1, 2)})
     assert seen == [(1, [1]), (1, [1, 2])]
+
+
+def test_a_system_whose_columns_list_their_keys_apart_is_refused():
+    image = SeriesVector.basis((K,), ("k0",))
+    blocks = [({0: image, 1: image}, {"a": image, "b": image.scale(2)})]
+    # the columns interleaved, each listing a before b
+    assert solve_linear(blocks, {(0, "a"): "a0", (1, "a"): "a1",
+                                 (0, "b"): "b0", (1, "b"): "b1"}) == \
+        Underdetermined(2, ["b0", "b1"], {"a0": 1, "a1": 1, "b0": 0, "b1": 0})
+    for unknowns in (
+            # the keys in another order, a key missing, a column missing
+            {(0, "a"): "a0", (0, "b"): "b0", (1, "b"): "b1", (1, "a"): "a1"},
+            {(0, "a"): "a0", (0, "b"): "b0", (1, "a"): "a1"},
+            {(0, "a"): "a0", (0, "b"): "b0"}):
+        with pytest.raises(ValueError):
+            solve_linear(blocks, unknowns)

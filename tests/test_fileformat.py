@@ -148,6 +148,9 @@ ONE_A = "space V basis one a\nvacuum V one\n"
     (ONE_A + "space W basis b\ntwist T V W\n",
      "vacuum declaration for space 'W'"),
     (ONE_A + "action act H V\n", "coalg block named 'H'"),
+    # a y line of a space that has no vacuum is no algebra's table line
+    (ONE_A + "space W basis w\ny W zz w -> (qq):1/0\n",
+     "vacuum declaration for space 'W'"),
     # the key labels of every table line are labels of its domain spaces
     (ONE_A + "y V zz a -> (a):1\n", "basis label of V, got 'zz'"),
     (ONE_A + "twist T V V\nr a zz -> (a,a):1\n", "basis label of V, got 'zz'"),

@@ -151,25 +151,32 @@ def const(c, space=(A,), key=("a1",)):
     return SeriesVector(space, {key: Series.const(c)})
 
 
+def solve(blocks, unknowns):
+    """solve_linear with one right-hand side: blocks (target, images), the
+    images keyed by the unknowns themselves."""
+    return solve_linear([({0: target}, images) for target, images in blocks],
+                        {(0, u): u for u in unknowns})
+
+
 def test_solve_linear_unique():
     # x + y == 3, x - y == 1 encoded through series coefficients
     blocks = [(const(3), {"x": const(1), "y": const(1)}),
               (const(1), {"x": const(1), "y": const(-1)})]
-    sol = solve_linear(blocks, ["x", "y"])
+    sol = solve(blocks, ["x", "y"])
     assert isinstance(sol, UniqueSolution)
     assert sol.assignment == {"x": Q(2), "y": Q(1)}
     # a variable-free target against an image in x: one equation at
     # exponent (0,), not one at () and one at (0,)
     image = SeriesVector((A,), {("a1",): Series.monomial("x", 0)})
-    assert solve_linear([(const(2), {"x": image})], ["x"]) == \
+    assert solve([(const(2), {"x": image})], ["x"]) == \
         UniqueSolution({"x": Q(2)})
 
 
 def test_solve_linear_underdetermined_and_inconsistent():
-    under = solve_linear([(const(1), {"x": const(1)})], ["x", "y"])
+    under = solve([(const(1), {"x": const(1)})], ["x", "y"])
     assert isinstance(under, Underdetermined)
     assert under.free == ["y"]
-    bad = solve_linear([(const(1), {"x": const(0)})], ["x"])
+    bad = solve([(const(1), {"x": const(0)})], ["x"])
     assert isinstance(bad, Inconsistent)
 
 
@@ -182,15 +189,15 @@ def equations(*rows):
 
 
 def test_inconsistent_witness_is_the_first_contradicting_equation():
-    sol = solve_linear(equations(("c1", {"x": 1}, 1), ("c2", {"y": 1}, 2),
-                                 ("c3", {"x": 1, "y": 1}, 4)), ["x", "y"])
+    sol = solve(equations(("c1", {"x": 1}, 1), ("c2", {"y": 1}, 2),
+                          ("c3", {"x": 1, "y": 1}, 4)), ["x", "y"])
     assert sol == Inconsistent((("c3",), ()))
     assert UniqueSolution(sol.witness) != sol
     # y=2 is the first to contradict the equations before it; y=1 only
     # contradicts later ones, and y=3 comes after y=2
-    sol = solve_linear(equations(("c1", {"y": 1}, 1), ("c2", {"y": 1}, 2),
-                                 ("c3", {"x": 1}, 1), ("c4", {"y": 1}, 3)),
-                       ["x", "y"])
+    sol = solve(equations(("c1", {"y": 1}, 1), ("c2", {"y": 1}, 2),
+                          ("c3", {"x": 1}, 1), ("c4", {"y": 1}, 3)),
+                ["x", "y"])
     assert sol == Inconsistent((("c2",), ()))
     # x^5 in the target contradicts x == 1 only where the image reaches it:
     # outside the image's window it gives no equation
@@ -199,11 +206,11 @@ def test_inconsistent_witness_is_the_first_contradicting_equation():
     for window, want in (((-8, 8), Inconsistent((("a1",), (5,)))),
                          ((-2, 2), UniqueSolution({"x": Q(1)}))):
         image = SeriesVector((A,), {("a1",): Series(("x",), {(0,): 1}, window)})
-        assert solve_linear([(target, {"x": image})], ["x"]) == want
+        assert solve([(target, {"x": image})], ["x"]) == want
     # sides whose windows do not meet cannot be compared
     image = SeriesVector((A,), {("a1",): Series(("x",), {(9,): 1}, (9, 10))})
     with pytest.raises(EmptyWindow):
-        solve_linear([(target, {"x": image})], ["x"])
+        solve([(target, {"x": image})], ["x"])
 
 
 def test_matrix_rank_and_inverse():
@@ -321,9 +328,9 @@ def check_solve_linear(rows, rhs):
     sympy's rref of the augmented matrix."""
     n = len(rows[0])
     unknowns = [f"u{j}" for j in range(n)]
-    sol = solve_linear(equations(*[(f"e{i}", dict(zip(unknowns, r)), c)
-                                   for i, (r, c) in enumerate(zip(rows, rhs))]),
-                       unknowns)
+    sol = solve(equations(*[(f"e{i}", dict(zip(unknowns, r)), c)
+                            for i, (r, c) in enumerate(zip(rows, rhs))]),
+                unknowns)
 
     aug = [r + [c] for r, c in zip(rows, rhs)]
     reduced, pivots = _dm(aug).rref()
@@ -447,14 +454,14 @@ def test_a_repeated_equation_enters_once_by_value(monkeypatch):
 
     monkeypatch.setattr(linalg, "_row_reduce", spy)
     # x + 2y == 3 once in ints, then in equal Fractions at another key
-    sol = solve_linear(equations(("c1", {"x": 1, "y": 2}, 3),
-                                 ("c2", {"x": Q(1), "y": Q(4, 2)}, Q(3)),
-                                 ("c3", {"y": 1}, 1)), ["x", "y"])
+    sol = solve(equations(("c1", {"x": 1, "y": 2}, 3),
+                          ("c2", {"x": Q(1), "y": Q(4, 2)}, Q(3)),
+                          ("c3", {"y": 1}, 1)), ["x", "y"])
     assert sol == UniqueSolution({"x": Q(1), "y": Q(1)})
     assert len(seen[-1]) == 2
     # a contradicting equation given twice: the first is the witness
-    sol = solve_linear(equations(("c1", {"x": 1}, 1), ("c2", {"x": 1}, 2),
-                                 ("c3", {"x": Q(1)}, Q(2))), ["x"])
+    sol = solve(equations(("c1", {"x": 1}, 1), ("c2", {"x": 1}, 2),
+                          ("c3", {"x": Q(1)}, Q(2))), ["x"])
     assert sol == Inconsistent((("c2",), ()))
     assert len(seen[-1]) == 2
 

@@ -5,7 +5,7 @@ import pytest
 
 from nvaw.linalg import (
     SeriesMap, SeriesVector, Space, Underdetermined, UniqueSolution,
-    solve_linear,
+    basis_tuples, solve_linear,
 )
 from nvaw.nva import DEFAULT_KMAX, CheckReport, Nva, window_equal_vec
 from nvaw.products import build_twisted_tensor
@@ -99,19 +99,26 @@ def test_extract_S_is_underdetermined_at_this_scale(name):
 
 @pytest.mark.parametrize("name", sorted(builtin_algebras()))
 def test_extract_S_solves_every_column_in_one_system(monkeypatch, name):
-    # one solve_linear call for all |V|^2 columns, each of |V|^2 * 5
-    # unknowns
+    # one solve_linear call of one block: the images once, keyed by
+    # (a, b, e), and a target Y(u,x)v per column (v, u); |V|^2 * 5
+    # unknowns per column, each column listing the images' keys in order
     import nvaw.quantum as quantum
 
     a, calls = builtin_algebras()[name], []
 
     def counted(blocks, unknowns):
-        calls.append(len(unknowns))
-        return solve_linear(blocks, unknowns)
+        calls.append((list(blocks), unknowns))
+        return solve_linear(*calls[-1])
 
     monkeypatch.setattr(quantum, "solve_linear", counted)
     extract_S(a)
-    assert calls == [len(a.space) ** 4 * 5]
+    [([(targets, images)], unknowns)] = calls
+    pairs = basis_tuples((a.space, a.space))
+    assert list(targets) == pairs and len(images) == 5 * len(pairs)
+    assert all(targets[v, u].entries == a.vertex(u, v).entries
+               for (v, u) in pairs)
+    assert len(unknowns) == len(a.space) ** 4 * 5
+    assert list(unknowns) == [(c, k) for c in pairs for k in images]
 
 
 @pytest.mark.parametrize("window", [None, (-2, 2)])
